@@ -3,8 +3,9 @@ phase-kickback energy filtering.
 
 The package covers five layers: schedule containers and generators
 (`schedules`), residual-weight evaluation against discrete spectra and
-continuous bands by adaptive quadrature (`spectral`) and by an exact
-sign-enumeration closed form (`closed_form`), long-time asymptotics of
+continuous bands through one log-space survival kernel and adaptive
+quadrature (`spectral`), an exact sign-enumeration closed form for
+short schedules kept as an oracle (`closed_form`), long-time asymptotics of
 the geometric-schedule suppression product (`asymptotics`),
 exact-diagonalization spin-chain backends (`hamiltonians`), and global
 or one-parameter optimizers over schedules (`optimize`).

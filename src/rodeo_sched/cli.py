@@ -26,16 +26,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .closed_form import FAST_ENUM_N, MAX_ENUM_N, BandModel, rsn_closed_form
+from .closed_form import MAX_ENUM_N, BandModel, rsn_closed_form
 from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                            eigendecompose, make_initial_state, minimum_gap)
 from .optimize import (OptimizationConfig, adaptive_alpha_curve, optimize_alpha,
                        optimize_times)
 from .quadrature import QuadratureError
-from .schedules import (TimeSchedule, read_schedule, superiteration_schedule,
-                        trotter_round)
+from .schedules import (BASELINE_STREAM, TimeSchedule, half_normal_draws, read_schedule,
+                        superiteration_schedule, trotter_round)
 from .spectral import (ContinuousBand, band_from_json, load_spectrum_csv,
-                       rsn_quadrature)
+                       rsn_quadrature, target_mask)
 
 # Spectral-function presets for schedule fitting; shapes are normalized
 # internally. Both live on [0, 1] and pair with a target below the band.
@@ -120,17 +120,6 @@ def _resolve_schedule(args) -> TimeSchedule:
     return TimeSchedule(times=np.array([]))
 
 
-def _two_sided_band(dmin: float, dmax: float) -> ContinuousBand:
-    """Quadrature twin of BandModel: unit overlap on both signed gaps.
-
-    The closed form counts every level with |E - E_t| in [dmin, dmax]
-    at unit overlap; with the target at zero that is a density of 2
-    (both signs folded) on [dmin, dmax], deliberately unnormalized.
-    """
-    table = np.array([[dmin, 2.0], [dmax, 2.0]])
-    return ContinuousBand(dmin, dmax, table, normalize=False)
-
-
 def _hamiltonian_backend(args):
     """(objective, batch, eig, t0, extras) for the requested chain."""
     spec = HamiltonianSpec(model=args.model, length=args.length,
@@ -175,7 +164,7 @@ def cmd_rsn(args) -> int:
         dmin, dmax = args.band
         band = BandModel(dmin, dmax)
         closed = rsn_closed_form(band, schedule) if len(schedule) <= MAX_ENUM_N else None
-        zeta = rsn_quadrature(_two_sided_band(dmin, dmax), 0.0, schedule)
+        zeta = rsn_quadrature(band.quadrature_twin(), 0.0, schedule)
         result["zeta_quadrature"] = zeta
         result["zeta_closed_form"] = closed
         if closed is not None:
@@ -216,14 +205,10 @@ def cmd_optimize_alpha(args) -> int:
         objective_backend, _, t0, extras = _hamiltonian_backend(args)
         objective = lambda sched: objective_backend.value(sched.times)
     else:
-        dmin, dmax = args.band
-        t0 = math.pi / dmin
-        if args.n_samples <= FAST_ENUM_N:
-            band = BandModel(dmin, dmax)
-            objective = lambda sched: rsn_closed_form(band, sched)
-        else:
-            band_q = _two_sided_band(dmin, dmax)
-            objective = lambda sched: rsn_quadrature(band_q, 0.0, sched)
+        band = BandModel(*args.band)
+        t0 = math.pi / band.delta_min
+        twin = band.quadrature_twin()
+        objective = lambda sched: rsn_quadrature(twin, 0.0, sched)
     total = args.total_time if args.total_time else args.t0_multiple * t0
     cfg = OptimizationConfig(seed=args.seed, alpha_bounds=(args.alpha_min, args.alpha_cap))
     opt = optimize_alpha(objective, args.n_samples, total, cfg)
@@ -289,9 +274,8 @@ def cmd_curve(args) -> int:
         # Budget-matched random baseline: the half-normal width is fixed
         # by the mean total time, sigma = (T/N) sqrt(pi/2), and the same
         # draws are reused across the grid so the curve is smooth.
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((args.seed, 977))))
-        base = np.abs(rng.normal(size=(args.n_samples, args.rra_samples)))
+        base = half_normal_draws(args.n_samples, args.rra_samples,
+                                 (args.seed, BASELINE_STREAM))
         means, p10, p90 = [], [], []
         for t in t_grid:
             sigma = (t / args.n_samples) * math.sqrt(math.pi / 2.0)
@@ -363,8 +347,7 @@ def _gap_to_target(spectrum, e_target: float) -> float:
         if lo < e_target < hi or e_target in (lo, hi):
             raise ValueError(f"target {e_target} must lie outside the band [{lo}, {hi}]")
         return min(abs(lo - e_target), abs(hi - e_target))
-    gaps = np.abs(spectrum.energies - e_target)
-    gaps = gaps[gaps > 0]
+    gaps = np.abs(spectrum.energies - e_target)[~target_mask(spectrum.energies, e_target)]
     if len(gaps) == 0:
         raise ValueError("spectrum has no level away from the target")
     return float(gaps.min())

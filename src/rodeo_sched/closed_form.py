@@ -18,6 +18,11 @@ which costs 3**N sinc evaluations and is exact, no quadrature involved.
 The integrand is even, so this equals twice the one-sided integral; a
 band-averaged (unit-weight) residual is zeta / (2 (delta_max - delta_min)),
 and either scale gives the same optimal schedules.
+
+The dense enumeration, capped at MAX_ENUM_N cycles, is an independent
+oracle: tests compare it with quadrature and ``rsn`` reports it beside
+the quadrature value. Searches use ``rsn_quadrature`` on the
+band's ``quadrature_twin``.
 """
 
 from __future__ import annotations
@@ -31,12 +36,10 @@ import numpy as np
 
 from .quadrature import integrate_oscillatory
 from .schedules import TimeSchedule
+from .spectral import ContinuousBand
 
-# Exact enumeration caps: dense digit matrices are cached up to the fast
-# bound; above it the 3**N configurations stream through fixed-size
-# chunks, and past MAX_ENUM_N the caller is pointed at quadrature.
-FAST_ENUM_N = 12
-MAX_ENUM_N = 22
+# Largest schedule the dense 3**N enumeration accepts.
+MAX_ENUM_N = 12
 
 _SINC_TAYLOR_CUTOFF = 1e-4
 
@@ -53,6 +56,16 @@ class BandModel:
         if not 0 < self.delta_min < self.delta_max:
             raise ValueError(
                 f"need 0 < delta_min < delta_max, got [{self.delta_min}, {self.delta_max}]")
+
+    def quadrature_twin(self) -> ContinuousBand:
+        """The same band for rsn_quadrature with the target at zero.
+
+        Every level with |E| in [delta_min, delta_max] counts at unit
+        overlap: folding both signs gives a density of 2 on
+        [delta_min, delta_max], deliberately unnormalized.
+        """
+        table = np.array([[self.delta_min, 2.0], [self.delta_max, 2.0]])
+        return ContinuousBand(self.delta_min, self.delta_max, table, normalize=False)
 
 
 def sinc(x):
@@ -89,40 +102,22 @@ def _ternary_digits(n: int):
     return digits.astype(float), weights
 
 
-def _residual_sum(times: np.ndarray, delta_min: float, delta_max: float) -> float:
-    """sum over sign configs of w * (2 dmax sinc(dmax s) - 2 dmin sinc(dmin s))."""
-    n = times.size
-    if n <= FAST_ENUM_N:
-        digits, weights = _ternary_digits(n)
-        sums = digits @ times
-        vals = 2.0 * delta_max * sinc(delta_max * sums) \
-            - 2.0 * delta_min * sinc(delta_min * sums)
-        return float(np.dot(weights, vals))
-    # Stream the enumeration as (half x half) outer sums in chunks.
-    n_a = n // 2
-    dig_a, w_a = _full_ternary(n_a)
-    dig_b, w_b = _full_ternary(n - n_a)
-    sums_a = dig_a @ times[:n_a]
-    sums_b = dig_b @ times[n_a:]
-    chunk = max(1, (1 << 22) // sums_b.size)
-    partials = []
-    for start in range(0, sums_a.size, chunk):
-        sa = sums_a[start:start + chunk]
-        wa = w_a[start:start + chunk]
-        s = (sa[:, None] + sums_b[None, :]).ravel()
-        w = (wa[:, None] * w_b[None, :]).ravel()
-        vals = 2.0 * delta_max * sinc(delta_max * s) \
-            - 2.0 * delta_min * sinc(delta_min * s)
-        partials.append(np.dot(w, vals))
-    return float(np.sum(partials))
-
-
-@functools.lru_cache(maxsize=4)
-def _full_ternary(n: int):
-    grids = np.meshgrid(*([np.array([-1, 0, 1], dtype=np.int8)] * n), indexing="ij")
-    digits = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    zeros = (digits == 0).sum(axis=1)
-    return digits, 2.0 ** zeros
+def _sinc_sum(times_matrix: np.ndarray, delta_max: float,
+              delta_min: float = 0.0) -> np.ndarray:
+    """I(delta_max) - I(delta_min) for each column of an (N, S) times
+    matrix, as one weighted sinc sum (I(0) = 0)."""
+    tm = np.asarray(times_matrix, dtype=float)
+    if tm.ndim != 2:
+        raise ValueError("times_matrix must be 2-D with schedules as columns")
+    n = tm.shape[0]
+    if n > MAX_ENUM_N:
+        raise ValueError(
+            f"{n} time samples exceeds the 3**N enumeration bound "
+            f"({MAX_ENUM_N}); use rsn_quadrature instead")
+    digits, weights = _ternary_digits(n)
+    sums = digits @ tm
+    return weights @ (2.0 * delta_max * sinc(delta_max * sums)
+                      - 2.0 * delta_min * sinc(delta_min * sums))
 
 
 def band_sinc_sum(delta: float, schedule: TimeSchedule) -> float:
@@ -130,27 +125,7 @@ def band_sinc_sum(delta: float, schedule: TimeSchedule) -> float:
     filter product, as the exact weighted sinc sum."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    times = schedule.canonical().times
-    n = times.size
-    if n > MAX_ENUM_N:
-        raise ValueError(
-            f"{n} time samples exceeds the 3**N enumeration bound "
-            f"({MAX_ENUM_N}); use rsn_quadrature instead")
-    if n <= FAST_ENUM_N:
-        digits, weights = _ternary_digits(n)
-        sums = digits @ times
-        return float(2.0 * delta * np.dot(weights, sinc(delta * sums)))
-    dig_a, w_a = _full_ternary(n // 2)
-    dig_b, w_b = _full_ternary(n - n // 2)
-    sums_a = dig_a @ times[:n // 2]
-    sums_b = dig_b @ times[n // 2:]
-    chunk = max(1, (1 << 22) // sums_b.size)
-    partials = []
-    for start in range(0, sums_a.size, chunk):
-        s = (sums_a[start:start + chunk, None] + sums_b[None, :]).ravel()
-        w = (w_a[start:start + chunk, None] * w_b[None, :]).ravel()
-        partials.append(np.dot(w, sinc(delta * s)))
-    return float(2.0 * delta * np.sum(partials))
+    return float(_sinc_sum(schedule.canonical().times[:, None], delta)[0])
 
 
 def rsn_closed_form(band: BandModel, schedule: TimeSchedule) -> float:
@@ -163,32 +138,17 @@ def rsn_closed_form(band: BandModel, schedule: TimeSchedule) -> float:
     1e-12 at order-unity gaps.
     """
     times = schedule.canonical().times
-    n = times.size
-    if n > MAX_ENUM_N:
-        raise ValueError(
-            f"{n} time samples exceeds the 3**N enumeration bound "
-            f"({MAX_ENUM_N}); use rsn_quadrature instead")
-    return _residual_sum(times, band.delta_min, band.delta_max) / 4.0 ** n
+    value = _sinc_sum(times[:, None], band.delta_max, band.delta_min)[0]
+    return float(value) / 4.0 ** times.size
 
 
 def rsn_closed_form_batch(band: BandModel, times_matrix: np.ndarray) -> np.ndarray:
     """Vectorized rsn_closed_form over schedules stacked as columns.
 
     ``times_matrix`` has shape (N, S); returns the S residual norms.
-    Bounded by the fast enumeration cap since the digit matrix must be
-    held densely.
     """
     tm = np.asarray(times_matrix, dtype=float)
-    if tm.ndim != 2:
-        raise ValueError("times_matrix must be 2-D with schedules as columns")
-    n = tm.shape[0]
-    if n > FAST_ENUM_N:
-        raise ValueError(f"batch evaluation capped at N = {FAST_ENUM_N}")
-    digits, weights = _ternary_digits(n)
-    sums = digits @ tm
-    vals = 2.0 * band.delta_max * sinc(band.delta_max * sums) \
-        - 2.0 * band.delta_min * sinc(band.delta_min * sums)
-    return (weights @ vals) / 4.0 ** n
+    return _sinc_sum(tm, band.delta_max, band.delta_min) / 4.0 ** tm.shape[0]
 
 
 def superiteration_limit_rsn(band: BandModel, t1: float, *, abs_tol: float = 1e-12) -> float:

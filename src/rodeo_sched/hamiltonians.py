@@ -19,13 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schedules import TimeSchedule
+from .spectral import TARGET_RTOL, log_surviving, target_mask
 
 MAX_LENGTH = 16
 # Dense-diagonalization guard; C(16,8) fits, full 2**16 does not.
 MAX_SECTOR_DIM = 16384
-# Eigenvalues within 1e-10 * max(1, ||H||_2) of the target count as the
-# target manifold (degenerate weight must not be split silently).
-TARGET_BAND_RTOL = 1e-10
 
 _MODELS = ("xx", "tfim")
 _SECTORS = ("zero_magnetization", "even_parity", "full")
@@ -170,15 +168,10 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=vals, eigenvectors=vecs, sector_dim=m.shape[0])
 
 
-def _target_mask(eigenvalues: np.ndarray, e_target: float) -> np.ndarray:
-    tol = TARGET_BAND_RTOL * max(1.0, float(np.abs(eigenvalues).max()))
-    return np.abs(eigenvalues - e_target) <= tol
-
-
 def minimum_gap(eig: EigenSystem, e_target: float | None = None) -> float:
     """Distance from the target manifold to the nearest other level."""
     e_t = float(eig.eigenvalues[0]) if e_target is None else float(e_target)
-    mask = _target_mask(eig.eigenvalues, e_t)
+    mask = target_mask(eig.eigenvalues, e_t)
     if mask.all():
         raise ValueError("every eigenvalue lies in the target manifold; no gap exists")
     return float(np.abs(eig.eigenvalues[~mask] - e_t).min())
@@ -304,61 +297,64 @@ class RodeoResult:
     target_weight: float
 
 
+def _merge_levels(deltas: np.ndarray, weights: np.ndarray, scale: float):
+    """(deltas, log weights) of the distinct levels with nonzero weight.
+
+    Eigenvalues closer than TARGET_RTOL * scale are one level, placed at
+    their weight-averaged offset; only exact-zero weights are dropped.
+    """
+    order = np.argsort(deltas)
+    d, w = deltas[order], weights[order]
+    starts = np.concatenate([[True], np.diff(d) > TARGET_RTOL * scale])
+    group = np.cumsum(starts) - 1
+    level_w = np.bincount(group, weights=w)
+    keep = level_w > 0
+    level_d = np.bincount(group, weights=d * w)[keep] / level_w[keep]
+    return level_d, np.log(level_w[keep])
+
+
 class RodeoObjective:
     """Reusable filtering evaluator for one (eigensystem, state, target).
 
-    Precomputes eigenbasis overlaps once; value(times) returns the
-    post-selected infidelity (zeta / (target + zeta)) and batch(times)
-    evaluates a (n_samples, n_schedules) column stack of schedules.
+    Merges the eigenbasis overlaps once into distinct levels inside and
+    outside the target manifold; every evaluation is one pass of the
+    log-space survival kernel. value(times) returns the post-selected
+    infidelity (zeta / (target + zeta)) and batch(times) evaluates a
+    (n_samples, n_schedules) column stack of schedules.
     """
 
     def __init__(self, eig: EigenSystem, psi: InitialState, e_target: float):
-        overlaps = eig.eigenvectors.T @ psi.vector
-        weights = overlaps ** 2
-        mask = _target_mask(eig.eigenvalues, e_target)
+        weights = (eig.eigenvectors.T @ psi.vector) ** 2
+        mask = target_mask(eig.eigenvalues, e_target)
+        scale = max(1.0, float(np.abs(eig.eigenvalues).max()))
+        deltas = eig.eigenvalues - e_target
         self.e_target = float(e_target)
         self.target_weight_initial = float(weights[mask].sum())
-        self._deltas = eig.eigenvalues[~mask] - e_target
-        self._weights = weights[~mask]
-        self._target_deltas = eig.eigenvalues[mask] - e_target
-        self._target_weights = weights[mask]
+        self._rest = _merge_levels(deltas[~mask], weights[~mask], scale)
+        self._target = _merge_levels(deltas[mask], weights[mask], scale)
 
-    def _survival(self, deltas, weights, times) -> float:
-        acc = weights.copy()
-        for t in times:
-            acc *= np.cos(0.5 * deltas * t) ** 2
-        return float(acc.sum())
+    def _log_weights(self, times_matrix) -> tuple:
+        """(log zeta, log target weight), each (S,), for (N, S) schedules."""
+        tm = np.asarray(times_matrix, dtype=float)
+        return log_surviving(*self._rest, tm), log_surviving(*self._target, tm)
+
+    def _infidelity(self, times_matrix) -> np.ndarray:
+        log_zeta, log_target = self._log_weights(times_matrix)
+        return np.exp(log_zeta - np.logaddexp(log_zeta, log_target))
 
     def result(self, schedule: TimeSchedule) -> RodeoResult:
-        times = schedule.times
-        zeta = self._survival(self._deltas, self._weights, times)
-        target = self._survival(self._target_deltas, self._target_weights, times)
+        log_zeta, log_target = self._log_weights(schedule.times[:, None])
+        zeta, target = float(np.exp(log_zeta[0])), float(np.exp(log_target[0]))
         success = target + zeta
         fidelity = target / success if success > 0 else 0.0
         return RodeoResult(zeta=zeta, success_probability=success,
                            fidelity=fidelity, target_weight=target)
 
     def value(self, times: np.ndarray) -> float:
-        zeta = self._survival(self._deltas, self._weights, np.asarray(times, dtype=float))
-        target = self._survival(self._target_deltas, self._target_weights,
-                                np.asarray(times, dtype=float))
-        success = target + zeta
-        return zeta / success if success > 0 else 1.0
+        return float(self._infidelity(np.asarray(times, dtype=float)[:, None])[0])
 
     def batch(self, times_matrix: np.ndarray) -> np.ndarray:
-        tm = np.asarray(times_matrix, dtype=float)
-        zeta = np.ones((len(self._weights), tm.shape[1])) * self._weights[:, None]
-        target = np.ones((len(self._target_weights), tm.shape[1])) \
-            * self._target_weights[:, None]
-        for row in tm:
-            zeta *= np.cos(0.5 * self._deltas[:, None] * row[None, :]) ** 2
-            target *= np.cos(0.5 * self._target_deltas[:, None] * row[None, :]) ** 2
-        z = zeta.sum(axis=0)
-        t = target.sum(axis=0)
-        out = np.ones(tm.shape[1])
-        ok = (z + t) > 0
-        out[ok] = z[ok] / (z[ok] + t[ok])
-        return out
+        return self._infidelity(times_matrix)
 
 
 def ra_fidelity(eig: EigenSystem, psi: InitialState, e_target: float,

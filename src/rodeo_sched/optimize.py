@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import differential_evolution
 
-from .closed_form import FAST_ENUM_N, BandModel, rsn_closed_form, rsn_closed_form_batch
-from .schedules import TIME_FLOOR, TimeSchedule, superiteration_schedule
+from .closed_form import BandModel
+from .schedules import (BASELINE_STREAM, TIME_FLOOR, TimeSchedule, half_normal_draws,
+                        superiteration_schedule)
+from .spectral import rsn_quadrature
 
 MAX_OPTIMIZE_N = 15
 ALPHA_GRID_POINTS = 240
@@ -108,8 +110,9 @@ def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
                    objective=None, batch_objective=None) -> OptimizationResult:
     """Minimize surviving weight over all schedules with total <= t_limit.
 
-    The default objective is the exact closed-form band result; pass
-    ``objective`` (times -> value) and optionally ``batch_objective``
+    The default objective is rsn_quadrature on the band's
+    quadrature_twin; pass ``objective`` (times -> value) and optionally
+    ``batch_objective``
     ((n_samples, S) times -> (S,) values) to optimize another backend.
     Runs cfg.restarts independently seeded differential evolutions,
     each followed by a local polish; the reported schedule drops times
@@ -123,9 +126,8 @@ def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
     if objective is None:
         if band is None:
             raise ValueError("either a band model or an explicit objective is required")
-        objective = lambda times: rsn_closed_form(band, TimeSchedule(times=times))
-        if n_samples <= FAST_ENUM_N:
-            batch_objective = lambda tm: rsn_closed_form_batch(band, tm)
+        twin = band.quadrature_twin()
+        objective = lambda times: rsn_quadrature(twin, 0.0, TimeSchedule(times=times))
     if batch_objective is None:
         batch_objective = lambda tm: np.array([objective(tm[:, j]) for j in range(tm.shape[1])])
 
@@ -281,17 +283,14 @@ def optimize_rra_sigma(objective, n_samples: int, total_time: float,
     cfg = cfg or OptimizationConfig()
     if not total_time > 0 or n_samples < 1 or n_mc < 1:
         raise ValueError("total_time, n_samples, and n_mc must be positive")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 977))))
-    from scipy.special import ndtri
-    u = np.clip(rng.random((n_mc, n_samples)), 1e-16, 1.0 - 1e-16)
-    base = np.abs(ndtri(u))
+    base = half_normal_draws(n_samples, n_mc, (cfg.seed, BASELINE_STREAM))
 
     if batch_objective is None:
         def shot_values(sigma: float) -> np.ndarray:
-            return np.array([objective(TimeSchedule(times=sigma * row)) for row in base])
+            return np.array([objective(TimeSchedule(times=sigma * col)) for col in base.T])
     else:
         def shot_values(sigma: float) -> np.ndarray:
-            return batch_objective((sigma * base).T)
+            return batch_objective(sigma * base)
 
     def mean_value(sigma: float) -> float:
         return float(shot_values(sigma).mean())

@@ -19,6 +19,9 @@ from scipy.special import ndtri
 # Reported schedules treat entries below this as discarded; generators
 # keep raw values so time budgets stay exact.
 TIME_FLOOR = 1e-6
+# Stream key, paired with the run seed, of the random-schedule baseline;
+# it keeps those draws apart from the optimizers' restart streams.
+BASELINE_STREAM = 977
 
 
 @dataclass(frozen=True)
@@ -70,21 +73,27 @@ def superiteration_schedule(alpha: float, n_samples: int, total_time: float) -> 
     return TimeSchedule(t1 * alpha ** (-np.arange(n, dtype=float)))
 
 
-def gaussian_random_schedule(sigma: float, n_samples: int, seed) -> TimeSchedule:
-    """Draw times sigma * |z|, z ~ N(0, 1), from a seeded PCG64 stream.
+def half_normal_draws(n_samples: int, n_schedules: int, seed) -> np.ndarray:
+    """(n_samples, n_schedules) matrix of |z|, z ~ N(0, 1), one schedule
+    per column: the stream rule of every random schedule.
 
-    Sampling goes through the inverse normal CDF so every time consumes
-    exactly one uniform draw, which keeps derived streams aligned.
-    Stream rule: the generator is PCG64(SeedSequence(seed)); callers
-    needing several schedules should spawn children of one SeedSequence.
+    The generator is PCG64(seed) (an int, a tuple of ints or a
+    SeedSequence); column j takes the j-th run of n_samples uniforms,
+    each mapped through the inverse normal CDF, so a column does not
+    depend on how many columns are drawn.
     """
+    if n_samples < 1 or n_schedules < 1:
+        raise ValueError("n_samples and n_schedules must be positive integers")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = np.clip(rng.random((int(n_schedules), int(n_samples))), 1e-16, 1.0 - 1e-16)
+    return np.abs(ndtri(u)).T
+
+
+def gaussian_random_schedule(sigma: float, n_samples: int, seed) -> TimeSchedule:
+    """Draw times sigma * |z|, z ~ N(0, 1), by the half_normal_draws rule."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be a positive integer")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = np.clip(rng.random(int(n_samples)), 1e-16, 1.0 - 1e-16)
-    return TimeSchedule(sigma * np.abs(ndtri(u)))
+    return TimeSchedule(sigma * half_normal_draws(n_samples, 1, seed)[:, 0])
 
 
 def trotter_round(schedule: TimeSchedule, dt: float) -> TimeSchedule:
@@ -106,16 +115,27 @@ def schedule_to_csv(schedule: TimeSchedule, path) -> None:
 
 
 def schedule_from_csv(path) -> TimeSchedule:
-    times = []
+    """Read times from a CSV file: one value per line, or a header row
+    naming a ``time`` column (``time`` or ``index,time`` as the CLI
+    writes). Blank lines and ``#`` comment lines are skipped."""
+    times, column, width, header_allowed = [], 0, 1, True
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            cells = [c.strip() for c in line.split(",")]
+            if header_allowed and "time" in cells:
+                column, width = cells.index("time"), len(cells)
+                header_allowed = False
+                continue
+            header_allowed = False
             try:
-                times.append(float(line))
+                if len(cells) != width:
+                    raise ValueError
+                times.append(float(cells[column]))
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a time value: {line!r}")
+                raise ValueError(f"{path}: line {lineno}: not a time value: {line!r}") from None
     return TimeSchedule(np.array(times))
 
 

@@ -6,6 +6,11 @@ energy. The residual spectral norm (RSN) is the weight surviving on the
 non-target part of the spectrum after a whole schedule. Spectra come in
 two flavors: discrete (energies, weights) and continuous bands with a
 named or tabulated density.
+
+Every surviving-weight evaluation in the package goes through one
+kernel, ``log_survival``: per-level sums of log cos**2 over the cycles,
+batched over schedules. Log space keeps products that fall below the
+smallest double (long schedules at T >> T0) finite and ordered.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ import numpy as np
 from .quadrature import integrate_oscillatory
 from .schedules import TimeSchedule
 
-# Eigenvalues within this relative distance of the target energy count
-# as the target manifold.
-TARGET_DEGENERACY_RTOL = 1e-10
+# Levels within this distance of the target energy, relative to the
+# spectral scale max(1, |E_t|, max |E|), form the target manifold.
+TARGET_RTOL = 1e-10
+# Largest (cycles x levels x schedules) block the kernel holds at once.
+KERNEL_BLOCK_DOUBLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -131,18 +138,54 @@ def characteristic_time(delta_min: float) -> float:
     return math.pi / delta_min
 
 
+def log_survival(deltas, times) -> np.ndarray:
+    """Per-level log filter products for a batch of schedules.
+
+    ``deltas`` (L,) are level offsets E - E_t and ``times`` (N, S) holds
+    one schedule per column; returns the (L, S) matrix of
+    sum_n log cos**2(delta t_n / 2). Cycles are processed in blocks of
+    at most KERNEL_BLOCK_DOUBLES phases (at least one cycle per block).
+    """
+    half = 0.5 * np.asarray(deltas, dtype=float)
+    tm = np.asarray(times, dtype=float)
+    out = np.zeros((half.size, tm.shape[1]))
+    step = max(1, KERNEL_BLOCK_DOUBLES // max(1, out.size))
+    for start in range(0, tm.shape[0], step):
+        phase = half[None, :, None] * tm[start:start + step, None, :]
+        np.cos(phase, out=phase)
+        np.abs(phase, out=phase)
+        np.log(phase, out=phase)
+        out += phase.sum(axis=0)
+    out *= 2.0
+    return out
+
+
+def log_surviving(deltas, log_weights, times) -> np.ndarray:
+    """log of the surviving weight sum_k w_k prod_n cos**2(delta_k t_n / 2)
+    for each column of ``times`` (N, S); returns (S,). Zero weights
+    (log -inf) and an empty level set are allowed."""
+    logs = log_survival(deltas, times)
+    logs += np.asarray(log_weights, dtype=float)[:, None]
+    peak = np.max(logs, axis=0, initial=-np.inf)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(logs - shift).sum(axis=0))
+
+
 def survival_product(energies, e_target: float, schedule: TimeSchedule) -> np.ndarray:
-    """Product of cycle survival factors, accumulated per time sample."""
+    """Product of cycle survival factors at each energy (the exponential
+    of the log_survival kernel)."""
     e = np.asarray(energies, dtype=float)
-    acc = np.ones_like(e)
-    for t in schedule.times:
-        acc *= np.cos(0.5 * (e - e_target) * t) ** 2
-    return acc
+    logs = log_survival(e.ravel() - e_target, schedule.times[:, None])
+    return np.exp(logs[:, 0]).reshape(e.shape)
 
 
-def _target_mask(energies, e_target: float) -> np.ndarray:
-    tol = TARGET_DEGENERACY_RTOL * max(1.0, abs(e_target))
-    return np.abs(np.asarray(energies) - e_target) <= tol
+def target_mask(energies, e_target: float) -> np.ndarray:
+    """Levels forming the target manifold: within TARGET_RTOL of the
+    target, relative to the scale max(1, |E_t|, max |E|)."""
+    e = np.asarray(energies, dtype=float)
+    scale = max(1.0, abs(e_target), float(np.max(np.abs(e), initial=0.0)))
+    return np.abs(e - e_target) <= TARGET_RTOL * scale
 
 
 def apply_schedule(spectrum: SpectralFunction, e_target: float,
@@ -156,7 +199,7 @@ def apply_schedule(spectrum: SpectralFunction, e_target: float,
     if isinstance(spectrum, DiscreteSpectrum):
         new_w = spectrum.weights * survival_product(
             spectrum.energies, e_target, schedule)
-        target = _target_mask(spectrum.energies, e_target)
+        target = target_mask(spectrum.energies, e_target)
         new_w[target] = spectrum.weights[target]
         return DiscreteSpectrum(spectrum.energies, new_w)
     lo, hi = spectrum.delta_min, spectrum.delta_max
@@ -178,7 +221,7 @@ def rsn_quadrature(spectrum: SpectralFunction, e_target: float,
     returns the initial non-target weight.
     """
     if isinstance(spectrum, DiscreteSpectrum):
-        keep = ~_target_mask(spectrum.energies, e_target)
+        keep = ~target_mask(spectrum.energies, e_target)
         surv = survival_product(spectrum.energies[keep], e_target, schedule)
         return float(np.sum(spectrum.weights[keep] * surv))
     lo, hi = spectrum.delta_min, spectrum.delta_max
@@ -271,10 +314,3 @@ def band_from_json(source) -> ContinuousBand:
         density = np.asarray(density["tabulated"], dtype=float)
     return ContinuousBand(float(data["delta_min"]), float(data["delta_max"]), density)
 
-
-def load_spectral_function(path) -> SpectralFunction:
-    """Load a spectral function, dispatching on the file extension."""
-    p = str(path)
-    if p.endswith(".json"):
-        return band_from_json(path)
-    return load_spectrum_csv(path)

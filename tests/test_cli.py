@@ -210,3 +210,16 @@ def test_entry_point_version():
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.strip() == "0.1.0"
+
+
+def test_optimized_schedule_file_round_trips_through_rsn(tmp_path, capsys):
+    # exit code 1 only flags restarts that disagree; the outputs stand
+    argv = ["optimize-times", "--n-samples", "3", "--budget", "200", "--restarts", "2"]
+    out = tmp_path / "opt.csv"
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    _, doc = _run_json(argv, capsys)
+    code, back = _run_json(["rsn", "--schedule-file", str(out)], capsys)
+    assert code == 0
+    assert back["result"]["zeta_quadrature"] == doc["result"]["zeta"]
+    np.testing.assert_allclose(back["result"]["zeta_closed_form"], doc["result"]["zeta"],
+                               rtol=1e-10)

@@ -101,3 +101,17 @@ def test_json_round_trip_and_dispatch(tmp_path):
 def test_negative_times_rejected():
     with pytest.raises(ValueError):
         TimeSchedule(times=np.array([1.0, -0.5]))
+
+
+def test_csv_reader_takes_time_column_headers(tmp_path):
+    path = tmp_path / "sched.csv"
+    path.write_text("time\n3.0\n1.5\n")
+    np.testing.assert_array_equal(schedule_from_csv(path).times, [3.0, 1.5])
+    path.write_text("# manifest_hash=abc\nindex,time\n0,2.5\n1,0.25\n")
+    np.testing.assert_array_equal(schedule_from_csv(path).times, [2.5, 0.25])
+    path.write_text("index,time\n0,2.5\n1\n")
+    with pytest.raises(ValueError, match="line 3"):
+        schedule_from_csv(path)
+    path.write_text("1.0\ntime\n")
+    with pytest.raises(ValueError, match="line 2"):
+        schedule_from_csv(path)
