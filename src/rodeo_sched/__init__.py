@@ -27,12 +27,14 @@ from .optimize import (AlphaOptimum, CurvePoint, OptimizationConfig,
                        OptimizationResult, RraOptimum, adaptive_alpha_curve,
                        optimize_alpha, optimize_rra_sigma, optimize_times)
 from .quadrature import QuadratureError, integrate_oscillatory
-from .schedules import (TimeSchedule, gaussian_random_schedule, read_schedule,
-                        superiteration_schedule, trotter_round)
+from .schedules import (TimeSchedule, gaussian_random_schedule, geometric_times,
+                        read_schedule, superiteration_schedule, trotter_floor,
+                        trotter_round)
 from .spectral import (ContinuousBand, DiscreteSpectrum, apply_schedule,
                        band_from_json, characteristic_time,
                        fidelity_from_overlaps, load_spectrum_csv,
-                       rsn_quadrature, success_probability, survival_product)
+                       rsn_quadrature, rsn_quadrature_batch, success_probability,
+                       survival_product)
 
 __version__ = "0.1.0"
 
@@ -68,6 +70,7 @@ __all__ = [
     "fit_decay_exponent",
     "fourier_expansion",
     "gaussian_random_schedule",
+    "geometric_times",
     "integrate_oscillatory",
     "load_spectrum_csv",
     "make_initial_state",
@@ -82,11 +85,13 @@ __all__ = [
     "rsn_closed_form",
     "rsn_closed_form_batch",
     "rsn_quadrature",
+    "rsn_quadrature_batch",
     "sector_basis",
     "sector_characteristic_time",
     "success_probability",
     "superiteration_limit_rsn",
     "superiteration_schedule",
     "survival_product",
+    "trotter_floor",
     "trotter_round",
 ]

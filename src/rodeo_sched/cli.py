@@ -32,10 +32,10 @@ from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamilto
 from .optimize import (OptimizationConfig, adaptive_alpha_curve, optimize_alpha,
                        optimize_times)
 from .quadrature import QuadratureError
-from .schedules import (BASELINE_STREAM, TimeSchedule, half_normal_draws, read_schedule,
-                        superiteration_schedule, trotter_round)
+from .schedules import (BASELINE_STREAM, TimeSchedule, geometric_times, half_normal_draws,
+                        read_schedule, superiteration_schedule, trotter_floor, trotter_round)
 from .spectral import (ContinuousBand, band_from_json, load_spectrum_csv,
-                       rsn_quadrature, target_mask)
+                       rsn_quadrature, rsn_quadrature_batch, target_mask)
 
 # Spectral-function presets for schedule fitting; shapes are normalized
 # internally. Both live on [0, 1] and pair with a target below the band.
@@ -202,16 +202,18 @@ def cmd_optimize_times(args) -> int:
 def cmd_optimize_alpha(args) -> int:
     extras: dict = {}
     if args.model:
-        objective_backend, _, t0, extras = _hamiltonian_backend(args)
-        objective = lambda sched: objective_backend.value(sched.times)
+        backend, _, t0, extras = _hamiltonian_backend(args)
+        objective = lambda sched: backend.value(sched.times)
+        batch = backend.batch
     else:
         band = BandModel(*args.band)
         t0 = math.pi / band.delta_min
         twin = band.quadrature_twin()
         objective = lambda sched: rsn_quadrature(twin, 0.0, sched)
+        batch = lambda tm: rsn_quadrature_batch(twin, 0.0, tm)
     total = args.total_time if args.total_time else args.t0_multiple * t0
     cfg = OptimizationConfig(seed=args.seed, alpha_bounds=(args.alpha_min, args.alpha_cap))
-    opt = optimize_alpha(objective, args.n_samples, total, cfg)
+    opt = optimize_alpha(objective, args.n_samples, total, cfg, batch_objective=batch)
     result = {"alpha_opt": opt.alpha, "objective": opt.objective, "flat": opt.flat,
               "total_time": total, "n_samples": args.n_samples}
     manifest = _manifest("optimize-alpha", args, dict(extras, resolved_total_time=total))
@@ -250,24 +252,24 @@ def cmd_curve(args) -> int:
     fixed_alphas = _parse_floats(args.alphas)
     t_grid = np.geomspace(args.t_min_mult, args.t_max_mult, args.t_points) * t0
 
-    def fidelity(times: np.ndarray, raw: bool) -> float:
-        if raw:
-            return objective.result(TimeSchedule(times=times)).target_weight
-        return 1.0 - objective.value(times)
+    def raw_fidelity(alpha: float, total: float) -> float:
+        schedule = superiteration_schedule(alpha, args.n_samples, total)
+        return objective.result(schedule).target_weight
 
     columns: dict = {}
     for a in fixed_alphas:
-        columns[f"fidelity_alpha_{a:g}"] = [
-            fidelity(superiteration_schedule(a, args.n_samples, t).times, args.raw_fidelity)
-            for t in t_grid]
+        if args.raw_fidelity:
+            values = [raw_fidelity(a, t) for t in t_grid]
+        else:
+            values = 1.0 - objective.batch(geometric_times(a, args.n_samples, t_grid))
+        columns[f"fidelity_alpha_{a:g}"] = values
     cfg = OptimizationConfig(seed=args.seed, alpha_bounds=(args.alpha_min, args.alpha_cap))
     curve = adaptive_alpha_curve(lambda s: objective.value(s.times), args.n_samples,
-                                 t_grid, monotone=args.monotone, cfg=cfg)
+                                 t_grid, monotone=args.monotone, cfg=cfg,
+                                 batch_objective=objective.batch)
     columns["alpha_opt"] = [p.alpha for p in curve]
     if args.raw_fidelity:
-        columns["fidelity_adaptive"] = [
-            fidelity(superiteration_schedule(p.alpha, args.n_samples, p.total_time).times, True)
-            for p in curve]
+        columns["fidelity_adaptive"] = [raw_fidelity(p.alpha, p.total_time) for p in curve]
     else:
         columns["fidelity_adaptive"] = [1.0 - p.objective for p in curve]
     if not args.skip_rra:
@@ -363,7 +365,8 @@ def cmd_schedule_fit(args) -> int:
             raise ValueError(f"trotter step {dt} must be smaller than the total time {total}")
         objective = lambda sched: rsn_quadrature(
             spectrum, args.e_target, trotter_round(sched, dt))
-        opt = optimize_alpha(objective, args.n_samples, total, cfg)
+        batch = lambda tm: rsn_quadrature_batch(spectrum, args.e_target, trotter_floor(tm, dt))
+        opt = optimize_alpha(objective, args.n_samples, total, cfg, batch_objective=batch)
         rounded = trotter_round(
             superiteration_schedule(opt.alpha, args.n_samples, total), dt)
         return opt, rounded

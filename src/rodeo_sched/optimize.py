@@ -23,8 +23,8 @@ import numpy as np
 from scipy.optimize import differential_evolution
 
 from .closed_form import BandModel
-from .schedules import (BASELINE_STREAM, TIME_FLOOR, TimeSchedule, half_normal_draws,
-                        superiteration_schedule)
+from .schedules import (BASELINE_STREAM, TIME_FLOOR, TimeSchedule, geometric_times,
+                        half_normal_draws, superiteration_schedule)
 from .spectral import rsn_quadrature
 
 MAX_OPTIMIZE_N = 15
@@ -101,8 +101,7 @@ class _CountingObjective:
 def _superiteration_seeds(n_samples: int, t_limit: float, pop: int) -> np.ndarray:
     """Geometric-schedule gene rows used to seed the DE population."""
     ratios = 1.0 + np.geomspace(0.02, 1.0, min(12, max(2, pop // 4)))
-    rows = [np.sqrt(superiteration_schedule(a, n_samples, t_limit).times) for a in ratios]
-    return np.asarray(rows)
+    return np.sqrt(geometric_times(ratios, n_samples, t_limit).T)
 
 
 def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
@@ -184,14 +183,17 @@ class AlphaOptimum:
 
 def optimize_alpha(objective, n_samples: int, total_time: float,
                    cfg: OptimizationConfig | None = None, *,
-                   alpha_bounds: tuple | None = None) -> AlphaOptimum:
+                   alpha_bounds: tuple | None = None, batch_objective=None) -> AlphaOptimum:
     """Minimize objective(geometric schedule) over the common ratio.
 
     Scans a grid of ALPHA_GRID_POINTS ratios log-spaced in (alpha - 1)
     across cfg.alpha_bounds, then refines around the best point by
     golden-section to a relative precision of 1e-6. Ties resolve to
     the smaller ratio. A landscape flat across the whole grid returns
-    the bounds midpoint with flat=True.
+    the bounds midpoint with flat=True. ``objective`` takes a
+    TimeSchedule; ``batch_objective``, if given, scores the whole grid
+    in one call on its geometric_times matrix ((n_samples, S) -> (S,))
+    and must agree with ``objective`` column by column.
     """
     cfg = cfg or OptimizationConfig()
     lo, hi = alpha_bounds if alpha_bounds is not None else cfg.alpha_bounds
@@ -203,7 +205,11 @@ def optimize_alpha(objective, n_samples: int, total_time: float,
     def value(alpha: float) -> float:
         return float(objective(superiteration_schedule(alpha, n_samples, total_time)))
 
-    vals = np.array([value(a) for a in grid])
+    if batch_objective is None:
+        vals = np.array([value(a) for a in grid])
+    else:
+        vals = np.asarray(batch_objective(geometric_times(grid, n_samples, total_time)),
+                          dtype=float)
     spread = float(vals.max() - vals.min())
     if spread <= 1e-12 * max(1.0, float(np.abs(vals).max())):
         return AlphaOptimum(alpha=0.5 * (lo + hi), objective=float(vals[0]), flat=True)
@@ -237,11 +243,13 @@ class CurvePoint:
 
 
 def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = False,
-                         cfg: OptimizationConfig | None = None) -> list:
+                         cfg: OptimizationConfig | None = None, *,
+                         batch_objective=None) -> list:
     """Optimal ratio at each total time of an ascending grid.
 
     With monotone=True each search's upper ratio bound is the previous
     optimum, encoding that the best ratio only falls as time grows.
+    ``batch_objective`` is passed to each optimize_alpha call.
     """
     cfg = cfg or OptimizationConfig()
     t_grid = np.asarray(t_grid, dtype=float)
@@ -252,7 +260,8 @@ def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = Fal
     lo, hi = cfg.alpha_bounds
     points = []
     for t in t_grid:
-        opt = optimize_alpha(objective, n_samples, float(t), cfg, alpha_bounds=(lo, hi))
+        opt = optimize_alpha(objective, n_samples, float(t), cfg, alpha_bounds=(lo, hi),
+                             batch_objective=batch_objective)
         points.append(CurvePoint(total_time=float(t), alpha=opt.alpha, objective=opt.objective))
         if monotone:
             hi = max(opt.alpha, lo + ALPHA_FLOOR * (cfg.alpha_bounds[1] - 1.0))

@@ -52,25 +52,40 @@ class TimeSchedule:
         return TimeSchedule(self.times[self.times >= floor])
 
 
-def superiteration_schedule(alpha: float, n_samples: int, total_time: float) -> TimeSchedule:
-    """Geometric schedule t_n = t1 * alpha**-(n-1) summing to total_time.
+def geometric_times(alphas, n_samples: int, total_time) -> np.ndarray:
+    """Geometric schedules t_n = t1 * alpha**-(n-1) summing to total_time,
+    one per column: (n_samples, S) for alphas and total_time broadcast to S.
 
-    t1 = T * (1 - 1/alpha) / (1 - alpha**-N); alpha = 1 falls back to
-    the uniform schedule T/N (the closed form is 0/0 there).
+    t1 = T * (1 - 1/alpha) / (1 - alpha**-N); alpha = 1 gives the uniform
+    schedule T/N (the closed form is 0/0 there). Columns are built one at
+    a time from scalar ratios: numpy's vectorized log and pow may round
+    differently, and a column must not depend on the others.
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    a, total = np.broadcast_arrays(np.asarray(alphas, dtype=float),
+                                   np.asarray(total_time, dtype=float))
     if n_samples < 1:
         raise ValueError("n_samples must be a positive integer")
-    if not total_time > 0:
-        raise ValueError("total_time must be positive")
     n = int(n_samples)
-    if alpha == 1.0:
-        return TimeSchedule(np.full(n, total_time / n))
-    log_a = math.log(alpha)
-    # expm1 keeps the ratio stable as alpha -> 1+.
-    t1 = total_time * (-math.expm1(-log_a)) / (-math.expm1(-n * log_a))
-    return TimeSchedule(t1 * alpha ** (-np.arange(n, dtype=float)))
+    steps = -np.arange(n, dtype=float)
+    out = np.empty((n, a.size))
+    for j, (alpha, t) in enumerate(zip(a.ravel().tolist(), total.ravel().tolist())):
+        if not alpha >= 1.0:
+            raise ValueError(f"alpha must be >= 1, got {alpha}")
+        if not t > 0:
+            raise ValueError("total_time must be positive")
+        if alpha == 1.0:
+            out[:, j] = t / n
+            continue
+        log_a = math.log(alpha)
+        # expm1 keeps the ratio stable as alpha -> 1+.
+        t1 = t * (-math.expm1(-log_a)) / (-math.expm1(-n * log_a))
+        out[:, j] = t1 * alpha ** steps
+    return out
+
+
+def superiteration_schedule(alpha: float, n_samples: int, total_time: float) -> TimeSchedule:
+    """One geometric schedule: the single column of geometric_times."""
+    return TimeSchedule(geometric_times(alpha, n_samples, total_time)[:, 0])
 
 
 def half_normal_draws(n_samples: int, n_schedules: int, seed) -> np.ndarray:
@@ -96,15 +111,22 @@ def gaussian_random_schedule(sigma: float, n_samples: int, seed) -> TimeSchedule
     return TimeSchedule(sigma * half_normal_draws(n_samples, 1, seed)[:, 0])
 
 
-def trotter_round(schedule: TimeSchedule, dt: float) -> TimeSchedule:
-    """Round each time down to a multiple of dt and drop the zeros."""
+def trotter_floor(times, dt: float) -> np.ndarray:
+    """Round each time down to a multiple of dt, keeping the array's shape
+    (times that round to zero stay as zeros, which the survival kernel
+    treats as exact no-ops)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    t = schedule.times
+    t = np.asarray(times, dtype=float)
     mult = np.floor(t / dt)
     # A time already sitting on a multiple must not slip down a step.
     mult = np.where(t - (mult + 1.0) * dt > -1e-9 * dt, mult + 1.0, mult)
-    rounded = mult * dt
+    return mult * dt
+
+
+def trotter_round(schedule: TimeSchedule, dt: float) -> TimeSchedule:
+    """The nonzero entries of trotter_floor."""
+    rounded = trotter_floor(schedule.times, dt)
     return TimeSchedule(rounded[rounded > 0])
 
 

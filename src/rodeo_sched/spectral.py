@@ -23,14 +23,16 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import integrate_oscillatory
+from .quadrature import _integrate, integrate_oscillatory
 from .schedules import TimeSchedule
 
 # Levels within this distance of the target energy, relative to the
 # spectral scale max(1, |E_t|, max |E|), form the target manifold.
 TARGET_RTOL = 1e-10
-# Largest (cycles x levels x schedules) block the kernel holds at once.
-KERNEL_BLOCK_DOUBLES = 1 << 20
+# Largest (cycles x levels x schedules) block the kernel holds at once;
+# 2**16 doubles (512 kB) stay in cache and keep batched ratio grids from
+# raising peak memory.
+KERNEL_BLOCK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,9 @@ def log_survival(deltas, times) -> np.ndarray:
     at most KERNEL_BLOCK_DOUBLES phases (at least one cycle per block).
     """
     half = 0.5 * np.asarray(deltas, dtype=float)
-    tm = np.asarray(times, dtype=float)
+    # Blocks are slices of rows; a column-major matrix would make each
+    # block's temporaries strided and the kernel about twice as slow.
+    tm = np.ascontiguousarray(times, dtype=float)
     out = np.zeros((half.size, tm.shape[1]))
     step = max(1, KERNEL_BLOCK_DOUBLES // max(1, out.size))
     for start in range(0, tm.shape[0], step):
@@ -210,32 +214,51 @@ def apply_schedule(spectrum: SpectralFunction, e_target: float,
     return ContinuousBand(lo, hi, np.column_stack([grid, vals]), normalize=False)
 
 
-def rsn_quadrature(spectrum: SpectralFunction, e_target: float,
-                   schedule: TimeSchedule, *, abs_tol: float = 1e-10) -> float:
-    """Residual spectral norm by direct integration (or direct summation).
+def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
+                         *, abs_tol: float = 1e-10) -> np.ndarray:
+    """Residual spectral norm of each schedule column of ``times`` (N, S);
+    returns (S,). Zero times are exact no-ops, so Trotter-floored
+    schedules of unequal length can share one zero-padded matrix.
 
-    For a band the integrand density(E) * prod_n cos((E - E_t) t_n / 2)**2
-    is integrated with the oscillation-budgeted panel rule; the fastest
-    phase rate is the total schedule time. For a discrete spectrum the
-    non-target weights are summed after filtering. An empty schedule
-    returns the initial non-target weight.
+    For a band the integrands density(E) * prod_n cos((E - E_t) t_n / 2)**2
+    of all columns are integrated together with the oscillation-budgeted
+    panel rule, each to ``abs_tol``; the phase rate is the largest column
+    total. For a discrete spectrum the non-target weights are summed
+    after filtering. A column of zeros returns the initial non-target
+    weight.
     """
+    tm = np.asarray(times, dtype=float)
     if isinstance(spectrum, DiscreteSpectrum):
         keep = ~target_mask(spectrum.energies, e_target)
-        surv = survival_product(spectrum.energies[keep], e_target, schedule)
-        return float(np.sum(spectrum.weights[keep] * surv))
+        logs = log_survival(spectrum.energies[keep] - e_target, tm)
+        return spectrum.weights[keep] @ np.exp(logs)
     lo, hi = spectrum.delta_min, spectrum.delta_max
     if lo < e_target < hi or e_target in (lo, hi):
         raise ValueError(
             f"target energy {e_target} must lie strictly outside the band [{lo}, {hi}]")
 
     def integrand(e):
-        return spectrum.density_values(e) * survival_product(e, e_target, schedule)
+        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm))
 
-    rate = float(np.sum(schedule.times))
-    value, _ = integrate_oscillatory(
-        integrand, lo, hi, phase_rate=rate, abs_tol=abs_tol)
+    rate = float(tm.sum(axis=0).max(initial=0.0))
+    if tm.shape[1] == 1:
+        # One schedule goes through the public integrator as a scalar
+        # integral: bench/tracing.py instruments integrate_oscillatory and
+        # reads its bound as one float.
+        value, _ = integrate_oscillatory(lambda e: integrand(e)[:, 0], lo, hi,
+                                         phase_rate=rate, abs_tol=abs_tol)
+        return np.array([value])
+    value, _ = _integrate(integrand, lo, hi, rate, abs_tol)
     return value
+
+
+def rsn_quadrature(spectrum: SpectralFunction, e_target: float,
+                   schedule: TimeSchedule, *, abs_tol: float = 1e-10) -> float:
+    """Residual spectral norm of one schedule: the one-column case of
+    rsn_quadrature_batch. An empty schedule returns the initial
+    non-target weight."""
+    return float(rsn_quadrature_batch(spectrum, e_target, schedule.times[:, None],
+                                      abs_tol=abs_tol)[0])
 
 
 def fidelity_from_overlaps(target_weight: float, zeta: float) -> float:

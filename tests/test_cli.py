@@ -1,8 +1,10 @@
 """Command-line interface: outputs, manifests, config files, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,8 +208,13 @@ def test_inverted_band_is_an_error(capsys):
 
 
 def test_entry_point_version():
+    # The child interpreter does not see pytest's pythonpath setting, so
+    # it is given the checkout's src directory explicitly.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-m", "rodeo_sched.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert res.stdout.strip() == "0.1.0"
 

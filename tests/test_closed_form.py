@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodeo_sched import (BandModel, ContinuousBand, TimeSchedule,
                          asymptotic_rsn, band_sinc_sum, rsn_closed_form,
@@ -136,3 +138,28 @@ def test_band_model_validation():
         BandModel(0.0, 1.0)
     with pytest.raises(ValueError):
         BandModel(0.5, 0.5)
+
+
+def _gauss_legendre_rsn(band, times, nodes=400):
+    """Fixed-rule residual: 2 * integral over [delta_min, delta_max] of the
+    filter product (the two-sided band folded onto one side)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * (band.delta_max - band.delta_min)
+    e = half * x + 0.5 * (band.delta_max + band.delta_min)
+    product = np.prod(np.cos(0.5 * np.outer(times, e)) ** 2, axis=0)
+    return 2.0 * half * float(w @ product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8), st.floats(0.5, 3.0))
+def test_closed_form_adaptive_and_fixed_rules_agree(shares, t0_multiple):
+    # one panel per period of the top frequency must still meet the
+    # criterion-3 agreement (1e-8 relative) at the default tolerance
+    total = t0_multiple * math.pi / BAND.delta_min
+    times = total * np.array(shares) / sum(shares)
+    sched = TimeSchedule(times=times)
+    closed = rsn_closed_form(BAND, sched)
+    adaptive = rsn_quadrature(BAND.quadrature_twin(), 0.0, sched)
+    fixed = _gauss_legendre_rsn(BAND, times)
+    np.testing.assert_allclose(adaptive, closed, rtol=1e-8)
+    np.testing.assert_allclose(fixed, closed, rtol=1e-8)

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from rodeo_sched import (BandModel, DiscreteSpectrum, OptimizationConfig,
-                         TimeSchedule, adaptive_alpha_curve, optimize_alpha,
+from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, HamiltonianSpec,
+                         OptimizationConfig, RodeoObjective, TimeSchedule,
+                         adaptive_alpha_curve, build_sector_hamiltonian, eigendecompose,
+                         make_initial_state, minimum_gap, optimize_alpha,
                          optimize_rra_sigma, optimize_times, rsn_closed_form,
-                         rsn_quadrature, rra_average_success)
+                         rsn_quadrature, rsn_quadrature_batch, rra_average_success,
+                         trotter_floor, trotter_round)
 
 BAND = BandModel(0.1, 1.0)
 FAST = OptimizationConfig(budget=4000, restarts=2, seed=0)
@@ -89,6 +92,32 @@ def test_optimize_alpha_is_near_stationary():
     for eps in (-1e-3, 1e-3):
         nearby = objective(superiteration_schedule(opt.alpha + eps, 10, total))
         assert nearby >= opt.objective - 1e-12
+
+
+def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_chain():
+    spec = HamiltonianSpec(model="xx", length=8)
+    eig = eigendecompose(build_sector_hamiltonian(spec))
+    psi = make_initial_state(spec, "basis_index", basis_index=1)
+    e0 = float(eig.eigenvalues[0])
+    obj = RodeoObjective(eig, psi, e0)
+    t0 = math.pi / minimum_gap(eig, e0)
+    for mult in (0.5, 4.0):
+        scalar = optimize_alpha(lambda s: obj.value(s.times), 60, mult * t0)
+        batched = optimize_alpha(lambda s: obj.value(s.times), 60, mult * t0,
+                                 batch_objective=obj.batch)
+        assert batched == scalar
+
+
+def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_band():
+    band = ContinuousBand(0.0, 1.0, density="gaussian")
+    dt = 0.01 * math.pi
+    objective = lambda s: rsn_quadrature(band, -1.0, trotter_round(s, dt))
+    batch = lambda tm: rsn_quadrature_batch(band, -1.0, trotter_floor(tm, dt))
+    for mult in (0.3, 5.0):
+        scalar = optimize_alpha(objective, 100, mult * math.pi)
+        batched = optimize_alpha(objective, 100, mult * math.pi, batch_objective=batch)
+        assert batched.alpha == scalar.alpha
+        np.testing.assert_allclose(batched.objective, scalar.objective, rtol=1e-13)
 
 
 def test_adaptive_curve_monotone_mode():

@@ -62,3 +62,38 @@ def test_unreachable_tolerance_raises_with_estimate():
 def test_zero_width_interval_rejected():
     with pytest.raises(ValueError):
         integrate_oscillatory(lambda x: np.cos(x), 1.0, 1.0)
+
+
+def test_column_valued_bounds_are_honest():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        omegas = rng.uniform(5.0, 150.0, size=6)
+        a, b = sorted(rng.uniform(0.0, 3.0, size=2))
+        if b - a < 1e-3:
+            continue
+        value, bound = integrate_oscillatory(
+            lambda x: np.sin(np.outer(x, omegas)) * np.exp(-x)[:, None], a, b,
+            phase_rate=omegas.max())
+        assert value.shape == bound.shape == omegas.shape
+        for w, v, e in zip(omegas, value, bound):
+            antideriv = lambda x: math.exp(-x) * (-math.sin(w * x) - w * math.cos(w * x))
+            exact = (antideriv(b) - antideriv(a)) / (1 + w**2)
+            assert abs(v - exact) <= max(10 * e, 1e-12)
+            assert e <= 1e-10
+
+
+def test_one_column_matches_scalar_integrand():
+    func = lambda x: np.cos(40.0 * x) * np.exp(-x)
+    scalar = integrate_oscillatory(func, 0.0, 2.0, phase_rate=40.0)
+    column = integrate_oscillatory(lambda x: func(x)[:, None], 0.0, 2.0, phase_rate=40.0)
+    assert isinstance(scalar[0], float) and isinstance(scalar[1], float)
+    assert column[0].shape == column[1].shape == (1,)
+    np.testing.assert_allclose(column[0][0], scalar[0], rtol=1e-14)
+
+
+def test_column_valued_failure_carries_column_estimates():
+    omegas = np.array([3000.0, 2500.0])
+    with pytest.raises(QuadratureError) as info:
+        integrate_oscillatory(lambda x: np.cos(np.outer(x, omegas)), 0.0, 1.0,
+                              abs_tol=1e-16, max_rounds=2, max_panels=8)
+    assert info.value.estimate.shape == info.value.error_bound.shape == (2,)

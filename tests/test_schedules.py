@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rodeo_sched import (TimeSchedule, gaussian_random_schedule, read_schedule,
-                         superiteration_schedule, trotter_round)
+from rodeo_sched import (TimeSchedule, gaussian_random_schedule, geometric_times,
+                         read_schedule, superiteration_schedule, trotter_floor,
+                         trotter_round)
 from rodeo_sched.schedules import (TIME_FLOOR, schedule_from_csv,
                                    schedule_from_json, schedule_to_csv,
                                    schedule_to_json)
@@ -42,6 +45,31 @@ def test_superiteration_validation():
         superiteration_schedule(1.5, 5, -1.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(1.0, 3.0), min_size=1, max_size=8),
+       st.integers(1, 300), st.floats(1e-3, 1e4))
+def test_geometric_columns_are_superiteration_schedules_bit_for_bit(alphas, n, total):
+    alphas = [1.0] + alphas
+    grid = geometric_times(alphas, n, total)
+    assert grid.shape == (n, len(alphas))
+    for j, a in enumerate(alphas):
+        np.testing.assert_array_equal(superiteration_schedule(a, n, total).times,
+                                      grid[:, j])
+    # total times broadcast against one ratio the same way
+    totals = np.linspace(0.5, 2.0, 3) * total
+    by_time = geometric_times(alphas[-1], n, totals)
+    for j, t in enumerate(totals):
+        np.testing.assert_array_equal(superiteration_schedule(alphas[-1], n, t).times,
+                                      by_time[:, j])
+
+
+def test_geometric_times_validation():
+    with pytest.raises(ValueError):
+        geometric_times([1.2, 0.9], 5, 10.0)
+    with pytest.raises(ValueError):
+        geometric_times(1.2, 5, [10.0, 0.0])
+
+
 def test_gaussian_random_schedule_statistics():
     sched = gaussian_random_schedule(2.0, 20000, seed=11)
     assert np.all(sched.times >= 0)
@@ -70,6 +98,27 @@ def test_trotter_round_drops_zeros_and_validates():
     assert len(trotter_round(sched, 1.0)) == 0
     with pytest.raises(ValueError):
         trotter_round(sched, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 50.0), min_size=0, max_size=20),
+       st.floats(1e-3, 5.0))
+def test_trotter_round_properties(times, dt):
+    sched = TimeSchedule(times=np.array(times))
+    once = trotter_round(sched, dt)
+    floored = trotter_floor(sched.times, dt)
+    assert floored.shape == sched.times.shape
+    np.testing.assert_array_equal(once.times, floored[floored > 0])
+    np.testing.assert_array_equal(trotter_round(once, dt).times, once.times)
+    # never increases a time (beyond the guard that keeps exact multiples)
+    assert np.all(floored <= sched.times + 1e-9 * dt)
+
+
+def test_trotter_floor_keeps_matrix_shape_and_zeros():
+    tm = np.array([[0.4, 1.26], [2.0, 0.04]])
+    np.testing.assert_allclose(trotter_floor(tm, 0.5), [[0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(ValueError):
+        trotter_floor(tm, 0.0)
 
 
 def test_canonical_applies_floor():

@@ -7,9 +7,10 @@ import pytest
 
 from rodeo_sched import (ContinuousBand, DiscreteSpectrum, TimeSchedule,
                          apply_schedule, band_from_json, characteristic_time,
-                         fidelity_from_overlaps, load_spectrum_csv,
-                         rsn_quadrature, success_probability,
-                         superiteration_schedule, survival_product)
+                         fidelity_from_overlaps, geometric_times, load_spectrum_csv,
+                         rsn_quadrature, rsn_quadrature_batch, success_probability,
+                         superiteration_schedule, survival_product, trotter_floor,
+                         trotter_round)
 from rodeo_sched.spectral import save_spectrum_csv
 
 
@@ -158,3 +159,47 @@ def test_quadrature_matches_dense_discrete_sampling():
     survivors = survival_product(grid, 0.0, sched)
     zeta_sum = np.trapezoid(w * survivors, grid)
     np.testing.assert_allclose(zeta_band, zeta_sum, rtol=1e-6)
+
+
+def _assert_batch_matches_columns(spectrum, e_target, times, schedules, abs_tol=1e-10):
+    # Columns share panels, so they agree to the quadrature error, which
+    # sits far below the tolerance on smooth integrands.
+    batch = rsn_quadrature_batch(spectrum, e_target, times, abs_tol=abs_tol)
+    assert batch.shape == (times.shape[1],)
+    scalar = [rsn_quadrature(spectrum, e_target, sched, abs_tol=abs_tol)
+              for sched in schedules]
+    np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0.0)
+
+
+def test_batch_matches_scalar_on_zero_padded_trotter_columns():
+    band = ContinuousBand(0.0, 1.0, density="constant")
+    alphas = np.concatenate([[1.0], 1.0 + np.geomspace(1e-3, 1.0, 15)])
+    for total, dt in ((0.3 * math.pi, 0.01 * math.pi), (8.0 * math.pi, 0.05 * math.pi)):
+        times = trotter_floor(geometric_times(alphas, 100, total), dt)
+        assert np.any(times == 0.0)
+        schedules = [trotter_round(superiteration_schedule(a, 100, total), dt)
+                     for a in alphas]
+        _assert_batch_matches_columns(band, -1.0, times, schedules)
+
+
+def test_batch_matches_scalar_on_discrete_spectrum():
+    spec = DiscreteSpectrum(energies=np.array([0.0, 0.3, 0.3, 0.9, 2.5]),
+                            weights=np.array([0.4, 0.1, 0.2, 0.2, 0.1]))
+    times = geometric_times(np.array([1.0, 1.3, 2.0]), 12, np.array([4.0, 9.0, 30.0]))
+    times[-3:, 0] = 0.0
+    schedules = [TimeSchedule(times=col) for col in times.T]
+    _assert_batch_matches_columns(spec, 0.0, times, schedules)
+
+
+def test_batch_matches_scalar_on_tabulated_band():
+    table = np.array([[0.2, 0.5], [0.6, 2.0], [1.1, 1.0], [1.5, 0.1]])
+    band = ContinuousBand(0.2, 1.5, table)
+    times = geometric_times(1.0 + np.geomspace(1e-2, 1.5, 9), 30, 25.0)
+    schedules = [TimeSchedule(times=col) for col in times.T]
+    # the density's kinks converge slowly, so the tolerance is tightened
+    _assert_batch_matches_columns(band, 0.0, times, schedules, abs_tol=1e-14)
+
+
+def test_batch_rejects_target_inside_band():
+    with pytest.raises(ValueError):
+        rsn_quadrature_batch(ContinuousBand(0.0, 1.0), 0.5, np.ones((3, 2)))
