@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import log_survival
+
 # Enumeration cap for the 2**N expansion cross-check.
 MAX_FOURIER_N = 24
 
@@ -59,13 +61,13 @@ def product_function(alpha: float, theta, n_terms: int | None = None):
         n_terms = _auto_terms(alpha, float(np.max(np.abs(th))) if th.size else 0.0)
     if n_terms < 1:
         raise ValueError("n_terms must be a positive integer")
-    acc = np.ones_like(th)
-    coeff = (alpha - 1.0)
-    for n in range(1, int(n_terms) + 1):
-        acc *= np.cos(coeff * th * alpha ** -n) ** 2
-    if acc.ndim == 0:
-        return float(acc)
-    return acc
+    # Factor n is the survival of a level at offset theta under a cycle
+    # of time 2 (alpha - 1) alpha**-n, so the product is the kernel's.
+    times = 2.0 * (alpha - 1.0) * alpha ** -np.arange(1.0, int(n_terms) + 1.0)
+    value = np.exp(log_survival(th.ravel(), times[:, None])[:, 0]).reshape(th.shape)
+    if value.ndim == 0:
+        return float(value)
+    return value
 
 
 def fourier_expansion(alpha: float, theta: float, n_terms: int) -> float:

@@ -10,7 +10,11 @@ named or tabulated density.
 Every surviving-weight evaluation in the package goes through one
 kernel, ``log_survival``: per-level sums of log cos**2 over the cycles,
 batched over schedules. Log space keeps products that fall below the
-smallest double (long schedules at T >> T0) finite and ordered.
+smallest double (long schedules at T >> T0) finite and ordered. Large
+calls cut the (levels x schedules) plane into tiles and run them on a
+thread pool over the CPUs in the process's affinity mask (numpy's
+ufuncs release the GIL); every entry sums the same cycle blocks in the
+same order either way, so the result does not depend on the tiling.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,6 +40,19 @@ TARGET_RTOL = 1e-10
 # 2**16 doubles (512 kB) stay in cache and keep batched ratio grids from
 # raising peak memory.
 KERNEL_BLOCK_DOUBLES = 1 << 16
+# Calls with at least this many phases (cycles x levels x schedules) run
+# their tiles on the thread pool; smaller ones stay on the calling thread.
+# Measured on a 2-core machine: a pool round trip takes 27-69 us; two
+# threads run 2**16-2**20 phases in 0.55-0.85 of the serial time when the
+# second core is idle, 1.03-1.16 of it when that core is busy. At 2**18
+# (about 5 ms serial) the round trip is about 1% of a call, and the
+# 10**3-10**4-phase calls of band searches stay serial.
+PARALLEL_MIN_PHASES = 1 << 18
+
+# (pid, workers, executor or None), built by the first large call; a
+# forked child sees another pid and builds its own.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -145,8 +165,11 @@ def log_survival(deltas, times) -> np.ndarray:
 
     ``deltas`` (L,) are level offsets E - E_t and ``times`` (N, S) holds
     one schedule per column; returns the (L, S) matrix of
-    sum_n log cos**2(delta t_n / 2). Cycles are processed in blocks of
-    at most KERNEL_BLOCK_DOUBLES phases (at least one cycle per block).
+    sum_n log cos**2(delta t_n / 2). Cycles are summed in blocks of
+    ``step`` = max(1, KERNEL_BLOCK_DOUBLES // (L S)) cycles; a plane
+    larger than KERNEL_BLOCK_DOUBLES is cut into tiles so that no block
+    holds more phases than that, and a call with PARALLEL_MIN_PHASES
+    phases or more runs its tiles on the thread pool.
     """
     half = 0.5 * np.asarray(deltas, dtype=float)
     # Blocks are slices of rows; a column-major matrix would make each
@@ -154,14 +177,83 @@ def log_survival(deltas, times) -> np.ndarray:
     tm = np.ascontiguousarray(times, dtype=float)
     out = np.zeros((half.size, tm.shape[1]))
     step = max(1, KERNEL_BLOCK_DOUBLES // max(1, out.size))
+    if out.size <= KERNEL_BLOCK_DOUBLES and out.size * tm.shape[0] < PARALLEL_MIN_PHASES:
+        _accumulate(half, tm, step, out)
+    else:
+        _accumulate_tiles(half, tm, step, out)
+    out *= 2.0
+    return out
+
+
+def _accumulate(half, tm, step, out) -> None:
+    """Add sum_n log|cos(half t_n)| to ``out`` (l, s) for levels ``half``
+    (l,) and schedule columns ``tm`` (N, s), ``step`` cycles per block.
+    The first block allocates the phase buffer and the block sum; later
+    blocks reuse them."""
+    h = half[None, :, None]
+    buf = acc = None
     for start in range(0, tm.shape[0], step):
-        phase = half[None, :, None] * tm[start:start + step, None, :]
+        rows = tm[start:start + step, None, :]
+        if buf is None:
+            phase = buf = h * rows
+        else:
+            phase = np.multiply(h, rows, out=buf[:len(rows)])
         np.cos(phase, out=phase)
         np.abs(phase, out=phase)
         np.log(phase, out=phase)
-        out += phase.sum(axis=0)
-    out *= 2.0
-    return out
+        if step == 1:
+            out += phase[0]
+        else:
+            acc = np.add.reduce(phase, axis=0, out=acc)
+            out += acc
+
+
+def _accumulate_tiles(half, tm, step, out) -> None:
+    """_accumulate over tiles of the (levels, schedules) plane: whole
+    rows while they fit, at most KERNEL_BLOCK_DOUBLES phases per block,
+    and one tile per worker when the call is large enough for the pool."""
+    levels, cols = out.shape
+    workers, pool = _kernel_pool()
+    want = workers if out.size * tm.shape[0] >= PARALLEL_MIN_PHASES else 1
+    rows_per_tile = KERNEL_BLOCK_DOUBLES // (cols * step)
+    if rows_per_tile:
+        n_rows = min(levels, max(-(-levels // rows_per_tile), want))
+        n_cols = min(cols, -(-want // n_rows))
+    else:
+        n_rows = levels
+        n_cols = max(-(-cols // KERNEL_BLOCK_DOUBLES), -(-want // levels))
+    # Never a one-entry tile of a larger plane: numpy sums a lone entry's
+    # cycles pairwise rather than in order, which would change its bits.
+    if cols == 1:
+        n_rows = min(n_rows, max(1, levels // 2))
+    elif n_rows == levels:
+        n_cols = min(n_cols, cols // 2)
+    row_cuts = [levels * i // n_rows for i in range(n_rows + 1)]
+    col_cuts = [cols * i // n_cols for i in range(n_cols + 1)]
+    tiles = [(half[r0:r1], tm[:, c0:c1], step, out[r0:r1, c0:c1])
+             for r0, r1 in zip(row_cuts, row_cuts[1:])
+             for c0, c1 in zip(col_cuts, col_cuts[1:])]
+    if want == 1:
+        for tile in tiles:
+            _accumulate(*tile)
+        return
+    for future in [pool.submit(_accumulate, *tile) for tile in tiles]:
+        future.result()
+
+
+def _kernel_pool():
+    """(workers, executor) of this process: one thread per CPU in the
+    affinity mask, no executor when that is one CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+            executor = ThreadPoolExecutor(workers) if workers > 1 else None
+            _pool = (os.getpid(), workers, executor)
+        return _pool[1], _pool[2]
 
 
 def log_surviving(deltas, log_weights, times) -> np.ndarray:

@@ -183,6 +183,24 @@ def test_schedule_fit_rejects_large_dt(capsys):
     assert "smaller than the total time" in capsys.readouterr().err
 
 
+def test_readme_sweep_flags_run(tmp_path):
+    # the README's sweep, with a smaller grid and fewer samples
+    out = tmp_path / "sweep.csv"
+    code = main(["schedule-fit", "--preset", "xi2", "--n-samples", "20", "--sweep",
+                 "--t-min-mult", "0.1", "--t-max-mult", "10", "--t-points", "3",
+                 "--dt-mults", "0.001,0.01,0.05", "--out", str(out)])
+    assert code == 0
+    _, header, rows = _read_csv(out)
+    assert header == ["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta",
+                      "surviving_times"]
+    assert len(rows) == 9
+    for row in rows:
+        rec = dict(zip(header, (float(c) for c in row)))
+        assert rec["dt_mult"] in (0.001, 0.01, 0.05)
+        assert 1.0 <= rec["alpha_opt"] <= 2.0
+        assert rec["zeta"] >= 0.0
+
+
 def test_curve_small_grid(tmp_path):
     out = tmp_path / "curve.csv"
     code = main(["curve", "--model", "xx", "--length", "6", "--n-samples",

@@ -162,6 +162,26 @@ def test_rra_sigma_beats_far_widths():
     assert sigma_c / 30 <= opt.sigma <= 30 * sigma_c
 
 
+def test_rra_batch_objective_scores_one_width_per_call():
+    spectrum = DiscreteSpectrum(energies=np.array([0.0, 0.6, 1.0, 1.7]),
+                                weights=np.array([0.4, 0.3, 0.2, 0.1]))
+    objective = lambda sched: rsn_quadrature(spectrum, 0.0, sched)
+    columns = []
+
+    def batch(tm):
+        columns.append(tm.shape[1])
+        return rsn_quadrature_batch(spectrum, 0.0, tm)
+
+    cfg = OptimizationConfig(seed=3)
+    batched = optimize_rra_sigma(objective, 6, 12.0, cfg, n_mc=150, batch_objective=batch)
+    scalar = optimize_rra_sigma(objective, 6, 12.0, cfg, n_mc=150)
+    # widths are not stacked: a band integrand would size every width's
+    # quadrature panels from the widest one
+    assert len(columns) > 60 and all(c == 150 for c in columns)
+    np.testing.assert_allclose(batched.sigma, scalar.sigma, rtol=1e-9)
+    np.testing.assert_allclose(batched.mean_objective, scalar.mean_objective, rtol=1e-12)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizationConfig(budget=0)

@@ -1,6 +1,8 @@
 """Schedule containers, generators, rounding, and file round trips."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,31 @@ def test_json_round_trip_and_dispatch(tmp_path):
     cpath = tmp_path / "sched.csv"
     schedule_to_csv(sched, cpath)
     np.testing.assert_array_equal(read_schedule(cpath).times, sched.times)
+
+
+# Zero (both signs), subnormals, 17-significant-digit values and the
+# largest double, next to arbitrary nonnegative doubles.
+edge_times_st = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                 0.30000000000000004, 0.042857142857142864,
+                                 1.7976931348623157e308])
+times_lists_st = st.lists(st.one_of(edge_times_st, st.floats(0.0, 1e300)), max_size=20)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(times_lists_st)
+def test_schedule_files_round_trip_bit_exactly(times):
+    sched = TimeSchedule(times=np.array(times, dtype=float))
+    with tempfile.TemporaryDirectory() as tmp:
+        cpath, jpath = Path(tmp) / "s.csv", Path(tmp) / "s.json"
+        schedule_to_csv(sched, cpath)
+        schedule_to_json(sched, jpath)
+        assert _same_bits(schedule_from_csv(cpath).times, sched.times)
+        assert _same_bits(schedule_from_json(jpath).times, sched.times)
 
 
 def test_negative_times_rejected():

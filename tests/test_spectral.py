@@ -1,9 +1,13 @@
 """Spectral containers and the quadrature route to the residual weight."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodeo_sched import (ContinuousBand, DiscreteSpectrum, TimeSchedule,
                          apply_schedule, band_from_json, characteristic_time,
@@ -136,6 +140,31 @@ def test_spectrum_csv_round_trip(tmp_path):
     back = load_spectrum_csv(path)
     np.testing.assert_array_equal(back.energies, spectrum.energies)
     np.testing.assert_array_equal(back.weights, spectrum.weights)
+
+
+# Zero (both signs), subnormals and 17-significant-digit values next to
+# arbitrary doubles; sixteen weights of at most 1/16 sum to at most 1.
+energies_st = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 0.30000000000000004, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+weights_st = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 0.042857142857142864, 0.05000000000000001]),
+    st.floats(0.0, 1.0 / 16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(energies_st, weights_st), max_size=16))
+def test_spectrum_csv_round_trips_bit_exactly(rows):
+    energies = np.array([e for e, _ in rows], dtype=float)
+    weights = np.array([w for _, w in rows], dtype=float)
+    spectrum = DiscreteSpectrum(energies, weights)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.csv"
+        save_spectrum_csv(spectrum, path)
+        back = load_spectrum_csv(path)
+    for got, want in ((back.energies, energies), (back.weights, weights)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_band_from_json(tmp_path):

@@ -1,17 +1,21 @@
 """The log-space survival kernel and the residuals built on it."""
 
 import math
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rodeo_sched import (DiscreteSpectrum, HamiltonianSpec, RodeoObjective,
                          TimeSchedule, build_sector_hamiltonian, eigendecompose,
-                         make_initial_state, minimum_gap, rsn_quadrature,
-                         superiteration_schedule)
-from rodeo_sched.spectral import log_survival, log_surviving
+                         make_initial_state, minimum_gap, product_function,
+                         rsn_quadrature, superiteration_schedule, spectral)
+from rodeo_sched.spectral import (KERNEL_BLOCK_DOUBLES, PARALLEL_MIN_PHASES, log_survival,
+                                  log_surviving)
 
 deltas_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)
 times_st = st.lists(st.floats(0.0, 40.0), min_size=0, max_size=12)
@@ -146,3 +150,89 @@ def test_kernel_memory_stays_blocked():
         tracemalloc.stop()
     assert out.shape == (1000, 20)
     assert peak < 32 * 2 ** 20
+
+
+def test_kernel_memory_has_no_plane_sized_temporary():
+    # 65,000 levels x 1 schedule: one cycle per block; the block sum of a
+    # one-cycle block is the block itself, so nothing beyond the result,
+    # the level offsets and one block of phases is held at once.
+    rng = np.random.default_rng(0)
+    deltas = rng.uniform(-5.0, 5.0, 65_000)
+    tm = rng.uniform(0.0, 3.0, (71, 1))
+    tracemalloc.start()
+    try:
+        out = log_survival(deltas, tm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (65_000, 1)
+    assert peak < 3.5 * out.nbytes
+
+
+@contextmanager
+def _kernel_workers(workers):
+    """Run the kernel with a given worker count (1: serial)."""
+    saved = spectral._pool
+    executor = ThreadPoolExecutor(workers) if workers > 1 else None
+    spectral._pool = (os.getpid(), workers, executor)
+    try:
+        yield
+    finally:
+        spectral._pool = saved
+        if executor is not None:
+            executor.shutdown()
+
+
+def _blocked_reference(deltas, times):
+    """The kernel's arithmetic without tiles: blocks of step cycles over
+    the whole plane, each summed over its cycles, then added in order."""
+    half = 0.5 * deltas
+    out = np.zeros((half.size, times.shape[1]))
+    step = max(1, KERNEL_BLOCK_DOUBLES // max(1, out.size))
+    for start in range(0, times.shape[0], step):
+        phase = half[None, :, None] * times[start:start + step, None, :]
+        out += np.log(np.abs(np.cos(phase))).sum(axis=0)
+    return 2.0 * out
+
+
+# (levels, schedules, cycles): planes up to ~4x KERNEL_BLOCK_DOUBLES and
+# phase counts on both sides of PARALLEL_MIN_PHASES.
+shapes_st = st.tuples(st.integers(1, 700), st.integers(1, 400),
+                      st.integers(PARALLEL_MIN_PHASES // 4, 2 * PARALLEL_MIN_PHASES)).map(
+    lambda s: (s[0], s[1], max(1, s[2] // (s[0] * s[1]))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes_st, st.integers(0, 2 ** 32 - 1))
+@example((1, 1, 300_000), 0)      # one entry: the plane cannot be split
+@example((3, 1, 100_000), 0)      # split levels, never one level per tile
+@example((1, 3, 100_000), 0)      # split schedules
+@example((2, 2, 70_000), 0)
+@example((70_000, 1, 5), 0)       # one cycle of 70,000 levels exceeds a block
+@example((1, 70_000, 5), 0)
+@example((121, 240, 40), 0)       # a ratio grid over merged chain levels
+def test_threaded_kernel_is_bit_identical_to_serial(shape, seed):
+    levels, cols, cycles = shape
+    rng = np.random.default_rng(seed)
+    deltas = rng.uniform(-5.0, 5.0, levels)
+    tm = rng.uniform(0.0, 3.0, (cycles, cols))
+    with _kernel_workers(1):
+        serial = log_survival(deltas, tm)
+    assert np.array_equal(serial, _blocked_reference(deltas, tm))
+    threaded = log_survival(deltas, tm)
+    assert np.array_equal(threaded, serial)
+    with _kernel_workers(3):
+        assert np.array_equal(log_survival(deltas, tm), serial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(1.05, 3.0), st.integers(1, 60),
+       st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=20))
+def test_product_function_matches_direct_product(alpha, n_terms, thetas):
+    theta = np.array(thetas)
+    # The same factors the definition names, multiplied out directly.
+    coeff = (alpha - 1.0) * alpha ** -np.arange(1.0, n_terms + 1.0)
+    direct = np.prod(np.cos(theta[:, None] * coeff[None, :]) ** 2, axis=1)
+    got = product_function(alpha, theta, n_terms)
+    representable = direct > 1e-300
+    np.testing.assert_allclose(got[representable], direct[representable], rtol=1e-12)
