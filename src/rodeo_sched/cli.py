@@ -121,7 +121,7 @@ def _resolve_schedule(args) -> TimeSchedule:
 
 
 def _hamiltonian_backend(args):
-    """(objective, batch, eig, t0, extras) for the requested chain."""
+    """(objective, eig, t0, extras) for the requested chain."""
     spec = HamiltonianSpec(model=args.model, length=args.length,
                            coupling=args.coupling, field=args.field,
                            boundary=args.boundary or "", sector=args.sector or "")
@@ -203,17 +203,15 @@ def cmd_optimize_alpha(args) -> int:
     extras: dict = {}
     if args.model:
         backend, _, t0, extras = _hamiltonian_backend(args)
-        objective = lambda sched: backend.value(sched.times)
-        batch = backend.batch
+        objective = backend.batch
     else:
         band = BandModel(*args.band)
         t0 = math.pi / band.delta_min
         twin = band.quadrature_twin()
-        objective = lambda sched: rsn_quadrature(twin, 0.0, sched)
-        batch = lambda tm: rsn_quadrature_batch(twin, 0.0, tm)
+        objective = lambda tm: rsn_quadrature_batch(twin, 0.0, tm)
     total = args.total_time if args.total_time else args.t0_multiple * t0
     cfg = OptimizationConfig(seed=args.seed, alpha_bounds=(args.alpha_min, args.alpha_cap))
-    opt = optimize_alpha(objective, args.n_samples, total, cfg, batch_objective=batch)
+    opt = optimize_alpha(objective, args.n_samples, total, cfg)
     result = {"alpha_opt": opt.alpha, "objective": opt.objective, "flat": opt.flat,
               "total_time": total, "n_samples": args.n_samples}
     manifest = _manifest("optimize-alpha", args, dict(extras, resolved_total_time=total))
@@ -264,9 +262,8 @@ def cmd_curve(args) -> int:
             values = 1.0 - objective.batch(geometric_times(a, args.n_samples, t_grid))
         columns[f"fidelity_alpha_{a:g}"] = values
     cfg = OptimizationConfig(seed=args.seed, alpha_bounds=(args.alpha_min, args.alpha_cap))
-    curve = adaptive_alpha_curve(lambda s: objective.value(s.times), args.n_samples,
-                                 t_grid, monotone=args.monotone, cfg=cfg,
-                                 batch_objective=objective.batch)
+    curve = adaptive_alpha_curve(objective.batch, args.n_samples, t_grid,
+                                 monotone=args.monotone, cfg=cfg)
     columns["alpha_opt"] = [p.alpha for p in curve]
     if args.raw_fidelity:
         columns["fidelity_adaptive"] = [raw_fidelity(p.alpha, p.total_time) for p in curve]
@@ -363,10 +360,9 @@ def cmd_schedule_fit(args) -> int:
     def fit_one(total: float, dt: float):
         if dt >= total:
             raise ValueError(f"trotter step {dt} must be smaller than the total time {total}")
-        objective = lambda sched: rsn_quadrature(
-            spectrum, args.e_target, trotter_round(sched, dt))
-        batch = lambda tm: rsn_quadrature_batch(spectrum, args.e_target, trotter_floor(tm, dt))
-        opt = optimize_alpha(objective, args.n_samples, total, cfg, batch_objective=batch)
+        objective = lambda tm: rsn_quadrature_batch(spectrum, args.e_target,
+                                                    trotter_floor(tm, dt))
+        opt = optimize_alpha(objective, args.n_samples, total, cfg)
         rounded = trotter_round(
             superiteration_schedule(opt.alpha, args.n_samples, total), dt)
         return opt, rounded

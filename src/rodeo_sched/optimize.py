@@ -24,8 +24,8 @@ from scipy.optimize import differential_evolution
 
 from .closed_form import BandModel
 from .schedules import (BASELINE_STREAM, TIME_FLOOR, TimeSchedule, geometric_times,
-                        half_normal_draws, superiteration_schedule)
-from .spectral import rsn_quadrature
+                        half_normal_draws)
+from .spectral import rsn_quadrature_batch
 
 MAX_OPTIMIZE_N = 15
 ALPHA_GRID_POINTS = 240
@@ -67,16 +67,16 @@ class OptimizationResult:
 
 
 class _CountingObjective:
-    """Wraps scalar and batch objective routes behind one DE callable.
+    """Differential evolution's callable over one (N, S) -> (S,) objective.
 
-    Differential evolution in vectorized mode sends gene matrices of
-    shape (n_genes, n_candidates); the polishing stage sends single
-    1-D gene vectors. Both are counted against the evaluation budget.
+    Vectorized DE sends one gene matrix (n_genes, population) per
+    generation; the polish sends 1-D gene vectors, scored as one-column
+    calls. ``count`` is schedules scored, polish included, so it can
+    exceed cfg.budget, which bounds only the DE generations.
     """
 
-    def __init__(self, scalar_fn, batch_fn, t_limit: float):
-        self.scalar_fn = scalar_fn
-        self.batch_fn = batch_fn
+    def __init__(self, objective, t_limit: float):
+        self.objective = objective
         self.t_limit = t_limit
         self.count = 0
 
@@ -91,11 +91,10 @@ class _CountingObjective:
 
     def __call__(self, genes: np.ndarray):
         genes = np.asarray(genes, dtype=float)
-        if genes.ndim == 1:
-            self.count += 1
-            return self.scalar_fn(self._times(genes[:, None])[:, 0])
-        self.count += genes.shape[1]
-        return self.batch_fn(self._times(genes))
+        columns = genes.reshape(len(genes), -1)
+        self.count += columns.shape[1]
+        values = self.objective(self._times(columns))
+        return values if genes.ndim > 1 else float(values[0])
 
 
 def _superiteration_seeds(n_samples: int, t_limit: float, pop: int) -> np.ndarray:
@@ -106,16 +105,15 @@ def _superiteration_seeds(n_samples: int, t_limit: float, pop: int) -> np.ndarra
 
 def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
                    cfg: OptimizationConfig | None = None, *,
-                   objective=None, batch_objective=None) -> OptimizationResult:
+                   objective=None) -> OptimizationResult:
     """Minimize surviving weight over all schedules with total <= t_limit.
 
-    The default objective is rsn_quadrature on the band's
-    quadrature_twin; pass ``objective`` (times -> value) and optionally
-    ``batch_objective``
-    ((n_samples, S) times -> (S,) values) to optimize another backend.
-    Runs cfg.restarts independently seeded differential evolutions,
-    each followed by a local polish; the reported schedule drops times
-    below cfg.time_floor and the objective is recomputed on it.
+    ``objective`` maps (n_samples, S) times to (S,) values; the default
+    is rsn_quadrature_batch on the band's quadrature_twin, so each DE
+    generation is one batched integral. Runs cfg.restarts independently
+    seeded differential evolutions, each followed by a local polish of
+    one-column calls; the reported schedule drops times below
+    cfg.time_floor and the objective is recomputed on it.
     """
     cfg = cfg or OptimizationConfig()
     if not 1 <= n_samples <= MAX_OPTIMIZE_N:
@@ -126,9 +124,7 @@ def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
         if band is None:
             raise ValueError("either a band model or an explicit objective is required")
         twin = band.quadrature_twin()
-        objective = lambda times: rsn_quadrature(twin, 0.0, TimeSchedule(times=times))
-    if batch_objective is None:
-        batch_objective = lambda tm: np.array([objective(tm[:, j]) for j in range(tm.shape[1])])
+        objective = lambda tm: rsn_quadrature_batch(twin, 0.0, tm)
 
     pop = min(60, max(20, 6 * n_samples))
     per_restart = cfg.budget // cfg.restarts
@@ -136,7 +132,7 @@ def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
         raise ValueError(f"budget {cfg.budget} is below {2 * pop * cfg.restarts}, "
                          f"the minimum for {cfg.restarts} restarts of population {pop}")
     maxiter = max(1, per_restart // pop - 1)
-    counter = _CountingObjective(objective, batch_objective, t_limit)
+    counter = _CountingObjective(objective, t_limit)
     bounds = [(0.0, math.sqrt(t_limit))] * n_samples
 
     restart_bests = []
@@ -156,7 +152,7 @@ def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
 
     raw = counter._times(best_genes[:, None])[:, 0]
     schedule = TimeSchedule(times=raw).canonical(floor=cfg.time_floor)
-    best_objective = float(objective(schedule.times))
+    best_objective = float(objective(schedule.times[:, None])[0])
     ordered = sorted(restart_bests)
     if len(ordered) >= 2:
         spread = ordered[1] - ordered[0]
@@ -183,17 +179,16 @@ class AlphaOptimum:
 
 def optimize_alpha(objective, n_samples: int, total_time: float,
                    cfg: OptimizationConfig | None = None, *,
-                   alpha_bounds: tuple | None = None, batch_objective=None) -> AlphaOptimum:
-    """Minimize objective(geometric schedule) over the common ratio.
+                   alpha_bounds: tuple | None = None) -> AlphaOptimum:
+    """Minimize the objective of the geometric schedule over the common ratio.
 
-    Scans a grid of ALPHA_GRID_POINTS ratios log-spaced in (alpha - 1)
-    across cfg.alpha_bounds, then refines around the best point by
-    golden-section to a relative precision of 1e-6. Ties resolve to
-    the smaller ratio. A landscape flat across the whole grid returns
-    the bounds midpoint with flat=True. ``objective`` takes a
-    TimeSchedule; ``batch_objective``, if given, scores the whole grid
-    in one call on its geometric_times matrix ((n_samples, S) -> (S,))
-    and must agree with ``objective`` column by column.
+    ``objective`` maps (n_samples, S) geometric_times columns to (S,)
+    values. Scores a grid of ALPHA_GRID_POINTS ratios log-spaced in
+    (alpha - 1) across cfg.alpha_bounds in one call, then refines
+    around the best point by golden-section, one column per step, to a
+    relative precision of 1e-6. Ties resolve to the smaller ratio. A
+    landscape flat across the whole grid returns the bounds midpoint
+    with flat=True.
     """
     cfg = cfg or OptimizationConfig()
     lo, hi = alpha_bounds if alpha_bounds is not None else cfg.alpha_bounds
@@ -203,13 +198,9 @@ def optimize_alpha(objective, n_samples: int, total_time: float,
     grid = 1.0 + np.geomspace(lo_excess, hi - 1.0, ALPHA_GRID_POINTS)
 
     def value(alpha: float) -> float:
-        return float(objective(superiteration_schedule(alpha, n_samples, total_time)))
+        return float(objective(geometric_times(alpha, n_samples, total_time))[0])
 
-    if batch_objective is None:
-        vals = np.array([value(a) for a in grid])
-    else:
-        vals = np.asarray(batch_objective(geometric_times(grid, n_samples, total_time)),
-                          dtype=float)
+    vals = np.asarray(objective(geometric_times(grid, n_samples, total_time)), dtype=float)
     spread = float(vals.max() - vals.min())
     if spread <= 1e-12 * max(1.0, float(np.abs(vals).max())):
         return AlphaOptimum(alpha=0.5 * (lo + hi), objective=float(vals[0]), flat=True)
@@ -243,13 +234,12 @@ class CurvePoint:
 
 
 def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = False,
-                         cfg: OptimizationConfig | None = None, *,
-                         batch_objective=None) -> list:
+                         cfg: OptimizationConfig | None = None) -> list:
     """Optimal ratio at each total time of an ascending grid.
 
+    ``objective`` is optimize_alpha's (n_samples, S) -> (S,) callable.
     With monotone=True each search's upper ratio bound is the previous
     optimum, encoding that the best ratio only falls as time grows.
-    ``batch_objective`` is passed to each optimize_alpha call.
     """
     cfg = cfg or OptimizationConfig()
     t_grid = np.asarray(t_grid, dtype=float)
@@ -260,8 +250,7 @@ def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = Fal
     lo, hi = cfg.alpha_bounds
     points = []
     for t in t_grid:
-        opt = optimize_alpha(objective, n_samples, float(t), cfg, alpha_bounds=(lo, hi),
-                             batch_objective=batch_objective)
+        opt = optimize_alpha(objective, n_samples, float(t), cfg, alpha_bounds=(lo, hi))
         points.append(CurvePoint(total_time=float(t), alpha=opt.alpha, objective=opt.objective))
         if monotone:
             hi = max(opt.alpha, lo + ALPHA_FLOOR * (cfg.alpha_bounds[1] - 1.0))
@@ -280,26 +269,24 @@ class RraOptimum:
 
 def optimize_rra_sigma(objective, n_samples: int, total_time: float,
                        cfg: OptimizationConfig | None = None, *,
-                       n_mc: int = 200, batch_objective=None) -> RraOptimum:
+                       n_mc: int = 200) -> RraOptimum:
     """Optimize the Gaussian width of the random baseline.
 
-    Times are sigma * |z| with z standard normal; a single seeded draw
-    matrix is reused across widths (common random numbers), making the
-    Monte Carlo mean smooth in sigma, and the width whose mean total
-    time matches the budget anchors the scan range. Same grid plus
-    golden-section strategy as the ratio search.
+    ``objective`` maps (n_samples, S) times to (S,) values and scores
+    one width's n_mc schedules per call. Times are sigma * |z| with z
+    standard normal; a single seeded draw matrix is reused across
+    widths (common random numbers), making the Monte Carlo mean smooth
+    in sigma, and the width whose mean total time matches the budget
+    anchors the scan range. Same grid plus golden-section strategy as
+    the ratio search.
     """
     cfg = cfg or OptimizationConfig()
     if not total_time > 0 or n_samples < 1 or n_mc < 1:
         raise ValueError("total_time, n_samples, and n_mc must be positive")
     base = half_normal_draws(n_samples, n_mc, (cfg.seed, BASELINE_STREAM))
 
-    if batch_objective is None:
-        def shot_values(sigma: float) -> np.ndarray:
-            return np.array([objective(TimeSchedule(times=sigma * col)) for col in base.T])
-    else:
-        def shot_values(sigma: float) -> np.ndarray:
-            return batch_objective(sigma * base)
+    def shot_values(sigma: float) -> np.ndarray:
+        return np.asarray(objective(sigma * base), dtype=float)
 
     def mean_value(sigma: float) -> float:
         return float(shot_values(sigma).mean())

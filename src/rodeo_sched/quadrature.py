@@ -9,7 +9,7 @@ period of the fastest phase, then refines with an embedded 7/15-point
 Gauss-Kronrod pair until the summed error bound meets the requested
 absolute tolerance. An integrand may return one value per point or a
 row of S values (a batch of integrals over the same range); all columns
-share the panels.
+share the panels, and panels x columns is bounded by MAX_PANEL_COLUMNS.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ import numpy as np
 # fastest phase, which the 15-point rule resolves; the Gauss/Kronrod
 # refinement enforces the tolerance.
 PHASE_BUDGET = 2.0 * math.pi
+
+# Most panels x columns an integral may hold, so that one refinement
+# round's integrand plane (15 points each) stays near 60 MB. Tests and
+# benchmark jobs peak at 4,298; one column meets max_panels first.
+MAX_PANEL_COLUMNS = 1 << 19
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
 # The Gauss weight vector is zero at the Kronrod-only nodes so a single
@@ -90,7 +95,8 @@ def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0
     each spans at most PHASE_BUDGET of phase. A panel is bisected when its
     Gauss/Kronrod discrepancy is large in any column whose summed bound
     is still above ``abs_tol``; the loop stops when every column's bound
-    is below it. Raises QuadratureError when the panel budget runs out.
+    is below it. Raises QuadratureError when the panel budget runs out:
+    ``max_panels`` panels, or MAX_PANEL_COLUMNS panels x columns.
     """
     return _integrate(func, lo, hi, phase_rate, abs_tol, max_panels, max_rounds)
 
@@ -125,6 +131,8 @@ def _integrate(func, lo, hi, phase_rate, abs_tol, max_panels=200_000, max_rounds
         split = np.any(open_err > abs_tol / (2.0 * len(open_err)), axis=1)
         if not split.any():
             split = np.any(open_err >= open_err.max(axis=0), axis=1)
+        if (len(panel_lo) + np.count_nonzero(split)) * err.shape[1] > MAX_PANEL_COLUMNS:
+            break
         mid = 0.5 * (panel_lo[split] + panel_hi[split])
         new_lo = np.concatenate([panel_lo[split], mid])
         new_hi = np.concatenate([mid, panel_hi[split]])
@@ -140,7 +148,8 @@ def _integrate(func, lo, hi, phase_rate, abs_tol, max_panels=200_000, max_rounds
     total_err = err.sum(axis=0)
     raise QuadratureError(
         f"quadrature did not reach abs_tol={abs_tol:g} "
-        f"(best bound {float(total_err.max()):.3e} with {len(panel_lo)} panels)",
+        f"(best bound {float(total_err.max()):.3e} with {len(panel_lo)} panels "
+        f"x {err.shape[1]} columns)",
         estimate=shaped(kron.sum(axis=0)),
         error_bound=shaped(total_err),
     )

@@ -39,9 +39,13 @@ class TimeSchedule:
             raise ValueError("schedule times must be finite")
         if t.size and t.min() < 0:
             raise ValueError("schedule times must be nonnegative")
+        with np.errstate(over="ignore"):
+            total = float(t.sum())
+        if not math.isfinite(total):
+            raise ValueError("schedule total time overflows the double range")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "total_time", float(t.sum()))
+        object.__setattr__(self, "total_time", total)
 
     def __len__(self) -> int:
         return int(self.times.size)

@@ -19,9 +19,9 @@ from rodeo_sched import (BandModel, ContinuousBand, HamiltonianSpec,
                          fit_decay_exponent, fourier_expansion,
                          make_initial_state, minimum_gap, optimize_alpha,
                          optimize_times, product_function, rra_average_success,
-                         rsn_closed_form, rsn_quadrature,
+                         rsn_closed_form, rsn_quadrature, rsn_quadrature_batch,
                          superiteration_limit_rsn, superiteration_schedule,
-                         trotter_round)
+                         trotter_floor)
 from rodeo_sched.asymptotics import GOLDEN_RATIO
 
 BAND = BandModel(0.1, 1.0)
@@ -72,7 +72,7 @@ def _tfim_alpha_crossing(field: float) -> float:
         HamiltonianSpec(model="tfim", length=10, field=field, sector="full")))
     t0 = math.pi / minimum_gap(full)
     mults = np.geomspace(0.15, 2.5, 12)
-    curve = adaptive_alpha_curve(lambda s: obj.value(s.times), 100, mults * t0)
+    curve = adaptive_alpha_curve(obj.batch, 100, mults * t0)
     alphas = [point.alpha for point in curve]
     for i, alpha in enumerate(alphas):
         if alpha < 1.5:
@@ -204,8 +204,7 @@ def test_criterion_10_curve_shapes():
     fixed_alphas = (2.0, 1.5, 1.2)
     infid = {a: [obj.value(superiteration_schedule(a, n, m * t0).times)
                  for m in mults] for a in fixed_alphas}
-    curve = adaptive_alpha_curve(lambda s: obj.value(s.times), n, mults * t0,
-                                 monotone=True)
+    curve = adaptive_alpha_curve(obj.batch, n, mults * t0, monotone=True)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0, 977))))
     base = np.abs(rng.normal(size=(n, 50)))
     rra = [float(obj.batch((m * t0 / n) * math.sqrt(math.pi / 2) * base).mean())
@@ -243,8 +242,7 @@ def test_criterion_12_trotter_sweep():
     n = 100
 
     def alpha_opt(total: float):
-        objective = lambda sched: rsn_quadrature(
-            band, e_target, trotter_round(sched, dt))
+        objective = lambda tm: rsn_quadrature_batch(band, e_target, trotter_floor(tm, dt))
         return optimize_alpha(objective, n, total)
 
     t_grid = np.geomspace(0.1, 10.0, 20) * t0

@@ -8,21 +8,37 @@ import pytest
 from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, HamiltonianSpec,
                          OptimizationConfig, RodeoObjective, TimeSchedule,
                          adaptive_alpha_curve, build_sector_hamiltonian, eigendecompose,
-                         make_initial_state, minimum_gap, optimize_alpha,
+                         geometric_times, make_initial_state, minimum_gap, optimize_alpha,
                          optimize_rra_sigma, optimize_times, rsn_closed_form,
                          rsn_quadrature, rsn_quadrature_batch, rra_average_success,
                          trotter_floor, trotter_round)
+from rodeo_sched.optimize import ALPHA_GRID_POINTS
 
 BAND = BandModel(0.1, 1.0)
 FAST = OptimizationConfig(budget=4000, restarts=2, seed=0)
+
+
+def _per_column(score):
+    """A search objective scoring each column of (N, S) times on its own."""
+    return lambda tm: np.array([score(TimeSchedule(times=col)) for col in tm.T])
+
+
+_closed_form = _per_column(lambda sched: rsn_closed_form(BAND, sched))
+
+
+def _spy(objective, shapes):
+    """``objective``, recording the shape of every matrix it is called on."""
+    def spied(tm):
+        shapes.append(tm.shape)
+        return objective(tm)
+    return spied
 
 
 def test_single_level_single_time_optimum():
     # one level at distance 0.7: the optimal single cycle is t = pi / 0.7
     level = DiscreteSpectrum(energies=np.array([0.0, 0.7]),
                              weights=np.array([0.5, 0.5]))
-    objective = lambda times: rsn_quadrature(
-        level, 0.0, TimeSchedule(times=np.asarray(times, dtype=float)))
+    objective = lambda tm: rsn_quadrature_batch(level, 0.0, tm)
     res = optimize_times(None, 1, 10.0, FAST, objective=objective)
     assert res.best_objective < 1e-8
     np.testing.assert_allclose(res.best_schedule.times[0], math.pi / 0.7,
@@ -35,6 +51,33 @@ def test_optimize_times_is_deterministic():
     np.testing.assert_array_equal(a.best_schedule.times, b.best_schedule.times)
     assert a.best_objective == b.best_objective
     assert a.restart_bests == b.restart_bests
+
+
+def test_optimize_times_scores_each_generation_in_one_call():
+    twin = BAND.quadrature_twin()
+    shapes = []
+    n, pop = 4, 24  # population min(60, max(20, 6 n))
+    res = optimize_times(None, n, 8.0, FAST, objective=_spy(
+        lambda tm: rsn_quadrature_batch(twin, 0.0, tm), shapes))
+    *search, rescore = shapes
+    assert rescore == (len(res.best_schedule), 1)
+    assert set(search) == {(n, pop), (n, 1)}
+    maxiter = FAST.budget // FAST.restarts // pop - 1
+    assert sum(s == (n, pop) for s in search) <= FAST.restarts * (maxiter + 1)
+    assert sum(cols for _, cols in search) == res.evaluations_used
+
+
+@pytest.mark.parametrize("t_limit", [6.0, 20.0])
+def test_band_default_matches_per_column_quadrature(t_limit):
+    band = BandModel(0.2, 0.8)
+    twin = band.quadrature_twin()
+    reference = optimize_times(None, 3, t_limit, FAST, objective=_per_column(
+        lambda sched: rsn_quadrature(twin, 0.0, sched)))
+    res = optimize_times(band, 3, t_limit, FAST)
+    assert res.best_schedule.times.tobytes() == reference.best_schedule.times.tobytes()
+    assert res.best_objective == reference.best_objective
+    assert res.restart_bests == reference.restart_bests
+    assert res.evaluations_used == reference.evaluations_used
 
 
 def test_optimize_times_respects_budget_and_limit():
@@ -63,34 +106,30 @@ def test_too_many_samples_raises():
 
 
 def test_optimize_alpha_short_time_prefers_two():
-    objective = lambda sched: rsn_closed_form(BAND, sched)
-    opt = optimize_alpha(objective, 10, 0.5 * math.pi / 0.1)
+    opt = optimize_alpha(_closed_form, 10, 0.5 * math.pi / 0.1)
     assert opt.alpha > 1.98
     assert not opt.flat
 
 
 def test_optimize_alpha_long_time_prefers_smaller():
-    objective = lambda sched: rsn_closed_form(BAND, sched)
-    short = optimize_alpha(objective, 10, 0.5 * math.pi / 0.1)
-    long = optimize_alpha(objective, 10, 10.0 * math.pi / 0.1)
+    short = optimize_alpha(_closed_form, 10, 0.5 * math.pi / 0.1)
+    long = optimize_alpha(_closed_form, 10, 10.0 * math.pi / 0.1)
     assert long.alpha < short.alpha
     np.testing.assert_allclose(long.alpha, 1.4130524887378129, rtol=1e-3)
 
 
 def test_optimize_alpha_flat_landscape():
-    opt = optimize_alpha(lambda sched: 42.0, 5, 10.0)
+    opt = optimize_alpha(lambda tm: np.full(tm.shape[1], 42.0), 5, 10.0)
     assert opt.flat
     np.testing.assert_allclose(opt.alpha, 1.5, rtol=1e-12)
     assert opt.objective == 42.0
 
 
 def test_optimize_alpha_is_near_stationary():
-    objective = lambda sched: rsn_closed_form(BAND, sched)
     total = 2.0 * math.pi / 0.1
-    opt = optimize_alpha(objective, 10, total)
-    from rodeo_sched import superiteration_schedule
+    opt = optimize_alpha(_closed_form, 10, total)
     for eps in (-1e-3, 1e-3):
-        nearby = objective(superiteration_schedule(opt.alpha + eps, 10, total))
+        nearby = _closed_form(geometric_times(opt.alpha + eps, 10, total))[0]
         assert nearby >= opt.objective - 1e-12
 
 
@@ -101,29 +140,41 @@ def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_chain():
     e0 = float(eig.eigenvalues[0])
     obj = RodeoObjective(eig, psi, e0)
     t0 = math.pi / minimum_gap(eig, e0)
-    for mult in (0.5, 4.0):
-        scalar = optimize_alpha(lambda s: obj.value(s.times), 60, mult * t0)
-        batched = optimize_alpha(lambda s: obj.value(s.times), 60, mult * t0,
-                                 batch_objective=obj.batch)
+    # (alpha, objective) of the search scoring one schedule per call
+    per_schedule = {0.5: (1.829125124815312, 0.9968203332152508),
+                    4.0: (1.2939423087883644, 0.019262512474581307)}
+    for mult, expected in per_schedule.items():
+        shapes = []
+        batched = optimize_alpha(_spy(obj.batch, shapes), 60, mult * t0)
+        scalar = optimize_alpha(_per_column(lambda s: obj.value(s.times)), 60, mult * t0)
         assert batched == scalar
+        np.testing.assert_allclose((batched.alpha, batched.objective), expected, rtol=1e-12)
+        assert shapes[0] == (60, ALPHA_GRID_POINTS)
+        assert len(shapes) > 1 and set(shapes[1:]) == {(60, 1)}
 
 
 def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_band():
     band = ContinuousBand(0.0, 1.0, density="gaussian")
     dt = 0.01 * math.pi
-    objective = lambda s: rsn_quadrature(band, -1.0, trotter_round(s, dt))
+    objective = _per_column(lambda s: rsn_quadrature(band, -1.0, trotter_round(s, dt)))
     batch = lambda tm: rsn_quadrature_batch(band, -1.0, trotter_floor(tm, dt))
-    for mult in (0.3, 5.0):
+    # (alpha, objective) of the search scoring one schedule per call
+    per_schedule = {0.3: (1.9621967033631071, 0.8755013561374959),
+                    5.0: (1.234814026960805, 3.208423639784529e-06)}
+    for mult, expected in per_schedule.items():
+        shapes = []
         scalar = optimize_alpha(objective, 100, mult * math.pi)
-        batched = optimize_alpha(objective, 100, mult * math.pi, batch_objective=batch)
+        batched = optimize_alpha(_spy(batch, shapes), 100, mult * math.pi)
         assert batched.alpha == scalar.alpha
         np.testing.assert_allclose(batched.objective, scalar.objective, rtol=1e-13)
+        np.testing.assert_allclose((batched.alpha, batched.objective), expected, rtol=1e-12)
+        assert shapes[0] == (100, ALPHA_GRID_POINTS)
+        assert len(shapes) > 1 and set(shapes[1:]) == {(100, 1)}
 
 
 def test_adaptive_curve_monotone_mode():
-    objective = lambda sched: rsn_closed_form(BAND, sched)
     grid = np.geomspace(0.3, 10.0, 6) * math.pi / 0.1
-    curve = adaptive_alpha_curve(objective, 10, grid, monotone=True)
+    curve = adaptive_alpha_curve(_closed_form, 10, grid, monotone=True)
     alphas = [p.alpha for p in curve]
     assert all(a2 <= a1 + 1e-9 for a1, a2 in zip(alphas, alphas[1:]))
     for p, t in zip(curve, grid):
@@ -131,9 +182,8 @@ def test_adaptive_curve_monotone_mode():
 
 
 def test_adaptive_curve_requires_ascending_grid():
-    objective = lambda sched: rsn_closed_form(BAND, sched)
     with pytest.raises(ValueError):
-        adaptive_alpha_curve(objective, 10, np.array([5.0, 1.0]))
+        adaptive_alpha_curve(_closed_form, 10, np.array([5.0, 1.0]))
 
 
 def test_rra_sigma_matches_analytic_mean():
@@ -141,7 +191,7 @@ def test_rra_sigma_matches_analytic_mean():
     # whose half-normal average is known in closed form
     level = DiscreteSpectrum(energies=np.array([0.0, 1.0]),
                              weights=np.array([0.5, 0.5]))
-    objective = lambda sched: rsn_quadrature(level, 0.0, sched) / 0.5
+    objective = lambda tm: rsn_quadrature_batch(level, 0.0, tm) / 0.5
     n = 4
     opt = optimize_rra_sigma(objective, n, 8.0, OptimizationConfig(seed=3),
                              n_mc=600)
@@ -155,7 +205,7 @@ def test_rra_sigma_matches_analytic_mean():
 def test_rra_sigma_beats_far_widths():
     level = DiscreteSpectrum(energies=np.array([0.0, 1.0]),
                              weights=np.array([0.3, 0.7]))
-    objective = lambda sched: rsn_quadrature(level, 0.0, sched)
+    objective = lambda tm: rsn_quadrature_batch(level, 0.0, tm)
     opt = optimize_rra_sigma(objective, 4, 8.0, OptimizationConfig(seed=3),
                              n_mc=300)
     sigma_c = (8.0 / 4) * math.sqrt(math.pi / 2)
@@ -165,21 +215,21 @@ def test_rra_sigma_beats_far_widths():
 def test_rra_batch_objective_scores_one_width_per_call():
     spectrum = DiscreteSpectrum(energies=np.array([0.0, 0.6, 1.0, 1.7]),
                                 weights=np.array([0.4, 0.3, 0.2, 0.1]))
-    objective = lambda sched: rsn_quadrature(spectrum, 0.0, sched)
-    columns = []
-
-    def batch(tm):
-        columns.append(tm.shape[1])
-        return rsn_quadrature_batch(spectrum, 0.0, tm)
+    objective = _per_column(lambda sched: rsn_quadrature(spectrum, 0.0, sched))
+    shapes = []
+    batch = _spy(lambda tm: rsn_quadrature_batch(spectrum, 0.0, tm), shapes)
 
     cfg = OptimizationConfig(seed=3)
-    batched = optimize_rra_sigma(objective, 6, 12.0, cfg, n_mc=150, batch_objective=batch)
+    batched = optimize_rra_sigma(batch, 6, 12.0, cfg, n_mc=150)
     scalar = optimize_rra_sigma(objective, 6, 12.0, cfg, n_mc=150)
     # widths are not stacked: a band integrand would size every width's
     # quadrature panels from the widest one
-    assert len(columns) > 60 and all(c == 150 for c in columns)
+    assert len(shapes) > 60 and set(shapes) == {(6, 150)}
     np.testing.assert_allclose(batched.sigma, scalar.sigma, rtol=1e-9)
     np.testing.assert_allclose(batched.mean_objective, scalar.mean_objective, rtol=1e-12)
+    # sigma and mean of the search scoring one schedule per call
+    np.testing.assert_allclose(batched.sigma, 57.60868985098321, rtol=1e-9)
+    np.testing.assert_allclose(batched.mean_objective, 0.006307012309763098, rtol=1e-12)
 
 
 def test_config_validation():

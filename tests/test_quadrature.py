@@ -1,11 +1,12 @@
 """Adaptive panel quadrature against closed-form integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rodeo_sched import QuadratureError, integrate_oscillatory
+from rodeo_sched import QuadratureError, integrate_oscillatory, quadrature
 
 
 def test_polynomial_is_exact():
@@ -97,3 +98,23 @@ def test_column_valued_failure_carries_column_estimates():
         integrate_oscillatory(lambda x: np.cos(np.outer(x, omegas)), 0.0, 1.0,
                               abs_tol=1e-16, max_rounds=2, max_panels=8)
     assert info.value.estimate.shape == info.value.error_bound.shape == (2,)
+
+
+def test_unreachable_batch_tolerance_stops_at_the_panel_column_bound(monkeypatch):
+    # 60 columns sharing panels: the bound stops refinement at 500 panels,
+    # well before max_panels (which caps the damage if the bound breaks).
+    cap = 30_000
+    monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
+    omegas = np.linspace(50.0, 400.0, 60)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="x 60 columns") as info:
+            integrate_oscillatory(lambda x: np.cos(np.outer(x, omegas)), 0.0, 1.0,
+                                  phase_rate=omegas.max(), abs_tol=1e-30, max_panels=4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.estimate.shape == info.value.error_bound.shape == (60,)
+    assert np.all(np.isfinite(info.value.estimate))
+    # one integrand plane is 15 points x 8 bytes per panel and column
+    assert peak < 4 * 15 * 8 * cap

@@ -1,12 +1,16 @@
 """Schedule containers, generators, rounding, and file round trips."""
 
 import json
+import math
+import sys
 import tempfile
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rodeo_sched import (TimeSchedule, gaussian_random_schedule, geometric_times,
@@ -155,6 +159,12 @@ edge_times_st = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-
                                  0.30000000000000004, 0.042857142857142864,
                                  1.7976931348623157e308])
 times_lists_st = st.lists(st.one_of(edge_times_st, st.floats(0.0, 1e300)), max_size=20)
+DOUBLE_MAX = Fraction(sys.float_info.max)
+
+
+def _total_fits(times) -> bool:
+    """Whether the exact sum lies safely inside the double range."""
+    return sum(map(Fraction, times), Fraction(0)) < DOUBLE_MAX * (1 - Fraction(1, 10 ** 12))
 
 
 def _same_bits(a, b):
@@ -163,7 +173,7 @@ def _same_bits(a, b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(times_lists_st)
+@given(times_lists_st.filter(_total_fits))
 def test_schedule_files_round_trip_bit_exactly(times):
     sched = TimeSchedule(times=np.array(times, dtype=float))
     with tempfile.TemporaryDirectory() as tmp:
@@ -172,6 +182,23 @@ def test_schedule_files_round_trip_bit_exactly(times):
         schedule_to_json(sched, jpath)
         assert _same_bits(schedule_from_csv(cpath).times, sched.times)
         assert _same_bits(schedule_from_json(jpath).times, sched.times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(times_lists_st)
+@example([1.7e308, 1.7e308])
+def test_schedule_total_is_finite_or_rejected(times):
+    # Up to 20 roundings move a float sum by far less than 1e-12 relative.
+    exact = sum(map(Fraction, times), Fraction(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if exact > DOUBLE_MAX * (1 + Fraction(1, 10 ** 12)):
+            with pytest.raises(ValueError, match="total time"):
+                TimeSchedule(times=np.array(times))
+        elif _total_fits(times):
+            total = TimeSchedule(times=np.array(times)).total_time
+            assert math.isfinite(total)
+            assert abs(Fraction(total) - exact) <= exact * Fraction(1, 10 ** 12)
 
 
 def test_negative_times_rejected():

@@ -14,6 +14,7 @@ from rodeo_sched import (DiscreteSpectrum, HamiltonianSpec, RodeoObjective,
                          TimeSchedule, build_sector_hamiltonian, eigendecompose,
                          make_initial_state, minimum_gap, product_function,
                          rsn_quadrature, superiteration_schedule, spectral)
+from rodeo_sched.schedules import TIME_FLOOR
 from rodeo_sched.spectral import (KERNEL_BLOCK_DOUBLES, PARALLEL_MIN_PHASES, log_survival,
                                   log_surviving)
 
@@ -95,6 +96,21 @@ def test_appending_a_cycle_never_raises_the_residual(spectrum_args, times, extra
     before = rsn_quadrature(spectrum, 0.0, TimeSchedule(times=np.array(times)))
     after = rsn_quadrature(spectrum, 0.0, TimeSchedule(times=np.array(times + [extra])))
     assert after <= before * (1 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectra_st, times_st,
+       st.lists(st.floats(0.0, TIME_FLOOR, exclude_max=True), min_size=1, max_size=5))
+def test_times_below_the_floor_move_the_residual_by_at_most_their_factor(
+        spectrum_args, times, tiny):
+    # Each appended time t < TIME_FLOOR scales every level's weight by
+    # cos^2(delta t / 2), which lies in [cos^2(delta_max TIME_FLOOR / 2), 1].
+    spectrum = _spectrum(*spectrum_args)
+    before = rsn_quadrature(spectrum, 0.0, TimeSchedule(times=np.array(times)))
+    after = rsn_quadrature(spectrum, 0.0, TimeSchedule(times=np.array(times + tiny)))
+    delta_max = float(spectrum.energies.max())
+    factor = math.cos(0.5 * delta_max * TIME_FLOOR) ** (2 * len(tiny))
+    assert before * (factor - 1e-12) <= after <= before * (1 + 1e-12)
 
 
 @settings(max_examples=150, deadline=None)
