@@ -9,7 +9,7 @@ period of the fastest phase, then refines with an embedded 7/15-point
 Gauss-Kronrod pair until the summed error bound meets the requested
 absolute tolerance. An integrand may return one value per point or a
 row of S values (a batch of integrals over the same range); all columns
-share the panels, and panels x columns is bounded by MAX_PANEL_COLUMNS.
+share the panels, and MAX_PANEL_COLUMNS bounds how far a batch refines.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ import numpy as np
 # refinement enforces the tolerance.
 PHASE_BUDGET = 2.0 * math.pi
 
-# Most panels x columns an integral may hold, so that one refinement
-# round's integrand plane (15 points each) stays near 60 MB. Tests and
-# benchmark jobs peak at 4,298; one column meets max_panels first.
+# No panel is split once panels x columns reaches MAX_PANEL_COLUMNS (about
+# 60 MB of 15-point integrand planes), but a batch may always grow to
+# PANEL_GROWTH times its one-period starting set, so long horizons still
+# refine. Tests and benchmark jobs peak at 4,298 panels x columns.
 MAX_PANEL_COLUMNS = 1 << 19
+PANEL_GROWTH = 8
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
 # The Gauss weight vector is zero at the Kronrod-only nodes so a single
@@ -95,8 +97,8 @@ def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0
     each spans at most PHASE_BUDGET of phase. A panel is bisected when its
     Gauss/Kronrod discrepancy is large in any column whose summed bound
     is still above ``abs_tol``; the loop stops when every column's bound
-    is below it. Raises QuadratureError when the panel budget runs out:
-    ``max_panels`` panels, or MAX_PANEL_COLUMNS panels x columns.
+    is below it. Raises QuadratureError when the panel budget (``max_panels``,
+    and MAX_PANEL_COLUMNS for a batch) runs out.
     """
     return _integrate(func, lo, hi, phase_rate, abs_tol, max_panels, max_rounds)
 
@@ -116,6 +118,7 @@ def _integrate(func, lo, hi, phase_rate, abs_tol, max_panels=200_000, max_rounds
     panel_lo = edges[:-1]
     panel_hi = edges[1:]
     kron, err, one_column = _eval_panels(func, panel_lo, panel_hi)
+    limit = min(max_panels, max(MAX_PANEL_COLUMNS // err.shape[1], PANEL_GROWTH * n0))
 
     def shaped(columns):
         return float(columns[0]) if one_column else columns
@@ -125,14 +128,12 @@ def _integrate(func, lo, hi, phase_rate, abs_tol, max_panels=200_000, max_rounds
         open_cols = total_err > abs_tol
         if not open_cols.any():
             return shaped(kron.sum(axis=0)), shaped(total_err)
-        if len(panel_lo) >= max_panels:
+        if len(panel_lo) >= limit:
             break
         open_err = err[:, open_cols]
         split = np.any(open_err > abs_tol / (2.0 * len(open_err)), axis=1)
         if not split.any():
             split = np.any(open_err >= open_err.max(axis=0), axis=1)
-        if (len(panel_lo) + np.count_nonzero(split)) * err.shape[1] > MAX_PANEL_COLUMNS:
-            break
         mid = 0.5 * (panel_lo[split] + panel_hi[split])
         new_lo = np.concatenate([panel_lo[split], mid])
         new_hi = np.concatenate([mid, panel_hi[split]])

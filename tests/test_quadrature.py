@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rodeo_sched import QuadratureError, integrate_oscillatory, quadrature
+from rodeo_sched import (BandModel, QuadratureError, geometric_times, integrate_oscillatory,
+                         quadrature, rsn_quadrature_batch)
 
 
 def test_polynomial_is_exact():
@@ -101,16 +102,17 @@ def test_column_valued_failure_carries_column_estimates():
 
 
 def test_unreachable_batch_tolerance_stops_at_the_panel_column_bound(monkeypatch):
-    # 60 columns sharing panels: the bound stops refinement at 500 panels,
-    # well before max_panels (which caps the damage if the bound breaks).
+    # 60 columns sharing panels, starting from one: the bound stops
+    # splitting at 500 panels, well before max_panels (which caps the
+    # damage if the bound breaks).
     cap = 30_000
     monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
     omegas = np.linspace(50.0, 400.0, 60)
     tracemalloc.start()
     try:
-        with pytest.raises(QuadratureError, match="x 60 columns") as info:
+        with pytest.raises(QuadratureError, match="512 panels x 60 columns") as info:
             integrate_oscillatory(lambda x: np.cos(np.outer(x, omegas)), 0.0, 1.0,
-                                  phase_rate=omegas.max(), abs_tol=1e-30, max_panels=4000)
+                                  abs_tol=1e-30, max_panels=4000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -118,3 +120,18 @@ def test_unreachable_batch_tolerance_stops_at_the_panel_column_bound(monkeypatch
     assert np.all(np.isfinite(info.value.estimate))
     # one integrand plane is 15 points x 8 bytes per panel and column
     assert peak < 4 * 15 * 8 * cap
+
+
+def test_long_horizon_batch_refines_past_the_panel_column_bound(monkeypatch):
+    # 240 ratio-grid columns whose one-period starting set (46 panels)
+    # alone passes the bound: the batch may still grow to PANEL_GROWTH
+    # times that set, and it needs twice that set to reach abs_tol.
+    cap = 10_000
+    monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
+    twin = BandModel(0.1, 1.0).quadrature_twin()
+    tm = geometric_times(1.0 + np.geomspace(1e-3, 2.0, 240), 10, 100 * math.pi)
+    assert math.ceil(0.9 * tm.sum(axis=0).max() / quadrature.PHASE_BUDGET) * 240 > cap
+    batched = rsn_quadrature_batch(twin, 0.0, tm, abs_tol=1e-12)
+    per_column = [rsn_quadrature_batch(twin, 0.0, tm[:, [j]], abs_tol=1e-12)[0]
+                  for j in range(240)]
+    np.testing.assert_allclose(batched, per_column, rtol=0, atol=2e-12)
