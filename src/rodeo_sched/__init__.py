@@ -12,28 +12,22 @@ or one-parameter optimizers over schedules (`optimize`).
 """
 
 from .asymptotics import (DecayFitResult, PISOT_EXAMPLES, decay_envelope,
-                          exp_regime_value, fit_decay_exponent,
-                          fourier_expansion, product_function,
-                          rra_average_success)
-from .closed_form import (BandModel, asymptotic_rsn, band_sinc_sum,
-                          rsn_closed_form, rsn_closed_form_batch,
-                          superiteration_limit_rsn)
+                          fit_decay_exponent, fourier_expansion,
+                          product_function, rra_average_success)
+from .closed_form import (BandModel, asymptotic_rsn, rsn_closed_form,
+                          rsn_closed_form_batch, superiteration_limit_rsn)
 from .hamiltonians import (EigenSystem, HamiltonianSpec, InitialState,
                            RodeoObjective, RodeoResult,
                            build_sector_hamiltonian, eigendecompose,
-                           make_initial_state, minimum_gap, ra_fidelity,
-                           sector_basis, sector_characteristic_time)
+                           make_initial_state, minimum_gap, sector_basis)
 from .optimize import (AlphaOptimum, CurvePoint, OptimizationConfig,
-                       OptimizationResult, RraOptimum, adaptive_alpha_curve,
-                       optimize_alpha, optimize_rra_sigma, optimize_times)
+                       OptimizationResult, adaptive_alpha_curve,
+                       optimize_alpha, optimize_times)
 from .quadrature import QuadratureError, integrate_oscillatory
-from .schedules import (TimeSchedule, gaussian_random_schedule, geometric_times,
-                        read_schedule, superiteration_schedule, trotter_floor,
-                        trotter_round)
-from .spectral import (ContinuousBand, DiscreteSpectrum, apply_schedule,
-                       band_from_json, characteristic_time,
-                       fidelity_from_overlaps, load_spectrum_csv,
-                       rsn_quadrature, rsn_quadrature_batch, success_probability,
+from .schedules import (TimeSchedule, geometric_times, read_schedule,
+                        superiteration_schedule, trotter_floor, trotter_round)
+from .spectral import (ContinuousBand, DiscreteSpectrum, band_from_json,
+                       load_spectrum_csv, rsn_quadrature, rsn_quadrature_batch,
                        survival_product)
 
 __version__ = "0.1.0"
@@ -54,32 +48,23 @@ __all__ = [
     "QuadratureError",
     "RodeoObjective",
     "RodeoResult",
-    "RraOptimum",
     "TimeSchedule",
     "adaptive_alpha_curve",
-    "apply_schedule",
     "asymptotic_rsn",
     "band_from_json",
-    "band_sinc_sum",
     "build_sector_hamiltonian",
-    "characteristic_time",
     "decay_envelope",
     "eigendecompose",
-    "exp_regime_value",
-    "fidelity_from_overlaps",
     "fit_decay_exponent",
     "fourier_expansion",
-    "gaussian_random_schedule",
     "geometric_times",
     "integrate_oscillatory",
     "load_spectrum_csv",
     "make_initial_state",
     "minimum_gap",
     "optimize_alpha",
-    "optimize_rra_sigma",
     "optimize_times",
     "product_function",
-    "ra_fidelity",
     "read_schedule",
     "rra_average_success",
     "rsn_closed_form",
@@ -87,8 +72,6 @@ __all__ = [
     "rsn_quadrature",
     "rsn_quadrature_batch",
     "sector_basis",
-    "sector_characteristic_time",
-    "success_probability",
     "superiteration_limit_rsn",
     "superiteration_schedule",
     "survival_product",

@@ -94,22 +94,6 @@ def fourier_expansion(alpha: float, theta: float, n_terms: int) -> float:
     return float(amplitude ** 2)
 
 
-def exp_regime_value(b: float, theta: float, n_terms: int) -> float:
-    """exp(2 N log cos b): the theta -> inf limit of C(1 + b/theta, theta, N).
-
-    The leading value is theta independent; the exact product (the
-    comparison companion is ``product_function(1 + b/theta, theta, N)``)
-    differs by O(N**2 / theta) in the exponent.
-    """
-    if not 0 < b < math.pi / 2:
-        raise ValueError(f"b must lie in (0, pi/2), got {b}")
-    if not theta > 0:
-        raise ValueError("theta must be positive (alpha = 1 + b/theta must exceed 1)")
-    if n_terms < 1:
-        raise ValueError("n_terms must be a positive integer")
-    return math.exp(2.0 * n_terms * math.log(math.cos(b)))
-
-
 def rra_average_success(delta_e: float, sigma: float, n_cycles: int = 1) -> float:
     """Mean surviving weight of a level at gap delta_e under random times.
 

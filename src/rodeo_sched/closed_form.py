@@ -28,7 +28,6 @@ band's ``quadrature_twin``.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -118,14 +117,6 @@ def _sinc_sum(times_matrix: np.ndarray, delta_max: float,
     sums = digits @ tm
     return weights @ (2.0 * delta_max * sinc(delta_max * sums)
                       - 2.0 * delta_min * sinc(delta_min * sums))
-
-
-def band_sinc_sum(delta: float, schedule: TimeSchedule) -> float:
-    """I(delta): integral over [-delta, delta] of the unnormalized
-    filter product, as the exact weighted sinc sum."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return float(_sinc_sum(schedule.canonical().times[:, None], delta)[0])
 
 
 def rsn_closed_form(band: BandModel, schedule: TimeSchedule) -> float:

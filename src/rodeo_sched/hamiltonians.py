@@ -177,11 +177,6 @@ def minimum_gap(eig: EigenSystem, e_target: float | None = None) -> float:
     return float(np.abs(eig.eigenvalues[~mask] - e_t).min())
 
 
-def sector_characteristic_time(eig: EigenSystem, e_target: float | None = None) -> float:
-    """pi / gap: the single-cycle time that nulls the nearest level."""
-    return float(np.pi / minimum_gap(eig, e_target))
-
-
 @dataclass(frozen=True)
 class InitialState:
     """Normalized state vector expressed in the ordered sector basis."""
@@ -355,9 +350,3 @@ class RodeoObjective:
 
     def batch(self, times_matrix: np.ndarray) -> np.ndarray:
         return self._infidelity(times_matrix)
-
-
-def ra_fidelity(eig: EigenSystem, psi: InitialState, e_target: float,
-                schedule: TimeSchedule) -> RodeoResult:
-    """Exact filtering outcome of a schedule in the eigenbasis."""
-    return RodeoObjective(eig, psi, e_target).result(schedule)

@@ -1,11 +1,10 @@
 """Derivative-free schedule optimization.
 
-Four searches: the full N-dimensional time optimization under a total
+Three searches: the full N-dimensional time optimization under a total
 time budget (population-based differential evolution with restarts),
 the one-dimensional geometric-ratio optimization (grid scan plus
-golden-section refinement), adaptive ratio curves across total-time
-grids with an optional monotone constraint, and the Gaussian-random
-baseline's width optimization by seeded Monte Carlo.
+golden-section refinement), and adaptive ratio curves across total-time
+grids with an optional monotone constraint.
 
 Constraint handling for the N-dimensional search: genes are square
 roots of the times, so nonnegativity is built in, and any candidate
@@ -17,14 +16,13 @@ search concentrates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import differential_evolution
 
 from .closed_form import BandModel
-from .schedules import (BASELINE_STREAM, TIME_FLOOR, TimeSchedule, geometric_times,
-                        half_normal_draws)
+from .schedules import TimeSchedule, geometric_times
 from .spectral import rsn_quadrature_batch
 
 MAX_OPTIMIZE_N = 15
@@ -43,7 +41,6 @@ class OptimizationConfig:
     seed: int = 0
     tolerance: float = 0.01
     alpha_bounds: tuple = (1.0, 2.0)
-    time_floor: float = TIME_FLOOR
 
     def __post_init__(self):
         if self.budget < 1 or self.restarts < 1:
@@ -113,7 +110,7 @@ def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
     generation is one batched integral. Runs cfg.restarts independently
     seeded differential evolutions, each followed by a local polish of
     one-column calls; the reported schedule drops times below
-    cfg.time_floor and the objective is recomputed on it.
+    schedules.TIME_FLOOR and the objective is recomputed on it.
     """
     cfg = cfg or OptimizationConfig()
     if not 1 <= n_samples <= MAX_OPTIMIZE_N:
@@ -151,7 +148,7 @@ def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
             best_val, best_genes = float(res.fun), np.array(res.x)
 
     raw = counter._times(best_genes[:, None])[:, 0]
-    schedule = TimeSchedule(times=raw).canonical(floor=cfg.time_floor)
+    schedule = TimeSchedule(times=raw).canonical()
     best_objective = float(objective(schedule.times[:, None])[0])
     ordered = sorted(restart_bests)
     if len(ordered) >= 2:
@@ -255,64 +252,3 @@ def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = Fal
         if monotone:
             hi = max(opt.alpha, lo + ALPHA_FLOOR * (cfg.alpha_bounds[1] - 1.0))
     return points
-
-
-@dataclass(frozen=True)
-class RraOptimum:
-    """Gaussian-width search outcome with the shot distribution kept."""
-
-    sigma: float
-    mean_objective: float
-    shot_objectives: np.ndarray = field(repr=False)
-    mean_total_time: float = 0.0
-
-
-def optimize_rra_sigma(objective, n_samples: int, total_time: float,
-                       cfg: OptimizationConfig | None = None, *,
-                       n_mc: int = 200) -> RraOptimum:
-    """Optimize the Gaussian width of the random baseline.
-
-    ``objective`` maps (n_samples, S) times to (S,) values and scores
-    one width's n_mc schedules per call. Times are sigma * |z| with z
-    standard normal; a single seeded draw matrix is reused across
-    widths (common random numbers), making the Monte Carlo mean smooth
-    in sigma, and the width whose mean total time matches the budget
-    anchors the scan range. Same grid plus golden-section strategy as
-    the ratio search.
-    """
-    cfg = cfg or OptimizationConfig()
-    if not total_time > 0 or n_samples < 1 or n_mc < 1:
-        raise ValueError("total_time, n_samples, and n_mc must be positive")
-    base = half_normal_draws(n_samples, n_mc, (cfg.seed, BASELINE_STREAM))
-
-    def shot_values(sigma: float) -> np.ndarray:
-        return np.asarray(objective(sigma * base), dtype=float)
-
-    def mean_value(sigma: float) -> float:
-        return float(shot_values(sigma).mean())
-
-    sigma_c = (total_time / n_samples) * math.sqrt(math.pi / 2.0)
-    grid = np.geomspace(sigma_c / 30.0, sigma_c * 30.0, 60)
-    vals = np.array([mean_value(s) for s in grid])
-    k = int(np.argmin(vals))
-    a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = mean_value(x1), mean_value(x2)
-    while (b - a) > 1e-4 * a:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = mean_value(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = mean_value(x2)
-    sigma = float(x1 if f1 <= f2 else x2)
-    shots = shot_values(sigma)
-    return RraOptimum(
-        sigma=sigma,
-        mean_objective=float(shots.mean()),
-        shot_objectives=shots,
-        mean_total_time=n_samples * sigma * math.sqrt(2.0 / math.pi),
-    )

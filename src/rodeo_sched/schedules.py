@@ -1,4 +1,4 @@
-"""Time-sampling schedules: generation, rounding, serialization.
+"""Time-sampling schedules: generation, rounding, reading from files.
 
 A schedule is the ordered list of evolution times fed to successive
 measurement cycles. Geometric ("superiteration") schedules divide a
@@ -108,13 +108,6 @@ def half_normal_draws(n_samples: int, n_schedules: int, seed) -> np.ndarray:
     return np.abs(ndtri(u)).T
 
 
-def gaussian_random_schedule(sigma: float, n_samples: int, seed) -> TimeSchedule:
-    """Draw times sigma * |z|, z ~ N(0, 1), by the half_normal_draws rule."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return TimeSchedule(sigma * half_normal_draws(n_samples, 1, seed)[:, 0])
-
-
 def trotter_floor(times, dt: float) -> np.ndarray:
     """Round each time down to a multiple of dt, keeping the array's shape
     (times that round to zero stay as zeros, which the survival kernel
@@ -132,12 +125,6 @@ def trotter_round(schedule: TimeSchedule, dt: float) -> TimeSchedule:
     """The nonzero entries of trotter_floor."""
     rounded = trotter_floor(schedule.times, dt)
     return TimeSchedule(rounded[rounded > 0])
-
-
-def schedule_to_csv(schedule: TimeSchedule, path) -> None:
-    with open(path, "w") as fh:
-        for t in schedule.times:
-            fh.write(f"{float(t)!r}\n")
 
 
 def schedule_from_csv(path) -> TimeSchedule:
@@ -165,17 +152,15 @@ def schedule_from_csv(path) -> TimeSchedule:
     return TimeSchedule(np.array(times))
 
 
-def schedule_to_json(schedule: TimeSchedule, path) -> None:
-    with open(path, "w") as fh:
-        json.dump([float(t) for t in schedule.times], fh)
-        fh.write("\n")
-
-
 def schedule_from_json(path) -> TimeSchedule:
+    """Read times from a JSON array, or from the ``result.schedule``
+    array of the document ``--format json`` writes."""
     with open(path) as fh:
         data = json.load(fh)
+    if isinstance(data, dict) and isinstance(data.get("result"), dict):
+        data = data["result"].get("schedule")
     if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of times")
+        raise ValueError(f"{path}: expected a JSON array of times or a result.schedule array")
     return TimeSchedule(np.array(data, dtype=float))
 
 

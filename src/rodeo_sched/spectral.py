@@ -87,7 +87,8 @@ class ContinuousBand:
     (M, 2) table of (energy, value) rows interpolated linearly. Named
     densities integrate to one by construction; a tabulated density is
     rescaled to unit weight at construction unless ``normalize`` is
-    False, which is how post-filter bands keep their depleted weight.
+    False, which BandModel.quadrature_twin uses for its deliberately
+    unnormalized two-sided density.
     """
 
     delta_min: float
@@ -146,18 +147,6 @@ class ContinuousBand:
 
 
 SpectralFunction = Union[DiscreteSpectrum, ContinuousBand]
-
-
-def success_probability(energy, e_target: float, t):
-    """Single-cycle survival factor cos((E - E_t) t / 2) ** 2."""
-    return np.cos(0.5 * (np.asarray(energy, dtype=float) - e_target) * t) ** 2
-
-
-def characteristic_time(delta_min: float) -> float:
-    """T0 = pi / delta_min, the time scale set by the smallest gap."""
-    if not delta_min > 0:
-        raise ValueError(f"delta_min must be positive, got {delta_min}")
-    return math.pi / delta_min
 
 
 def log_survival(deltas, times) -> np.ndarray:
@@ -270,7 +259,8 @@ def log_surviving(deltas, log_weights, times) -> np.ndarray:
 
 def survival_product(energies, e_target: float, schedule: TimeSchedule) -> np.ndarray:
     """Product of cycle survival factors at each energy (the exponential
-    of the log_survival kernel)."""
+    of the log_survival kernel). No command calls it; it stays because
+    bench/tracing.py looks it up by name."""
     e = np.asarray(energies, dtype=float)
     logs = log_survival(e.ravel() - e_target, schedule.times[:, None])
     return np.exp(logs[:, 0]).reshape(e.shape)
@@ -282,28 +272,6 @@ def target_mask(energies, e_target: float) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
     scale = max(1.0, abs(e_target), float(np.max(np.abs(e), initial=0.0)))
     return np.abs(e - e_target) <= TARGET_RTOL * scale
-
-
-def apply_schedule(spectrum: SpectralFunction, e_target: float,
-                   schedule: TimeSchedule) -> SpectralFunction:
-    """Return the spectrum after filtering with one schedule.
-
-    Discrete weights at the target energy are left bit-identical; the
-    continuous case returns a tabulated density sampled on a grid dense
-    enough for the fastest oscillation in the filter product.
-    """
-    if isinstance(spectrum, DiscreteSpectrum):
-        new_w = spectrum.weights * survival_product(
-            spectrum.energies, e_target, schedule)
-        target = target_mask(spectrum.energies, e_target)
-        new_w[target] = spectrum.weights[target]
-        return DiscreteSpectrum(spectrum.energies, new_w)
-    lo, hi = spectrum.delta_min, spectrum.delta_max
-    rate = float(np.sum(schedule.times))
-    npts = max(513, int(math.ceil((hi - lo) * rate / (math.pi / 8))) + 1)
-    grid = np.linspace(lo, hi, npts)
-    vals = spectrum.density_values(grid) * survival_product(grid, e_target, schedule)
-    return ContinuousBand(lo, hi, np.column_stack([grid, vals]), normalize=False)
 
 
 def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
@@ -353,16 +321,6 @@ def rsn_quadrature(spectrum: SpectralFunction, e_target: float,
                                       abs_tol=abs_tol)[0])
 
 
-def fidelity_from_overlaps(target_weight: float, zeta: float) -> float:
-    """Post-selected fidelity target / (target + residual)."""
-    if target_weight < 0 or zeta < 0:
-        raise ValueError("weights must be nonnegative")
-    denom = target_weight + zeta
-    if denom <= 0:
-        raise ValueError("no surviving weight: fidelity undefined")
-    return target_weight / denom
-
-
 def load_spectrum_csv(path) -> DiscreteSpectrum:
     """Read a discrete spectrum from CSV rows of energy,weight.
 
@@ -398,14 +356,6 @@ def load_spectrum_csv(path) -> DiscreteSpectrum:
     return DiscreteSpectrum(np.array(energies), np.array(weights))
 
 
-def save_spectrum_csv(spectrum: DiscreteSpectrum, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["energy", "weight"])
-        for e, w in zip(spectrum.energies, spectrum.weights):
-            writer.writerow([repr(float(e)), repr(float(w))])
-
-
 def band_from_json(source) -> ContinuousBand:
     """Build a band from a JSON descriptor (path, file object, or dict).
 
@@ -428,4 +378,3 @@ def band_from_json(source) -> ContinuousBand:
             raise ValueError("density object must carry a 'tabulated' key")
         density = np.asarray(density["tabulated"], dtype=float)
     return ContinuousBand(float(data["delta_min"]), float(data["delta_max"]), density)
-

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rodeo_sched import (PISOT_EXAMPLES, decay_envelope, exp_regime_value,
-                         fit_decay_exponent, fourier_expansion,
-                         product_function, rra_average_success)
+from rodeo_sched import (PISOT_EXAMPLES, decay_envelope, fit_decay_exponent,
+                         fourier_expansion, product_function, rra_average_success)
 from rodeo_sched.asymptotics import GOLDEN_RATIO, PLASTIC_NUMBER
 
 
@@ -49,24 +48,13 @@ def test_fourier_term_cap():
         fourier_expansion(1.5, 1.0, 40)
 
 
-def test_exp_regime_value_and_slope():
-    b = 0.5
-    v = exp_regime_value(b, 10.0, 30)
-    np.testing.assert_allclose(math.log(v), 30 * 2 * math.log(math.cos(b)),
-                               rtol=1e-12)
-    with pytest.raises(ValueError):
-        exp_regime_value(1.6, 10.0, 5)
-    with pytest.raises(ValueError):
-        exp_regime_value(0.5, -1.0, 5)
-
-
 def test_exp_regime_approximates_product_at_large_theta():
     # for alpha = 1 + b/theta with theta >> b the per-cycle angle is
     # nearly constant, so the product approaches cos(b)^(2N)
     b, theta, n = 0.5, 4000.0, 10
     alpha = 1.0 + b / theta
     exact = product_function(alpha, theta, n)
-    approx = exp_regime_value(b, theta, n)
+    approx = math.cos(b) ** (2 * n)
     np.testing.assert_allclose(approx, exact, rtol=1e-2)
 
 

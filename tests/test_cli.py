@@ -237,11 +237,12 @@ def test_entry_point_version():
     assert res.stdout.strip() == "0.1.0"
 
 
-def test_optimized_schedule_file_round_trips_through_rsn(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_optimized_schedule_file_round_trips_through_rsn(tmp_path, capsys, fmt):
     # exit code 1 only flags restarts that disagree; the outputs stand
     argv = ["optimize-times", "--n-samples", "3", "--budget", "200", "--restarts", "2"]
-    out = tmp_path / "opt.csv"
-    assert main(argv + ["--out", str(out)]) in (0, 1)
+    out = tmp_path / f"opt.{fmt}"
+    assert main(argv + ["--out", str(out), "--format", fmt]) in (0, 1)
     _, doc = _run_json(argv, capsys)
     code, back = _run_json(["rsn", "--schedule-file", str(out)], capsys)
     assert code == 0

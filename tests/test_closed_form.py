@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodeo_sched import (BandModel, ContinuousBand, TimeSchedule,
-                         asymptotic_rsn, band_sinc_sum, rsn_closed_form,
+                         asymptotic_rsn, rsn_closed_form,
                          rsn_closed_form_batch, rsn_quadrature,
                          superiteration_limit_rsn, superiteration_schedule)
 from rodeo_sched.closed_form import MAX_ENUM_N, sinc
@@ -47,20 +47,6 @@ def test_single_time_matches_direct_integral():
     # integral of 2 cos^2(E t / 2) over [dmin, dmax]
     exact = (1.0 - 0.1) + (math.sin(1.0 * t) - math.sin(0.1 * t)) / t
     np.testing.assert_allclose(got, exact, rtol=1e-12)
-
-
-def test_band_sinc_sum_single_time():
-    t = 2.0
-    delta = 0.5
-    sched = TimeSchedule(times=np.array([t]))
-    got = band_sinc_sum(delta, sched)
-    # unnormalized ternary weights: 2 at s=0 and 1 at s=+-1 per cycle;
-    # the 4**N normalization happens in rsn_closed_form
-    expected = 2 * delta * (2.0 + 2.0 * math.sin(delta * t) / (delta * t))
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
-    single = rsn_closed_form(BandModel(delta / 2, delta), TimeSchedule(times=np.array([t])))
-    recon = (band_sinc_sum(delta, sched) - band_sinc_sum(delta / 2, sched)) / 4.0
-    np.testing.assert_allclose(single, recon, rtol=1e-13)
 
 
 def test_closed_form_matches_quadrature_random_schedules():

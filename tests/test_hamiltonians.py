@@ -12,8 +12,7 @@ import pytest
 
 from rodeo_sched import (HamiltonianSpec, RodeoObjective, TimeSchedule,
                          build_sector_hamiltonian, eigendecompose,
-                         make_initial_state, minimum_gap, ra_fidelity,
-                         sector_basis, sector_characteristic_time)
+                         make_initial_state, minimum_gap, sector_basis)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -102,7 +101,7 @@ def test_xx_l10_frozen_values():
     assert eig.sector_dim == 252
     np.testing.assert_allclose(eig.eigenvalues[0], -6.026674183332271, rtol=1e-13)
     np.testing.assert_allclose(minimum_gap(eig), 0.5692593530931411, rtol=1e-12)
-    np.testing.assert_allclose(sector_characteristic_time(eig),
+    np.testing.assert_allclose(math.pi / minimum_gap(eig),
                                math.pi / 0.5692593530931411, rtol=1e-12)
 
 
@@ -200,12 +199,12 @@ def test_fidelity_monotone_in_cycles():
     spec = HamiltonianSpec(model="xx", length=8)
     eig = eigendecompose(build_sector_hamiltonian(spec))
     psi = make_initial_state(spec, "basis_index", basis_index=1)
+    obj = RodeoObjective(eig, psi, float(eig.eigenvalues[0]))
     times: list = []
     prev = -1.0
     for t in (2.0, 3.0, 5.0, 8.0):
         times.append(t)
-        res = ra_fidelity(eig, psi, float(eig.eigenvalues[0]),
-                          TimeSchedule(times=np.array(times)))
+        res = obj.result(TimeSchedule(times=np.array(times)))
         assert res.fidelity >= prev - 1e-12
         prev = res.fidelity
 

@@ -1,4 +1,4 @@
-"""Global schedule search, ratio search, and the random-width baseline."""
+"""Global schedule search, ratio search, and adaptive ratio curves."""
 
 import math
 
@@ -9,9 +9,8 @@ from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, Hamiltonia
                          OptimizationConfig, RodeoObjective, TimeSchedule,
                          adaptive_alpha_curve, build_sector_hamiltonian, eigendecompose,
                          geometric_times, make_initial_state, minimum_gap, optimize_alpha,
-                         optimize_rra_sigma, optimize_times, rsn_closed_form,
-                         rsn_quadrature, rsn_quadrature_batch, rra_average_success,
-                         trotter_floor, trotter_round)
+                         optimize_times, rsn_closed_form, rsn_quadrature,
+                         rsn_quadrature_batch, trotter_floor, trotter_round)
 from rodeo_sched.optimize import ALPHA_GRID_POINTS
 
 BAND = BandModel(0.1, 1.0)
@@ -184,52 +183,6 @@ def test_adaptive_curve_monotone_mode():
 def test_adaptive_curve_requires_ascending_grid():
     with pytest.raises(ValueError):
         adaptive_alpha_curve(_closed_form, 10, np.array([5.0, 1.0]))
-
-
-def test_rra_sigma_matches_analytic_mean():
-    # single level at distance 1: per-shot residual is the cycle product,
-    # whose half-normal average is known in closed form
-    level = DiscreteSpectrum(energies=np.array([0.0, 1.0]),
-                             weights=np.array([0.5, 0.5]))
-    objective = lambda tm: rsn_quadrature_batch(level, 0.0, tm) / 0.5
-    n = 4
-    opt = optimize_rra_sigma(objective, n, 8.0, OptimizationConfig(seed=3),
-                             n_mc=600)
-    expected = rra_average_success(1.0, opt.sigma, n)
-    se = opt.shot_objectives.std() / math.sqrt(len(opt.shot_objectives))
-    assert abs(opt.mean_objective - expected) < 4 * se + 1e-4
-    np.testing.assert_allclose(opt.mean_total_time,
-                               n * opt.sigma * math.sqrt(2 / math.pi), rtol=1e-12)
-
-
-def test_rra_sigma_beats_far_widths():
-    level = DiscreteSpectrum(energies=np.array([0.0, 1.0]),
-                             weights=np.array([0.3, 0.7]))
-    objective = lambda tm: rsn_quadrature_batch(level, 0.0, tm)
-    opt = optimize_rra_sigma(objective, 4, 8.0, OptimizationConfig(seed=3),
-                             n_mc=300)
-    sigma_c = (8.0 / 4) * math.sqrt(math.pi / 2)
-    assert sigma_c / 30 <= opt.sigma <= 30 * sigma_c
-
-
-def test_rra_batch_objective_scores_one_width_per_call():
-    spectrum = DiscreteSpectrum(energies=np.array([0.0, 0.6, 1.0, 1.7]),
-                                weights=np.array([0.4, 0.3, 0.2, 0.1]))
-    objective = _per_column(lambda sched: rsn_quadrature(spectrum, 0.0, sched))
-    shapes = []
-    batch = _spy(lambda tm: rsn_quadrature_batch(spectrum, 0.0, tm), shapes)
-
-    cfg = OptimizationConfig(seed=3)
-    batched = optimize_rra_sigma(batch, 6, 12.0, cfg, n_mc=150)
-    scalar = optimize_rra_sigma(objective, 6, 12.0, cfg, n_mc=150)
-    # widths are not stacked: a band integrand would size every width's
-    # quadrature panels from the widest one
-    assert len(shapes) > 60 and set(shapes) == {(6, 150)}
-    np.testing.assert_allclose(batched.sigma, scalar.sigma, rtol=1e-9)
-    np.testing.assert_allclose(batched.mean_objective, scalar.mean_objective, rtol=1e-12)
-    # sigma and mean of the search scoring one schedule per call
-    np.testing.assert_allclose(batched.sigma, 57.60868985098321, rtol=1e-9)
-    np.testing.assert_allclose(batched.mean_objective, 0.006307012309763098, rtol=1e-12)
 
 
 def test_config_validation():

@@ -1,9 +1,11 @@
 """Schedule containers, generators, rounding, and file round trips."""
 
+import argparse
 import json
 import math
 import sys
 import tempfile
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -13,12 +15,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rodeo_sched import (TimeSchedule, gaussian_random_schedule, geometric_times,
-                         read_schedule, superiteration_schedule, trotter_floor,
-                         trotter_round)
-from rodeo_sched.schedules import (TIME_FLOOR, schedule_from_csv,
-                                   schedule_from_json, schedule_to_csv,
-                                   schedule_to_json)
+from rodeo_sched import (TimeSchedule, geometric_times, read_schedule,
+                         superiteration_schedule, trotter_floor, trotter_round)
+from rodeo_sched.cli import _emit, _write_csv
+from rodeo_sched.schedules import TIME_FLOOR, schedule_from_csv, schedule_from_json
+
+
+def write_cli_csv(sched, path):
+    """Write a schedule as ``optimize-times --out`` does in CSV."""
+    rows = [[i, t] for i, t in enumerate(sched.times)]
+    _write_csv(str(path), ["index", "time"], rows, {"hash": "0" * 64})
+
+
+def write_cli_json(sched, path):
+    """Write a schedule as ``optimize-times --out --format json`` does."""
+    args = argparse.Namespace(_t_start=time.perf_counter(), out=str(path), format="json")
+    _emit(args, {"hash": "0" * 64}, {"schedule": sched.times.tolist()})
 
 
 def test_superiteration_sums_to_total():
@@ -76,16 +88,6 @@ def test_geometric_times_validation():
         geometric_times(1.2, 5, [10.0, 0.0])
 
 
-def test_gaussian_random_schedule_statistics():
-    sched = gaussian_random_schedule(2.0, 20000, seed=11)
-    assert np.all(sched.times >= 0)
-    # |N(0, sigma)| has mean sigma sqrt(2/pi)
-    expected = 2.0 * np.sqrt(2.0 / np.pi)
-    assert abs(sched.times.mean() - expected) < 0.05
-    again = gaussian_random_schedule(2.0, 20000, seed=11)
-    np.testing.assert_array_equal(sched.times, again.times)
-
-
 def test_trotter_round_floors_to_grid():
     sched = TimeSchedule(times=np.array([0.4, 1.26, 2.0, 0.04]))
     rounded = trotter_round(sched, 0.5)
@@ -136,7 +138,7 @@ def test_canonical_applies_floor():
 def test_csv_round_trip(tmp_path):
     sched = TimeSchedule(times=np.array([0.1234567890123456, 7.5, 1e-5]))
     path = tmp_path / "sched.csv"
-    schedule_to_csv(sched, path)
+    write_cli_csv(sched, path)
     back = schedule_from_csv(path)
     np.testing.assert_array_equal(back.times, sched.times)
 
@@ -144,12 +146,18 @@ def test_csv_round_trip(tmp_path):
 def test_json_round_trip_and_dispatch(tmp_path):
     sched = TimeSchedule(times=np.array([2.0, 4.0, 8.0]))
     jpath = tmp_path / "sched.json"
-    schedule_to_json(sched, jpath)
-    assert json.loads(jpath.read_text())
+    write_cli_json(sched, jpath)
+    assert json.loads(jpath.read_text())["result"]["schedule"] == [2.0, 4.0, 8.0]
     np.testing.assert_array_equal(schedule_from_json(jpath).times, sched.times)
     np.testing.assert_array_equal(read_schedule(jpath).times, sched.times)
+    # a bare array of times reads too; a document without result.schedule does not
+    jpath.write_text("[2.0, 4.0, 8.0]\n")
+    np.testing.assert_array_equal(schedule_from_json(jpath).times, sched.times)
+    jpath.write_text('{"result": {"zeta": 0.1}}\n')
+    with pytest.raises(ValueError, match="result.schedule"):
+        schedule_from_json(jpath)
     cpath = tmp_path / "sched.csv"
-    schedule_to_csv(sched, cpath)
+    write_cli_csv(sched, cpath)
     np.testing.assert_array_equal(read_schedule(cpath).times, sched.times)
 
 
@@ -181,8 +189,8 @@ def test_schedule_files_round_trip_bit_exactly(times):
     sched = TimeSchedule(times=np.array(times, dtype=float))
     with tempfile.TemporaryDirectory() as tmp:
         cpath, jpath = Path(tmp) / "s.csv", Path(tmp) / "s.json"
-        schedule_to_csv(sched, cpath)
-        schedule_to_json(sched, jpath)
+        write_cli_csv(sched, cpath)
+        write_cli_json(sched, jpath)
         assert _same_bits(schedule_from_csv(cpath).times, sched.times)
         assert _same_bits(schedule_from_json(jpath).times, sched.times)
 

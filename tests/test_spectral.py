@@ -1,5 +1,6 @@
 """Spectral containers and the quadrature route to the residual weight."""
 
+import csv
 import math
 import tempfile
 from pathlib import Path
@@ -10,34 +11,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rodeo_sched import (ContinuousBand, DiscreteSpectrum, TimeSchedule,
-                         apply_schedule, band_from_json, characteristic_time,
-                         fidelity_from_overlaps, geometric_times, load_spectrum_csv,
-                         rsn_quadrature, rsn_quadrature_batch, success_probability,
+                         band_from_json, geometric_times, load_spectrum_csv,
+                         rsn_quadrature, rsn_quadrature_batch,
                          superiteration_schedule, survival_product, trotter_floor,
                          trotter_round)
-from rodeo_sched.spectral import save_spectrum_csv
+
+
+def save_spectrum_csv(spectrum, path):
+    """Write energy,weight rows with a header, as load_spectrum_csv reads."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["energy", "weight"])
+        for e, w in zip(spectrum.energies, spectrum.weights):
+            writer.writerow([repr(float(e)), repr(float(w))])
 
 
 def test_success_probability_on_target_is_one():
-    assert success_probability(0.7, 0.7, 13.2) == 1.0
-
-
-def test_success_probability_matches_cosine():
-    e, et, t = 1.4, 0.3, 2.1
-    expected = math.cos((e - et) * t / 2.0) ** 2
-    np.testing.assert_allclose(success_probability(e, et, t), expected, rtol=1e-14)
+    sched = TimeSchedule(times=np.array([13.2, 0.4]))
+    assert survival_product(np.array([0.7]), 0.7, sched)[0] == 1.0
 
 
 def test_success_probability_half_period_zero():
     # a cycle of length pi/delta fully rejects a level at distance delta
     delta = 0.8
-    assert success_probability(delta, 0.0, math.pi / delta) < 1e-30
-
-
-def test_characteristic_time():
-    np.testing.assert_allclose(characteristic_time(0.1), math.pi / 0.1, rtol=1e-15)
-    with pytest.raises(ValueError):
-        characteristic_time(0.0)
+    sched = TimeSchedule(times=np.array([math.pi / delta]))
+    assert survival_product(np.array([delta]), 0.0, sched)[0] < 1e-30
 
 
 def test_survival_product_is_cycle_product():
@@ -98,38 +96,6 @@ def test_band_rejects_interior_target():
         with pytest.raises(ValueError):
             rsn_quadrature(band, bad, sched)
     assert rsn_quadrature(band, -0.1, sched) > 0
-
-
-def test_apply_schedule_reweights_band():
-    band = ContinuousBand(0.3, 1.2, density="constant")
-    sched = TimeSchedule(times=np.array([2.0, 3.0]))
-    filtered = apply_schedule(band, 0.0, sched)
-    # surviving weight of the filtered band equals the residual integral
-    np.testing.assert_allclose(filtered.total_weight(),
-                               rsn_quadrature(band, 0.0, sched), rtol=1e-5)
-    # pointwise agreement is limited by the tabulation of the output
-    energies = np.linspace(0.3, 1.2, 11)
-    factor = survival_product(energies, 0.0, sched)
-    np.testing.assert_allclose(filtered.density_values(energies),
-                               band.density_values(energies) * factor,
-                               rtol=0, atol=5e-3)
-
-
-def test_apply_schedule_discrete_keeps_target():
-    spectrum = DiscreteSpectrum(energies=np.array([0.0, 0.9]),
-                                weights=np.array([0.4, 0.6]))
-    sched = TimeSchedule(times=np.array([3.0]))
-    filtered = apply_schedule(spectrum, 0.0, sched)
-    assert filtered.weights[0] == 0.4
-    np.testing.assert_allclose(filtered.weights[1],
-                               0.6 * math.cos(0.9 * 3.0 / 2) ** 2, rtol=1e-14)
-
-
-def test_fidelity_from_overlaps():
-    np.testing.assert_allclose(fidelity_from_overlaps(0.2, 0.2), 0.5, rtol=1e-15)
-    assert fidelity_from_overlaps(0.5, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        fidelity_from_overlaps(0.0, 0.0)
 
 
 def test_spectrum_csv_round_trip(tmp_path):
