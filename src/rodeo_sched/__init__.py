@@ -20,9 +20,8 @@ from .hamiltonians import (EigenSystem, HamiltonianSpec, InitialState,
                            RodeoObjective, RodeoResult,
                            build_sector_hamiltonian, eigendecompose,
                            make_initial_state, minimum_gap, sector_basis)
-from .optimize import (AlphaOptimum, CurvePoint, OptimizationConfig,
-                       OptimizationResult, adaptive_alpha_curve,
-                       optimize_alpha, optimize_times)
+from .optimize import (AlphaOptimum, CurvePoint, OptimizationResult,
+                       adaptive_alpha_curve, optimize_alpha, optimize_times)
 from .quadrature import QuadratureError, integrate_oscillatory
 from .schedules import (TimeSchedule, geometric_times, read_schedule,
                         superiteration_schedule, trotter_floor, trotter_round)
@@ -42,7 +41,6 @@ __all__ = [
     "EigenSystem",
     "HamiltonianSpec",
     "InitialState",
-    "OptimizationConfig",
     "OptimizationResult",
     "PISOT_EXAMPLES",
     "QuadratureError",

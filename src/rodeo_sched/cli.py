@@ -29,13 +29,12 @@ from . import __version__
 from .closed_form import MAX_ENUM_N, BandModel, rsn_closed_form
 from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                            eigendecompose, make_initial_state, minimum_gap)
-from .optimize import (OptimizationConfig, adaptive_alpha_curve, optimize_alpha,
-                       optimize_times)
+from .optimize import adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, geometric_times, half_normal_draws,
                         read_schedule, superiteration_schedule, trotter_floor, trotter_round)
 from .spectral import (ContinuousBand, band_from_json, load_spectrum_csv,
-                       rsn_quadrature, rsn_quadrature_batch, target_mask)
+                       rsn_quadrature, rsn_quadrature_batch, target_gap)
 
 # Spectral-function presets for schedule fitting; shapes are normalized
 # internally. Both live on [0, 1] and pair with a target below the band.
@@ -120,12 +119,17 @@ def _resolve_schedule(args) -> TimeSchedule:
     return TimeSchedule(times=np.array([]))
 
 
-def _hamiltonian_backend(args):
-    """(objective, eig, t0, extras) for the requested chain."""
+def _chain(args):
+    """(spec, eigensystem) of the requested chain."""
     spec = HamiltonianSpec(model=args.model, length=args.length,
                            coupling=args.coupling, field=args.field,
                            boundary=args.boundary or "", sector=args.sector or "")
-    eig = eigendecompose(build_sector_hamiltonian(spec))
+    return spec, eigendecompose(build_sector_hamiltonian(spec))
+
+
+def _hamiltonian_backend(args):
+    """(objective, t0, extras) for the requested chain."""
+    spec, eig = _chain(args)
     state_name = args.initial_state or ("e1" if spec.model == "xx" else "plus")
     if getattr(args, "basis_index", None) is not None:
         psi = make_initial_state(spec, "basis_index", basis_index=args.basis_index)
@@ -144,7 +148,7 @@ def _hamiltonian_backend(args):
     extras = {"resolved_initial_state": state_name, "e_target": e_target,
               "gap": gap, "characteristic_time": math.pi / gap,
               "sector_dim": eig.sector_dim}
-    return objective, eig, math.pi / gap, extras
+    return objective, math.pi / gap, extras
 
 
 def cmd_rsn(args) -> int:
@@ -178,11 +182,10 @@ def cmd_rsn(args) -> int:
 
 def cmd_optimize_times(args) -> int:
     dmin, dmax = args.band
-    band = BandModel(dmin, dmax)
+    objective = BandModel(dmin, dmax).objective()
     total = args.total_time if args.total_time else args.t0_multiple * math.pi / dmin
-    cfg = OptimizationConfig(budget=args.budget, restarts=args.restarts,
-                             seed=args.seed, tolerance=args.tolerance)
-    res = optimize_times(band, args.n_samples, total, cfg)
+    res = optimize_times(objective, args.n_samples, total, budget=args.budget,
+                         restarts=args.restarts, seed=args.seed, tolerance=args.tolerance)
     result = {
         "schedule": res.best_schedule.times.tolist(),
         "zeta": res.best_objective,
@@ -202,16 +205,15 @@ def cmd_optimize_times(args) -> int:
 def cmd_optimize_alpha(args) -> int:
     extras: dict = {}
     if args.model:
-        backend, _, t0, extras = _hamiltonian_backend(args)
+        backend, t0, extras = _hamiltonian_backend(args)
         objective = backend.batch
     else:
         band = BandModel(*args.band)
         t0 = math.pi / band.delta_min
-        twin = band.quadrature_twin()
-        objective = lambda tm: rsn_quadrature_batch(twin, 0.0, tm)
+        objective = band.objective()
     total = args.total_time if args.total_time else args.t0_multiple * t0
-    cfg = OptimizationConfig(seed=args.seed, alpha_bounds=(args.alpha_min, args.alpha_cap))
-    opt = optimize_alpha(objective, args.n_samples, total, cfg)
+    opt = optimize_alpha(objective, args.n_samples, total,
+                         alpha_bounds=(args.alpha_min, args.alpha_cap))
     result = {"alpha_opt": opt.alpha, "objective": opt.objective, "flat": opt.flat,
               "total_time": total, "n_samples": args.n_samples}
     manifest = _manifest("optimize-alpha", args, dict(extras, resolved_total_time=total))
@@ -222,13 +224,13 @@ def cmd_optimize_alpha(args) -> int:
 
 def cmd_table1(args) -> int:
     dmin, dmax = args.band
-    band = BandModel(dmin, dmax)
+    objective = BandModel(dmin, dmax).objective()
     t0 = math.pi / dmin
     rows, entries, all_converged = [], [], True
     for mult in (0.5, 1.0, 2.0, 3.0):
-        cfg = OptimizationConfig(budget=args.budget, restarts=args.restarts,
-                                 seed=args.seed, tolerance=args.tolerance)
-        res = optimize_times(band, args.n_samples, mult * t0, cfg)
+        res = optimize_times(objective, args.n_samples, mult * t0, budget=args.budget,
+                             restarts=args.restarts, seed=args.seed,
+                             tolerance=args.tolerance)
         all_converged &= res.converged
         times = " ".join(f"{t:.6f}" for t in res.best_schedule.times)
         rows.append([f"{mult:g}*T0", mult * t0, res.best_objective,
@@ -246,7 +248,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    objective, _, t0, extras = _hamiltonian_backend(args)
+    objective, t0, extras = _hamiltonian_backend(args)
     fixed_alphas = _parse_floats(args.alphas)
     t_grid = np.geomspace(args.t_min_mult, args.t_max_mult, args.t_points) * t0
 
@@ -261,9 +263,9 @@ def cmd_curve(args) -> int:
         else:
             values = 1.0 - objective.batch(geometric_times(a, args.n_samples, t_grid))
         columns[f"fidelity_alpha_{a:g}"] = values
-    cfg = OptimizationConfig(seed=args.seed, alpha_bounds=(args.alpha_min, args.alpha_cap))
     curve = adaptive_alpha_curve(objective.batch, args.n_samples, t_grid,
-                                 monotone=args.monotone, cfg=cfg)
+                                 monotone=args.monotone,
+                                 alpha_bounds=(args.alpha_min, args.alpha_cap))
     columns["alpha_opt"] = [p.alpha for p in curve]
     if args.raw_fidelity:
         columns["fidelity_adaptive"] = [raw_fidelity(p.alpha, p.total_time) for p in curve]
@@ -340,29 +342,17 @@ def _spectral_input(args):
     raise ValueError("schedule-fit needs --preset, --band-file, or --spectrum-file")
 
 
-def _gap_to_target(spectrum, e_target: float) -> float:
-    if isinstance(spectrum, ContinuousBand):
-        lo, hi = spectrum.delta_min, spectrum.delta_max
-        if lo < e_target < hi or e_target in (lo, hi):
-            raise ValueError(f"target {e_target} must lie outside the band [{lo}, {hi}]")
-        return min(abs(lo - e_target), abs(hi - e_target))
-    gaps = np.abs(spectrum.energies - e_target)[~target_mask(spectrum.energies, e_target)]
-    if len(gaps) == 0:
-        raise ValueError("spectrum has no level away from the target")
-    return float(gaps.min())
-
-
 def cmd_schedule_fit(args) -> int:
     spectrum, label = _spectral_input(args)
-    t0 = math.pi / _gap_to_target(spectrum, args.e_target)
-    cfg = OptimizationConfig(seed=args.seed, alpha_bounds=(args.alpha_min, args.alpha_cap))
+    t0 = math.pi / target_gap(spectrum, args.e_target)
+    bounds = (args.alpha_min, args.alpha_cap)
 
     def fit_one(total: float, dt: float):
         if dt >= total:
             raise ValueError(f"trotter step {dt} must be smaller than the total time {total}")
         objective = lambda tm: rsn_quadrature_batch(spectrum, args.e_target,
                                                     trotter_floor(tm, dt))
-        opt = optimize_alpha(objective, args.n_samples, total, cfg)
+        opt = optimize_alpha(objective, args.n_samples, total, alpha_bounds=bounds)
         rounded = trotter_round(
             superiteration_schedule(opt.alpha, args.n_samples, total), dt)
         return opt, rounded
@@ -400,10 +390,7 @@ def cmd_schedule_fit(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = HamiltonianSpec(model=args.model, length=args.length,
-                           coupling=args.coupling, field=args.field,
-                           boundary=args.boundary or "", sector=args.sector or "")
-    eig = eigendecompose(build_sector_hamiltonian(spec))
+    _, eig = _chain(args)
     gap = minimum_gap(eig)
     result = {"eigenvalues": eig.eigenvalues.tolist(),
               "ground_energy": float(eig.eigenvalues[0]),

@@ -21,8 +21,9 @@ and either scale gives the same optimal schedules.
 
 The dense enumeration, capped at MAX_ENUM_N cycles, is an independent
 oracle: tests compare it with quadrature and ``rsn`` reports it beside
-the quadrature value. Searches use ``rsn_quadrature`` on the
-band's ``quadrature_twin``.
+the quadrature value. Searches score a band through
+``BandModel.objective``: batched quadrature on the band's
+``quadrature_twin``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .quadrature import integrate_oscillatory
 from .schedules import TimeSchedule
-from .spectral import ContinuousBand
+from .spectral import ContinuousBand, rsn_quadrature_batch
 
 # Largest schedule the dense 3**N enumeration accepts.
 MAX_ENUM_N = 12
@@ -65,6 +66,12 @@ class BandModel:
         """
         table = np.array([[self.delta_min, 2.0], [self.delta_max, 2.0]])
         return ContinuousBand(self.delta_min, self.delta_max, table, normalize=False)
+
+    def objective(self):
+        """The band's search objective: (N, S) schedule columns to their
+        (S,) residuals, by rsn_quadrature_batch on the quadrature twin."""
+        twin = self.quadrature_twin()
+        return lambda tm: rsn_quadrature_batch(twin, 0.0, tm)
 
 
 def sinc(x):

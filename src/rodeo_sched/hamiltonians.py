@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schedules import TimeSchedule
-from .spectral import TARGET_RTOL, log_surviving, target_mask
+from .spectral import TARGET_RTOL, level_gap, log_surviving, target_mask
 
 MAX_LENGTH = 16
 # Dense-diagonalization guard; C(16,8) fits, full 2**16 does not.
@@ -171,10 +171,7 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
 def minimum_gap(eig: EigenSystem, e_target: float | None = None) -> float:
     """Distance from the target manifold to the nearest other level."""
     e_t = float(eig.eigenvalues[0]) if e_target is None else float(e_target)
-    mask = target_mask(eig.eigenvalues, e_t)
-    if mask.all():
-        raise ValueError("every eigenvalue lies in the target manifold; no gap exists")
-    return float(np.abs(eig.eigenvalues[~mask] - e_t).min())
+    return level_gap(eig.eigenvalues, e_t)
 
 
 @dataclass(frozen=True)

@@ -21,35 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import differential_evolution
 
-from .closed_form import BandModel
 from .schedules import TimeSchedule, geometric_times
-from .spectral import rsn_quadrature_batch
 
 MAX_OPTIMIZE_N = 15
 ALPHA_GRID_POINTS = 240
 # Grid scans start this far above the open lower ratio bound.
 ALPHA_FLOOR = 1e-4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class OptimizationConfig:
-    """Search budget and reproducibility knobs shared by all searches."""
-
-    budget: int = 60_000
-    restarts: int = 5
-    seed: int = 0
-    tolerance: float = 0.01
-    alpha_bounds: tuple = (1.0, 2.0)
-
-    def __post_init__(self):
-        if self.budget < 1 or self.restarts < 1:
-            raise ValueError("budget and restarts must be positive")
-        if not 0 < self.tolerance < 1:
-            raise ValueError("tolerance must lie in (0, 1)")
-        lo, hi = self.alpha_bounds
-        if not hi > lo >= 1.0:
-            raise ValueError(f"alpha_bounds must satisfy 1 <= low < high, got {self.alpha_bounds}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +47,7 @@ class _CountingObjective:
     Vectorized DE sends one gene matrix (n_genes, population) per
     generation; the polish sends 1-D gene vectors, scored as one-column
     calls. ``count`` is schedules scored, polish included, so it can
-    exceed cfg.budget, which bounds only the DE generations.
+    exceed the budget, which bounds only the DE generations.
     """
 
     def __init__(self, objective, t_limit: float):
@@ -100,47 +78,46 @@ def _superiteration_seeds(n_samples: int, t_limit: float, pop: int) -> np.ndarra
     return np.sqrt(geometric_times(ratios, n_samples, t_limit).T)
 
 
-def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
-                   cfg: OptimizationConfig | None = None, *,
-                   objective=None) -> OptimizationResult:
-    """Minimize surviving weight over all schedules with total <= t_limit.
+def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 60_000,
+                   restarts: int = 5, seed: int = 0,
+                   tolerance: float = 0.01) -> OptimizationResult:
+    """Minimize the objective over all schedules with total <= t_limit.
 
-    ``objective`` maps (n_samples, S) times to (S,) values; the default
-    is rsn_quadrature_batch on the band's quadrature_twin, so each DE
-    generation is one batched integral. Runs cfg.restarts independently
-    seeded differential evolutions, each followed by a local polish of
-    one-column calls; the reported schedule drops times below
-    schedules.TIME_FLOOR and the objective is recomputed on it.
+    ``objective`` maps (n_samples, S) times to (S,) values (for a band,
+    BandModel.objective()); each DE generation is one call. Runs
+    ``restarts`` independently seeded differential evolutions sharing
+    ``budget`` schedule evaluations, each followed by a local polish of
+    one-column calls; the run has converged when the two best restarts
+    agree to relative ``tolerance``. The reported schedule drops times
+    below schedules.TIME_FLOOR and the objective is recomputed on it.
     """
-    cfg = cfg or OptimizationConfig()
+    if budget < 1 or restarts < 1:
+        raise ValueError("budget and restarts must be positive")
+    if not 0 < tolerance < 1:
+        raise ValueError("tolerance must lie in (0, 1)")
     if not 1 <= n_samples <= MAX_OPTIMIZE_N:
         raise ValueError(f"n_samples must lie in [1, {MAX_OPTIMIZE_N}] for the dense search")
     if not t_limit > 0:
         raise ValueError("t_limit must be positive")
-    if objective is None:
-        if band is None:
-            raise ValueError("either a band model or an explicit objective is required")
-        twin = band.quadrature_twin()
-        objective = lambda tm: rsn_quadrature_batch(twin, 0.0, tm)
 
     pop = min(60, max(20, 6 * n_samples))
-    per_restart = cfg.budget // cfg.restarts
+    per_restart = budget // restarts
     if per_restart < 2 * pop:
-        raise ValueError(f"budget {cfg.budget} is below {2 * pop * cfg.restarts}, "
-                         f"the minimum for {cfg.restarts} restarts of population {pop}")
+        raise ValueError(f"budget {budget} is below {2 * pop * restarts}, "
+                         f"the minimum for {restarts} restarts of population {pop}")
     maxiter = max(1, per_restart // pop - 1)
     counter = _CountingObjective(objective, t_limit)
     bounds = [(0.0, math.sqrt(t_limit))] * n_samples
 
     restart_bests = []
     best_genes, best_val = None, math.inf
-    for r in range(cfg.restarts):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, r))))
+    for r in range(restarts):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
         seeds = _superiteration_seeds(n_samples, t_limit, pop)
         filler = rng.uniform(0.0, math.sqrt(t_limit), size=(pop - len(seeds), n_samples))
         init = np.vstack([seeds, filler])
         res = differential_evolution(
-            counter, bounds, init=init, maxiter=maxiter, tol=cfg.tolerance,
+            counter, bounds, init=init, maxiter=maxiter, tol=tolerance,
             seed=rng, mutation=(0.3, 0.9), recombination=0.8,
             polish=True, updating="deferred", vectorized=True)
         restart_bests.append(float(res.fun))
@@ -153,7 +130,7 @@ def optimize_times(band: BandModel | None, n_samples: int, t_limit: float,
     ordered = sorted(restart_bests)
     if len(ordered) >= 2:
         spread = ordered[1] - ordered[0]
-        converged = spread <= cfg.tolerance * max(abs(ordered[0]), 1e-300)
+        converged = spread <= tolerance * max(abs(ordered[0]), 1e-300)
     else:
         converged = True
     return OptimizationResult(
@@ -174,21 +151,19 @@ class AlphaOptimum:
     flat: bool = False
 
 
-def optimize_alpha(objective, n_samples: int, total_time: float,
-                   cfg: OptimizationConfig | None = None, *,
-                   alpha_bounds: tuple | None = None) -> AlphaOptimum:
+def optimize_alpha(objective, n_samples: int, total_time: float, *,
+                   alpha_bounds: tuple = (1.0, 2.0)) -> AlphaOptimum:
     """Minimize the objective of the geometric schedule over the common ratio.
 
     ``objective`` maps (n_samples, S) geometric_times columns to (S,)
     values. Scores a grid of ALPHA_GRID_POINTS ratios log-spaced in
-    (alpha - 1) across cfg.alpha_bounds in one call, then refines
+    (alpha - 1) across ``alpha_bounds`` in one call, then refines
     around the best point by golden-section, one column per step, to a
     relative precision of 1e-6. Ties resolve to the smaller ratio. A
     landscape flat across the whole grid returns the bounds midpoint
     with flat=True.
     """
-    cfg = cfg or OptimizationConfig()
-    lo, hi = alpha_bounds if alpha_bounds is not None else cfg.alpha_bounds
+    lo, hi = alpha_bounds
     if not hi > lo >= 1.0:
         raise ValueError(f"alpha bounds must satisfy 1 <= low < high, got {(lo, hi)}")
     lo_excess = max(lo - 1.0, ALPHA_FLOOR * (hi - 1.0))
@@ -230,25 +205,24 @@ class CurvePoint:
     objective: float
 
 
-def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = False,
-                         cfg: OptimizationConfig | None = None) -> list:
+def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = False, *,
+                         alpha_bounds: tuple = (1.0, 2.0)) -> list:
     """Optimal ratio at each total time of an ascending grid.
 
     ``objective`` is optimize_alpha's (n_samples, S) -> (S,) callable.
     With monotone=True each search's upper ratio bound is the previous
     optimum, encoding that the best ratio only falls as time grows.
     """
-    cfg = cfg or OptimizationConfig()
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly ascending")
-    lo, hi = cfg.alpha_bounds
+    lo, hi = alpha_bounds
     points = []
     for t in t_grid:
-        opt = optimize_alpha(objective, n_samples, float(t), cfg, alpha_bounds=(lo, hi))
+        opt = optimize_alpha(objective, n_samples, float(t), alpha_bounds=(lo, hi))
         points.append(CurvePoint(total_time=float(t), alpha=opt.alpha, objective=opt.objective))
         if monotone:
-            hi = max(opt.alpha, lo + ALPHA_FLOOR * (cfg.alpha_bounds[1] - 1.0))
+            hi = max(opt.alpha, lo + ALPHA_FLOOR * (alpha_bounds[1] - 1.0))
     return points

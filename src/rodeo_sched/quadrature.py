@@ -26,7 +26,9 @@ PHASE_BUDGET = 2.0 * math.pi
 # No panel is split once panels x columns reaches MAX_PANEL_COLUMNS (about
 # 60 MB of 15-point integrand planes), but a batch may always grow to
 # PANEL_GROWTH times its one-period starting set, so long horizons still
-# refine. Tests and benchmark jobs peak at 4,298 panels x columns.
+# refine. Batches wider than batch_columns are split by the caller, so the
+# first round stays within the cap too. Benchmark jobs peak at 4,298
+# panels x columns.
 MAX_PANEL_COLUMNS = 1 << 19
 PANEL_GROWTH = 8
 
@@ -103,6 +105,18 @@ def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0
     return _integrate(func, lo, hi, phase_rate, abs_tol, max_panels, max_rounds)
 
 
+def starting_panels(lo, hi, phase_rate, max_panels=200_000) -> int:
+    """Panels of the first round: PHASE_BUDGET of the fastest phase each,
+    at most max_panels."""
+    return min(max(1, math.ceil((hi - lo) * abs(phase_rate) / PHASE_BUDGET)), max_panels)
+
+
+def batch_columns(lo, hi, phase_rate) -> int:
+    """Most columns one batch may hold so that its first round evaluates at
+    most MAX_PANEL_COLUMNS panels x columns (at least one column)."""
+    return max(1, MAX_PANEL_COLUMNS // starting_panels(lo, hi, phase_rate))
+
+
 def _integrate(func, lo, hi, phase_rate, abs_tol, max_panels=200_000, max_rounds=40):
     """The integrate_oscillatory rule under a second name, for callers that
     integrate many columns at once outside the per-call instrumentation of
@@ -112,8 +126,7 @@ def _integrate(func, lo, hi, phase_rate, abs_tol, max_panels=200_000, max_rounds
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
 
-    n0 = max(1, math.ceil((hi - lo) * abs(phase_rate) / PHASE_BUDGET))
-    n0 = min(n0, max_panels)
+    n0 = starting_panels(lo, hi, phase_rate, max_panels)
     edges = np.linspace(lo, hi, n0 + 1)
     panel_lo = edges[:-1]
     panel_hi = edges[1:]

@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import _integrate, integrate_oscillatory
+from .quadrature import _integrate, batch_columns, integrate_oscillatory
 from .schedules import TimeSchedule
 
 # Levels within this distance of the target energy, relative to the
@@ -274,6 +274,28 @@ def target_mask(energies, e_target: float) -> np.ndarray:
     return np.abs(e - e_target) <= TARGET_RTOL * scale
 
 
+def level_gap(energies, e_target: float) -> float:
+    """Distance from the target manifold to the nearest other level."""
+    e = np.asarray(energies, dtype=float)
+    mask = target_mask(e, e_target)
+    if mask.all():
+        raise ValueError("every level lies in the target manifold; no gap exists")
+    return float(np.abs(e[~mask] - e_target).min())
+
+
+def target_gap(spectrum: SpectralFunction, e_target: float) -> float:
+    """Distance from the target energy to the nearest non-target weight:
+    the nearest level off the target manifold, or the nearer edge of a
+    band, which must not contain the target."""
+    if isinstance(spectrum, DiscreteSpectrum):
+        return level_gap(spectrum.energies, e_target)
+    lo, hi = spectrum.delta_min, spectrum.delta_max
+    if lo <= e_target <= hi:
+        raise ValueError(
+            f"target energy {e_target} must lie strictly outside the band [{lo}, {hi}]")
+    return min(abs(lo - e_target), abs(hi - e_target))
+
+
 def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
                          *, abs_tol: float = 1e-10) -> np.ndarray:
     """Residual spectral norm of each schedule column of ``times`` (N, S);
@@ -283,22 +305,21 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     For a band the integrands density(E) * prod_n cos((E - E_t) t_n / 2)**2
     of all columns are integrated together with the oscillation-budgeted
     panel rule, each to ``abs_tol``; the phase rate is the largest column
-    total. For a discrete spectrum the non-target weights are summed
-    after filtering. A column of zeros returns the initial non-target
-    weight.
+    total. Columns go in chunks of quadrature.batch_columns, so that the
+    first round of panels stays within MAX_PANEL_COLUMNS. For a discrete
+    spectrum the non-target weights are summed after filtering. A column
+    of zeros returns the initial non-target weight.
     """
     tm = np.asarray(times, dtype=float)
     if isinstance(spectrum, DiscreteSpectrum):
         keep = ~target_mask(spectrum.energies, e_target)
         logs = log_survival(spectrum.energies[keep] - e_target, tm)
         return spectrum.weights[keep] @ np.exp(logs)
+    target_gap(spectrum, e_target)  # rejects a target inside the band
     lo, hi = spectrum.delta_min, spectrum.delta_max
-    if lo < e_target < hi or e_target in (lo, hi):
-        raise ValueError(
-            f"target energy {e_target} must lie strictly outside the band [{lo}, {hi}]")
 
-    def integrand(e):
-        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm))
+    def integrand(e, cols=tm):
+        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, cols))
 
     rate = float(tm.sum(axis=0).max(initial=0.0))
     if tm.shape[1] == 1:
@@ -308,8 +329,10 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
         value, _ = integrate_oscillatory(lambda e: integrand(e)[:, 0], lo, hi,
                                          phase_rate=rate, abs_tol=abs_tol)
         return np.array([value])
-    value, _ = _integrate(integrand, lo, hi, rate, abs_tol)
-    return value
+    chunk = batch_columns(lo, hi, rate)
+    return np.concatenate([
+        _integrate(lambda e, cols=tm[:, c:c + chunk]: integrand(e, cols), lo, hi, rate, abs_tol)[0]
+        for c in range(0, tm.shape[1], chunk)])
 
 
 def rsn_quadrature(spectrum: SpectralFunction, e_target: float,

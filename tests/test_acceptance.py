@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from rodeo_sched import (BandModel, ContinuousBand, HamiltonianSpec,
-                         OptimizationConfig, RodeoObjective, TimeSchedule,
+                         RodeoObjective, TimeSchedule,
                          adaptive_alpha_curve, asymptotic_rsn,
                          build_sector_hamiltonian, eigendecompose,
                          fit_decay_exponent, fourier_expansion,
@@ -90,8 +90,8 @@ def test_criterion_01_optimized_zeta_table():
         bound = printed * 1.05
         best = math.inf
         for seed in range(5):
-            cfg = OptimizationConfig(budget=30_000, restarts=3, seed=seed)
-            res = optimize_times(BAND, 10, mult * T0_BAND, cfg)
+            res = optimize_times(BAND.objective(), 10, mult * T0_BAND,
+                                 budget=30_000, restarts=3, seed=seed)
             best = min(best, res.best_objective)
             if best <= bound:
                 break

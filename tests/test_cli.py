@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rodeo_sched import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
+                         eigendecompose, make_initial_state, superiteration_schedule)
 from rodeo_sched.cli import main
 
 
@@ -218,6 +220,28 @@ def test_curve_small_grid(tmp_path):
         rec = dict(zip(header, (float(c) for c in row)))
         assert 0.0 <= rec["fidelity_adaptive"] <= 1.0
         assert 1.0 <= rec["alpha_opt"] <= 2.0
+
+
+def test_curve_raw_fidelity_is_surviving_target_weight(capsys):
+    code, doc = _run_json(["curve", "--model", "xx", "--length", "6", "--n-samples", "20",
+                           "--t-points", "3", "--t-min-mult", "0.5", "--t-max-mult", "5",
+                           "--alphas", "2.0,1.5", "--skip-rra", "--raw-fidelity"], capsys)
+    assert code == 0
+    res = doc["result"]
+    spec = HamiltonianSpec(model="xx", length=6)
+    eig = eigendecompose(build_sector_hamiltonian(spec))
+    obj = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1),
+                         float(eig.eigenvalues[0]))
+
+    def raw(alpha, total):
+        return obj.result(superiteration_schedule(alpha, 20, total)).target_weight
+
+    columns = [key for key in res if key.startswith("fidelity_alpha_")]
+    assert columns == ["fidelity_alpha_1.5", "fidelity_alpha_2"]
+    for i, total in enumerate(res["t_grid"]):
+        for key in columns:
+            assert res[key][i] == raw(float(key[len("fidelity_alpha_"):]), total)
+        assert res["fidelity_adaptive"][i] == raw(res["alpha_opt"][i], total)
 
 
 def test_inverted_band_is_an_error(capsys):

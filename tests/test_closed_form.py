@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rodeo_sched import (BandModel, ContinuousBand, TimeSchedule,
                          asymptotic_rsn, rsn_closed_form,
                          rsn_closed_form_batch, rsn_quadrature,
-                         superiteration_limit_rsn, superiteration_schedule)
+                         superiteration_limit_rsn)
 from rodeo_sched.closed_form import MAX_ENUM_N, sinc
 
 BAND = BandModel(0.1, 1.0)

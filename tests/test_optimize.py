@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, HamiltonianSpec,
-                         OptimizationConfig, RodeoObjective, TimeSchedule,
+                         RodeoObjective, TimeSchedule,
                          adaptive_alpha_curve, build_sector_hamiltonian, eigendecompose,
                          geometric_times, make_initial_state, minimum_gap, optimize_alpha,
                          optimize_times, rsn_closed_form, rsn_quadrature,
@@ -14,7 +14,7 @@ from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, Hamiltonia
 from rodeo_sched.optimize import ALPHA_GRID_POINTS
 
 BAND = BandModel(0.1, 1.0)
-FAST = OptimizationConfig(budget=4000, restarts=2, seed=0)
+FAST = dict(budget=4000, restarts=2, seed=0)
 
 
 def _per_column(score):
@@ -38,15 +38,15 @@ def test_single_level_single_time_optimum():
     level = DiscreteSpectrum(energies=np.array([0.0, 0.7]),
                              weights=np.array([0.5, 0.5]))
     objective = lambda tm: rsn_quadrature_batch(level, 0.0, tm)
-    res = optimize_times(None, 1, 10.0, FAST, objective=objective)
+    res = optimize_times(objective, 1, 10.0, **FAST)
     assert res.best_objective < 1e-8
     np.testing.assert_allclose(res.best_schedule.times[0], math.pi / 0.7,
                                rtol=1e-4)
 
 
 def test_optimize_times_is_deterministic():
-    a = optimize_times(BAND, 3, 12.0, FAST)
-    b = optimize_times(BAND, 3, 12.0, FAST)
+    a = optimize_times(BAND.objective(), 3, 12.0, **FAST)
+    b = optimize_times(BAND.objective(), 3, 12.0, **FAST)
     np.testing.assert_array_equal(a.best_schedule.times, b.best_schedule.times)
     assert a.best_objective == b.best_objective
     assert a.restart_bests == b.restart_bests
@@ -56,13 +56,13 @@ def test_optimize_times_scores_each_generation_in_one_call():
     twin = BAND.quadrature_twin()
     shapes = []
     n, pop = 4, 24  # population min(60, max(20, 6 n))
-    res = optimize_times(None, n, 8.0, FAST, objective=_spy(
-        lambda tm: rsn_quadrature_batch(twin, 0.0, tm), shapes))
+    res = optimize_times(_spy(lambda tm: rsn_quadrature_batch(twin, 0.0, tm), shapes),
+                         n, 8.0, **FAST)
     *search, rescore = shapes
     assert rescore == (len(res.best_schedule), 1)
     assert set(search) == {(n, pop), (n, 1)}
-    maxiter = FAST.budget // FAST.restarts // pop - 1
-    assert sum(s == (n, pop) for s in search) <= FAST.restarts * (maxiter + 1)
+    maxiter = FAST["budget"] // FAST["restarts"] // pop - 1
+    assert sum(s == (n, pop) for s in search) <= FAST["restarts"] * (maxiter + 1)
     assert sum(cols for _, cols in search) == res.evaluations_used
 
 
@@ -70,9 +70,9 @@ def test_optimize_times_scores_each_generation_in_one_call():
 def test_band_default_matches_per_column_quadrature(t_limit):
     band = BandModel(0.2, 0.8)
     twin = band.quadrature_twin()
-    reference = optimize_times(None, 3, t_limit, FAST, objective=_per_column(
-        lambda sched: rsn_quadrature(twin, 0.0, sched)))
-    res = optimize_times(band, 3, t_limit, FAST)
+    reference = optimize_times(_per_column(
+        lambda sched: rsn_quadrature(twin, 0.0, sched)), 3, t_limit, **FAST)
+    res = optimize_times(band.objective(), 3, t_limit, **FAST)
     assert res.best_schedule.times.tobytes() == reference.best_schedule.times.tobytes()
     assert res.best_objective == reference.best_objective
     assert res.restart_bests == reference.restart_bests
@@ -80,8 +80,8 @@ def test_band_default_matches_per_column_quadrature(t_limit):
 
 
 def test_optimize_times_respects_budget_and_limit():
-    res = optimize_times(BAND, 4, 8.0, FAST)
-    assert res.evaluations_used <= FAST.budget + 2 * FAST.restarts
+    res = optimize_times(BAND.objective(), 4, 8.0, **FAST)
+    assert res.evaluations_used <= FAST["budget"] + 2 * FAST["restarts"]
     assert res.best_schedule.total_time <= 8.0 * (1 + 1e-9)
     assert res.best_objective <= rsn_closed_form(
         BAND, TimeSchedule(times=np.full(4, 2.0))) + 1e-12
@@ -89,19 +89,19 @@ def test_optimize_times_respects_budget_and_limit():
 
 def test_optimize_times_beats_uniform_schedule():
     t_limit = 10.0 * math.pi
-    res = optimize_times(BAND, 4, t_limit, FAST)
+    res = optimize_times(BAND.objective(), 4, t_limit, **FAST)
     uniform = rsn_closed_form(BAND, TimeSchedule(times=np.full(4, t_limit / 4)))
     assert res.best_objective < uniform
 
 
 def test_budget_too_small_raises():
     with pytest.raises(ValueError):
-        optimize_times(BAND, 4, 8.0, OptimizationConfig(budget=30, restarts=3))
+        optimize_times(BAND.objective(), 4, 8.0, budget=30, restarts=3)
 
 
 def test_too_many_samples_raises():
     with pytest.raises(ValueError):
-        optimize_times(BAND, 40, 8.0, FAST)
+        optimize_times(BAND.objective(), 40, 8.0, **FAST)
 
 
 def test_optimize_alpha_short_time_prefers_two():
@@ -187,8 +187,8 @@ def test_adaptive_curve_requires_ascending_grid():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OptimizationConfig(budget=0)
+        optimize_times(_closed_form, 4, 8.0, budget=0)
     with pytest.raises(ValueError):
-        OptimizationConfig(restarts=0)
+        optimize_times(_closed_form, 4, 8.0, restarts=0)
     with pytest.raises(ValueError):
-        OptimizationConfig(alpha_bounds=(2.0, 1.0))
+        optimize_alpha(_closed_form, 10, 8.0, alpha_bounds=(2.0, 1.0))

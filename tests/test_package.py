@@ -1,6 +1,14 @@
 """The package's public namespace."""
 
+import sys
+from pathlib import Path
+
 import rodeo_sched
+import rodeo_sched.hamiltonians
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import tracing  # noqa: E402
 
 
 def test_star_import_resolves_every_public_name_once():
@@ -10,3 +18,20 @@ def test_star_import_resolves_every_public_name_once():
     names = rodeo_sched.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if name not in namespace] == []
+
+
+def test_every_name_the_benchmark_traces_resolves_and_is_restored():
+    # bench/tracing.py looks each traced function and method up by name;
+    # a rename in the package breaks `bench/run.py --trace 1`.
+    def lookups():
+        functions = {(home, name): getattr(sys.modules[f"rodeo_sched.{home}"], name)
+                     for home, name, _ in tracing.FUNCTIONS}
+        methods = {(cls, name): getattr(rodeo_sched.hamiltonians, cls).__dict__[name]
+                   for cls, name, _, _ in tracing.METHODS}
+        return {**functions, **methods}
+
+    before = lookups()
+    with tracing.traced(tracing.Tracer()):
+        during = lookups()
+    assert {key: fn.__wrapped__ for key, fn in during.items()} == before
+    assert lookups() == before

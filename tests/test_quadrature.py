@@ -124,8 +124,9 @@ def test_unreachable_batch_tolerance_stops_at_the_panel_column_bound(monkeypatch
 
 def test_long_horizon_batch_refines_past_the_panel_column_bound(monkeypatch):
     # 240 ratio-grid columns whose one-period starting set (46 panels)
-    # alone passes the bound: the batch may still grow to PANEL_GROWTH
-    # times that set, and it needs twice that set to reach abs_tol.
+    # alone passes the bound, so they go in chunks of cap // 46 columns:
+    # each chunk may still grow to PANEL_GROWTH times that set, and it
+    # needs twice that set to reach abs_tol.
     cap = 10_000
     monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
     twin = BandModel(0.1, 1.0).quadrature_twin()
@@ -135,3 +136,34 @@ def test_long_horizon_batch_refines_past_the_panel_column_bound(monkeypatch):
     per_column = [rsn_quadrature_batch(twin, 0.0, tm[:, [j]], abs_tol=1e-12)[0]
                   for j in range(240)]
     np.testing.assert_allclose(batched, per_column, rtol=0, atol=2e-12)
+
+
+def test_wide_batch_is_integrated_in_chunks_within_the_panel_column_bound(monkeypatch):
+    # 240 ratio-grid columns on a 46-panel starting set: one batch would
+    # evaluate 11,040 panels x columns in its first round. Lowering the
+    # bound must lower the peak with it, and chunking must not change what
+    # the per-column route computes.
+    twin = BandModel(0.1, 1.0).quadrature_twin()
+    tm = geometric_times(1.0 + np.geomspace(1e-3, 1.0, 240), 10, 100 * math.pi)
+    n0 = quadrature.starting_panels(0.1, 1.0, tm.sum(axis=0).max())
+    assert n0 == 46
+    per_column = [rsn_quadrature_batch(twin, 0.0, tm[:, [j]])[0] for j in range(240)]
+
+    def peak_of_batch():
+        tracemalloc.start()
+        try:
+            batched = rsn_quadrature_batch(twin, 0.0, tm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(batched, per_column, rtol=0, atol=1e-10)
+        return peak
+
+    whole = peak_of_batch()
+    for cap in (4 * n0, 8 * n0):
+        monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
+        assert quadrature.batch_columns(0.1, 1.0, tm.sum(axis=0).max()) == cap // n0
+        peak = peak_of_batch()
+        # one integrand plane is 15 points x 8 bytes per panel and column
+        assert peak < 24 * 15 * 8 * cap
+        assert peak < whole / 4
