@@ -10,11 +10,15 @@ named or tabulated density.
 Every surviving-weight evaluation in the package goes through one
 kernel, ``log_survival``: per-level sums of log cos**2 over the cycles,
 batched over schedules. Log space keeps products that fall below the
-smallest double (long schedules at T >> T0) finite and ordered. Large
-calls cut the (levels x schedules) plane into tiles and run them on a
-thread pool over the CPUs in the process's affinity mask (numpy's
-ufuncs release the GIL); every entry sums the same cycle blocks in the
-same order either way, so the result does not depend on the tiling.
+smallest double (long schedules at T >> T0) finite and ordered. Cycles
+short enough that every level's phase is at most SHORT_PHASE are summed
+as the power series of log cos, without a cos call, when a call has
+enough of them to pay; geometric schedules spend most of their cycles
+there. The rest go through cos. Large calls cut the (levels x schedules)
+plane into tiles and run them on a thread pool over the CPUs in the
+process's affinity mask (numpy's ufuncs release the GIL); every entry
+sums the same cycle blocks in the same order either way, so the result
+does not depend on the tiling.
 """
 
 from __future__ import annotations
@@ -48,6 +52,37 @@ KERNEL_BLOCK_DOUBLES = 1 << 16
 # (about 5 ms serial) the round trip is about 1% of a call, and the
 # 10**3-10**4-phase calls of band searches stay serial.
 PARALLEL_MIN_PHASES = 1 << 18
+# A cycle of time t is short when SHORT_PHASE bounds its phase at every
+# level: h |t| <= SHORT_PHASE with h = max |delta| / 2.
+SHORT_PHASE = 0.5
+# Fixed cost of the short-phase series in cos calls (see _series_pays).
+# Measured on a 2-core machine (numpy 2.4, one BLAS thread) on calls with
+# every phase short: the series takes 35-70 us on one schedule column and
+# 55-110 us on 5-60 columns, while one cos call in a large block costs
+# 4-13 ns (cos, abs, log and the sums included). 2**13 calls is about
+# 40-100 us, so the rule keeps calls that would save less than that on
+# the direct path, bit for bit: all of band-optimize's, whose 10-cycle
+# searches have few short cycles, and every one-level call. On the 24
+# shapes timed (1-256 levels x 10-100 cycles x 1-240 columns) the rule
+# took the series only where it was faster.
+SERIES_MIN_PHASES = 1 << 13
+
+
+def _log_cos_series(terms: int) -> np.ndarray:
+    """b_1..b_terms of log cos x = sum_k b_k x**(2k), all negative. As
+    -d/dx log cos x = tan x = sum_k T_k x**(2k-1) / (2k-1)! with the
+    tangent numbers T_k, b_k = -T_k / (2k)!; and tan' = 1 + tan**2 gives
+    T_1 = 1, T_(k+1) = sum_(i=1..k) C(2k, 2i-1) T_i T_(k+1-i)."""
+    tangent = [1]
+    for k in range(1, terms):
+        tangent.append(sum(math.comb(2 * k, 2 * i - 1) * tangent[i - 1] * tangent[k - i]
+                           for i in range(1, k + 1)))
+    return np.array([-t / math.factorial(2 * k) for k, t in enumerate(tangent, start=1)])
+
+
+# 16 terms leave a truncation error of 6.2e-18 relative at x = SHORT_PHASE
+# (less at smaller x); every term has the same sign, so none cancels.
+LOG_COS_SERIES = _log_cos_series(16)
 
 # (pid, workers, executor or None), built by the first large call; a
 # forked child sees another pid and builds its own.
@@ -154,24 +189,113 @@ def log_survival(deltas, times) -> np.ndarray:
 
     ``deltas`` (L,) are level offsets E - E_t and ``times`` (N, S) holds
     one schedule per column; returns the (L, S) matrix of
-    sum_n log cos**2(delta t_n / 2). Cycles are summed in blocks of
-    ``step`` = max(1, KERNEL_BLOCK_DOUBLES // (L S)) cycles; a plane
-    larger than KERNEL_BLOCK_DOUBLES is cut into tiles so that no block
-    holds more phases than that, and a call with PARALLEL_MIN_PHASES
-    phases or more runs its tiles on the thread pool.
+    sum_n log cos**2(delta t_n / 2), zeros when L, N or S is 0. A zero
+    time adds exactly 0.
+
+    When the cost rule (_series_pays) says it pays, the short cycles
+    (h |t| <= SHORT_PHASE, h = max |delta| / 2) are summed by the power
+    series of log cos (_sum_short_phases), truncated below 1e-17
+    relative; this changes the result in its last bits against the cos
+    of each phase. The cycles left go through cos in blocks of ``step`` =
+    max(1, KERNEL_BLOCK_DOUBLES // (L S)) cycles; a plane larger than
+    KERNEL_BLOCK_DOUBLES is cut into tiles so that no block holds more
+    phases than that, and a call with PARALLEL_MIN_PHASES phases or more
+    left for cos runs its tiles on the thread pool.
     """
     half = 0.5 * np.asarray(deltas, dtype=float)
     # Blocks are slices of rows; a column-major matrix would make each
     # block's temporaries strided and the kernel about twice as slow.
     tm = np.ascontiguousarray(times, dtype=float)
     out = np.zeros((half.size, tm.shape[1]))
-    step = max(1, KERNEL_BLOCK_DOUBLES // max(1, out.size))
+    if out.size == 0 or tm.shape[0] == 0:
+        return out
+    tm = _sum_short_phases(half, tm, out)
+    step = max(1, KERNEL_BLOCK_DOUBLES // out.size)
     if out.size <= KERNEL_BLOCK_DOUBLES and out.size * tm.shape[0] < PARALLEL_MIN_PHASES:
         _accumulate(half, tm, step, out)
     else:
         _accumulate_tiles(half, tm, step, out)
     out *= 2.0
     return out
+
+
+def _sum_short_phases(half, tm, out) -> np.ndarray:
+    """Write the short cycles' sum_n log|cos(half t_n)| into ``out`` and
+    return the cycles left for cos, or leave ``out`` alone and return
+    ``tm`` when the series does not pay.
+
+    With h = max |half|, x = h t and q = (half / h)**2, the short sum is
+    sum_j LOG_COS_SERIES[j] q**(j+1) P_j over the power sums
+    P_j = sum_n x_n**(2j+2) of each column's short cycles. The other
+    cycles' |t| sort to the bottom of each column, zeros above them, and
+    the rows above the longest column's first one are dropped.
+    """
+    cycles, cols = tm.shape
+    if not _series_pays(half.size, cycles, cols, cycles):
+        return tm
+    h = float(np.abs(half).max())
+    if not 0.0 < h < math.inf:
+        return tm
+    # Two comparisons rather than abs: no float temporary of the matrix.
+    short = tm <= SHORT_PHASE / h
+    short &= tm >= -SHORT_PHASE / h
+    skip = int(short.sum(axis=0).min())
+    if not _series_pays(half.size, cycles, cols, skip):
+        return tm
+    sums = _power_sums(tm, short, h) * LOG_COS_SERIES[:, None]
+    # Powers of q for blocks of levels, then one matrix product each.
+    rows = max(1, KERNEL_BLOCK_DOUBLES // len(sums))
+    buf = np.empty((len(sums), min(rows, half.size)))
+    for start in range(0, half.size, rows):
+        q = buf[:, :min(rows, half.size - start)]
+        np.divide(half[start:start + rows], h, out=q[0])
+        np.square(q[0], out=q[0])
+        _fill_powers(q)
+        np.matmul(q.T, sums, out=out[start:start + rows])
+    # A NaN time sorts last, so it stays and propagates as it would. The
+    # copy lets the full matrix go before the cos loop allocates.
+    left = np.abs(tm)
+    np.copyto(left, 0.0, where=short)
+    left.sort(axis=0)
+    return left[skip:].copy()
+
+
+def _power_sums(tm, short, h) -> np.ndarray:
+    """(len(LOG_COS_SERIES), S) power sums P_j = sum_n (h t_n)**(2j+2)
+    over each column's short cycles, in blocks of at most
+    KERNEL_BLOCK_DOUBLES powers; one buffer serves every block."""
+    terms, (cycles, cols) = LOG_COS_SERIES.size, tm.shape
+    sums = np.zeros((terms, cols))
+    rows = max(1, KERNEL_BLOCK_DOUBLES // (terms * cols))
+    buf = np.empty((terms, min(rows, cycles), cols))
+    for start in range(0, cycles, rows):
+        powers = buf[:, :min(rows, cycles - start)]
+        np.multiply(tm[start:start + rows], short[start:start + rows], out=powers[0])
+        powers[0] *= h
+        np.square(powers[0], out=powers[0])
+        _fill_powers(powers)
+        sums += powers.sum(axis=1)
+    return sums
+
+
+def _fill_powers(p) -> None:
+    """Set p[j] = p[0] ** (j + 1) along the first axis, doubling the
+    filled rows with each multiplication."""
+    done = 1
+    while done < len(p):
+        n = min(done, len(p) - done)
+        np.multiply(p[:n], p[done - 1], out=p[done:done + n])
+        done += n
+
+
+def _series_pays(levels, cycles, cols, skipped) -> bool:
+    """Cost rule of the short-phase series, counted in cos calls. It saves
+    one per level for each of the ``skipped`` cycles it takes out of
+    every column (a short entry in a row that some other column keeps
+    still costs a cos of zero, hardly less than the cos it replaces).
+    Its powers and products cost about four per (level or cycle) and
+    column, and its fixed numpy calls SERIES_MIN_PHASES."""
+    return (levels * skipped - 4 * (levels + cycles)) * cols >= SERIES_MIN_PHASES
 
 
 def _accumulate(half, tm, step, out) -> None:
@@ -316,6 +440,8 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
         logs = log_survival(spectrum.energies[keep] - e_target, tm)
         return spectrum.weights[keep] @ np.exp(logs)
     target_gap(spectrum, e_target)  # rejects a target inside the band
+    if tm.shape[1] == 0:
+        return np.empty(0)
     lo, hi = spectrum.delta_min, spectrum.delta_max
 
     def integrand(e, cols=tm):

@@ -198,3 +198,12 @@ def test_batch_matches_scalar_on_tabulated_band():
 def test_batch_rejects_target_inside_band():
     with pytest.raises(ValueError):
         rsn_quadrature_batch(ContinuousBand(0.0, 1.0), 0.5, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("spectrum", [
+    ContinuousBand(0.1, 1.0),
+    DiscreteSpectrum(energies=np.array([0.0, 0.4, 0.9]), weights=np.array([0.5, 0.3, 0.2])),
+], ids=["band", "discrete"])
+def test_batch_of_no_schedules_is_empty(spectrum):
+    got = rsn_quadrature_batch(spectrum, 0.0, np.zeros((3, 0)))
+    assert got.shape == (0,)

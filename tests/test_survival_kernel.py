@@ -4,19 +4,21 @@ import math
 import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rodeo_sched import (DiscreteSpectrum, HamiltonianSpec, RodeoObjective,
                          TimeSchedule, build_sector_hamiltonian, eigendecompose,
-                         make_initial_state, minimum_gap, product_function,
-                         rsn_quadrature, superiteration_schedule, spectral)
+                         geometric_times, make_initial_state, minimum_gap,
+                         product_function, rsn_quadrature, superiteration_schedule,
+                         spectral, trotter_floor)
 from rodeo_sched.schedules import TIME_FLOOR
-from rodeo_sched.spectral import (KERNEL_BLOCK_DOUBLES, PARALLEL_MIN_PHASES, log_survival,
-                                  log_surviving)
+from rodeo_sched.spectral import (KERNEL_BLOCK_DOUBLES, LOG_COS_SERIES, PARALLEL_MIN_PHASES,
+                                  SHORT_PHASE, log_survival, log_surviving)
 
 deltas_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)
 times_st = st.lists(st.floats(0.0, 40.0), min_size=0, max_size=12)
@@ -185,6 +187,25 @@ def test_kernel_memory_has_no_plane_sized_temporary():
     assert peak < 3.5 * out.nbytes
 
 
+def test_kernel_memory_of_the_series_has_no_plane_sized_temporary():
+    # The same 65,000 levels x 1 schedule (the shape of long-horizon's decay
+    # windows) with most phases short: the powers of the level ratios go in
+    # blocks, their products with the power sums are written into the
+    # result, and the cycles left for cos accumulate into it as before.
+    rng = np.random.default_rng(0)
+    deltas = rng.uniform(-5.0, 5.0, 65_000)
+    tm = (3.0 * 0.8 ** np.arange(71.0))[:, None]
+    assert _takes_series(deltas, tm)
+    tracemalloc.start()
+    try:
+        out = log_survival(deltas, tm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (65_000, 1)
+    assert peak < 3.5 * out.nbytes
+
+
 @contextmanager
 def _kernel_workers(workers):
     """Run the kernel with a given worker count (1: serial)."""
@@ -200,8 +221,9 @@ def _kernel_workers(workers):
 
 
 def _blocked_reference(deltas, times):
-    """The kernel's arithmetic without tiles: blocks of step cycles over
-    the whole plane, each summed over its cycles, then added in order."""
+    """The direct cos**2 product with the kernel's arithmetic and no tiles:
+    blocks of step cycles over the whole plane, each summed over its
+    cycles, then added in order."""
     half = 0.5 * deltas
     out = np.zeros((half.size, times.shape[1]))
     step = max(1, KERNEL_BLOCK_DOUBLES // max(1, out.size))
@@ -209,6 +231,117 @@ def _blocked_reference(deltas, times):
         phase = half[None, :, None] * times[start:start + step, None, :]
         out += np.log(np.abs(np.cos(phase))).sum(axis=0)
     return 2.0 * out
+
+
+def _takes_series(deltas, times):
+    """Whether log_survival sums some cycles of this call as a power series."""
+    tm = np.ascontiguousarray(times, dtype=float)
+    out = np.zeros((len(deltas), tm.shape[1]))
+    return spectral._sum_short_phases(0.5 * np.asarray(deltas), tm, out) is not tm
+
+
+@contextmanager
+def _series_forced():
+    """Take the series whenever it applies, whatever it costs."""
+    saved = spectral._series_pays
+    spectral._series_pays = lambda *args: True
+    try:
+        yield
+    finally:
+        spectral._series_pays = saved
+
+
+def _assert_matches_reference(got, deltas, times):
+    # rtol 1e-13 on the log plus as much absolute: where the log is of
+    # order one the products agree to 1e-13 relative. The series is the
+    # closer of the two for tiny phases, where the direct product rounds
+    # cos(x) to 1 before taking its log.
+    np.testing.assert_allclose(got, _blocked_reference(deltas, times), rtol=1e-13, atol=1e-13)
+
+
+@st.composite
+def _straddling_calls(draw):
+    """(deltas, times) whose phases at the largest offset fall on both
+    sides of SHORT_PHASE: times are 0 to 3 units of SHORT_PHASE / h
+    (h = max |delta| / 2), with 0 and exactly 1 unit drawn often."""
+    levels, cycles, cols = draw(st.integers(1, 40)), draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    deltas = np.array(draw(st.lists(st.floats(-6.0, 6.0, allow_subnormal=False),
+                                    min_size=levels, max_size=levels)))
+    h = float(np.abs(0.5 * deltas).max())
+    unit = SHORT_PHASE / h if h > 0 else 1.0
+    units = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0)),
+                          min_size=cycles * cols, max_size=cycles * cols))
+    return deltas, np.array(units).reshape(cycles, cols) * unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_straddling_calls(), st.booleans())
+@example((np.array([1.0, -0.5]), np.array([[1.0, 0.0], [1.0, 3.0], [0.5, 1.0]])), True)
+@example((np.array([1.0, -0.5]), np.zeros((4, 3))), True)               # zero times
+@example((np.zeros(3), np.array([[0.3, 2.0], [7.0, 0.0]])), True)        # all deltas 0
+@example((np.array([4.0, 1e-12, -2.5, 1e-300, 3.0]),
+          np.array([[0.1, 0.5, 0.25], [1.0, 0.05, 0.0]])), True)        # tiny deltas
+def test_series_matches_the_direct_product(call, forced):
+    # forced: every call with a short phase takes the series, so small
+    # draws check its arithmetic too; otherwise the cost rule decides.
+    deltas, tm = call
+    with _series_forced() if forced else nullcontext():
+        got = log_survival(deltas, tm)
+    _assert_matches_reference(got, deltas, tm)
+
+
+def test_log_cos_coefficients_and_truncation_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        # log cos x = sum_n (-1)**n 2**(2n-1) (2**(2n) - 1) B_2n x**(2n) / (n (2n)!)
+        exact = [(-1) ** n * mpmath.mpf(2) ** (2 * n - 1) * (mpmath.mpf(2) ** (2 * n) - 1)
+                 * mpmath.bernoulli(2 * n) / (n * mpmath.factorial(2 * n))
+                 for n in range(1, 17)]
+        assert LOG_COS_SERIES.size == 16
+        for b, ref in zip(LOG_COS_SERIES, exact):
+            assert b < 0
+            assert abs(b - ref) <= 2.0 ** -53 * abs(ref)
+        # Every term has the same sign and the tail over the first term
+        # grows with x, so the bound at SHORT_PHASE covers every short phase.
+        x = mpmath.mpf(SHORT_PHASE)
+        truth = mpmath.log(mpmath.cos(x))
+        tail = truth - sum(c * x ** (2 * n) for n, c in enumerate(exact, start=1))
+        assert abs(tail / truth) < 2e-17
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["direct", "series"])
+@pytest.mark.parametrize("shape", [(0, 100, 240), (600, 0, 240), (600, 100, 0)],
+                         ids=["no-levels", "no-cycles", "no-schedules"])
+def test_calls_with_an_empty_axis_return_zeros(shape, forced):
+    levels, cycles, cols = shape
+    with _series_forced() if forced else nullcontext():
+        got = log_survival(np.full(levels, 2.0), np.full((cycles, cols), 0.1))
+    assert got.shape == (levels, cols)
+    assert not got.any()
+
+
+def _kernel_call(shape, seed, kind):
+    """(deltas, times) of a (levels, schedules, cycles) call. "uniform":
+    offsets in [-5, 5], times in [0, 3]. "trotter": band offsets in [1, 2]
+    under a Trotter-floored ratio grid, mostly short phases. "decay": a
+    window of suppression-product angles at alpha = 2."""
+    levels, cols, cycles = shape
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(-5.0, 5.0, levels), rng.uniform(0.0, 3.0, (cycles, cols))
+    if kind == "trotter":
+        alphas = 1.0 + np.geomspace(1e-4, 1.0, cols)
+        total = rng.uniform(0.1, 10.0) * math.pi
+        times = trotter_floor(geometric_times(alphas, cycles, total), 0.01 * math.pi)
+        return rng.uniform(1.0, 2.0, levels), times
+    times = 2.0 * 2.0 ** -np.arange(1.0, cycles + 1.0)
+    return np.linspace(87_096.0, 100_000.0, levels), np.tile(times[:, None], (1, cols))
+
+
+@pytest.mark.parametrize("shape, kind", [((600, 240, 100), "trotter"),
+                                         ((64_520, 1, 50), "decay")])
+def test_benchmark_shaped_calls_take_the_series(shape, kind):
+    assert _takes_series(*_kernel_call(shape, 0, kind))
 
 
 # (levels, schedules, cycles): planes up to ~4x KERNEL_BLOCK_DOUBLES and
@@ -219,22 +352,25 @@ shapes_st = st.tuples(st.integers(1, 700), st.integers(1, 400),
 
 
 @settings(max_examples=40, deadline=None)
-@given(shapes_st, st.integers(0, 2 ** 32 - 1))
-@example((1, 1, 300_000), 0)      # one entry: the plane cannot be split
-@example((3, 1, 100_000), 0)      # split levels, never one level per tile
-@example((1, 3, 100_000), 0)      # split schedules
-@example((2, 2, 70_000), 0)
-@example((70_000, 1, 5), 0)       # one cycle of 70,000 levels exceeds a block
-@example((1, 70_000, 5), 0)
-@example((121, 240, 40), 0)       # a ratio grid over merged chain levels
-def test_threaded_kernel_is_bit_identical_to_serial(shape, seed):
-    levels, cols, cycles = shape
-    rng = np.random.default_rng(seed)
-    deltas = rng.uniform(-5.0, 5.0, levels)
-    tm = rng.uniform(0.0, 3.0, (cycles, cols))
+@given(shapes_st, st.integers(0, 2 ** 32 - 1), st.sampled_from(["uniform", "trotter"]))
+@example((1, 1, 300_000), 0, "uniform")      # one entry: the plane cannot be split
+@example((3, 1, 100_000), 0, "uniform")      # split levels, never one level per tile
+@example((1, 3, 100_000), 0, "uniform")      # split schedules
+@example((2, 2, 70_000), 0, "uniform")
+@example((70_000, 1, 5), 0, "uniform")       # one cycle of 70,000 levels exceeds a block
+@example((1, 70_000, 5), 0, "uniform")
+@example((121, 240, 40), 0, "uniform")       # a ratio grid over merged chain levels
+@example((600, 240, 100), 0, "trotter")      # a Trotter-floored band ratio grid
+@example((64_520, 1, 50), 0, "decay")        # long-horizon's widest decay window
+def test_threaded_kernel_is_bit_identical_to_serial(shape, seed, kind):
+    deltas, tm = _kernel_call(shape, seed, kind)
     with _kernel_workers(1):
         serial = log_survival(deltas, tm)
-    assert np.array_equal(serial, _blocked_reference(deltas, tm))
+    # The series changes the arithmetic by design; the direct path keeps it.
+    if _takes_series(deltas, tm):
+        _assert_matches_reference(serial, deltas, tm)
+    else:
+        assert np.array_equal(serial, _blocked_reference(deltas, tm))
     threaded = log_survival(deltas, tm)
     assert np.array_equal(threaded, serial)
     with _kernel_workers(3):
