@@ -44,7 +44,7 @@ PRESETS = {
 }
 
 
-def _manifest(command: str, args: argparse.Namespace, extra: dict | None = None) -> dict:
+def _manifest(args: argparse.Namespace, extra: dict | None = None) -> dict:
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "out", "format", "config") and not k.startswith("_")}
     for k, v in params.items():
@@ -52,7 +52,7 @@ def _manifest(command: str, args: argparse.Namespace, extra: dict | None = None)
             params[k] = v.tolist()
     if extra:
         params.update(extra)
-    core = {"command": command, "params": params,
+    core = {"command": args.command, "params": params,
             "seed": params.get("seed"), "version": __version__}
     digest = hashlib.sha256(
         json.dumps(core, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
@@ -81,13 +81,17 @@ def _write_csv(path: str, header: list, rows: list, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _emit(args, manifest: dict, result: dict, header: list | None = None,
-          rows: list | None = None) -> None:
-    """Write CSV rows or a JSON document to --out, else print JSON."""
+def _emit(args, result: dict, header: list | None = None, rows: list | None = None,
+          extra: dict | None = None) -> None:
+    """Write CSV rows or a JSON document to --out, else print JSON. Without
+    rows the CSV is the result as a quantity,value table; ``extra`` goes
+    into the manifest's params."""
     wall = time.perf_counter() - args._t_start
-    manifest = dict(manifest, wall_time=round(wall, 3),
+    manifest = dict(_manifest(args, extra), wall_time=round(wall, 3),
                     outputs=[args.out] if args.out else [])
-    if args.out and args.format == "csv" and rows is not None:
+    if rows is None:
+        header, rows = ["quantity", "value"], [[k, v] for k, v in result.items()]
+    if args.out and args.format == "csv":
         _write_csv(args.out, header, rows, manifest)
         return
     doc = {"manifest": manifest, "result": result}
@@ -108,22 +112,27 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _resolve_schedule(args) -> TimeSchedule:
-    if getattr(args, "times", None):
+    if args.times is not None:
         return TimeSchedule(times=_parse_floats(args.times))
-    if getattr(args, "schedule_file", None):
+    if args.schedule_file is not None:
         return read_schedule(args.schedule_file)
-    if getattr(args, "alpha", None):
-        if not args.total_time:
+    if args.alpha is not None:
+        if args.total_time is None:
             raise ValueError("a geometric schedule needs --total-time")
         return superiteration_schedule(args.alpha, args.n_samples, args.total_time)
     return TimeSchedule(times=np.array([]))
+
+
+def _total_time(args, t0: float) -> float:
+    """--total-time if given, else --t0-multiple characteristic times."""
+    return args.total_time if args.total_time is not None else args.t0_multiple * t0
 
 
 def _chain(args):
     """(spec, eigensystem) of the requested chain."""
     spec = HamiltonianSpec(model=args.model, length=args.length,
                            coupling=args.coupling, field=args.field,
-                           boundary=args.boundary or "", sector=args.sector or "")
+                           sector=args.sector or "")
     return spec, eigendecompose(build_sector_hamiltonian(spec))
 
 
@@ -131,7 +140,7 @@ def _hamiltonian_backend(args):
     """(objective, t0, extras) for the requested chain."""
     spec, eig = _chain(args)
     state_name = args.initial_state or ("e1" if spec.model == "xx" else "plus")
-    if getattr(args, "basis_index", None) is not None:
+    if args.basis_index is not None:
         psi = make_initial_state(spec, "basis_index", basis_index=args.basis_index)
         state_name = f"basis_index:{args.basis_index}"
     elif state_name == "e1":
@@ -165,6 +174,9 @@ def cmd_rsn(args) -> int:
         result["zeta_closed_form"] = None
         result["band_average"] = zeta / band.total_weight()
     else:
+        if args.e_target != 0.0:
+            raise ValueError("--band edges are gaps from the target; "
+                             "give --e-target with --band-file or --spectrum-file")
         dmin, dmax = args.band
         band = BandModel(dmin, dmax)
         closed = rsn_closed_form(band, schedule) if len(schedule) <= MAX_ENUM_N else None
@@ -174,16 +186,14 @@ def cmd_rsn(args) -> int:
         if closed is not None:
             result["discrepancy"] = abs(closed - zeta)
         result["band_average"] = zeta / (2.0 * (dmax - dmin))
-    manifest = _manifest("rsn", args)
-    rows = [[k, v] for k, v in result.items()]
-    _emit(args, manifest, result, header=["quantity", "value"], rows=rows)
+    _emit(args, result)
     return 0
 
 
 def cmd_optimize_times(args) -> int:
     dmin, dmax = args.band
     objective = BandModel(dmin, dmax).objective()
-    total = args.total_time if args.total_time else args.t0_multiple * math.pi / dmin
+    total = _total_time(args, math.pi / dmin)
     res = optimize_times(objective, args.n_samples, total, budget=args.budget,
                          restarts=args.restarts, seed=args.seed, tolerance=args.tolerance)
     result = {
@@ -196,9 +206,9 @@ def cmd_optimize_times(args) -> int:
         "restart_bests": res.restart_bests,
         "converged": res.converged,
     }
-    manifest = _manifest("optimize-times", args, {"resolved_total_time": total})
     rows = [[i, t] for i, t in enumerate(res.best_schedule.times)]
-    _emit(args, manifest, result, header=["index", "time"], rows=rows)
+    _emit(args, result, header=["index", "time"], rows=rows,
+          extra={"resolved_total_time": total})
     return 0 if res.converged else 1
 
 
@@ -211,14 +221,12 @@ def cmd_optimize_alpha(args) -> int:
         band = BandModel(*args.band)
         t0 = math.pi / band.delta_min
         objective = band.objective()
-    total = args.total_time if args.total_time else args.t0_multiple * t0
+    total = _total_time(args, t0)
     opt = optimize_alpha(objective, args.n_samples, total,
                          alpha_bounds=(args.alpha_min, args.alpha_cap))
     result = {"alpha_opt": opt.alpha, "objective": opt.objective, "flat": opt.flat,
               "total_time": total, "n_samples": args.n_samples}
-    manifest = _manifest("optimize-alpha", args, dict(extras, resolved_total_time=total))
-    rows = [[k, v] for k, v in result.items()]
-    _emit(args, manifest, result, header=["quantity", "value"], rows=rows)
+    _emit(args, result, extra=dict(extras, resolved_total_time=total))
     return 0
 
 
@@ -240,10 +248,9 @@ def cmd_table1(args) -> int:
                         "surviving_times": len(res.best_schedule),
                         "converged": res.converged,
                         "schedule": res.best_schedule.times.tolist()})
-    manifest = _manifest("table1", args, {"characteristic_time": t0})
-    _emit(args, manifest, {"rows": entries},
+    _emit(args, {"rows": entries},
           header=["limit", "total_time", "zeta", "surviving_times", "converged", "schedule"],
-          rows=rows)
+          rows=rows, extra={"characteristic_time": t0})
     return 0 if all_converged else 1
 
 
@@ -293,8 +300,7 @@ def cmd_curve(args) -> int:
             for i in range(len(t_grid))]
     result = {"t_grid": t_grid.tolist(), "t0": t0,
               **{c: list(map(float, columns[c])) for c in columns}}
-    manifest = _manifest("curve", args, extras)
-    _emit(args, manifest, result, header=header, rows=rows)
+    _emit(args, result, header=header, rows=rows, extra=extras)
     return 0
 
 
@@ -304,15 +310,11 @@ def cmd_product_function(args) -> int:
     if args.theta is not None:
         value = product_function(args.alpha, args.theta, n_terms)
         result = {"alpha": args.alpha, "theta": args.theta, "value": value}
-        manifest = _manifest("product-function", args)
-        _emit(args, manifest, result, header=["theta", "value"],
-              rows=[[args.theta, value]])
+        _emit(args, result, header=["theta", "value"], rows=[[args.theta, value]])
         return 0
     thetas = np.geomspace(args.theta_min, args.theta_max, args.theta_points)
     values = product_function(args.alpha, thetas, n_terms)
-    manifest = _manifest("product-function", args)
-    _emit(args, manifest,
-          {"alpha": args.alpha, "theta": thetas.tolist(), "value": values.tolist()},
+    _emit(args, {"alpha": args.alpha, "theta": thetas.tolist(), "value": values.tolist()},
           header=["theta", "value"], rows=list(map(list, zip(thetas, values))))
     return 0
 
@@ -325,9 +327,8 @@ def cmd_decay_fit(args) -> int:
     result = {"alpha": args.alpha, "gamma": fit.gamma, "residual": fit.residual,
               "non_decaying": fit.non_decaying,
               "theta_range": list(fit.theta_range), "n_windows": args.windows}
-    manifest = _manifest("decay-fit", args)
     rows = list(map(list, zip(fit.window_centers, fit.window_maxima)))
-    _emit(args, manifest, result, header=["theta_center", "envelope_max"], rows=rows)
+    _emit(args, result, header=["theta_center", "envelope_max"], rows=rows)
     return 0
 
 
@@ -369,13 +370,12 @@ def cmd_schedule_fit(args) -> int:
                 entries.append({"total_time": float(t), "dt_mult": float(dm),
                                 "alpha_opt": opt.alpha, "zeta": opt.objective,
                                 "surviving_times": len(rounded)})
-        manifest = _manifest("schedule-fit", args, manifest_extra)
-        _emit(args, manifest, {"points": entries},
+        _emit(args, {"points": entries},
               header=["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta",
                       "surviving_times"],
-              rows=rows)
+              rows=rows, extra=manifest_extra)
         return 0
-    total = args.total_time if args.total_time else args.t0_multiple * t0
+    total = _total_time(args, t0)
     if args.trotter_dt <= 0:
         raise ValueError("--trotter-dt must be positive (or use --sweep)")
     opt, rounded = fit_one(total, args.trotter_dt)
@@ -383,9 +383,8 @@ def cmd_schedule_fit(args) -> int:
               "total_time": total, "trotter_dt": args.trotter_dt,
               "schedule": rounded.times.tolist(),
               "surviving_times": len(rounded)}
-    manifest = _manifest("schedule-fit", args, manifest_extra)
-    _emit(args, manifest, result, header=["index", "time"],
-          rows=[[i, t] for i, t in enumerate(rounded.times)])
+    _emit(args, result, header=["index", "time"],
+          rows=[[i, t] for i, t in enumerate(rounded.times)], extra=manifest_extra)
     return 0
 
 
@@ -396,9 +395,9 @@ def cmd_spectrum(args) -> int:
               "ground_energy": float(eig.eigenvalues[0]),
               "gap": gap, "characteristic_time": math.pi / gap,
               "sector_dim": eig.sector_dim}
-    manifest = _manifest("spectrum", args, {"gap": gap, "sector_dim": eig.sector_dim})
     rows = [[i, e] for i, e in enumerate(eig.eigenvalues)]
-    _emit(args, manifest, result, header=["index", "energy"], rows=rows)
+    _emit(args, result, header=["index", "energy"], rows=rows,
+          extra={"gap": gap, "sector_dim": eig.sector_dim})
     return 0
 
 
@@ -410,7 +409,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of flag defaults; flags override it")
 
 
-def _add_band_flags(p: argparse.ArgumentParser) -> None:
+def _add_band_flags(p) -> None:
     p.add_argument("--band", nargs=2, type=float, default=[0.1, 1.0],
                    metavar=("DMIN", "DMAX"), help="gap band edges")
 
@@ -420,9 +419,9 @@ def _add_model_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--length", type=int, default=10)
     p.add_argument("--coupling", type=float, default=1.0)
     p.add_argument("--field", type=float, default=1.0)
-    p.add_argument("--boundary", choices=("open", "periodic"), default=None)
     p.add_argument("--sector", default=None,
-                   help="zero_magnetization, even_parity, full, or auto")
+                   help="zero_magnetization, even_parity or full "
+                        "(default: the model's native sector)")
     p.add_argument("--initial-state", choices=("e1", "fusion", "plus"), default=None)
     p.add_argument("--basis-index", type=int, default=None,
                    help="start from this ordered sector basis vector")
@@ -443,13 +442,16 @@ def build_parser() -> tuple:
     commands = {}
 
     p = sub.add_parser("rsn", help="residual weight of a schedule on a spectrum")
-    _add_band_flags(p)
-    p.add_argument("--band-file", help="JSON band description")
-    p.add_argument("--spectrum-file", help="discrete spectrum CSV (energy,weight)")
-    p.add_argument("--e-target", type=float, default=0.0)
-    p.add_argument("--times", help="comma-separated time samples")
-    p.add_argument("--schedule-file", help="schedule CSV or JSON")
-    p.add_argument("--alpha", type=float, help="geometric ratio (with --total-time)")
+    spectrum = p.add_mutually_exclusive_group()
+    _add_band_flags(spectrum)
+    spectrum.add_argument("--band-file", help="JSON band description")
+    spectrum.add_argument("--spectrum-file", help="discrete spectrum CSV (energy,weight)")
+    p.add_argument("--e-target", type=float, default=0.0,
+                   help="target energy of --band-file or --spectrum-file")
+    schedule = p.add_mutually_exclusive_group()
+    schedule.add_argument("--times", help="comma-separated time samples")
+    schedule.add_argument("--schedule-file", help="schedule CSV or JSON")
+    schedule.add_argument("--alpha", type=float, help="geometric ratio (with --total-time)")
     p.add_argument("--n-samples", type=int, default=10)
     p.add_argument("--total-time", type=float)
     _add_output_flags(p)
@@ -537,9 +539,10 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("schedule-fit",
                        help="optimal ratio for a Trotter-rounded schedule")
-    p.add_argument("--preset", choices=tuple(PRESETS))
-    p.add_argument("--band-file")
-    p.add_argument("--spectrum-file")
+    spectrum = p.add_mutually_exclusive_group()
+    spectrum.add_argument("--preset", choices=tuple(PRESETS))
+    spectrum.add_argument("--band-file")
+    spectrum.add_argument("--spectrum-file")
     p.add_argument("--e-target", type=float, default=-1.0)
     p.add_argument("--n-samples", type=int, default=100)
     p.add_argument("--total-time", type=float)

@@ -149,14 +149,14 @@ def rsn_closed_form_batch(band: BandModel, times_matrix: np.ndarray) -> np.ndarr
     return _sinc_sum(tm, band.delta_max, band.delta_min) / 4.0 ** tm.shape[0]
 
 
-def superiteration_limit_rsn(band: BandModel, t1: float, *, abs_tol: float = 1e-12) -> float:
+def superiteration_limit_rsn(band: BandModel, t1: float) -> float:
     """RSN of the infinite geometric schedule with leading time t1.
 
     In the N -> infinity, alpha = 2 limit the filter product telescopes
     to sinc(E t1) ** 2, so the two-sided residual is
     2 * integral over [delta_min, delta_max] of sinc(E t1) ** 2,
-    evaluated by the oscillation-budgeted quadrature (no special
-    functions involved).
+    evaluated by the oscillation-budgeted quadrature to 1e-12 absolute
+    (no special functions involved).
     """
     if not t1 > 0:
         raise ValueError("t1 must be positive")
@@ -166,7 +166,7 @@ def superiteration_limit_rsn(band: BandModel, t1: float, *, abs_tol: float = 1e-
 
     value, _ = integrate_oscillatory(
         integrand, band.delta_min, band.delta_max,
-        phase_rate=2.0 * t1, abs_tol=abs_tol)
+        phase_rate=2.0 * t1, abs_tol=1e-12)
     return 2.0 * value
 
 

@@ -33,17 +33,16 @@ _SECTORS = ("zero_magnetization", "even_parity", "full")
 class HamiltonianSpec:
     """Model, size, couplings, and symmetry sector of a benchmark chain.
 
-    The XX chain requires open boundary and supports the
-    zero_magnetization (even length) and full sectors; the TFIM
-    requires periodic boundary and supports even_parity and full.
-    Omitted boundary/sector fall back to the model's native choice.
+    The XX chain is open and supports the zero_magnetization (even
+    length) and full sectors; the TFIM is a periodic ring and supports
+    even_parity and full. An omitted sector falls back to the model's
+    native one (zero_magnetization or even_parity).
     """
 
     model: str
     length: int
     coupling: float = 1.0
     field: float = 0.0
-    boundary: str = ""
     sector: str = ""
 
     def __post_init__(self):
@@ -55,15 +54,8 @@ class HamiltonianSpec:
             raise ValueError(f"length must be in [2, {MAX_LENGTH}], got {self.length}")
         if not np.isfinite(self.coupling) or not np.isfinite(self.field):
             raise ValueError("coupling and field must be finite")
-        native_boundary = "open" if model == "xx" else "periodic"
-        boundary = (self.boundary or native_boundary).lower()
-        if boundary != native_boundary:
-            raise ValueError(f"{model} requires {native_boundary} boundary, got {boundary!r}")
-        object.__setattr__(self, "boundary", boundary)
         native_sector = "zero_magnetization" if model == "xx" else "even_parity"
         sector = (self.sector or native_sector).lower()
-        if sector == "auto":
-            sector = native_sector
         if sector not in _SECTORS:
             raise ValueError(f"unknown sector {self.sector!r}; expected one of {_SECTORS}")
         if model == "xx" and sector == "even_parity":
@@ -178,7 +170,6 @@ def minimum_gap(eig: EigenSystem, e_target: float | None = None) -> float:
 class InitialState:
     """Normalized state vector expressed in the ordered sector basis."""
 
-    kind: str
     vector: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -238,15 +229,14 @@ def _fusion_vector(spec: HamiltonianSpec, basis: np.ndarray) -> np.ndarray:
 
 
 def make_initial_state(spec: HamiltonianSpec, kind: str, *,
-                       basis_index: int | None = None,
-                       vector=None) -> InitialState:
+                       basis_index: int | None = None) -> InitialState:
     """Construct one of the benchmark initial states.
 
     kinds: "basis_index" (the basis_index-th vector of the ordered
     sector basis), "fusion" (XX zero-magnetization only: embedded
     product of half-chain block ground states), "plus_projected"
-    (TFIM: the all-|+> product state, already parity-even), "custom"
-    (normalize the supplied vector).
+    (TFIM: the all-|+> product state, already parity-even). Any other
+    state is InitialState(vector=...) in the ordered sector basis.
     """
     basis = sector_basis(spec)
     dim = len(basis)
@@ -255,22 +245,15 @@ def make_initial_state(spec: HamiltonianSpec, kind: str, *,
             raise ValueError(f"basis_index must lie in [0, {dim}), got {basis_index}")
         v = np.zeros(dim)
         v[basis_index] = 1.0
-        return InitialState(kind=kind, vector=v)
+        return InitialState(v)
     if kind == "fusion":
         if spec.model != "xx" or spec.sector != "zero_magnetization":
             raise ValueError("fusion ansatz is defined for the XX zero-magnetization sector")
-        return InitialState(kind=kind, vector=_fusion_vector(spec, basis))
+        return InitialState(_fusion_vector(spec, basis))
     if kind == "plus_projected":
         if spec.model != "tfim":
             raise ValueError("plus_projected is a TFIM initial state")
-        return InitialState(kind=kind, vector=np.full(dim, 1.0 / np.sqrt(dim)))
-    if kind == "custom":
-        if vector is None:
-            raise ValueError("custom kind requires a vector")
-        v = np.asarray(vector, dtype=float)
-        if v.shape != (dim,):
-            raise ValueError(f"custom vector must have shape ({dim},), got {v.shape}")
-        return InitialState(kind=kind, vector=v)
+        return InitialState(np.full(dim, 1.0 / np.sqrt(dim)))
     raise ValueError(f"unknown initial-state kind {kind!r}")
 
 

@@ -31,6 +31,9 @@ PHASE_BUDGET = 2.0 * math.pi
 # panels x columns.
 MAX_PANEL_COLUMNS = 1 << 19
 PANEL_GROWTH = 8
+# Panels and refinement rounds no integration may exceed.
+MAX_PANELS = 200_000
+MAX_ROUNDS = 40
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
 # The Gauss weight vector is zero at the Kronrod-only nodes so a single
@@ -88,8 +91,7 @@ def _eval_panels(func, lo, hi):
 
 
 def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0,
-                          abs_tol: float = 1e-10, max_panels: int = 200_000,
-                          max_rounds: int = 40):
+                          abs_tol: float = 1e-10):
     """Integrate ``func`` over [lo, hi], returning (value, error_bound).
 
     ``func`` maps a 1-D array of P points to (P,) values, or to (P, S)
@@ -99,16 +101,16 @@ def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0
     each spans at most PHASE_BUDGET of phase. A panel is bisected when its
     Gauss/Kronrod discrepancy is large in any column whose summed bound
     is still above ``abs_tol``; the loop stops when every column's bound
-    is below it. Raises QuadratureError when the panel budget (``max_panels``,
-    and MAX_PANEL_COLUMNS for a batch) runs out.
+    is below it. Raises QuadratureError when the panel budget (MAX_PANELS,
+    and MAX_PANEL_COLUMNS for a batch) or MAX_ROUNDS runs out.
     """
-    return _integrate(func, lo, hi, phase_rate, abs_tol, max_panels, max_rounds)
+    return _integrate(func, lo, hi, phase_rate, abs_tol)
 
 
-def starting_panels(lo, hi, phase_rate, max_panels=200_000) -> int:
+def starting_panels(lo, hi, phase_rate) -> int:
     """Panels of the first round: PHASE_BUDGET of the fastest phase each,
-    at most max_panels."""
-    return min(max(1, math.ceil((hi - lo) * abs(phase_rate) / PHASE_BUDGET)), max_panels)
+    at most MAX_PANELS."""
+    return min(max(1, math.ceil((hi - lo) * abs(phase_rate) / PHASE_BUDGET)), MAX_PANELS)
 
 
 def batch_columns(lo, hi, phase_rate) -> int:
@@ -117,7 +119,7 @@ def batch_columns(lo, hi, phase_rate) -> int:
     return max(1, MAX_PANEL_COLUMNS // starting_panels(lo, hi, phase_rate))
 
 
-def _integrate(func, lo, hi, phase_rate, abs_tol, max_panels=200_000, max_rounds=40):
+def _integrate(func, lo, hi, phase_rate, abs_tol):
     """The integrate_oscillatory rule under a second name, for callers that
     integrate many columns at once outside the per-call instrumentation of
     integrate_oscillatory (see spectral.rsn_quadrature_batch)."""
@@ -126,17 +128,17 @@ def _integrate(func, lo, hi, phase_rate, abs_tol, max_panels=200_000, max_rounds
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
 
-    n0 = starting_panels(lo, hi, phase_rate, max_panels)
+    n0 = starting_panels(lo, hi, phase_rate)
     edges = np.linspace(lo, hi, n0 + 1)
     panel_lo = edges[:-1]
     panel_hi = edges[1:]
     kron, err, one_column = _eval_panels(func, panel_lo, panel_hi)
-    limit = min(max_panels, max(MAX_PANEL_COLUMNS // err.shape[1], PANEL_GROWTH * n0))
+    limit = min(MAX_PANELS, max(MAX_PANEL_COLUMNS // err.shape[1], PANEL_GROWTH * n0))
 
     def shaped(columns):
         return float(columns[0]) if one_column else columns
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         total_err = err.sum(axis=0)
         open_cols = total_err > abs_tol
         if not open_cols.any():

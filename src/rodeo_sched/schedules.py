@@ -50,10 +50,10 @@ class TimeSchedule:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def canonical(self, floor: float = TIME_FLOOR) -> "TimeSchedule":
-        """Drop entries below ``floor`` (their filter factors are 1 to
+    def canonical(self) -> "TimeSchedule":
+        """Drop entries below TIME_FLOOR (their filter factors are 1 to
         within roundoff at band scales of order unity)."""
-        return TimeSchedule(self.times[self.times >= floor])
+        return TimeSchedule(self.times[self.times >= TIME_FLOOR])
 
 
 def geometric_times(alphas, n_samples: int, total_time) -> np.ndarray:

@@ -505,19 +505,14 @@ def load_spectrum_csv(path) -> DiscreteSpectrum:
     return DiscreteSpectrum(np.array(energies), np.array(weights))
 
 
-def band_from_json(source) -> ContinuousBand:
-    """Build a band from a JSON descriptor (path, file object, or dict).
+def band_from_json(path) -> ContinuousBand:
+    """Build a band from the JSON descriptor file at ``path``.
 
     Schema: {"delta_min": ..., "delta_max": ...,
              "density": "constant" | "gaussian" | {"tabulated": [[E, w], ...]}}
     """
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source) as fh:
-            data = json.load(fh)
+    with open(path) as fh:
+        data = json.load(fh)
     for key in ("delta_min", "delta_max"):
         if key not in data:
             raise ValueError(f"band descriptor missing {key!r}")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 
 from rodeo_sched import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                          eigendecompose, make_initial_state, superiteration_schedule)
-from rodeo_sched.cli import main
+from rodeo_sched.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run_json(argv, capsys):
@@ -247,6 +250,47 @@ def test_curve_raw_fidelity_is_surviving_target_weight(capsys):
 def test_inverted_band_is_an_error(capsys):
     assert main(["rsn", "--band", "0.5", "0.1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize-alpha", "--band", "0.1", "1", "--total-time", "0"],
+    ["rsn", "--alpha", "0", "--total-time", "5"],
+])
+def test_zero_is_a_given_value_not_an_absent_one(argv, capsys):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_rsn_band_rejects_a_target_energy(capsys):
+    assert main(["rsn", "--band", "0.1", "1.0", "--e-target", "0.5"]) == 1
+    assert "--e-target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rsn", "--times", "3,7", "--alpha", "1.5", "--total-time", "20"],
+    ["rsn", "--times", "3,7", "--schedule-file", "s.csv"],
+    ["rsn", "--band", "0.1", "1.0", "--band-file", "b.json"],
+    ["rsn", "--band-file", "b.json", "--spectrum-file", "s.csv"],
+    ["schedule-fit", "--preset", "xi2", "--band-file", "b.json"],
+    ["schedule-fit", "--band-file", "b.json", "--spectrum-file", "s.csv"],
+])
+def test_conflicting_inputs_are_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # every example command line, continuation lines joined; the
+    # "rodeo-sched <command> [flags]" synopsis is not a command line
+    text = README.read_text().replace("\\\n", " ")
+    commands = [line for line in text.splitlines()
+                if line.startswith("rodeo-sched ") and "<command>" not in line]
+    assert commands
+    parser, _ = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_entry_point_version():

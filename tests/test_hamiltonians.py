@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from rodeo_sched import (HamiltonianSpec, RodeoObjective, TimeSchedule,
+from rodeo_sched import (HamiltonianSpec, InitialState, RodeoObjective, TimeSchedule,
                          build_sector_hamiltonian, eigendecompose,
                          make_initial_state, minimum_gap, sector_basis)
 
@@ -146,9 +146,8 @@ def test_plus_projected_is_uniform():
 
 
 def test_custom_state_normalized():
-    spec = HamiltonianSpec(model="xx", length=4)
     raw = np.arange(6, dtype=float)
-    psi = make_initial_state(spec, "custom", vector=raw)
+    psi = InitialState(vector=raw)
     np.testing.assert_allclose(np.linalg.norm(psi.vector), 1.0, rtol=1e-14)
 
 
@@ -166,7 +165,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         HamiltonianSpec(model="tfim", length=4, sector="zero_magnetization")
     with pytest.raises(ValueError):
-        HamiltonianSpec(model="xx", length=4, boundary="periodic")
+        HamiltonianSpec(model="xx", length=4, sector="auto")
 
 
 def test_two_level_full_rejection():
@@ -174,8 +173,7 @@ def test_two_level_full_rejection():
     spec = HamiltonianSpec(model="xx", length=2)
     eig = eigendecompose(build_sector_hamiltonian(spec))
     gap = eig.eigenvalues[1] - eig.eigenvalues[0]
-    psi = make_initial_state(spec, "custom",
-                             vector=(eig.eigenvectors[:, 0] + eig.eigenvectors[:, 1]))
+    psi = InitialState(vector=eig.eigenvectors[:, 0] + eig.eigenvectors[:, 1])
     sched = TimeSchedule(times=np.array([math.pi / gap]))
     res = RodeoObjective(eig, psi, float(eig.eigenvalues[0])).result(sched)
     np.testing.assert_allclose(res.fidelity, 1.0, atol=1e-12)

@@ -52,10 +52,11 @@ def test_tight_tolerance_refines():
     assert tight[1] <= loose[1]
 
 
-def test_unreachable_tolerance_raises_with_estimate():
+def test_unreachable_tolerance_raises_with_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 2)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     with pytest.raises(QuadratureError) as info:
-        integrate_oscillatory(lambda x: np.cos(3000.0 * x), 0.0, 1.0,
-                              abs_tol=1e-16, max_rounds=2, max_panels=8)
+        integrate_oscillatory(lambda x: np.cos(3000.0 * x), 0.0, 1.0, abs_tol=1e-16)
     err = info.value
     assert math.isfinite(err.estimate)
     assert err.error_bound > 1e-16
@@ -93,26 +94,29 @@ def test_one_column_matches_scalar_integrand():
     np.testing.assert_allclose(column[0][0], scalar[0], rtol=1e-14)
 
 
-def test_column_valued_failure_carries_column_estimates():
+def test_column_valued_failure_carries_column_estimates(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_ROUNDS", 2)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     omegas = np.array([3000.0, 2500.0])
     with pytest.raises(QuadratureError) as info:
         integrate_oscillatory(lambda x: np.cos(np.outer(x, omegas)), 0.0, 1.0,
-                              abs_tol=1e-16, max_rounds=2, max_panels=8)
+                              abs_tol=1e-16)
     assert info.value.estimate.shape == info.value.error_bound.shape == (2,)
 
 
 def test_unreachable_batch_tolerance_stops_at_the_panel_column_bound(monkeypatch):
     # 60 columns sharing panels, starting from one: the bound stops
-    # splitting at 500 panels, well before max_panels (which caps the
+    # splitting at 500 panels, well before MAX_PANELS (which caps the
     # damage if the bound breaks).
     cap = 30_000
     monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 4000)
     omegas = np.linspace(50.0, 400.0, 60)
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError, match="512 panels x 60 columns") as info:
             integrate_oscillatory(lambda x: np.cos(np.outer(x, omegas)), 0.0, 1.0,
-                                  abs_tol=1e-30, max_panels=4000)
+                                  abs_tol=1e-30)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -29,8 +29,9 @@ def write_cli_csv(sched, path):
 
 def write_cli_json(sched, path):
     """Write a schedule as ``optimize-times --out --format json`` does."""
-    args = argparse.Namespace(_t_start=time.perf_counter(), out=str(path), format="json")
-    _emit(args, {"hash": "0" * 64}, {"schedule": sched.times.tolist()})
+    args = argparse.Namespace(_t_start=time.perf_counter(), out=str(path), format="json",
+                              command="optimize-times")
+    _emit(args, {"schedule": sched.times.tolist()})
 
 
 def test_superiteration_sums_to_total():
