@@ -414,8 +414,11 @@ def _add_band_flags(p) -> None:
                    metavar=("DMIN", "DMAX"), help="gap band edges")
 
 
-def _add_model_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--model", choices=("xx", "tfim"), required=required)
+def _add_model_flags(p: argparse.ArgumentParser, model_group=None) -> None:
+    """Chain flags; --model is required unless it joins ``model_group``, a
+    mutually exclusive group of alternative inputs."""
+    (model_group or p).add_argument("--model", choices=("xx", "tfim"),
+                                    required=model_group is None)
     p.add_argument("--length", type=int, default=10)
     p.add_argument("--coupling", type=float, default=1.0)
     p.add_argument("--field", type=float, default=1.0)
@@ -472,8 +475,9 @@ def build_parser() -> tuple:
     commands["optimize-times"] = p
 
     p = sub.add_parser("optimize-alpha", help="geometric-ratio optimization")
-    _add_band_flags(p)
-    _add_model_flags(p, required=False)
+    target = p.add_mutually_exclusive_group()
+    _add_band_flags(target)
+    _add_model_flags(p, model_group=target)
     _add_alpha_bounds(p)
     p.add_argument("--n-samples", type=int, default=10)
     p.add_argument("--total-time", type=float)
@@ -493,7 +497,7 @@ def build_parser() -> tuple:
     commands["table1"] = p
 
     p = sub.add_parser("curve", help="fidelity-vs-time curves for a spin chain")
-    _add_model_flags(p, required=True)
+    _add_model_flags(p)
     _add_alpha_bounds(p)
     p.add_argument("--n-samples", type=int, default=100)
     p.add_argument("--alphas", default="2.0,1.5,1.2",
@@ -561,7 +565,7 @@ def build_parser() -> tuple:
     commands["schedule-fit"] = p
 
     p = sub.add_parser("spectrum", help="sector eigenvalues of a spin chain")
-    _add_model_flags(p, required=True)
+    _add_model_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_spectrum)
     commands["spectrum"] = p
@@ -569,8 +573,9 @@ def build_parser() -> tuple:
     return parser, commands
 
 
-def _apply_config(commands: dict, argv: list) -> None:
-    """Install JSON config values as defaults of the active subparser.
+def _apply_config(commands: dict, argv: list) -> set:
+    """Install JSON config values as defaults of the active subparser and
+    return the dests they set.
 
     Explicit flags still win because defaults only fill dests the parse
     left untouched. Defaults must land on the subparser itself: the top
@@ -583,10 +588,10 @@ def _apply_config(commands: dict, argv: list) -> None:
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
     if not path:
-        return
+        return set()
     sub_name = argv[0] if argv and not argv[0].startswith("-") else None
     if sub_name not in commands:
-        return
+        return set()
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -600,17 +605,36 @@ def _apply_config(commands: dict, argv: list) -> None:
             raise ValueError(f"unknown config key {key!r} in {path} for {sub_name}")
         defaults[dest] = value
     subparser.set_defaults(**defaults)
+    return set(defaults)
+
+
+def _reject_config_conflicts(subparser: argparse.ArgumentParser, config_dests: set,
+                             args: argparse.Namespace) -> None:
+    """Exit 2 when config values and flags together set two inputs of one
+    mutually exclusive group; argparse checks only the command line.
+
+    A flag counts as given when its value is not its default object, the
+    test argparse applies, so --band's default does not count.
+    """
+    for group in subparser._mutually_exclusive_groups:
+        given = [f"config key {a.dest!r}" if a.dest in config_dests
+                 else f"argument {'/'.join(a.option_strings)}"
+                 for a in group._group_actions
+                 if a.dest in config_dests or getattr(args, a.dest) is not a.default]
+        if len(given) > 1:
+            subparser.error(f"{given[1]}: not allowed with {given[0]}")
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _apply_config(commands, argv)
+        config_dests = _apply_config(commands, argv)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
+    _reject_config_conflicts(commands[args.command], config_dests, args)
     args._t_start = time.perf_counter()
     try:
         return args.func(args)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import differential_evolution
 
 from .schedules import TimeSchedule, geometric_times
 
@@ -91,6 +90,8 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
     agree to relative ``tolerance``. The reported schedule drops times
     below schedules.TIME_FLOOR and the objective is recomputed on it.
     """
+    from scipy.optimize import differential_evolution
+
     if budget < 1 or restarts < 1:
         raise ValueError("budget and restarts must be positive")
     if not 0 < tolerance < 1:

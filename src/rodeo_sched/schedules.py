@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 # Reported schedules treat entries below this as discarded; generators
 # keep raw values so time budgets stay exact.
@@ -101,6 +100,8 @@ def half_normal_draws(n_samples: int, n_schedules: int, seed) -> np.ndarray:
     each mapped through the inverse normal CDF, so a column does not
     depend on how many columns are drawn.
     """
+    from scipy.special import ndtri
+
     if n_samples < 1 or n_schedules < 1:
         raise ValueError("n_samples and n_schedules must be positive integers")
     rng = np.random.Generator(np.random.PCG64(seed))

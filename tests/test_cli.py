@@ -273,12 +273,28 @@ def test_rsn_band_rejects_a_target_energy(capsys):
     ["rsn", "--band-file", "b.json", "--spectrum-file", "s.csv"],
     ["schedule-fit", "--preset", "xi2", "--band-file", "b.json"],
     ["schedule-fit", "--band-file", "b.json", "--spectrum-file", "s.csv"],
+    ["optimize-alpha", "--model", "xx", "--length", "4", "--band", "0.2", "1",
+     "--n-samples", "5"],
 ])
 def test_conflicting_inputs_are_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"times": "3,7", "alpha": 1.5, "total-time": 20}, []),
+    ({"times": "3,7"}, ["--alpha", "1.5", "--total-time", "20"]),
+    ({"band": [0.2, 1.0]}, ["--spectrum-file", "s.csv"]),
+])
+def test_config_values_obey_the_exclusive_groups(config, flags, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as info:
+        main(["rsn", "--config", str(cfg)] + flags)
+    assert info.value.code == 2
+    assert "not allowed with config key" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():
@@ -293,16 +309,44 @@ def test_readme_command_lines_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
-def test_entry_point_version():
-    # The child interpreter does not see pytest's pythonpath setting, so
-    # it is given the checkout's src directory explicitly.
+def _fresh_python(*args):
+    """Run a new interpreter on the checkout. It does not see pytest's
+    pythonpath setting, so it is given the src directory explicitly."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-m", "rodeo_sched.cli", "--version"],
-                         capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_entry_point_version():
+    res = _fresh_python("-m", "rodeo_sched.cli", "--version")
     assert res.returncode == 0
     assert res.stdout.strip() == "0.1.0"
+
+
+def test_scipy_loads_only_with_the_command_that_calls_it():
+    # start-up time: only the optimizer and the random baseline need scipy
+    script = """
+import contextlib, io, json, sys
+from rodeo_sched.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+codes = [run(["rsn", "--band", "0.1", "1", "--alpha", "1.5", "--total-time", "30"])]
+scipy_after_rsn = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+codes.append(run(["optimize-times", "--n-samples", "3", "--budget", "200",
+                  "--restarts", "2"]))
+print(json.dumps([codes, scipy_after_rsn, "scipy.optimize" in sys.modules]))
+"""
+    res = _fresh_python("-c", script)
+    assert res.returncode == 0, res.stderr
+    (rsn_code, optimize_code), scipy_after_rsn, optimizer_loaded = json.loads(res.stdout)
+    assert rsn_code == 0
+    assert scipy_after_rsn == []
+    assert optimize_code in (0, 1)  # 1 only flags restarts that disagree
+    assert optimizer_loaded
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
