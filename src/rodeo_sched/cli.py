@@ -82,13 +82,16 @@ def _write_csv(path: str, header: list, rows: list, manifest: dict) -> None:
 
 
 def _emit(args, result: dict, header: list | None = None, rows: list | None = None,
-          extra: dict | None = None) -> None:
+          extra: dict | None = None, diagnostics: dict | None = None) -> None:
     """Write CSV rows or a JSON document to --out, else print JSON. Without
     rows the CSV is the result as a quantity,value table; ``extra`` goes
-    into the manifest's params."""
+    into the manifest's params. ``diagnostics``, like wall_time, goes into
+    the manifest outside the hash."""
     wall = time.perf_counter() - args._t_start
     manifest = dict(_manifest(args, extra), wall_time=round(wall, 3),
                     outputs=[args.out] if args.out else [])
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     if rows is None:
         header, rows = ["quantity", "value"], [[k, v] for k, v in result.items()]
     if args.out and args.format == "csv":
@@ -347,12 +350,40 @@ def cmd_schedule_fit(args) -> int:
     spectrum, label = _spectral_input(args)
     t0 = math.pi / target_gap(spectrum, args.e_target)
     bounds = (args.alpha_min, args.alpha_cap)
+    counts = {"schedules_scored": 0, "schedules_integrated": 0}
+
+    def integrate(floored):
+        counts["schedules_integrated"] += floored.shape[1]
+        return rsn_quadrature_batch(spectrum, args.e_target, floored)
 
     def fit_one(total: float, dt: float):
         if dt >= total:
             raise ValueError(f"trotter step {dt} must be smaller than the total time {total}")
-        objective = lambda tm: rsn_quadrature_batch(spectrum, args.e_target,
-                                                    trotter_floor(tm, dt))
+        # Flooring makes the objective piecewise constant in the ratio, so
+        # golden steps and grid columns repeat schedules. One-column values
+        # are kept for the fit; they never come from a grid call, whose
+        # columns share panels and differ in their last bits.
+        known = {}
+
+        def objective(tm):
+            floored = trotter_floor(tm, dt)
+            counts["schedules_scored"] += floored.shape[1]
+            if floored.shape[1] == 1:
+                key = floored.tobytes()
+                if key not in known:
+                    known[key] = integrate(floored)
+                return known[key]
+            # Distinct columns in first-occurrence order, keyed by their
+            # bytes (np.unique(axis=1) costs more than the duplicates).
+            slots = {}
+            inverse = [slots.setdefault(col.tobytes(), len(slots)) for col in floored.T]
+            if len(slots) == 1:
+                # A flat grid reports its first value, and one column alone
+                # would take the one-column path with other bits.
+                return integrate(floored)
+            distinct = np.frombuffer(b"".join(slots)).reshape(len(slots), -1).T
+            return integrate(np.ascontiguousarray(distinct))[inverse]
+
         opt = optimize_alpha(objective, args.n_samples, total, alpha_bounds=bounds)
         rounded = trotter_round(
             superiteration_schedule(opt.alpha, args.n_samples, total), dt)
@@ -373,7 +404,7 @@ def cmd_schedule_fit(args) -> int:
         _emit(args, {"points": entries},
               header=["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta",
                       "surviving_times"],
-              rows=rows, extra=manifest_extra)
+              rows=rows, extra=manifest_extra, diagnostics=counts)
         return 0
     total = _total_time(args, t0)
     if args.trotter_dt <= 0:
@@ -384,7 +415,8 @@ def cmd_schedule_fit(args) -> int:
               "schedule": rounded.times.tolist(),
               "surviving_times": len(rounded)}
     _emit(args, result, header=["index", "time"],
-          rows=[[i, t] for i, t in enumerate(rounded.times)], extra=manifest_extra)
+          rows=[[i, t] for i, t in enumerate(rounded.times)], extra=manifest_extra,
+          diagnostics=counts)
     return 0
 
 

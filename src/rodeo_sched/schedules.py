@@ -60,29 +60,35 @@ def geometric_times(alphas, n_samples: int, total_time) -> np.ndarray:
     one per column: (n_samples, S) for alphas and total_time broadcast to S.
 
     t1 = T * (1 - 1/alpha) / (1 - alpha**-N); alpha = 1 gives the uniform
-    schedule T/N (the closed form is 0/0 there). Columns are built one at
-    a time from scalar ratios: numpy's vectorized log and pow may round
-    differently, and a column must not depend on the others.
+    schedule T/N (the closed form is 0/0 there, and 1**-n is exactly 1).
+    A column must not depend on the others, so t1 comes from scalar
+    math.log/expm1 per column (numpy's vectorized log may round
+    differently). The powers are one np.power over an (S, N) plane, each
+    row one ratio broadcast over the contiguous exponents 0, -1, ...:
+    the inner loop a one-column call (ratio ** steps) runs too, so every
+    column keeps the one-column bits. numpy does not promise that its pow
+    loops for other operand layouts round alike.
     """
     a, total = np.broadcast_arrays(np.asarray(alphas, dtype=float),
                                    np.asarray(total_time, dtype=float))
     if n_samples < 1:
         raise ValueError("n_samples must be a positive integer")
     n = int(n_samples)
-    steps = -np.arange(n, dtype=float)
-    out = np.empty((n, a.size))
-    for j, (alpha, t) in enumerate(zip(a.ravel().tolist(), total.ravel().tolist())):
+    t1 = []
+    for alpha, t in zip(a.ravel().tolist(), total.ravel().tolist()):
         if not alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         if not t > 0:
             raise ValueError("total_time must be positive")
         if alpha == 1.0:
-            out[:, j] = t / n
+            t1.append(t / n)
             continue
         log_a = math.log(alpha)
         # expm1 keeps the ratio stable as alpha -> 1+.
-        t1 = t * (-math.expm1(-log_a)) / (-math.expm1(-n * log_a))
-        out[:, j] = t1 * alpha ** steps
+        t1.append(t * (-math.expm1(-log_a)) / (-math.expm1(-n * log_a)))
+    powers = np.power(a.reshape(-1, 1), np.arange(0.0, -n, -1.0))
+    out = np.empty((n, len(t1)))
+    np.multiply(t1, powers.T, out=out)
     return out
 
 

@@ -206,6 +206,79 @@ def test_readme_sweep_flags_run(tmp_path):
         assert rec["zeta"] >= 0.0
 
 
+# (alpha_opt, zeta) of every sweep point, dt 0.01 T0 then 0.05 T0, as the
+# ratio search gave them before it reused any integral.
+SWEEP_PINS = [
+    ("1.9621967033631071", "0.9879755799374728"),
+    ("1.9822392058198646", "0.6706716002528976"),
+    ("1.6253967452802456", "0.004211951766176197"),
+    ("1.1108737929292223", "2.2148106857685716e-11"),
+    ("1.9621967033631071", "0.9999999999999969"),
+    ("1.7571204344346893", "0.7359031617695629"),
+    ("1.5906523729598905", "0.005388188021892764"),
+    ("1.111107995198585", "8.602309452521381e-11"),
+]
+
+
+def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
+    from rodeo_sched import cli
+
+    calls, real_batch, real_search = [], cli.rsn_quadrature_batch, cli.optimize_alpha
+
+    def batch(spectrum, e_target, times, **kw):
+        calls[-1].append(np.array(times))
+        return real_batch(spectrum, e_target, times, **kw)
+
+    def search(*args, **kw):
+        calls.append([])  # one list of integrated matrices per fit
+        return real_search(*args, **kw)
+
+    monkeypatch.setattr(cli, "rsn_quadrature_batch", batch)
+    monkeypatch.setattr(cli, "optimize_alpha", search)
+    out = tmp_path / "sweep.json"
+    assert main(["schedule-fit", "--preset", "xi2", "--sweep", "--n-samples", "100",
+                 "--t-points", "4", "--dt-mults", "0.01,0.05",
+                 "--out", str(out), "--format", "json"]) == 0
+    doc = json.loads(out.read_text())
+    got = [(repr(p["alpha_opt"]), repr(p["zeta"])) for p in doc["result"]["points"]]
+    assert got == SWEEP_PINS
+    assert len(calls) == len(SWEEP_PINS)
+    for fit in calls:
+        singles = [m.tobytes() for m in fit if m.shape[1] == 1]
+        assert len(set(singles)) == len(singles)
+        for m in fit:
+            if m.shape[1] > 1:
+                assert len({col.tobytes() for col in m.T}) == m.shape[1]
+    counts = doc["manifest"]["diagnostics"]
+    assert counts["schedules_integrated"] == sum(m.shape[1] for fit in calls for m in fit)
+    assert counts["schedules_integrated"] < counts["schedules_scored"]
+
+
+def test_flat_trotter_grid_keeps_its_batch_value(capsys):
+    # Every ratio floors to the empty schedule: the reported zeta is the
+    # grid's first value, from a batch of 240 equal columns.
+    code, doc = _run_json(["schedule-fit", "--preset", "xi1", "--n-samples", "100",
+                           "--t0-multiple", "0.1", "--trotter-dt", "0.25"], capsys)
+    assert code == 0
+    assert doc["result"]["flat"] and doc["result"]["surviving_times"] == 0
+    assert repr(doc["result"]["zeta"]) == "0.9999999999999969"
+
+
+@pytest.mark.parametrize("mode", (["--sweep", "--t-points", "2", "--dt-mults", "0.01"],
+                                  ["--t0-multiple", "2", "--trotter-dt", "0.05"]))
+def test_schedule_fit_manifest_counts_evaluations(mode, tmp_path):
+    out = tmp_path / "fit.csv"
+    assert main(["schedule-fit", "--preset", "xi1", "--n-samples", "30", *mode,
+                 "--out", str(out)]) == 0
+    digest, _, _ = _read_csv(out)
+    manifest = json.loads((tmp_path / "fit.csv.manifest.json").read_text())
+    assert manifest["hash"] == digest
+    counts = manifest["diagnostics"]
+    assert 0 < counts["schedules_integrated"] <= counts["schedules_scored"]
+    if "--sweep" in mode:
+        assert counts["schedules_integrated"] < counts["schedules_scored"]
+
+
 def test_curve_small_grid(tmp_path):
     out = tmp_path / "curve.csv"
     code = main(["curve", "--model", "xx", "--length", "6", "--n-samples",

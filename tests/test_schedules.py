@@ -82,6 +82,33 @@ def test_geometric_columns_are_superiteration_schedules_bit_for_bit(alphas, n, t
                                       by_time[:, j])
 
 
+def _scalar_geometric_column(alpha, n, total):
+    """One geometric schedule from scalar arithmetic, column by column."""
+    if alpha == 1.0:
+        return np.full(n, total / n)
+    log_a = math.log(alpha)
+    t1 = total * (-math.expm1(-log_a)) / (-math.expm1(-n * log_a))
+    return t1 * alpha ** -np.arange(n)
+
+
+# alpha = 1 or 1 + 10**e, alpha - 1 from 1e-9 to 3
+RATIOS = st.one_of(st.just(1.0), st.floats(-9.0, math.log10(3.0)).map(lambda e: 1.0 + 10 ** e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(RATIOS, min_size=1, max_size=12), st.integers(1, 1200), st.floats(1e-3, 1e4))
+@example([1.0, 1.0 + 1e-9, 4.0], 1200, 37.5)
+def test_geometric_times_match_a_scalar_reference_bit_for_bit(alphas, n, total):
+    grid = geometric_times(alphas, n, total)
+    assert grid.flags.c_contiguous
+    for j, a in enumerate(alphas):
+        np.testing.assert_array_equal(grid[:, j], _scalar_geometric_column(a, n, total))
+    totals = total * np.linspace(0.5, 2.0, len(alphas))
+    by_time = geometric_times(alphas, n, totals)
+    for j, (a, t) in enumerate(zip(alphas, totals.tolist())):
+        np.testing.assert_array_equal(by_time[:, j], _scalar_geometric_column(a, n, t))
+
+
 def test_geometric_times_validation():
     with pytest.raises(ValueError):
         geometric_times([1.2, 0.9], 5, 10.0)
