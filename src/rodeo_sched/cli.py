@@ -30,7 +30,7 @@ from .closed_form import MAX_ENUM_N, BandModel, rsn_closed_form
 from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                            eigendecompose, make_initial_state, minimum_gap)
 from .optimize import adaptive_alpha_curve, optimize_alpha, optimize_times
-from .quadrature import QuadratureError
+from .quadrature import ABS_TOL, QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, geometric_times, half_normal_draws,
                         read_schedule, superiteration_schedule, trotter_floor, trotter_round)
 from .spectral import (ContinuousBand, band_from_json, load_spectrum_csv,
@@ -163,6 +163,13 @@ def _hamiltonian_backend(args):
     return objective, math.pi / gap, extras
 
 
+def _level_counts(objective: RodeoObjective) -> dict:
+    """Diagnostics of a chain objective: non-target levels scored, and
+    levels dropped as below float64 resolution."""
+    return {"levels": objective.levels,
+            "levels_below_resolution": objective.levels_below_resolution}
+
+
 def cmd_rsn(args) -> int:
     schedule = _resolve_schedule(args)
     result: dict = {"n_samples": len(schedule), "total_time": schedule.total_time}
@@ -216,10 +223,11 @@ def cmd_optimize_times(args) -> int:
 
 
 def cmd_optimize_alpha(args) -> int:
-    extras: dict = {}
+    extras, diagnostics = {}, None
     if args.model:
         backend, t0, extras = _hamiltonian_backend(args)
         objective = backend.batch
+        diagnostics = _level_counts(backend)
     else:
         band = BandModel(*args.band)
         t0 = math.pi / band.delta_min
@@ -229,7 +237,8 @@ def cmd_optimize_alpha(args) -> int:
                          alpha_bounds=(args.alpha_min, args.alpha_cap))
     result = {"alpha_opt": opt.alpha, "objective": opt.objective, "flat": opt.flat,
               "total_time": total, "n_samples": args.n_samples}
-    _emit(args, result, extra=dict(extras, resolved_total_time=total))
+    _emit(args, result, extra=dict(extras, resolved_total_time=total),
+          diagnostics=diagnostics)
     return 0
 
 
@@ -303,7 +312,8 @@ def cmd_curve(args) -> int:
             for i in range(len(t_grid))]
     result = {"t_grid": t_grid.tolist(), "t0": t0,
               **{c: list(map(float, columns[c])) for c in columns}}
-    _emit(args, result, header=header, rows=rows, extra=extras)
+    _emit(args, result, header=header, rows=rows, extra=extras,
+          diagnostics=_level_counts(objective))
     return 0
 
 
@@ -389,6 +399,13 @@ def cmd_schedule_fit(args) -> int:
             superiteration_schedule(opt.alpha, args.n_samples, total), dt)
         return opt, rounded
 
+    def diagnostics(zetas) -> dict:
+        # A band's zeta below the integrator's tolerance is not resolved; a
+        # discrete spectrum is summed, not integrated.
+        if not isinstance(spectrum, ContinuousBand):
+            return counts
+        return dict(counts, zeta_below_tolerance=sum(z < ABS_TOL for z in zetas))
+
     manifest_extra = {"spectral_input": label, "characteristic_time": t0}
     if args.sweep:
         dt_mults = _parse_floats(args.dt_mults)
@@ -404,7 +421,8 @@ def cmd_schedule_fit(args) -> int:
         _emit(args, {"points": entries},
               header=["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta",
                       "surviving_times"],
-              rows=rows, extra=manifest_extra, diagnostics=counts)
+              rows=rows, extra=manifest_extra,
+              diagnostics=diagnostics([e["zeta"] for e in entries]))
         return 0
     total = _total_time(args, t0)
     if args.trotter_dt <= 0:
@@ -416,7 +434,7 @@ def cmd_schedule_fit(args) -> int:
               "surviving_times": len(rounded)}
     _emit(args, result, header=["index", "time"],
           rows=[[i, t] for i, t in enumerate(rounded.times)], extra=manifest_extra,
-          diagnostics=counts)
+          diagnostics=diagnostics([opt.objective]))
     return 0
 
 

@@ -272,20 +272,23 @@ class RodeoResult:
     target_weight: float
 
 
-def _merge_levels(deltas: np.ndarray, weights: np.ndarray, scale: float):
-    """(deltas, log weights) of the distinct levels with nonzero weight.
+def _merge_levels(deltas: np.ndarray, weights: np.ndarray, scale: float, floor: float):
+    """(deltas, log weights) of the distinct levels whose weight is above
+    ``floor``, and the number of distinct levels at or below it.
 
     Eigenvalues closer than TARGET_RTOL * scale are one level, placed at
-    their weight-averaged offset; only exact-zero weights are dropped.
+    their weight-averaged offset. A level at or below the floor is
+    dropped: RodeoObjective sets it where an overlap can no longer be
+    told from eigensolver round-off.
     """
     order = np.argsort(deltas)
     d, w = deltas[order], weights[order]
     starts = np.concatenate([[True], np.diff(d) > TARGET_RTOL * scale])
     group = np.cumsum(starts) - 1
     level_w = np.bincount(group, weights=w)
-    keep = level_w > 0
+    keep = level_w > floor
     level_d = np.bincount(group, weights=d * w)[keep] / level_w[keep]
-    return level_d, np.log(level_w[keep])
+    return level_d, np.log(level_w[keep]), int(keep.size - np.count_nonzero(keep))
 
 
 class RodeoObjective:
@@ -296,17 +299,31 @@ class RodeoObjective:
     log-space survival kernel. value(times) returns the post-selected
     infidelity (zeta / (target + zeta)) and batch(times) evaluates a
     (n_samples, n_schedules) column stack of schedules.
+
+    Levels whose weight float64 cannot resolve are dropped: an overlap
+    v.psi of unit vectors of dimension n carries about n * eps of
+    round-off, so a weight at or below (n * eps)**2 of the total is noise,
+    typically an overlap that a symmetry makes zero (TFIM L = 10 plus
+    state: 90 of 120 non-target levels, all below 3e-30, against a floor
+    of 1.3e-26; its real levels weigh 5.7e-6 and up). Dropping a level
+    changes zeta or the target weight by at most that level's weight,
+    since no cycle factor exceeds 1. ``levels`` counts the non-target
+    levels scored and ``levels_below_resolution`` the levels dropped, in
+    and outside the target manifold.
     """
 
     def __init__(self, eig: EigenSystem, psi: InitialState, e_target: float):
         weights = (eig.eigenvectors.T @ psi.vector) ** 2
         mask = target_mask(eig.eigenvalues, e_target)
         scale = max(1.0, float(np.abs(eig.eigenvalues).max()))
+        floor = (len(psi.vector) * np.finfo(float).eps) ** 2 * float(weights.sum())
         deltas = eig.eigenvalues - e_target
         self.e_target = float(e_target)
         self.target_weight_initial = float(weights[mask].sum())
-        self._rest = _merge_levels(deltas[~mask], weights[~mask], scale)
-        self._target = _merge_levels(deltas[mask], weights[mask], scale)
+        *self._rest, rest_dropped = _merge_levels(deltas[~mask], weights[~mask], scale, floor)
+        *self._target, target_dropped = _merge_levels(deltas[mask], weights[mask], scale, floor)
+        self.levels = len(self._rest[0])
+        self.levels_below_resolution = rest_dropped + target_dropped
 
     def _log_weights(self, times_matrix) -> tuple:
         """(log zeta, log target weight), each (S,), for (N, S) schedules."""

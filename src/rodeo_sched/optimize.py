@@ -212,7 +212,8 @@ def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = Fal
 
     ``objective`` is optimize_alpha's (n_samples, S) -> (S,) callable.
     With monotone=True each search's upper ratio bound is the previous
-    optimum, encoding that the best ratio only falls as time grows.
+    optimum, encoding that the best ratio only falls as time grows. A
+    flat search locates no optimum, so it leaves the bound as it was.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -224,6 +225,6 @@ def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = Fal
     for t in t_grid:
         opt = optimize_alpha(objective, n_samples, float(t), alpha_bounds=(lo, hi))
         points.append(CurvePoint(total_time=float(t), alpha=opt.alpha, objective=opt.objective))
-        if monotone:
+        if monotone and not opt.flat:
             hi = max(opt.alpha, lo + ALPHA_FLOOR * (alpha_bounds[1] - 1.0))
     return points

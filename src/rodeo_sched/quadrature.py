@@ -34,6 +34,9 @@ PANEL_GROWTH = 8
 # Panels and refinement rounds no integration may exceed.
 MAX_PANELS = 200_000
 MAX_ROUNDS = 40
+# Default absolute tolerance of every integral; a value below it is not
+# resolved by the integrator.
+ABS_TOL = 1e-10
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
 # The Gauss weight vector is zero at the Kronrod-only nodes so a single
@@ -91,7 +94,7 @@ def _eval_panels(func, lo, hi):
 
 
 def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0,
-                          abs_tol: float = 1e-10):
+                          abs_tol: float = ABS_TOL):
     """Integrate ``func`` over [lo, hi], returning (value, error_bound).
 
     ``func`` maps a 1-D array of P points to (P,) values, or to (P, S)

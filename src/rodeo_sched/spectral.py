@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import _integrate, batch_columns, integrate_oscillatory
+from .quadrature import ABS_TOL, _integrate, batch_columns, integrate_oscillatory
 from .schedules import TimeSchedule
 
 # Levels within this distance of the target energy, relative to the
@@ -189,8 +189,9 @@ def log_survival(deltas, times) -> np.ndarray:
 
     ``deltas`` (L,) are level offsets E - E_t and ``times`` (N, S) holds
     one schedule per column; returns the (L, S) matrix of
-    sum_n log cos**2(delta t_n / 2), zeros when L, N or S is 0. A zero
-    time adds exactly 0.
+    sum_n log cos**2(delta t_n / 2), zeros when L, N or S is 0 or when
+    every offset is 0 (a chain objective's target manifold). A zero time
+    adds exactly 0.
 
     When the cost rule (_series_pays) says it pays, the short cycles
     (h |t| <= SHORT_PHASE, h = max |delta| / 2) are summed by the power
@@ -207,7 +208,7 @@ def log_survival(deltas, times) -> np.ndarray:
     # block's temporaries strided and the kernel about twice as slow.
     tm = np.ascontiguousarray(times, dtype=float)
     out = np.zeros((half.size, tm.shape[1]))
-    if out.size == 0 or tm.shape[0] == 0:
+    if out.size == 0 or tm.shape[0] == 0 or not np.count_nonzero(half):
         return out
     tm = _sum_short_phases(half, tm, out)
     step = max(1, KERNEL_BLOCK_DOUBLES // out.size)
@@ -421,7 +422,7 @@ def target_gap(spectrum: SpectralFunction, e_target: float) -> float:
 
 
 def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
-                         *, abs_tol: float = 1e-10) -> np.ndarray:
+                         *, abs_tol: float = ABS_TOL) -> np.ndarray:
     """Residual spectral norm of each schedule column of ``times`` (N, S);
     returns (S,). Zero times are exact no-ops, so Trotter-floored
     schedules of unequal length can share one zero-padded matrix.
@@ -433,6 +434,13 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     first round of panels stays within MAX_PANEL_COLUMNS. For a discrete
     spectrum the non-target weights are summed after filtering. A column
     of zeros returns the initial non-target weight.
+
+    A column's value depends on the other columns of its call: the
+    kernel's cycle blocks, its short-phase cost rule and its power sums
+    are sized by the column count, and the columns of a band share panels,
+    refined while any column needs it. So a batch column can differ from
+    the same schedule integrated alone: in its last bits for a discrete
+    spectrum, within ``abs_tol`` for a band.
     """
     tm = np.asarray(times, dtype=float)
     if isinstance(spectrum, DiscreteSpectrum):
@@ -462,7 +470,7 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
 
 
 def rsn_quadrature(spectrum: SpectralFunction, e_target: float,
-                   schedule: TimeSchedule, *, abs_tol: float = 1e-10) -> float:
+                   schedule: TimeSchedule, *, abs_tol: float = ABS_TOL) -> float:
     """Residual spectral norm of one schedule: the one-column case of
     rsn_quadrature_batch. An empty schedule returns the initial
     non-target weight."""

@@ -13,6 +13,7 @@ import pytest
 from rodeo_sched import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                          eigendecompose, make_initial_state, superiteration_schedule)
 from rodeo_sched.cli import build_parser, main
+from rodeo_sched.quadrature import ABS_TOL
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -148,6 +149,22 @@ def test_optimize_alpha_model_backend(capsys):
     assert doc["manifest"]["params"]["resolved_initial_state"] == "e1"
 
 
+def test_chain_commands_report_the_levels_they_score(capsys):
+    # TFIM plus: 90 of the 120 non-target levels weigh only round-off
+    code, doc = _run_json(["curve", "--model", "tfim", "--length", "10", "--n-samples", "10",
+                           "--t-points", "2", "--skip-rra"], capsys)
+    assert code == 0
+    assert doc["manifest"]["diagnostics"] == {"levels": 30, "levels_below_resolution": 90}
+    code, doc = _run_json(["optimize-alpha", "--model", "xx", "--length", "10",
+                           "--initial-state", "e1", "--n-samples", "10",
+                           "--t0-multiple", "1"], capsys)
+    assert code == 0
+    assert doc["manifest"]["diagnostics"] == {"levels": 121, "levels_below_resolution": 0}
+    code, doc = _run_json(["optimize-alpha", "--band", "0.1", "1.0", "--n-samples", "10",
+                           "--t0-multiple", "0.5"], capsys)
+    assert "diagnostics" not in doc["manifest"]
+
+
 def test_product_function_sweep_csv(tmp_path):
     out = tmp_path / "pf.csv"
     code = main(["product-function", "--alpha", "2.0", "--theta-min", "1",
@@ -277,6 +294,24 @@ def test_schedule_fit_manifest_counts_evaluations(mode, tmp_path):
     assert 0 < counts["schedules_integrated"] <= counts["schedules_scored"]
     if "--sweep" in mode:
         assert counts["schedules_integrated"] < counts["schedules_scored"]
+
+
+def test_schedule_fit_counts_zetas_below_the_integrator_tolerance(tmp_path, capsys):
+    code, doc = _run_json(["schedule-fit", "--preset", "xi2", "--sweep", "--n-samples", "100",
+                           "--t-points", "3", "--dt-mults", "0.01", "--t-min-mult", "1",
+                           "--t-max-mult", "10"], capsys)
+    assert code == 0
+    zetas = [p["zeta"] for p in doc["result"]["points"]]
+    below = doc["manifest"]["diagnostics"]["zeta_below_tolerance"]
+    assert below == sum(z < ABS_TOL for z in zetas) == 1
+    # a discrete spectrum is summed, not integrated: no tolerance applies
+    spectrum = tmp_path / "levels.csv"
+    spectrum.write_text("energy,weight\n0,0.5\n0.5,0.25\n1,0.25\n")
+    code, doc = _run_json(["schedule-fit", "--spectrum-file", str(spectrum), "--e-target", "0",
+                           "--n-samples", "10", "--t0-multiple", "2", "--trotter-dt", "0.01"],
+                          capsys)
+    assert code == 0
+    assert "zeta_below_tolerance" not in doc["manifest"]["diagnostics"]
 
 
 def test_curve_small_grid(tmp_path):

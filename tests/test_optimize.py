@@ -180,6 +180,21 @@ def test_adaptive_curve_monotone_mode():
         assert p.total_time == t
 
 
+def test_a_flat_point_leaves_the_monotone_bound_alone():
+    # Flat at T = 1, best ratio 1.8 at T = 2. The flat search reports the
+    # bounds' midpoint, which says nothing about where the optimum lies.
+    def objective(tm):
+        if tm[:, 0].sum() < 1.5:
+            return np.ones(tm.shape[1])
+        return (tm[0] / tm[1] - 1.8) ** 2
+
+    monotone = adaptive_alpha_curve(objective, 5, [1.0, 2.0], monotone=True)
+    free = adaptive_alpha_curve(objective, 5, [1.0, 2.0])
+    assert monotone[0].alpha == free[0].alpha == 1.5
+    assert monotone[1].alpha == free[1].alpha
+    assert monotone[1].alpha == pytest.approx(1.8, rel=1e-5)
+
+
 def test_adaptive_curve_requires_ascending_grid():
     with pytest.raises(ValueError):
         adaptive_alpha_curve(_closed_form, 10, np.array([5.0, 1.0]))

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rodeo_sched import (DiscreteSpectrum, HamiltonianSpec, RodeoObjective,
-                         TimeSchedule, build_sector_hamiltonian, eigendecompose,
+from rodeo_sched import (DiscreteSpectrum, EigenSystem, HamiltonianSpec, InitialState,
+                         RodeoObjective, TimeSchedule, build_sector_hamiltonian, eigendecompose,
                          geometric_times, make_initial_state, minimum_gap,
                          product_function, rsn_quadrature, superiteration_schedule,
                          spectral, trotter_floor)
+from rodeo_sched.hamiltonians import _merge_levels
 from rodeo_sched.schedules import TIME_FLOOR
 from rodeo_sched.spectral import (KERNEL_BLOCK_DOUBLES, LOG_COS_SERIES, PARALLEL_MIN_PHASES,
-                                  SHORT_PHASE, log_survival, log_surviving)
+                                  SHORT_PHASE, log_survival, log_surviving, target_mask)
 
 deltas_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)
 times_st = st.lists(st.floats(0.0, 40.0), min_size=0, max_size=12)
@@ -81,6 +82,51 @@ def test_merged_levels_equal_unmerged_sum():
             res = obj.result(TimeSchedule(times=col))
             np.testing.assert_allclose(res.zeta, surv[1:, j].sum(), rtol=1e-9)
             np.testing.assert_allclose(res.target_weight, surv[0, j], rtol=1e-12)
+
+
+@pytest.mark.parametrize("build, kept, dropped", ((_tfim_chain, 30, 90), (_xx_chain, 121, 0)))
+def test_levels_below_float64_resolution_are_dropped(build, kept, dropped):
+    # TFIM plus: 90 of 120 non-target levels weigh 2.6e-34 to 2.1e-30, round-off
+    # on overlaps that symmetry makes zero; the real ones weigh 5.7e-6 and up
+    _, eig, psi = build(10)
+    e0 = float(eig.eigenvalues[0])
+    obj = RodeoObjective(eig, psi, e0)
+    w = (eig.eigenvectors.T @ psi.vector) ** 2
+    floor = (len(psi.vector) * np.finfo(float).eps) ** 2 * w.sum()
+    assert (obj.levels, len(obj._rest[0]), len(obj._target[0])) == (kept, kept, 1)
+    mask = target_mask(eig.eigenvalues, e0)
+    scale = max(1.0, float(np.abs(eig.eigenvalues).max()))
+    d = eig.eigenvalues - e0
+    every_d, every_log_w, _ = _merge_levels(d[~mask], w[~mask], scale, 0.0)
+    gone = ~np.isin(every_d, obj._rest[0])
+    assert gone.sum() == obj.levels_below_resolution == dropped
+    assert np.all(np.exp(every_log_w[gone]) <= floor)
+    for _, log_w in (obj._rest, obj._target):
+        assert np.all(np.exp(log_w) >= 1e6 * floor)
+
+
+noise_st = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 0.9)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectra_st, noise_st, st.lists(times_st, min_size=1, max_size=4).map(
+    lambda cols: [c + [0.0] * (12 - len(c)) for c in cols]))
+def test_weights_below_the_floor_do_not_move_the_objective(spectrum_args, noise, columns):
+    # Levels of a random spectrum as an eigensystem with unit eigenvectors,
+    # plus levels whose weight lies below (n eps)**2 of the total.
+    spectrum = _spectrum(*spectrum_args)
+    tm = np.array(columns).T
+
+    def objective(energies, amplitudes):
+        eig = EigenSystem(np.asarray(energies), np.eye(len(energies)), len(energies))
+        return RodeoObjective(eig, InitialState(np.asarray(amplitudes)), 0.0)
+
+    amps = np.sqrt(spectrum.weights)
+    n = len(amps) + len(noise)
+    noisy_e = np.concatenate([spectrum.energies, [e for e, _ in noise]])
+    noisy_a = np.concatenate([amps, [f * n * np.finfo(float).eps for _, f in noise]])
+    clean, noisy = objective(spectrum.energies, amps), objective(noisy_e, noisy_a)
+    np.testing.assert_allclose(noisy.batch(tm), clean.batch(tm), rtol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,6 +364,21 @@ def test_calls_with_an_empty_axis_return_zeros(shape, forced):
         got = log_survival(np.full(levels, 2.0), np.full((cycles, cols), 0.1))
     assert got.shape == (levels, cols)
     assert not got.any()
+
+
+@pytest.mark.parametrize("levels, cycles, cols", ((1, 100, 240), (3, 1000, 1), (400, 50, 240)))
+def test_zero_offsets_return_zeros_without_a_cos_pass(levels, cycles, cols, monkeypatch):
+    # A chain objective's target manifold sits at offset 0: cos(0) is 1
+    # for every finite time, so no phase needs computing.
+    def refuse(*args):
+        raise AssertionError("zero offsets entered the cycle loop")
+
+    monkeypatch.setattr(spectral, "_accumulate", refuse)
+    monkeypatch.setattr(spectral, "_sum_short_phases", refuse)
+    times = np.random.default_rng(0).uniform(0.0, 50.0, (cycles, cols))
+    got = log_survival(np.zeros(levels), times)
+    assert got.shape == (levels, cols)
+    assert np.array_equal(got, np.zeros((levels, cols)))
 
 
 def _kernel_call(shape, seed, kind):
