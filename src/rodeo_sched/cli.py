@@ -47,9 +47,6 @@ PRESETS = {
 def _manifest(args: argparse.Namespace, extra: dict | None = None) -> dict:
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "out", "format", "config") and not k.startswith("_")}
-    for k, v in params.items():
-        if isinstance(v, np.ndarray):
-            params[k] = v.tolist()
     if extra:
         params.update(extra)
     core = {"command": args.command, "params": params,
@@ -150,10 +147,8 @@ def _hamiltonian_backend(args):
         psi = make_initial_state(spec, "basis_index", basis_index=1)
     elif state_name == "fusion":
         psi = make_initial_state(spec, "fusion")
-    elif state_name == "plus":
+    else:  # plus; --initial-state's choices admit no other name
         psi = make_initial_state(spec, "plus_projected")
-    else:
-        raise ValueError(f"unknown initial state {state_name!r}")
     e_target = float(eig.eigenvalues[0])
     objective = RodeoObjective(eig, psi, e_target)
     gap = minimum_gap(eig, e_target)
@@ -172,32 +167,33 @@ def _level_counts(objective: RodeoObjective) -> dict:
 
 def cmd_rsn(args) -> int:
     schedule = _resolve_schedule(args)
-    result: dict = {"n_samples": len(schedule), "total_time": schedule.total_time}
-    if args.spectrum_file:
-        spectrum = load_spectrum_csv(args.spectrum_file)
-        result["zeta_quadrature"] = rsn_quadrature(spectrum, args.e_target, schedule)
-        result["zeta_closed_form"] = None
-    elif args.band_file:
-        band = band_from_json(args.band_file)
-        zeta = rsn_quadrature(band, args.e_target, schedule)
-        result["zeta_quadrature"] = zeta
-        result["zeta_closed_form"] = None
-        result["band_average"] = zeta / band.total_weight()
+    closed = None
+    if args.band_file or args.spectrum_file:
+        spectrum, _ = _spectral_input(args)
+    elif args.e_target != 0.0:
+        raise ValueError("--band edges are gaps from the target; "
+                         "give --e-target with --band-file or --spectrum-file")
     else:
-        if args.e_target != 0.0:
-            raise ValueError("--band edges are gaps from the target; "
-                             "give --e-target with --band-file or --spectrum-file")
-        dmin, dmax = args.band
-        band = BandModel(dmin, dmax)
-        closed = rsn_closed_form(band, schedule) if len(schedule) <= MAX_ENUM_N else None
-        zeta = rsn_quadrature(band.quadrature_twin(), 0.0, schedule)
-        result["zeta_quadrature"] = zeta
-        result["zeta_closed_form"] = closed
-        if closed is not None:
-            result["discrepancy"] = abs(closed - zeta)
-        result["band_average"] = zeta / (2.0 * (dmax - dmin))
+        band = BandModel(*args.band)
+        spectrum = band.quadrature_twin()
+        if len(schedule) <= MAX_ENUM_N:
+            closed = rsn_closed_form(band, schedule)
+    zeta = rsn_quadrature(spectrum, args.e_target, schedule)
+    result = {"n_samples": len(schedule), "total_time": schedule.total_time,
+              "zeta_quadrature": zeta, "zeta_closed_form": closed}
+    if closed is not None:
+        result["discrepancy"] = abs(closed - zeta)
+    if isinstance(spectrum, ContinuousBand):
+        result["band_average"] = zeta / spectrum.total_weight()
     _emit(args, result)
     return 0
+
+
+def _times_fields(res, limit: float) -> dict:
+    """The fields optimize-times and each table1 row report of a search."""
+    return {"total_time_limit": limit, "zeta": res.best_objective,
+            "surviving_times": len(res.best_schedule), "converged": res.converged,
+            "schedule": res.best_schedule.times.tolist()}
 
 
 def cmd_optimize_times(args) -> int:
@@ -206,16 +202,8 @@ def cmd_optimize_times(args) -> int:
     total = _total_time(args, math.pi / dmin)
     res = optimize_times(objective, args.n_samples, total, budget=args.budget,
                          restarts=args.restarts, seed=args.seed, tolerance=args.tolerance)
-    result = {
-        "schedule": res.best_schedule.times.tolist(),
-        "zeta": res.best_objective,
-        "total_time_limit": total,
-        "total_time_used": res.best_schedule.total_time,
-        "surviving_times": len(res.best_schedule),
-        "evaluations": res.evaluations_used,
-        "restart_bests": res.restart_bests,
-        "converged": res.converged,
-    }
+    result = dict(_times_fields(res, total), total_time_used=res.best_schedule.total_time,
+                  evaluations=res.evaluations_used, restart_bests=res.restart_bests)
     rows = [[i, t] for i, t in enumerate(res.best_schedule.times)]
     _emit(args, result, header=["index", "time"], rows=rows,
           extra={"resolved_total_time": total})
@@ -255,11 +243,7 @@ def cmd_table1(args) -> int:
         times = " ".join(f"{t:.6f}" for t in res.best_schedule.times)
         rows.append([f"{mult:g}*T0", mult * t0, res.best_objective,
                      len(res.best_schedule), res.converged, times])
-        entries.append({"limit": f"{mult:g}*T0", "total_time_limit": mult * t0,
-                        "zeta": res.best_objective,
-                        "surviving_times": len(res.best_schedule),
-                        "converged": res.converged,
-                        "schedule": res.best_schedule.times.tolist()})
+        entries.append(dict(_times_fields(res, mult * t0), limit=f"{mult:g}*T0"))
     _emit(args, {"rows": entries},
           header=["limit", "total_time", "zeta", "surviving_times", "converged", "schedule"],
           rows=rows, extra={"characteristic_time": t0})
@@ -346,13 +330,14 @@ def cmd_decay_fit(args) -> int:
 
 
 def _spectral_input(args):
-    """(spectrum, label) from a preset name, band file, or discrete CSV."""
-    if args.preset:
-        return PRESETS[args.preset](), args.preset
+    """(spectrum, label) from a band file, a discrete CSV, or (schedule-fit
+    only) a preset name."""
     if args.band_file:
         return band_from_json(args.band_file), args.band_file
     if args.spectrum_file:
         return load_spectrum_csv(args.spectrum_file), args.spectrum_file
+    if args.preset:
+        return PRESETS[args.preset](), args.preset
     raise ValueError("schedule-fit needs --preset, --band-file, or --spectrum-file")
 
 
@@ -464,7 +449,7 @@ def _add_band_flags(p) -> None:
                    metavar=("DMIN", "DMAX"), help="gap band edges")
 
 
-def _add_model_flags(p: argparse.ArgumentParser, model_group=None) -> None:
+def _add_chain_flags(p: argparse.ArgumentParser, model_group=None) -> None:
     """Chain flags; --model is required unless it joins ``model_group``, a
     mutually exclusive group of alternative inputs."""
     (model_group or p).add_argument("--model", choices=("xx", "tfim"),
@@ -475,9 +460,13 @@ def _add_model_flags(p: argparse.ArgumentParser, model_group=None) -> None:
     p.add_argument("--sector", default=None,
                    help="zero_magnetization, even_parity or full "
                         "(default: the model's native sector)")
-    p.add_argument("--initial-state", choices=("e1", "fusion", "plus"), default=None)
-    p.add_argument("--basis-index", type=int, default=None,
-                   help="start from this ordered sector basis vector")
+
+
+def _add_state_flags(p: argparse.ArgumentParser) -> None:
+    state = p.add_mutually_exclusive_group()
+    state.add_argument("--initial-state", choices=("e1", "fusion", "plus"), default=None)
+    state.add_argument("--basis-index", type=int, default=None,
+                       help="start from this ordered sector basis vector")
 
 
 def _add_alpha_bounds(p: argparse.ArgumentParser) -> None:
@@ -492,7 +481,6 @@ def build_parser() -> tuple:
         description="Evaluate and optimize filtering time schedules.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     p = sub.add_parser("rsn", help="residual weight of a schedule on a spectrum")
     spectrum = p.add_mutually_exclusive_group()
@@ -509,7 +497,6 @@ def build_parser() -> tuple:
     p.add_argument("--total-time", type=float)
     _add_output_flags(p)
     p.set_defaults(func=cmd_rsn)
-    commands["rsn"] = p
 
     p = sub.add_parser("optimize-times", help="full schedule optimization on a band")
     _add_band_flags(p)
@@ -522,19 +509,18 @@ def build_parser() -> tuple:
     p.add_argument("--tolerance", type=float, default=0.01)
     _add_output_flags(p)
     p.set_defaults(func=cmd_optimize_times)
-    commands["optimize-times"] = p
 
     p = sub.add_parser("optimize-alpha", help="geometric-ratio optimization")
     target = p.add_mutually_exclusive_group()
     _add_band_flags(target)
-    _add_model_flags(p, model_group=target)
+    _add_chain_flags(p, model_group=target)
+    _add_state_flags(p)
     _add_alpha_bounds(p)
     p.add_argument("--n-samples", type=int, default=10)
     p.add_argument("--total-time", type=float)
     p.add_argument("--t0-multiple", type=float, default=1.0)
     _add_output_flags(p)
     p.set_defaults(func=cmd_optimize_alpha)
-    commands["optimize-alpha"] = p
 
     p = sub.add_parser("table1", help="optimized residual weight at four time budgets")
     _add_band_flags(p)
@@ -544,10 +530,10 @@ def build_parser() -> tuple:
     p.add_argument("--tolerance", type=float, default=0.01)
     _add_output_flags(p)
     p.set_defaults(func=cmd_table1)
-    commands["table1"] = p
 
     p = sub.add_parser("curve", help="fidelity-vs-time curves for a spin chain")
-    _add_model_flags(p)
+    _add_chain_flags(p)
+    _add_state_flags(p)
     _add_alpha_bounds(p)
     p.add_argument("--n-samples", type=int, default=100)
     p.add_argument("--alphas", default="2.0,1.5,1.2",
@@ -567,7 +553,6 @@ def build_parser() -> tuple:
                         "the post-selected fidelity")
     _add_output_flags(p)
     p.set_defaults(func=cmd_curve)
-    commands["curve"] = p
 
     p = sub.add_parser("product-function", help="evaluate the suppression product")
     p.add_argument("--alpha", type=float, required=True)
@@ -579,7 +564,6 @@ def build_parser() -> tuple:
                    help="cycle count (0 means the infinite-product truncation)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_product_function)
-    commands["product-function"] = p
 
     p = sub.add_parser("decay-fit", help="power-law fit of the suppression envelope")
     p.add_argument("--alpha", type=float, required=True)
@@ -589,7 +573,6 @@ def build_parser() -> tuple:
     p.add_argument("--n-terms", type=int, default=0)
     _add_output_flags(p)
     p.set_defaults(func=cmd_decay_fit)
-    commands["decay-fit"] = p
 
     p = sub.add_parser("schedule-fit",
                        help="optimal ratio for a Trotter-rounded schedule")
@@ -612,24 +595,23 @@ def build_parser() -> tuple:
     _add_alpha_bounds(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_schedule_fit)
-    commands["schedule-fit"] = p
 
     p = sub.add_parser("spectrum", help="sector eigenvalues of a spin chain")
-    _add_model_flags(p)
+    _add_chain_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_spectrum)
-    commands["spectrum"] = p
 
-    return parser, commands
+    return parser, sub.choices
 
 
-def _apply_config(commands: dict, argv: list) -> set:
-    """Install JSON config values as defaults of the active subparser and
-    return the dests they set.
+def _config_flags(commands: dict, argv: list) -> list:
+    """argv with the --config file's values spliced in as flags right after
+    the subcommand, so that one parse reads them with every check a flag
+    gets, and any flag on the command line wins.
 
-    Explicit flags still win because defaults only fill dests the parse
-    left untouched. Defaults must land on the subparser itself: the top
-    parser's namespace is rebuilt by the subparser pass.
+    A key is a flag name, with - or _; true adds a switch, false and null
+    add nothing, a list gives one token per item, and a single value goes
+    as --flag=value, so that a value such as -1 is not read as a flag.
     """
     path = None
     for i, token in enumerate(argv):
@@ -637,54 +619,36 @@ def _apply_config(commands: dict, argv: list) -> set:
             path = argv[i + 1]
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
-    if not path:
-        return set()
-    sub_name = argv[0] if argv and not argv[0].startswith("-") else None
-    if sub_name not in commands:
-        return set()
+    if not path or not argv or argv[0] not in commands:
+        return argv
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    subparser = commands[sub_name]
-    known = {a.dest for a in subparser._actions}
-    defaults = {}
+    options = {s for a in commands[argv[0]]._actions for s in a.option_strings}
+    flags = []
     for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ValueError(f"unknown config key {key!r} in {path} for {sub_name}")
-        defaults[dest] = value
-    subparser.set_defaults(**defaults)
-    return set(defaults)
-
-
-def _reject_config_conflicts(subparser: argparse.ArgumentParser, config_dests: set,
-                             args: argparse.Namespace) -> None:
-    """Exit 2 when config values and flags together set two inputs of one
-    mutually exclusive group; argparse checks only the command line.
-
-    A flag counts as given when its value is not its default object, the
-    test argparse applies, so --band's default does not count.
-    """
-    for group in subparser._mutually_exclusive_groups:
-        given = [f"config key {a.dest!r}" if a.dest in config_dests
-                 else f"argument {'/'.join(a.option_strings)}"
-                 for a in group._group_actions
-                 if a.dest in config_dests or getattr(args, a.dest) is not a.default]
-        if len(given) > 1:
-            subparser.error(f"{given[1]}: not allowed with {given[0]}")
+        flag = "--" + key.replace("_", "-")
+        if flag not in options or flag in ("--config", "--help"):
+            raise ValueError(f"unknown config key {key!r} in {path} for {argv[0]}")
+        if value is True:
+            flags.append(flag)
+        elif isinstance(value, list):
+            flags += [flag, *map(str, value)]
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value}")
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        config_dests = _apply_config(commands, argv)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        argv = _config_flags(commands, argv)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
-    _reject_config_conflicts(commands[args.command], config_dests, args)
     args._t_start = time.perf_counter()
     try:
         return args.func(args)

@@ -161,8 +161,9 @@ def optimize_alpha(objective, n_samples: int, total_time: float, *,
     (alpha - 1) across ``alpha_bounds`` in one call, then refines
     around the best point by golden-section, one column per step, to a
     relative precision of 1e-6. Ties resolve to the smaller ratio. A
-    landscape flat across the whole grid returns the bounds midpoint
-    with flat=True.
+    grid whose spread is at most 1e-12 of its largest magnitude is flat,
+    however small its values: it returns the bounds midpoint with
+    flat=True.
     """
     lo, hi = alpha_bounds
     if not hi > lo >= 1.0:
@@ -175,7 +176,7 @@ def optimize_alpha(objective, n_samples: int, total_time: float, *,
 
     vals = np.asarray(objective(geometric_times(grid, n_samples, total_time)), dtype=float)
     spread = float(vals.max() - vals.min())
-    if spread <= 1e-12 * max(1.0, float(np.abs(vals).max())):
+    if spread <= 1e-12 * float(np.abs(vals).max()):
         return AlphaOptimum(alpha=0.5 * (lo + hi), objective=float(vals[0]), flat=True)
     k = int(np.argmin(vals))  # argmin takes the first, hence smallest, tied ratio
     a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]

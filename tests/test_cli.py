@@ -12,8 +12,9 @@ import pytest
 
 from rodeo_sched import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                          eigendecompose, make_initial_state, superiteration_schedule)
-from rodeo_sched.cli import build_parser, main
+from rodeo_sched.cli import _config_flags, _manifest, build_parser, main
 from rodeo_sched.quadrature import ABS_TOL
+from rodeo_sched.spectral import band_from_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -68,6 +69,24 @@ def test_rsn_geometric_schedule_flags(capsys):
     np.testing.assert_allclose(doc["result"]["total_time"], 20.0, rtol=1e-12)
 
 
+def test_rsn_file_inputs_share_one_resolver(tmp_path, capsys):
+    band = tmp_path / "band.json"
+    band.write_text(json.dumps({"delta_min": 0.1, "delta_max": 1.0,
+                                "density": {"tabulated": [[0.1, 2.0], [1.0, 1.0]]}}))
+    code, doc = _run_json(["rsn", "--band-file", str(band), "--e-target", "0",
+                           "--times", "3,7"], capsys)
+    assert code == 0
+    res = doc["result"]
+    assert res["zeta_closed_form"] is None
+    assert res["band_average"] == res["zeta_quadrature"] / band_from_json(band).total_weight()
+    levels = tmp_path / "levels.csv"
+    levels.write_text("energy,weight\n0,0.5\n0.5,0.25\n1,0.25\n")
+    code, doc = _run_json(["rsn", "--spectrum-file", str(levels), "--times", "3,7"], capsys)
+    assert code == 0
+    assert doc["result"]["zeta_closed_form"] is None
+    assert "band_average" not in doc["result"]
+
+
 def test_csv_output_and_manifest_sidecar(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     code = main(["spectrum", "--model", "xx", "--length", "6",
@@ -112,6 +131,14 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
                           capsys)
     assert code == 0
     assert doc["manifest"]["params"]["total_time"] == 4.0
+
+
+@pytest.mark.parametrize("key", ["config", "help"])
+def test_config_cannot_name_a_config_or_help(key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: True}))
+    assert main(["rsn", "--config", str(cfg)]) == 1
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_config_unknown_key_fails(tmp_path, capsys):
@@ -402,19 +429,147 @@ def test_config_values_obey_the_exclusive_groups(config, flags, tmp_path, capsys
     with pytest.raises(SystemExit) as info:
         main(["rsn", "--config", str(cfg)] + flags)
     assert info.value.code == 2
-    assert "not allowed with config key" in capsys.readouterr().err
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_a_flag_repeating_a_grouped_config_key_wins(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"times": "3,7", "band": [0.2, 1.0]}))
+    code, doc = _run_json(["rsn", "--config", str(cfg), "--times", "3,7,12"], capsys)
+    assert code == 0
+    assert doc["manifest"]["params"]["times"] == "3,7,12"
+    assert doc["result"]["n_samples"] == 3
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"n_samples": 2.5}, ["rsn", "--alpha", "1.5", "--total-time", "20"]),
+    ({"band": [0.1]}, ["rsn"]),
+    ({"format": "xml"}, ["rsn"]),
+    ({"times": [1, 2, 3]}, ["rsn"]),
+    ({"initial-state": "xx"}, ["curve", "--model", "xx"]),
+    ({"monotone": "yes"}, ["curve", "--model", "xx"]),
+])
+def test_config_values_get_the_flag_checks(config, argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as info:  # any other exception is a traceback
+        main(argv + ["--config", str(cfg)])
+    assert info.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_config_supplies_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "xx", "length": 4}))
+    code, doc = _run_json(["spectrum", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert doc["manifest"]["params"]["model"] == "xx"
+    assert len(doc["result"]["eigenvalues"]) == 6  # C(4,2)
+
+
+def test_config_values_become_flags_after_the_subcommand(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"skip_rra": False, "sector": None, "monotone": True,
+                               "field": -1, "length": 4}))
+    _, commands = build_parser()
+    argv = ["curve", "--model", "xx", "--config", str(cfg)]
+    assert _config_flags(commands, argv) == [
+        "curve", "--monotone", "--field=-1", "--length=4", *argv[1:]]
+    cfg.write_text(json.dumps({"band": [0.2, 1], "times": None}))
+    assert _config_flags(commands, ["rsn", "--config", str(cfg)]) == [
+        "rsn", "--band", "0.2", "1", "--config", str(cfg)]
+    # no --config: argv as it came
+    assert _config_flags(commands, ["rsn", "--band", "0.2", "1"]) == ["rsn", "--band", "0.2", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--model", "xx", "--initial-state", "fusion", "--basis-index", "3"],
+    ["optimize-alpha", "--model", "xx", "--basis-index", "3", "--initial-state", "e1"],
+])
+def test_state_flags_exclude_each_other(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    # one from a config file, the other as a flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({argv[3][2:]: argv[4]}))
+    with pytest.raises(SystemExit) as info:
+        main(argv[:3] + argv[5:] + ["--config", str(cfg)])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_spectrum_takes_only_chain_flags(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--model", "xx", "--length", "4", "--initial-state", "e1"])
+    assert info.value.code == 2
+    code, doc = _run_json(["spectrum", "--model", "xx", "--length", "4"], capsys)
+    assert code == 0
+    assert sorted(doc["manifest"]["params"]) == [
+        "command", "coupling", "field", "gap", "length", "model", "sector", "sector_dim",
+        "seed"]
+
+
+def test_a_tiny_ratio_landscape_is_not_flat(capsys):
+    # every grid value lies below 1e-12, yet they span 10^-18 to 10^-41
+    code, doc = _run_json(["optimize-alpha", "--model", "xx", "--length", "10",
+                           "--initial-state", "e1", "--n-samples", "100",
+                           "--t0-multiple", "40", "--alpha-min", "1.02",
+                           "--alpha-cap", "1.1"], capsys)
+    assert code == 0
+    res = doc["result"]
+    assert not res["flat"]
+    assert abs(res["alpha_opt"] - 1.02745) < 1e-4
+    assert res["objective"] < 1e-45
+
+
+def _readme_command_lines() -> list:
+    """Every example command line of the README, continuation lines joined,
+    as argv; the "rodeo-sched <command> [flags]" synopsis is not one."""
+    text = README.read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("rodeo-sched ") and "<command>" not in line]
 
 
 def test_readme_command_lines_parse():
-    # every example command line, continuation lines joined; the
-    # "rodeo-sched <command> [flags]" synopsis is not a command line
-    text = README.read_text().replace("\\\n", " ")
-    commands = [line for line in text.splitlines()
-                if line.startswith("rodeo-sched ") and "<command>" not in line]
-    assert commands
+    argvs = _readme_command_lines()
+    assert argvs
     parser, _ = build_parser()
-    for line in commands:
-        parser.parse_args(shlex.split(line)[1:])
+    for argv in argvs:
+        parser.parse_args(argv)
+
+
+def _as_config(flags: list) -> dict:
+    """A config object setting ``flags``: JSON values where a token is one."""
+    def value(token):
+        try:
+            return json.loads(token)
+        except ValueError:
+            return token
+
+    groups = {}
+    for token in flags:
+        if token.startswith("--"):
+            key = groups.setdefault(token[2:], [])
+        else:
+            key.append(value(token))
+    return {k: True if not v else v[0] if len(v) == 1 else v for k, v in groups.items()}
+
+
+# an integer for a float flag hashes as the float the flag gives
+@pytest.mark.parametrize("argv", _readme_command_lines() + [
+    ["rsn", "--alpha", "1.5", "--total-time", "9"]])
+def test_config_of_a_command_line_parses_as_its_flags(argv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_as_config(argv[1:])))
+    parser, commands = build_parser()
+    flags = parser.parse_args(argv)
+    config = parser.parse_args(_config_flags(commands, [argv[0], "--config", str(cfg)]))
+    assert config.config == str(cfg)
+    config.config = None
+    assert vars(config) == vars(flags)
+    assert _manifest(config)["hash"] == _manifest(flags)["hash"]
 
 
 def _fresh_python(*args):
