@@ -436,6 +436,17 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a grid bound: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file path (default: print JSON to stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -538,9 +549,9 @@ def build_parser() -> tuple:
     p.add_argument("--n-samples", type=int, default=100)
     p.add_argument("--alphas", default="2.0,1.5,1.2",
                    help="comma-separated fixed ratios to plot")
-    p.add_argument("--t-min-mult", type=float, default=0.1,
+    p.add_argument("--t-min-mult", type=_positive_float, default=0.1,
                    help="grid start in characteristic-time units")
-    p.add_argument("--t-max-mult", type=float, default=20.0)
+    p.add_argument("--t-max-mult", type=_positive_float, default=20.0)
     p.add_argument("--t-points", type=int, default=12)
     p.add_argument("--monotone", action="store_true",
                    help="constrain the adaptive ratio to be nonincreasing in time")
@@ -557,8 +568,8 @@ def build_parser() -> tuple:
     p = sub.add_parser("product-function", help="evaluate the suppression product")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float)
-    p.add_argument("--theta-min", type=float, default=0.1)
-    p.add_argument("--theta-max", type=float, default=100.0)
+    p.add_argument("--theta-min", type=_positive_float, default=0.1)
+    p.add_argument("--theta-max", type=_positive_float, default=100.0)
     p.add_argument("--theta-points", type=int, default=200)
     p.add_argument("--n-terms", type=int, default=0,
                    help="cycle count (0 means the infinite-product truncation)")
@@ -567,8 +578,8 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("decay-fit", help="power-law fit of the suppression envelope")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--theta-min", type=float, default=100.0)
-    p.add_argument("--theta-max", type=float, default=1e4)
+    p.add_argument("--theta-min", type=_positive_float, default=100.0)
+    p.add_argument("--theta-max", type=_positive_float, default=1e4)
     p.add_argument("--windows", type=int, default=50)
     p.add_argument("--n-terms", type=int, default=0)
     _add_output_flags(p)
@@ -587,8 +598,8 @@ def build_parser() -> tuple:
     p.add_argument("--trotter-dt", type=float, default=0.0)
     p.add_argument("--sweep", action="store_true",
                    help="emit a grid over total time and Trotter step")
-    p.add_argument("--t-min-mult", type=float, default=0.1)
-    p.add_argument("--t-max-mult", type=float, default=10.0)
+    p.add_argument("--t-min-mult", type=_positive_float, default=0.1)
+    p.add_argument("--t-max-mult", type=_positive_float, default=10.0)
     p.add_argument("--t-points", type=int, default=20)
     p.add_argument("--dt-mults", default="0.01,0.1,1.0",
                    help="Trotter steps in characteristic-time units (sweep mode)")
@@ -611,7 +622,9 @@ def _config_flags(commands: dict, argv: list) -> list:
 
     A key is a flag name, with - or _; true adds a switch, false and null
     add nothing, a list gives one token per item, and a single value goes
-    as --flag=value, so that a value such as -1 is not read as a flag.
+    as --flag=value, so that a value such as -1 is not read as a flag. A
+    list for a flag that takes one value or none exits 2 through the
+    subcommand's parser, naming the key and the file.
     """
     path = None
     for i, token in enumerate(argv):
@@ -625,15 +638,18 @@ def _config_flags(commands: dict, argv: list) -> list:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    options = {s for a in commands[argv[0]]._actions for s in a.option_strings}
+    command = commands[argv[0]]
+    actions = {s: a for a in command._actions for s in a.option_strings}
     flags = []
     for key, value in raw.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in options or flag in ("--config", "--help"):
+        if flag not in actions or flag in ("--config", "--help"):
             raise ValueError(f"unknown config key {key!r} in {path} for {argv[0]}")
         if value is True:
             flags.append(flag)
         elif isinstance(value, list):
+            if actions[flag].nargs in (None, 0):
+                command.error(f"config key {key!r} in {path} is a list, but {flag} takes none")
             flags += [flag, *map(str, value)]
         elif value is not False and value is not None:
             flags.append(f"{flag}={value}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schedules import TimeSchedule
-from .spectral import TARGET_RTOL, level_gap, log_surviving, target_mask
+from .spectral import DiscreteSpectrum, level_gap, log_surviving
 
 MAX_LENGTH = 16
 # Dense-diagonalization guard; C(16,8) fits, full 2**16 does not.
@@ -272,31 +272,12 @@ class RodeoResult:
     target_weight: float
 
 
-def _merge_levels(deltas: np.ndarray, weights: np.ndarray, scale: float, floor: float):
-    """(deltas, log weights) of the distinct levels whose weight is above
-    ``floor``, and the number of distinct levels at or below it.
-
-    Eigenvalues closer than TARGET_RTOL * scale are one level, placed at
-    their weight-averaged offset. A level at or below the floor is
-    dropped: RodeoObjective sets it where an overlap can no longer be
-    told from eigensolver round-off.
-    """
-    order = np.argsort(deltas)
-    d, w = deltas[order], weights[order]
-    starts = np.concatenate([[True], np.diff(d) > TARGET_RTOL * scale])
-    group = np.cumsum(starts) - 1
-    level_w = np.bincount(group, weights=w)
-    keep = level_w > floor
-    level_d = np.bincount(group, weights=d * w)[keep] / level_w[keep]
-    return level_d, np.log(level_w[keep]), int(keep.size - np.count_nonzero(keep))
-
-
 class RodeoObjective:
     """Reusable filtering evaluator for one (eigensystem, state, target).
 
-    Merges the eigenbasis overlaps once into distinct levels inside and
-    outside the target manifold; every evaluation is one pass of the
-    log-space survival kernel. value(times) returns the post-selected
+    Reads the eigenbasis overlaps once as the two level sets of a
+    DiscreteSpectrum (DiscreteSpectrum.levels); every evaluation sums each
+    set in log space with log_surviving. value(times) returns the post-selected
     infidelity (zeta / (target + zeta)) and batch(times) evaluates a
     (n_samples, n_schedules) column stack of schedules.
 
@@ -314,16 +295,11 @@ class RodeoObjective:
 
     def __init__(self, eig: EigenSystem, psi: InitialState, e_target: float):
         weights = (eig.eigenvectors.T @ psi.vector) ** 2
-        mask = target_mask(eig.eigenvalues, e_target)
-        scale = max(1.0, float(np.abs(eig.eigenvalues).max()))
         floor = (len(psi.vector) * np.finfo(float).eps) ** 2 * float(weights.sum())
-        deltas = eig.eigenvalues - e_target
-        self.e_target = float(e_target)
-        self.target_weight_initial = float(weights[mask].sum())
-        *self._rest, rest_dropped = _merge_levels(deltas[~mask], weights[~mask], scale, floor)
-        *self._target, target_dropped = _merge_levels(deltas[mask], weights[mask], scale, floor)
+        self._target, self._rest, self.levels_below_resolution = DiscreteSpectrum(
+            eig.eigenvalues, weights).levels(e_target, floor)
+        self.target_weight_initial = float(np.exp(self._target[1]).sum())
         self.levels = len(self._rest[0])
-        self.levels_below_resolution = rest_dropped + target_dropped
 
     def _log_weights(self, times_matrix) -> tuple:
         """(log zeta, log target weight), each (S,), for (N, S) schedules."""

@@ -113,6 +113,27 @@ class DiscreteSpectrum:
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "weights", w)
 
+    def levels(self, e_target: float, floor: float = 0.0) -> tuple:
+        """(target, rest, dropped): the distinct levels in and outside the
+        target manifold as (offsets E - E_t, log weights), either possibly
+        empty, and the number of levels left out of both for weighing at or
+        below ``floor``. Energies closer than target_mask's tolerance are one
+        level, at their weight-averaged offset."""
+        deltas = self.energies - e_target
+        tol = _target_tolerance(self.energies, e_target)
+        mask = np.abs(deltas) <= tol
+        sets, dropped = [], 0
+        for part in (mask, ~mask):
+            order = np.argsort(deltas[part])
+            d, w = deltas[part][order], self.weights[part][order]
+            group = np.cumsum(np.diff(d, prepend=-np.inf) > tol) - 1
+            level_w = np.bincount(group, weights=w)
+            keep = level_w > floor
+            sets.append((np.bincount(group, weights=d * w)[keep] / level_w[keep],
+                         np.log(level_w[keep])))
+            dropped += np.count_nonzero(~keep)
+        return (*sets, int(dropped))
+
 
 @dataclass(frozen=True)
 class ContinuousBand:
@@ -391,12 +412,15 @@ def survival_product(energies, e_target: float, schedule: TimeSchedule) -> np.nd
     return np.exp(logs[:, 0]).reshape(e.shape)
 
 
+def _target_tolerance(energies: np.ndarray, e_target: float) -> float:
+    return TARGET_RTOL * max(1.0, abs(e_target), float(np.max(np.abs(energies), initial=0.0)))
+
+
 def target_mask(energies, e_target: float) -> np.ndarray:
     """Levels forming the target manifold: within TARGET_RTOL of the
     target, relative to the scale max(1, |E_t|, max |E|)."""
     e = np.asarray(energies, dtype=float)
-    scale = max(1.0, abs(e_target), float(np.max(np.abs(e), initial=0.0)))
-    return np.abs(e - e_target) <= TARGET_RTOL * scale
+    return np.abs(e - e_target) <= _target_tolerance(e, e_target)
 
 
 def level_gap(energies, e_target: float) -> float:
@@ -432,8 +456,8 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     panel rule, each to ``abs_tol``; the phase rate is the largest column
     total. Columns go in chunks of quadrature.batch_columns, so that the
     first round of panels stays within MAX_PANEL_COLUMNS. For a discrete
-    spectrum the non-target weights are summed after filtering. A column
-    of zeros returns the initial non-target weight.
+    spectrum the non-target levels are summed in log space, as a chain
+    objective's are. A column of zeros returns the initial non-target weight.
 
     A column's value depends on the other columns of its call: the
     kernel's cycle blocks, its short-phase cost rule and its power sums
@@ -444,9 +468,8 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     """
     tm = np.asarray(times, dtype=float)
     if isinstance(spectrum, DiscreteSpectrum):
-        keep = ~target_mask(spectrum.energies, e_target)
-        logs = log_survival(spectrum.energies[keep] - e_target, tm)
-        return spectrum.weights[keep] @ np.exp(logs)
+        _, rest, _ = spectrum.levels(e_target)
+        return np.exp(log_surviving(*rest, tm))
     target_gap(spectrum, e_target)  # rejects a target inside the band
     if tm.shape[1] == 0:
         return np.empty(0)

@@ -341,6 +341,19 @@ def test_schedule_fit_counts_zetas_below_the_integrator_tolerance(tmp_path, caps
     assert "zeta_below_tolerance" not in doc["manifest"]["diagnostics"]
 
 
+def test_a_spectrum_file_fit_keeps_its_ratio_and_its_value_to_the_last_bits(tmp_path, capsys):
+    # Values before discrete spectra were summed in log space as merged
+    # levels; the sum moved zeta by 9e-12 relative and left the ratio alone.
+    spectrum = tmp_path / "levels.csv"
+    spectrum.write_text("energy,weight\n" + "".join(f"{k / 10!r},0.1\n" for k in range(1, 11)))
+    code, doc = _run_json(["schedule-fit", "--spectrum-file", str(spectrum), "--e-target", "0",
+                           "--trotter-dt", "1e-3", "--n-samples", "100", "--t0-multiple", "30"],
+                          capsys)
+    assert code == 0
+    assert doc["result"]["alpha_opt"] == 1.0376944736881266
+    np.testing.assert_allclose(doc["result"]["zeta"], 3.47873244006575e-36, rtol=1e-10)
+
+
 def test_curve_small_grid(tmp_path):
     out = tmp_path / "curve.csv"
     code = main(["curve", "--model", "xx", "--length", "6", "--n-samples",
@@ -624,3 +637,46 @@ def test_optimized_schedule_file_round_trips_through_rsn(tmp_path, capsys, fmt):
     assert back["result"]["zeta_quadrature"] == doc["result"]["zeta"]
     np.testing.assert_allclose(back["result"]["zeta_closed_form"], doc["result"]["zeta"],
                                rtol=1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize-alpha", "--model", "xx", "--length", "2", "--coupling", "0"],
+    ["curve", "--model", "tfim", "--length", "2", "--coupling", "0", "--field", "0"],
+])
+def test_a_chain_without_a_gap_says_so(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: every level lies in the target manifold; no gap exists\n")
+
+
+def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"times": [1, 2, 3]}))
+    with pytest.raises(SystemExit) as info:
+        main(["rsn", "--config", str(cfg)])
+    assert info.value.code == 2
+    assert (f"rodeo-sched rsn: error: config key 'times' in {cfg} is a list, "
+            "but --times takes none") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, flag", [
+    (["curve", "--model", "xx", "--t-min-mult", "-1"], None, "--t-min-mult"),
+    (["curve", "--model", "xx", "--t-max-mult", "0"], None, "--t-max-mult"),
+    (["schedule-fit", "--preset", "xi2", "--sweep", "--t-min-mult", "-1"], None, "--t-min-mult"),
+    (["schedule-fit", "--preset", "xi2", "--sweep", "--t-max-mult", "inf"], None,
+     "--t-max-mult"),
+    (["product-function", "--alpha", "2", "--theta-min", "-1", "--theta-max", "100"], None,
+     "--theta-min"),
+    (["product-function", "--alpha", "2", "--theta-max", "nan"], None, "--theta-max"),
+    (["decay-fit", "--alpha", "2", "--theta-min", "x"], None, "--theta-min"),
+    (["decay-fit", "--alpha", "2"], {"theta_max": -1e4}, "--theta-max"),
+])
+def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"error: argument {flag}: expected a positive number" in capsys.readouterr().err

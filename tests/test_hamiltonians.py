@@ -211,3 +211,15 @@ def test_fusion_requires_xx_zero_magnetization():
     spec = HamiltonianSpec(model="tfim", length=6)
     with pytest.raises(ValueError):
         make_initial_state(spec, "fusion")
+
+
+def test_a_chain_with_every_level_on_the_target_has_no_residual():
+    # XX at zero coupling: every level of the L = 2 sector is 0
+    spec = HamiltonianSpec(model="xx", length=2, coupling=0.0)
+    eig = eigendecompose(build_sector_hamiltonian(spec))
+    obj = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1), 0.0)
+    assert (obj.levels, obj.levels_below_resolution, len(obj._target[0])) == (0, 0, 1)
+    assert obj.target_weight_initial == 1.0
+    np.testing.assert_array_equal(obj.batch(np.ones((4, 3))), [0.0] * 3)
+    with pytest.raises(ValueError, match="no gap exists"):
+        minimum_gap(eig)

@@ -207,3 +207,41 @@ def test_batch_rejects_target_inside_band():
 def test_batch_of_no_schedules_is_empty(spectrum):
     got = rsn_quadrature_batch(spectrum, 0.0, np.zeros((3, 0)))
     assert got.shape == (0,)
+
+
+def test_levels_merge_near_duplicates_at_their_weighted_mean():
+    # scale max(1, |E_t|, max |E|) = 1.2, so energies within 1.2e-10 are one level
+    e = np.array([0.0, 0.5 + 3e-11, 0.9, 0.5, 1.2, 0.5 - 2e-11, 0.9 + 5e-10])
+    w = np.array([0.3, 0.1, 0.05, 0.2, 0.1, 0.15, 0.1])
+    (target_d, target_log_w), (d, log_w), dropped = DiscreteSpectrum(e, w).levels(0.0)
+    assert dropped == 0
+    np.testing.assert_array_equal(target_d, [0.0])
+    np.testing.assert_allclose(np.exp(target_log_w), [0.3], rtol=1e-15)
+    near = np.array([1, 3, 5])
+    np.testing.assert_allclose(d, [e[near] @ w[near] / w[near].sum(), 0.9, 0.9 + 5e-10, 1.2],
+                               rtol=1e-15)
+    np.testing.assert_allclose(np.exp(log_w), [0.45, 0.05, 0.1, 0.1], rtol=1e-15)
+    np.testing.assert_allclose(np.exp(log_w).sum() + np.exp(target_log_w).sum(), w.sum(),
+                               rtol=1e-15)
+
+
+def test_levels_drop_weights_at_or_below_the_floor():
+    spectrum = DiscreteSpectrum(np.array([0.0, 0.0, 0.4, 0.7, 0.8]),
+                                np.array([0.0, 0.0, 0.2, 0.0, 1e-3]))
+    target, rest, dropped = spectrum.levels(0.0)
+    assert len(target[0]) == 0 and dropped == 2  # the zero-weight target pair and 0.7
+    np.testing.assert_allclose(rest[0], [0.4, 0.8], rtol=1e-15)
+    _, rest, dropped = spectrum.levels(0.0, floor=1e-3)
+    assert dropped == 3
+    np.testing.assert_allclose(rest[0], [0.4], rtol=1e-15)
+
+
+@pytest.mark.parametrize("spectrum", [
+    DiscreteSpectrum(np.array([]), np.array([])),
+    DiscreteSpectrum(np.array([0.3, 0.3 + 1e-12, 0.3]), np.array([0.5, 0.2, 0.3])),
+], ids=["empty", "all-target"])
+def test_a_spectrum_without_levels_off_the_target_leaves_no_residual(spectrum):
+    _, rest, dropped = spectrum.levels(0.3)
+    assert len(rest[0]) == len(rest[1]) == dropped == 0
+    times = geometric_times(np.array([1.0, 1.5, 2.0]), 8, np.array([1.0, 10.0, 100.0]))
+    np.testing.assert_array_equal(rsn_quadrature_batch(spectrum, 0.3, times), [0.0] * 3)

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from rodeo_sched import (DiscreteSpectrum, EigenSystem, HamiltonianSpec, InitialState,
                          RodeoObjective, TimeSchedule, build_sector_hamiltonian, eigendecompose,
                          geometric_times, make_initial_state, minimum_gap,
-                         product_function, rsn_quadrature, superiteration_schedule,
-                         spectral, trotter_floor)
-from rodeo_sched.hamiltonians import _merge_levels
+                         product_function, rsn_quadrature, rsn_quadrature_batch,
+                         superiteration_schedule, spectral, trotter_floor)
 from rodeo_sched.schedules import TIME_FLOOR
 from rodeo_sched.spectral import (KERNEL_BLOCK_DOUBLES, LOG_COS_SERIES, PARALLEL_MIN_PHASES,
                                   SHORT_PHASE, log_survival, log_surviving, target_mask)
@@ -94,15 +93,57 @@ def test_levels_below_float64_resolution_are_dropped(build, kept, dropped):
     w = (eig.eigenvectors.T @ psi.vector) ** 2
     floor = (len(psi.vector) * np.finfo(float).eps) ** 2 * w.sum()
     assert (obj.levels, len(obj._rest[0]), len(obj._target[0])) == (kept, kept, 1)
-    mask = target_mask(eig.eigenvalues, e0)
-    scale = max(1.0, float(np.abs(eig.eigenvalues).max()))
-    d = eig.eigenvalues - e0
-    every_d, every_log_w, _ = _merge_levels(d[~mask], w[~mask], scale, 0.0)
+    _, (every_d, every_log_w), _ = DiscreteSpectrum(eig.eigenvalues, w).levels(e0)
     gone = ~np.isin(every_d, obj._rest[0])
     assert gone.sum() == obj.levels_below_resolution == dropped
     assert np.all(np.exp(every_log_w[gone]) <= floor)
     for _, log_w in (obj._rest, obj._target):
         assert np.all(np.exp(log_w) >= 1e6 * floor)
+
+
+# RodeoObjective.batch at L = 8 on geometric columns (ratios 2, 1.5, 1.1 at
+# 1, 8 and 40 T0, N = 100), pinned to guard the chain objective's bits.
+@pytest.mark.parametrize("build, expected", (
+    (_tfim_chain, "[0.22372612908953934, 0.0003364557692242408, 2.2576502366592384e-20]"),
+    (_xx_chain, "[0.9903319591352839, 0.15362364148253504, 5.584464699474477e-19]")),
+    ids=("tfim-plus", "xx-e1"))
+def test_chain_objective_bits_are_pinned(build, expected):
+    _, eig, psi = build(8)
+    e0 = float(eig.eigenvalues[0])
+    t0 = math.pi / minimum_gap(eig, e0)
+    tm = geometric_times(np.array([2.0, 1.5, 1.1]), 100, np.array([1.0, 8.0, 40.0]) * t0)
+    assert repr(RodeoObjective(eig, psi, e0).batch(tm).tolist()) == expected
+
+
+# Energies on a 0.01 grid, so that two levels are either equal or far
+# apart; 0 is the target. Weights include zeros.
+grid_spectra_st = st.lists(st.tuples(st.integers(-300, 300), st.floats(0.0, 1.0)),
+                           max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_spectra_st, st.lists(times_st, min_size=1, max_size=4).map(
+    lambda cols: [c + [0.0] * (12 - len(c)) for c in cols]))
+@example([(0, 0.1), (30, 0.2), (30, 0.3), (-70, 0.0), (-70, 0.0), (120, 0.0), (250, 0.15)],
+         [[3.0, 7.5, 11.0, 26.0] + [0.0] * 8, [40.0, 0.4] + [0.0] * 10])
+def test_discrete_residual_matches_the_direct_sum(levels, columns):
+    e = np.array([0.01 * k for k, _ in levels])
+    w = np.array([x for _, x in levels])
+    if w.sum() > 1.0:
+        w /= w.sum()
+    tm = np.array(columns).T
+    keep = ~target_mask(e, 0.0)
+    products = np.prod(np.cos(0.5 * e[keep, None, None] * tm[None]) ** 2, axis=1)
+    direct = w[keep] @ products
+    got = rsn_quadrature_batch(DiscreteSpectrum(e, w), 0.0, tm)
+    # levels() places a level at its weight-averaged offset (d w) / w, which
+    # moves an offset d by up to (members + 2) eps |d|, and a product P of
+    # cos**2 factors by at most that shift times sum(t) sqrt(P).
+    shift = (len(e) + 2) * np.finfo(float).eps * np.abs(e[keep])
+    moved = (w[keep] * shift) @ np.sqrt(products) * tm.sum(axis=0)
+    representable = direct > 1e-300
+    assert np.all(np.abs(got - direct)[representable]
+                  <= (1e-12 * direct + moved)[representable])
 
 
 noise_st = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 0.9)), max_size=8)
