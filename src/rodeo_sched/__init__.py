@@ -17,8 +17,7 @@ from .asymptotics import (DecayFitResult, PISOT_EXAMPLES, decay_envelope,
 from .closed_form import (BandModel, asymptotic_rsn, rsn_closed_form,
                           rsn_closed_form_batch, superiteration_limit_rsn)
 from .hamiltonians import (EigenSystem, HamiltonianSpec, InitialState,
-                           RodeoObjective, RodeoResult,
-                           build_sector_hamiltonian, eigendecompose,
+                           RodeoObjective, build_sector_hamiltonian, eigendecompose,
                            make_initial_state, minimum_gap, sector_basis)
 from .optimize import (AlphaOptimum, CurvePoint, OptimizationResult,
                        adaptive_alpha_curve, optimize_alpha, optimize_times)
@@ -45,7 +44,6 @@ __all__ = [
     "PISOT_EXAMPLES",
     "QuadratureError",
     "RodeoObjective",
-    "RodeoResult",
     "TimeSchedule",
     "adaptive_alpha_curve",
     "asymptotic_rsn",

@@ -255,23 +255,19 @@ def cmd_curve(args) -> int:
     fixed_alphas = _parse_floats(args.alphas)
     t_grid = np.geomspace(args.t_min_mult, args.t_max_mult, args.t_points) * t0
 
-    def raw_fidelity(alpha: float, total: float) -> float:
-        schedule = superiteration_schedule(alpha, args.n_samples, total)
-        return objective.result(schedule).target_weight
+    def score(tm):
+        return objective.weights(tm)[1] if args.raw_fidelity else 1.0 - objective.batch(tm)
 
     columns: dict = {}
     for a in fixed_alphas:
-        if args.raw_fidelity:
-            values = [raw_fidelity(a, t) for t in t_grid]
-        else:
-            values = 1.0 - objective.batch(geometric_times(a, args.n_samples, t_grid))
-        columns[f"fidelity_alpha_{a:g}"] = values
+        columns[f"fidelity_alpha_{a:g}"] = score(geometric_times(a, args.n_samples, t_grid))
     curve = adaptive_alpha_curve(objective.batch, args.n_samples, t_grid,
                                  monotone=args.monotone,
                                  alpha_bounds=(args.alpha_min, args.alpha_cap))
     columns["alpha_opt"] = [p.alpha for p in curve]
     if args.raw_fidelity:
-        columns["fidelity_adaptive"] = [raw_fidelity(p.alpha, p.total_time) for p in curve]
+        columns["fidelity_adaptive"] = score(
+            geometric_times(columns["alpha_opt"], args.n_samples, t_grid))
     else:
         columns["fidelity_adaptive"] = [1.0 - p.objective for p in curve]
     if not args.skip_rra:
@@ -283,7 +279,7 @@ def cmd_curve(args) -> int:
         means, p10, p90 = [], [], []
         for t in t_grid:
             sigma = (t / args.n_samples) * math.sqrt(math.pi / 2.0)
-            shots = 1.0 - objective.batch(sigma * base)
+            shots = score(sigma * base)
             means.append(float(shots.mean()))
             p10.append(float(np.percentile(shots, 10)))
             p90.append(float(np.percentile(shots, 90)))
@@ -372,10 +368,6 @@ def cmd_schedule_fit(args) -> int:
             # bytes (np.unique(axis=1) costs more than the duplicates).
             slots = {}
             inverse = [slots.setdefault(col.tobytes(), len(slots)) for col in floored.T]
-            if len(slots) == 1:
-                # A flat grid reports its first value, and one column alone
-                # would take the one-column path with other bits.
-                return integrate(floored)
             distinct = np.frombuffer(b"".join(slots)).reshape(len(slots), -1).T
             return integrate(np.ascontiguousarray(distinct))[inverse]
 

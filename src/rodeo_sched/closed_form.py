@@ -135,9 +135,7 @@ def rsn_closed_form(band: BandModel, schedule: TimeSchedule) -> float:
     dropped first; their filter factors differ from 1 by less than
     1e-12 at order-unity gaps.
     """
-    times = schedule.canonical().times
-    value = _sinc_sum(times[:, None], band.delta_max, band.delta_min)[0]
-    return float(value) / 4.0 ** times.size
+    return float(rsn_closed_form_batch(band, schedule.canonical().times[:, None])[0])
 
 
 def rsn_closed_form_batch(band: BandModel, times_matrix: np.ndarray) -> np.ndarray:

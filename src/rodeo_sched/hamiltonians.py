@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedules import TimeSchedule
 from .spectral import DiscreteSpectrum, level_gap, log_surviving
 
 MAX_LENGTH = 16
@@ -257,29 +256,16 @@ def make_initial_state(spec: HamiltonianSpec, kind: str, *,
     raise ValueError(f"unknown initial-state kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class RodeoResult:
-    """Filtering outcome in the eigenbasis.
-
-    target_weight and zeta are the surviving weights inside and
-    outside the target manifold; success_probability is their sum and
-    fidelity the post-selected target fraction.
-    """
-
-    zeta: float
-    success_probability: float
-    fidelity: float
-    target_weight: float
-
-
 class RodeoObjective:
     """Reusable filtering evaluator for one (eigensystem, state, target).
 
     Reads the eigenbasis overlaps once as the two level sets of a
     DiscreteSpectrum (DiscreteSpectrum.levels); every evaluation sums each
-    set in log space with log_surviving. value(times) returns the post-selected
-    infidelity (zeta / (target + zeta)) and batch(times) evaluates a
-    (n_samples, n_schedules) column stack of schedules.
+    set in log space with log_surviving. batch and weights take schedules
+    as the columns of an (n_samples, n_schedules) matrix: batch returns the
+    post-selected infidelity zeta / (target + zeta) of each column, and
+    weights the raw surviving (zeta, target weight). value(times) is the
+    one-schedule case of batch.
 
     Levels whose weight float64 cannot resolve are dropped: an overlap
     v.psi of unit vectors of dimension n carries about n * eps of
@@ -306,20 +292,15 @@ class RodeoObjective:
         tm = np.asarray(times_matrix, dtype=float)
         return log_surviving(*self._rest, tm), log_surviving(*self._target, tm)
 
-    def _infidelity(self, times_matrix) -> np.ndarray:
+    def weights(self, times_matrix) -> tuple:
+        """(zeta, target weight), each (S,): the surviving weights outside
+        and inside the target manifold of (N, S) schedules, unnormalized."""
         log_zeta, log_target = self._log_weights(times_matrix)
-        return np.exp(log_zeta - np.logaddexp(log_zeta, log_target))
-
-    def result(self, schedule: TimeSchedule) -> RodeoResult:
-        log_zeta, log_target = self._log_weights(schedule.times[:, None])
-        zeta, target = float(np.exp(log_zeta[0])), float(np.exp(log_target[0]))
-        success = target + zeta
-        fidelity = target / success if success > 0 else 0.0
-        return RodeoResult(zeta=zeta, success_probability=success,
-                           fidelity=fidelity, target_weight=target)
+        return np.exp(log_zeta), np.exp(log_target)
 
     def value(self, times: np.ndarray) -> float:
-        return float(self._infidelity(np.asarray(times, dtype=float)[:, None])[0])
+        return float(self.batch(np.asarray(times, dtype=float)[:, None])[0])
 
     def batch(self, times_matrix: np.ndarray) -> np.ndarray:
-        return self._infidelity(times_matrix)
+        log_zeta, log_target = self._log_weights(times_matrix)
+        return np.exp(log_zeta - np.logaddexp(log_zeta, log_target))

@@ -118,10 +118,11 @@ class DiscreteSpectrum:
         target manifold as (offsets E - E_t, log weights), either possibly
         empty, and the number of levels left out of both for weighing at or
         below ``floor``. Energies closer than target_mask's tolerance are one
-        level, at their weight-averaged offset."""
+        level, at their weight-averaged offset; a level no other energy joins
+        keeps its offset bit for bit."""
         deltas = self.energies - e_target
         tol = _target_tolerance(self.energies, e_target)
-        mask = np.abs(deltas) <= tol
+        mask = target_mask(self.energies, e_target)
         sets, dropped = [], 0
         for part in (mask, ~mask):
             order = np.argsort(deltas[part])
@@ -129,8 +130,10 @@ class DiscreteSpectrum:
             group = np.cumsum(np.diff(d, prepend=-np.inf) > tol) - 1
             level_w = np.bincount(group, weights=w)
             keep = level_w > floor
-            sets.append((np.bincount(group, weights=d * w)[keep] / level_w[keep],
-                         np.log(level_w[keep])))
+            offsets = d[np.searchsorted(group, np.arange(len(level_w)))]
+            merged = keep & (np.bincount(group) > 1)
+            offsets[merged] = np.bincount(group, weights=d * w)[merged] / level_w[merged]
+            sets.append((offsets[keep], np.log(level_w[keep])))
             dropped += np.count_nonzero(~keep)
         return (*sets, int(dropped))
 

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, config files, exit codes."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -10,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodeo_sched import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
-                         eigendecompose, make_initial_state, superiteration_schedule)
-from rodeo_sched.cli import _config_flags, _manifest, build_parser, main
+from rodeo_sched import (HamiltonianSpec, RodeoObjective, TimeSchedule,
+                         build_sector_hamiltonian, eigendecompose, make_initial_state,
+                         rsn_quadrature, superiteration_schedule)
+from rodeo_sched.cli import PRESETS, _config_flags, _manifest, build_parser, main
 from rodeo_sched.quadrature import ABS_TOL
+from rodeo_sched.schedules import BASELINE_STREAM, half_normal_draws
 from rodeo_sched.spectral import band_from_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -298,14 +301,14 @@ def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
     assert counts["schedules_integrated"] < counts["schedules_scored"]
 
 
-def test_flat_trotter_grid_keeps_its_batch_value(capsys):
-    # Every ratio floors to the empty schedule: the reported zeta is the
-    # grid's first value, from a batch of 240 equal columns.
+def test_flat_trotter_grid_reports_its_one_column_value(capsys):
+    # Every ratio floors to the empty schedule: the grid integrates its one
+    # distinct column, as the golden-section steps do.
     code, doc = _run_json(["schedule-fit", "--preset", "xi1", "--n-samples", "100",
                            "--t0-multiple", "0.1", "--trotter-dt", "0.25"], capsys)
     assert code == 0
     assert doc["result"]["flat"] and doc["result"]["surviving_times"] == 0
-    assert repr(doc["result"]["zeta"]) == "0.9999999999999969"
+    assert doc["result"]["zeta"] == rsn_quadrature(PRESETS["xi1"](), -1.0, TimeSchedule([]))
 
 
 @pytest.mark.parametrize("mode", (["--sweep", "--t-points", "2", "--dt-mults", "0.01"],
@@ -385,7 +388,7 @@ def test_curve_raw_fidelity_is_surviving_target_weight(capsys):
                          float(eig.eigenvalues[0]))
 
     def raw(alpha, total):
-        return obj.result(superiteration_schedule(alpha, 20, total)).target_weight
+        return obj.weights(superiteration_schedule(alpha, 20, total).times[:, None])[1][0]
 
     columns = [key for key in res if key.startswith("fidelity_alpha_")]
     assert columns == ["fidelity_alpha_1.5", "fidelity_alpha_2"]
@@ -393,6 +396,24 @@ def test_curve_raw_fidelity_is_surviving_target_weight(capsys):
         for key in columns:
             assert res[key][i] == raw(float(key[len("fidelity_alpha_"):]), total)
         assert res["fidelity_adaptive"][i] == raw(res["alpha_opt"][i], total)
+
+
+def test_curve_raw_fidelity_covers_the_random_baseline(capsys):
+    code, doc = _run_json(["curve", "--model", "xx", "--length", "6", "--n-samples", "20",
+                           "--t-points", "3", "--rra-samples", "5", "--raw-fidelity"], capsys)
+    assert code == 0
+    res = doc["result"]
+    spec = HamiltonianSpec(model="xx", length=6)
+    eig = eigendecompose(build_sector_hamiltonian(spec))
+    obj = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1),
+                         float(eig.eigenvalues[0]))
+    base = half_normal_draws(20, 5, (0, BASELINE_STREAM))
+    for i, total in enumerate(res["t_grid"]):
+        target = obj.weights((total / 20) * math.sqrt(math.pi / 2.0) * base)[1]
+        assert res["fidelity_rra_mean"][i] == float(target.mean())
+        # E_t is an exact level, so its weight survives every schedule whole.
+        for key in ("fidelity_rra_p10", "fidelity_rra_p90"):
+            assert res[key][i] == pytest.approx(obj.target_weight_initial, rel=1e-14)
 
 
 def test_inverted_band_is_an_error(capsys):

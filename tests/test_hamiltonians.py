@@ -175,10 +175,11 @@ def test_two_level_full_rejection():
     gap = eig.eigenvalues[1] - eig.eigenvalues[0]
     psi = InitialState(vector=eig.eigenvectors[:, 0] + eig.eigenvectors[:, 1])
     sched = TimeSchedule(times=np.array([math.pi / gap]))
-    res = RodeoObjective(eig, psi, float(eig.eigenvalues[0])).result(sched)
-    np.testing.assert_allclose(res.fidelity, 1.0, atol=1e-12)
-    np.testing.assert_allclose(res.zeta, 0.0, atol=1e-12)
-    np.testing.assert_allclose(res.success_probability, 0.5, atol=1e-12)
+    zeta, target = RodeoObjective(eig, psi, float(eig.eigenvalues[0])).weights(
+        sched.times[:, None])
+    np.testing.assert_allclose(target / (target + zeta), 1.0, atol=1e-12)
+    np.testing.assert_allclose(zeta, 0.0, atol=1e-12)
+    np.testing.assert_allclose(target + zeta, 0.5, atol=1e-12)
 
 
 def test_objective_batch_matches_value():
@@ -202,9 +203,9 @@ def test_fidelity_monotone_in_cycles():
     prev = -1.0
     for t in (2.0, 3.0, 5.0, 8.0):
         times.append(t)
-        res = obj.result(TimeSchedule(times=np.array(times)))
-        assert res.fidelity >= prev - 1e-12
-        prev = res.fidelity
+        fidelity = 1.0 - obj.value(np.array(times))
+        assert fidelity >= prev - 1e-12
+        prev = fidelity
 
 
 def test_fusion_requires_xx_zero_magnetization():

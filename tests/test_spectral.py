@@ -7,14 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rodeo_sched import (ContinuousBand, DiscreteSpectrum, TimeSchedule,
+from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, TimeSchedule,
                          band_from_json, geometric_times, load_spectrum_csv,
                          rsn_quadrature, rsn_quadrature_batch,
                          superiteration_schedule, survival_product, trotter_floor,
                          trotter_round)
+from rodeo_sched.cli import PRESETS
+from rodeo_sched.quadrature import ABS_TOL, _integrate
+from rodeo_sched.spectral import TARGET_RTOL, log_survival, target_mask
+
+# (band, target energy, T0) of the band searches: the closed form's
+# quadrature twin and the schedule-fit presets.
+SEARCH_BANDS = {"twin": (BandModel(0.1, 1.0).quadrature_twin(), 0.0, math.pi / 0.1),
+                "xi1": (PRESETS["xi1"](), -1.0, math.pi),
+                "xi2": (PRESETS["xi2"](), -1.0, math.pi)}
 
 
 def save_spectrum_csv(spectrum, path):
@@ -234,6 +243,54 @@ def test_levels_drop_weights_at_or_below_the_floor():
     _, rest, dropped = spectrum.levels(0.0, floor=1e-3)
     assert dropped == 3
     np.testing.assert_allclose(rest[0], [0.4], rtol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SEARCH_BANDS)), st.floats(1.0, 3.0), st.integers(1, 120),
+       st.floats(0.5, 100.0), st.one_of(st.none(), st.floats(0.005, 0.5)))
+def test_a_one_column_band_call_equals_the_chunked_path(band, alpha, n, t_mult, dt_mult):
+    # rsn_quadrature_batch sends one column through integrate_oscillatory as
+    # a scalar integral; every other call goes through the chunked _integrate.
+    spectrum, e_target, t0 = SEARCH_BANDS[band]
+    tm = geometric_times(alpha, n, t_mult * t0)
+    if dt_mult is not None:
+        tm = trotter_floor(tm, dt_mult * t0)
+
+    def integrand(e):
+        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm))
+
+    chunked, _ = _integrate(integrand, spectrum.delta_min, spectrum.delta_max,
+                            float(tm.sum()), ABS_TOL)
+    assert rsn_quadrature_batch(spectrum, e_target, tm).tobytes() == chunked.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(1e-6, 1.0)), max_size=12,
+                unique_by=lambda level: level[0]),
+       st.floats(-5.0, 5.0))
+def test_levels_that_no_energy_joins_keep_their_offsets_bit_for_bit(levels, e_target):
+    e = np.array([x for x, _ in levels])
+    w = np.array([x for _, x in levels])
+    if w.sum() > 1.0:
+        w /= w.sum()
+    tol = TARGET_RTOL * max(1.0, abs(e_target), float(np.max(np.abs(e), initial=0.0)))
+    assume(np.all(np.diff(np.sort(e)) > tol))
+    target, rest, dropped = DiscreteSpectrum(e, w).levels(e_target)
+    assert dropped == 0
+    mask = target_mask(e, e_target)
+    for (offsets, log_w), part in ((target, mask), (rest, ~mask)):
+        order = np.argsort(e[part] - e_target)
+        np.testing.assert_array_equal(offsets, (e[part] - e_target)[order])
+        np.testing.assert_array_equal(log_w, np.log(w[part][order]))
+
+
+def test_a_lone_level_survives_as_its_direct_product():
+    # (d w) / w would place this level at 1.9199999999999997, near a zero of
+    # cos at this cycle, 1.1e-11 relative off the direct product.
+    spectrum = DiscreteSpectrum(np.array([1.92]), np.array([0.6875]))
+    np.testing.assert_array_equal(spectrum.levels(0.0)[1][0], [1.92])
+    got = rsn_quadrature(spectrum, 0.0, TimeSchedule(times=np.array([14.7265625])))
+    np.testing.assert_allclose(got, 0.6875 * math.cos(0.96 * 14.7265625) ** 2, rtol=1e-14)
 
 
 @pytest.mark.parametrize("spectrum", [

@@ -78,9 +78,9 @@ def test_merged_levels_equal_unmerged_sum():
         np.testing.assert_allclose(batch, ref, rtol=1e-9)
         for j, col in enumerate(columns):
             np.testing.assert_allclose(obj.value(col), batch[j], rtol=1e-14)
-            res = obj.result(TimeSchedule(times=col))
-            np.testing.assert_allclose(res.zeta, surv[1:, j].sum(), rtol=1e-9)
-            np.testing.assert_allclose(res.target_weight, surv[0, j], rtol=1e-12)
+            zeta, target = obj.weights(col[:, None])
+            np.testing.assert_allclose(zeta[0], surv[1:, j].sum(), rtol=1e-9)
+            np.testing.assert_allclose(target[0], surv[0, j], rtol=1e-12)
 
 
 @pytest.mark.parametrize("build, kept, dropped", ((_tfim_chain, 30, 90), (_xx_chain, 121, 0)))
