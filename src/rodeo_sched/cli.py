@@ -196,6 +196,12 @@ def _times_fields(res, limit: float) -> dict:
             "schedule": res.best_schedule.times.tolist()}
 
 
+def _search_counts(res) -> dict:
+    """A search's objective calls and schedules scored, each split between
+    the DE generations and the polish."""
+    return {"objective_calls": res.objective_calls, "schedules_scored": res.schedules_scored}
+
+
 def cmd_optimize_times(args) -> int:
     dmin, dmax = args.band
     objective = BandModel(dmin, dmax).objective()
@@ -206,7 +212,7 @@ def cmd_optimize_times(args) -> int:
                   evaluations=res.evaluations_used, restart_bests=res.restart_bests)
     rows = [[i, t] for i, t in enumerate(res.best_schedule.times)]
     _emit(args, result, header=["index", "time"], rows=rows,
-          extra={"resolved_total_time": total})
+          extra={"resolved_total_time": total}, diagnostics=_search_counts(res))
     return 0 if res.converged else 1
 
 
@@ -234,7 +240,7 @@ def cmd_table1(args) -> int:
     dmin, dmax = args.band
     objective = BandModel(dmin, dmax).objective()
     t0 = math.pi / dmin
-    rows, entries, all_converged = [], [], True
+    rows, entries, counts, all_converged = [], [], [], True
     for mult in (0.5, 1.0, 2.0, 3.0):
         res = optimize_times(objective, args.n_samples, mult * t0, budget=args.budget,
                              restarts=args.restarts, seed=args.seed,
@@ -244,9 +250,10 @@ def cmd_table1(args) -> int:
         rows.append([f"{mult:g}*T0", mult * t0, res.best_objective,
                      len(res.best_schedule), res.converged, times])
         entries.append(dict(_times_fields(res, mult * t0), limit=f"{mult:g}*T0"))
+        counts.append(dict(_search_counts(res), limit=f"{mult:g}*T0"))
     _emit(args, {"rows": entries},
           header=["limit", "total_time", "zeta", "surviving_times", "converged", "schedule"],
-          rows=rows, extra={"characteristic_time": t0})
+          rows=rows, extra={"characteristic_time": t0}, diagnostics={"rows": counts})
     return 0 if all_converged else 1
 
 
@@ -351,25 +358,26 @@ def cmd_schedule_fit(args) -> int:
         if dt >= total:
             raise ValueError(f"trotter step {dt} must be smaller than the total time {total}")
         # Flooring makes the objective piecewise constant in the ratio, so
-        # golden steps and grid columns repeat schedules. One-column values
-        # are kept for the fit; they never come from a grid call, whose
-        # columns share panels and differ in their last bits.
+        # golden steps and grid columns repeat schedules. A batch column
+        # is the bits of its one-column call, so every distinct floored
+        # schedule of the fit is integrated once, keyed by its bytes
+        # (np.unique(axis=1) costs more than the duplicates).
         known = {}
 
         def objective(tm):
             floored = trotter_floor(tm, dt)
             counts["schedules_scored"] += floored.shape[1]
-            if floored.shape[1] == 1:
+            if floored.shape[1] == 1:  # a golden-section step
                 key = floored.tobytes()
                 if key not in known:
-                    known[key] = integrate(floored)
-                return known[key]
-            # Distinct columns in first-occurrence order, keyed by their
-            # bytes (np.unique(axis=1) costs more than the duplicates).
-            slots = {}
-            inverse = [slots.setdefault(col.tobytes(), len(slots)) for col in floored.T]
-            distinct = np.frombuffer(b"".join(slots)).reshape(len(slots), -1).T
-            return integrate(np.ascontiguousarray(distinct))[inverse]
+                    known[key] = integrate(floored)[0]
+                return np.array([known[key]])
+            keys = [col.tobytes() for col in floored.T]
+            new = [key for key in dict.fromkeys(keys) if key not in known]
+            if new:
+                distinct = np.frombuffer(b"".join(new)).reshape(len(new), -1).T
+                known.update(zip(new, integrate(np.ascontiguousarray(distinct))))
+            return np.fromiter(map(known.__getitem__, keys), float, len(keys))
 
         opt = optimize_alpha(objective, args.n_samples, total, alpha_bounds=bounds)
         rounded = trotter_round(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,28 +32,40 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best schedule found, its recomputed objective, and diagnostics."""
+    """Best schedule found, its recomputed objective, and diagnostics.
+
+    ``objective_calls`` and ``schedules_scored`` split the search's
+    objective calls and the schedules they scored between the DE
+    generations and the L-BFGS-B polish; ``evaluations_used`` is all the
+    schedules scored."""
 
     best_schedule: TimeSchedule
     best_objective: float
     evaluations_used: int
     restart_bests: list
     converged: bool
+    objective_calls: dict
+    schedules_scored: dict
 
 
 class _CountingObjective:
     """Differential evolution's callable over one (N, S) -> (S,) objective.
 
     Vectorized DE sends one gene matrix (n_genes, population) per
-    generation; the polish sends 1-D gene vectors, scored as one-column
-    calls. ``count`` is schedules scored, polish included, so it can
+    generation. The polish scores its line-search points as 1-D gene
+    vectors, one column per call, and the finite-difference points of
+    each gradient as one gene matrix through ``map``, L-BFGS-B's workers
+    map. A batch column takes the bits of its one-column call, so the
+    polish decides as it would on one-column calls. ``calls`` and
+    ``scored`` count objective calls and schedules per phase; scored can
     exceed the budget, which bounds only the DE generations.
     """
 
     def __init__(self, objective, t_limit: float):
         self.objective = objective
         self.t_limit = t_limit
-        self.count = 0
+        self.calls = {"generations": 0, "polish": 0}
+        self.scored = {"generations": 0, "polish": 0}
 
     def _times(self, genes: np.ndarray) -> np.ndarray:
         times = genes ** 2
@@ -63,12 +76,21 @@ class _CountingObjective:
             times = times * scale
         return times
 
+    def _score(self, columns: np.ndarray, phase: str) -> np.ndarray:
+        self.calls[phase] += 1
+        self.scored[phase] += columns.shape[1]
+        return self.objective(self._times(columns))
+
     def __call__(self, genes: np.ndarray):
         genes = np.asarray(genes, dtype=float)
-        columns = genes.reshape(len(genes), -1)
-        self.count += columns.shape[1]
-        values = self.objective(self._times(columns))
-        return values if genes.ndim > 1 else float(values[0])
+        if genes.ndim > 1:
+            return self._score(genes, "generations")
+        return float(self._score(genes[:, None], "polish")[0])
+
+    def map(self, fun, points):
+        """Score one gradient's finite-difference points in one call.
+        ``fun`` is scipy's wrapper of this objective, bypassed."""
+        return self._score(np.column_stack(list(points)), "polish")
 
 
 def _superiteration_seeds(n_samples: int, t_limit: float, pop: int) -> np.ndarray:
@@ -85,12 +107,16 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
     ``objective`` maps (n_samples, S) times to (S,) values (for a band,
     BandModel.objective()); each DE generation is one call. Runs
     ``restarts`` independently seeded differential evolutions sharing
-    ``budget`` schedule evaluations, each followed by a local polish of
-    one-column calls; the run has converged when the two best restarts
-    agree to relative ``tolerance``. The reported schedule drops times
-    below schedules.TIME_FLOOR and the objective is recomputed on it.
+    ``budget`` schedule evaluations, each followed by an L-BFGS-B polish
+    that scores each finite-difference gradient in one call and each
+    line-search point in a one-column call. A batch column must equal its
+    one-column call, as rsn_quadrature_batch's do, for the polish to take
+    the path it would take column by column. The run has converged when
+    the two best restarts agree to relative ``tolerance``. The reported
+    schedule drops times below schedules.TIME_FLOOR and the objective is
+    recomputed on it.
     """
-    from scipy.optimize import differential_evolution
+    from scipy.optimize import differential_evolution, minimize
 
     if budget < 1 or restarts < 1:
         raise ValueError("budget and restarts must be positive")
@@ -109,6 +135,7 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
     maxiter = max(1, per_restart // pop - 1)
     counter = _CountingObjective(objective, t_limit)
     bounds = [(0.0, math.sqrt(t_limit))] * n_samples
+    polish = partial(minimize, method="L-BFGS-B", options={"workers": counter.map})
 
     restart_bests = []
     best_genes, best_val = None, math.inf
@@ -120,7 +147,7 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
         res = differential_evolution(
             counter, bounds, init=init, maxiter=maxiter, tol=tolerance,
             seed=rng, mutation=(0.3, 0.9), recombination=0.8,
-            polish=True, updating="deferred", vectorized=True)
+            polish=polish, updating="deferred", vectorized=True)
         restart_bests.append(float(res.fun))
         if res.fun < best_val:
             best_val, best_genes = float(res.fun), np.array(res.x)
@@ -137,9 +164,11 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
     return OptimizationResult(
         best_schedule=schedule,
         best_objective=best_objective,
-        evaluations_used=counter.count,
+        evaluations_used=sum(counter.scored.values()),
         restart_bests=restart_bests,
         converged=converged,
+        objective_calls=dict(counter.calls),
+        schedules_scored=dict(counter.scored),
     )
 
 

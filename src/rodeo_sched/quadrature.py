@@ -8,8 +8,10 @@ phase per unit of the integration variable) so each panel spans one
 period of the fastest phase, then refines with an embedded 7/15-point
 Gauss-Kronrod pair until the summed error bound meets the requested
 absolute tolerance. An integrand may return one value per point or a
-row of S values (a batch of integrals over the same range); all columns
-share the panels, and MAX_PANEL_COLUMNS bounds how far a batch refines.
+row of S values (a batch of integrals over the same range). Each column
+gets its own starting panels, splits and panel cap, and its value and
+bound are the bits it would get integrated alone: columns that need the
+same points share one integrand call.
 """
 
 from __future__ import annotations
@@ -23,14 +25,9 @@ import numpy as np
 # refinement enforces the tolerance.
 PHASE_BUDGET = 2.0 * math.pi
 
-# No panel is split once panels x columns reaches MAX_PANEL_COLUMNS (about
-# 60 MB of 15-point integrand planes), but a batch may always grow to
-# PANEL_GROWTH times its one-period starting set, so long horizons still
-# refine. Batches wider than batch_columns are split by the caller, so the
-# first round stays within the cap too. Benchmark jobs peak at 4,298
-# panels x columns.
+# Most panels x columns one integrand call evaluates: a call of more
+# columns is split into calls of fewer (about 60 MB of 15-point planes).
 MAX_PANEL_COLUMNS = 1 << 19
-PANEL_GROWTH = 8
 # Panels and refinement rounds no integration may exceed.
 MAX_PANELS = 200_000
 MAX_ROUNDS = 40
@@ -82,15 +79,35 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
-def _eval_panels(func, lo, hi):
-    """(Kronrod estimates, |Kronrod - Gauss|), each (panels, columns), and
-    whether ``func`` returned a 1-D array."""
+def _eval_panels(func, lo, hi, cols):
+    """Yield (columns, Kronrod estimates, |Kronrod - Gauss|, one_column)
+    of the integrand columns ``cols`` on the panels [lo, hi], the
+    estimates (columns, panels), one call of func at a time. ``cols``
+    None asks func for all its columns in one call (one_column: it
+    returned a 1-D array); otherwise a call holds at most
+    MAX_PANEL_COLUMNS panels x columns."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = np.asarray(func(pts.ravel()), dtype=float)
-    rules = half[:, None, None] * (_RULES @ vals.reshape(pts.shape + (-1,)))
-    return rules[:, 0], np.abs(rules[:, 0] - rules[:, 1]), vals.ndim == 1
+    pts = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    if cols is None:
+        vals = np.asarray(func(pts, None), dtype=float)
+        rules = _rule_sums(vals, len(lo)) * half
+        yield range(rules.shape[1]), rules[0], np.abs(rules[0] - rules[1]), vals.ndim == 1
+        return
+    step = max(1, MAX_PANEL_COLUMNS // len(lo))
+    for c in range(0, len(cols), step):
+        rules = _rule_sums(func(pts, cols[c:c + step]), len(lo)) * half
+        yield cols[c:c + step], rules[0], np.abs(rules[0] - rules[1]), False
+
+
+def _rule_sums(vals, panels):
+    """(Kronrod, Gauss) sums of (15 x panels, k) integrand values, (2, k,
+    panels). On contiguous values einsum takes each panel's 15-node sum in
+    one order whatever the shape (a BLAS product's order follows the
+    shape), and numpy sums each row of the C-ordered result as it sums the
+    row alone."""
+    rows = np.ascontiguousarray(np.asarray(vals, dtype=float).T).reshape(-1, panels, len(_NODES))
+    return np.einsum("spk,rk->rsp", rows, _RULES, order="C")
 
 
 def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0,
@@ -101,74 +118,115 @@ def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0
     values for S integrals at once; value and bound come back as floats
     or as (S,) arrays to match. ``phase_rate`` is the fastest oscillation
     rate of the integrand in radians per unit; initial panels are sized so
-    each spans at most PHASE_BUDGET of phase. A panel is bisected when its
-    Gauss/Kronrod discrepancy is large in any column whose summed bound
-    is still above ``abs_tol``; the loop stops when every column's bound
-    is below it. Raises QuadratureError when the panel budget (MAX_PANELS,
-    and MAX_PANEL_COLUMNS for a batch) or MAX_ROUNDS runs out.
+    each spans at most PHASE_BUDGET of phase. Each column is refined on
+    its own, as if integrated alone, until its bound is below ``abs_tol``.
+    Raises QuadratureError when a column would need more than MAX_PANELS
+    panels or MAX_ROUNDS rounds.
     """
     return _integrate(func, lo, hi, phase_rate, abs_tol)
 
 
-def starting_panels(lo, hi, phase_rate) -> int:
+def starting_panels(lo, hi, phase_rate):
     """Panels of the first round: PHASE_BUDGET of the fastest phase each,
-    at most MAX_PANELS."""
-    return min(max(1, math.ceil((hi - lo) * abs(phase_rate) / PHASE_BUDGET)), MAX_PANELS)
-
-
-def batch_columns(lo, hi, phase_rate) -> int:
-    """Most columns one batch may hold so that its first round evaluates at
-    most MAX_PANEL_COLUMNS panels x columns (at least one column)."""
-    return max(1, MAX_PANEL_COLUMNS // starting_panels(lo, hi, phase_rate))
+    at most MAX_PANELS; an int, or an int array for an array of rates
+    (the same float operations either way)."""
+    if np.ndim(phase_rate) == 0:
+        return min(max(1, math.ceil((hi - lo) * abs(phase_rate) / PHASE_BUDGET)), MAX_PANELS)
+    n = np.ceil((hi - lo) * np.abs(phase_rate) / PHASE_BUDGET)
+    return np.minimum(np.maximum(n, 1), MAX_PANELS).astype(int)
 
 
 def _integrate(func, lo, hi, phase_rate, abs_tol):
-    """The integrate_oscillatory rule under a second name, for callers that
-    integrate many columns at once outside the per-call instrumentation of
-    integrate_oscillatory (see spectral.rsn_quadrature_batch)."""
+    """The integrate_oscillatory rule under a second name, for callers
+    outside the per-call instrumentation of integrate_oscillatory. Every
+    column of ``func`` comes from each call; a column refined on other
+    points than its neighbours takes its own values from a call of its
+    own points."""
+    def columns(points, cols):
+        vals = np.asarray(func(points), dtype=float)
+        return vals if cols is None else vals.reshape(len(points), -1)[:, cols]
+
+    values, bounds, one_column = _integrate_columns(columns, lo, hi, phase_rate, abs_tol)
+    if one_column:
+        return float(values[0]), float(bounds[0])
+    return values, bounds
+
+
+def _integrate_columns(func, lo, hi, phase_rate, abs_tol):
+    """Integrate the columns of ``func`` over [lo, hi], each on panels of
+    its own: (values, bounds, one_column), the first two (S,).
+
+    ``func(points, cols)`` returns the (P, len(cols)) values of integrand
+    columns ``cols`` (an index array) at P points. ``phase_rate`` holds
+    each column's rate (S,), or is one float for every column: then func
+    is first called with cols None for all its columns, and a (P,) result
+    is one column (one_column). A column's starting panels, splits and cap
+    depend on its own rate and values alone, and columns that need the
+    same points share one call of func, so a column whose values do not
+    depend on the other columns of the call gets the bits it gets alone.
+    """
     if not hi > lo:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
-
+    shared = np.ndim(phase_rate) == 0
     n0 = starting_panels(lo, hi, phase_rate)
-    edges = np.linspace(lo, hi, n0 + 1)
-    panel_lo = edges[:-1]
-    panel_hi = edges[1:]
-    kron, err, one_column = _eval_panels(func, panel_lo, panel_hi)
-    limit = min(MAX_PANELS, max(MAX_PANEL_COLUMNS // err.shape[1], PANEL_GROWTH * n0))
+    firsts, panels = [], {}
+    for n in [n0] if shared else np.unique(n0):
+        edges = np.linspace(lo, hi, n + 1)
+        for cols, kron, err, one_column in _eval_panels(
+                func, edges[:-1], edges[1:], None if shared else np.flatnonzero(n0 == n)):
+            sums, errs = kron.sum(axis=1), err.sum(axis=1)
+            firsts.append((cols, sums, errs))
+            for i in np.flatnonzero(errs > abs_tol):
+                panels[cols[i]] = (edges[:-1], edges[1:], kron[i], err[i])
+    if len(firsts) == 1:  # every column in one call, in order
+        _, values, bounds = firsts[0]
+    else:
+        values, bounds = np.empty(len(n0)), np.empty(len(n0))
+        for cols, sums, errs in firsts:
+            values[cols], bounds[cols] = sums, errs
 
-    def shaped(columns):
-        return float(columns[0]) if one_column else columns
-
+    failed = []
     for _ in range(MAX_ROUNDS):
-        total_err = err.sum(axis=0)
-        open_cols = total_err > abs_tol
-        if not open_cols.any():
-            return shaped(kron.sum(axis=0)), shaped(total_err)
-        if len(panel_lo) >= limit:
+        splits = {}
+        for s, (p_lo, p_hi, kron, err) in panels.items():
+            if len(p_lo) >= MAX_PANELS:
+                failed.append(s)
+                continue
+            split = err > abs_tol / (2.0 * len(err))
+            if not split.any():
+                split = err >= err.max()
+            mid = 0.5 * (p_lo[split] + p_hi[split])
+            new_lo = np.concatenate([p_lo[split], mid])
+            new_hi = np.concatenate([mid, p_hi[split]])
+            key = new_lo.tobytes() + new_hi.tobytes()
+            splits.setdefault(key, (new_lo, new_hi, []))[2].append((s, split))
+        refined = {}
+        for new_lo, new_hi, members in splits.values():
+            cuts = dict(members)
+            for cols, new_kron, new_err, _ in _eval_panels(func, new_lo, new_hi,
+                                                           np.array(list(cuts))):
+                for s, kron_s, err_s in zip(cols, new_kron, new_err):
+                    split = cuts[s]
+                    p_lo, p_hi, kron, err = panels[s]
+                    p_lo = np.concatenate([p_lo[~split], new_lo])
+                    p_hi = np.concatenate([p_hi[~split], new_hi])
+                    kron = np.concatenate([kron[~split], kron_s])
+                    err = np.concatenate([err[~split], err_s])
+                    order = np.argsort(p_lo)
+                    kron, err = kron[order], err[order]
+                    values[s], bounds[s] = kron.sum(), err.sum()
+                    if bounds[s] > abs_tol:
+                        refined[s] = (p_lo[order], p_hi[order], kron, err)
+        panels = refined
+        if not panels:
             break
-        open_err = err[:, open_cols]
-        split = np.any(open_err > abs_tol / (2.0 * len(open_err)), axis=1)
-        if not split.any():
-            split = np.any(open_err >= open_err.max(axis=0), axis=1)
-        mid = 0.5 * (panel_lo[split] + panel_hi[split])
-        new_lo = np.concatenate([panel_lo[split], mid])
-        new_hi = np.concatenate([mid, panel_hi[split]])
-        new_kron, new_err, _ = _eval_panels(func, new_lo, new_hi)
-        panel_lo = np.concatenate([panel_lo[~split], new_lo])
-        panel_hi = np.concatenate([panel_hi[~split], new_hi])
-        kron = np.concatenate([kron[~split], new_kron])
-        err = np.concatenate([err[~split], new_err])
-        order = np.argsort(panel_lo)
-        panel_lo, panel_hi = panel_lo[order], panel_hi[order]
-        kron, err = kron[order], err[order]
-
-    total_err = err.sum(axis=0)
-    raise QuadratureError(
-        f"quadrature did not reach abs_tol={abs_tol:g} "
-        f"(best bound {float(total_err.max()):.3e} with {len(panel_lo)} panels "
-        f"x {err.shape[1]} columns)",
-        estimate=shaped(kron.sum(axis=0)),
-        error_bound=shaped(total_err),
-    )
+    failed += list(panels)
+    if failed:
+        raise QuadratureError(
+            f"quadrature did not reach abs_tol={abs_tol:g} in {len(failed)} of "
+            f"{len(values)} columns (worst bound {bounds[failed].max():.3e})",
+            estimate=float(values[0]) if one_column else values,
+            error_bound=float(bounds[0]) if one_column else bounds)
+    return values, bounds, one_column

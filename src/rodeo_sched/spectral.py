@@ -12,13 +12,13 @@ kernel, ``log_survival``: per-level sums of log cos**2 over the cycles,
 batched over schedules. Log space keeps products that fall below the
 smallest double (long schedules at T >> T0) finite and ordered. Cycles
 short enough that every level's phase is at most SHORT_PHASE are summed
-as the power series of log cos, without a cos call, when a call has
-enough of them to pay; geometric schedules spend most of their cycles
-there. The rest go through cos. Large calls cut the (levels x schedules)
-plane into tiles and run them on a thread pool over the CPUs in the
-process's affinity mask (numpy's ufuncs release the GIL); every entry
-sums the same cycle blocks in the same order either way, so the result
-does not depend on the tiling.
+as the power series of log cos, without a cos call, in each schedule
+that has enough of them to pay; geometric schedules spend most of their
+cycles there. The rest go through cos, added in order. Large calls cut
+the (levels x schedules) plane into tiles and run them on a thread pool
+over the CPUs in the process's affinity mask (numpy's ufuncs release the
+GIL). A schedule's entries depend on its own times and the levels alone:
+not on the tiling, nor on the other schedules of the call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import ABS_TOL, _integrate, batch_columns, integrate_oscillatory
+from .quadrature import ABS_TOL, _integrate_columns, integrate_oscillatory
 from .schedules import TimeSchedule
 
 # Levels within this distance of the target energy, relative to the
@@ -55,17 +55,16 @@ PARALLEL_MIN_PHASES = 1 << 18
 # A cycle of time t is short when SHORT_PHASE bounds its phase at every
 # level: h |t| <= SHORT_PHASE with h = max |delta| / 2.
 SHORT_PHASE = 0.5
-# Fixed cost of the short-phase series in cos calls (see _series_pays).
-# Measured on a 2-core machine (numpy 2.4, one BLAS thread) on calls with
-# every phase short: the series takes 35-70 us on one schedule column and
-# 55-110 us on 5-60 columns, while one cos call in a large block costs
-# 4-13 ns (cos, abs, log and the sums included). 2**13 calls is about
-# 40-100 us, so the rule keeps calls that would save less than that on
-# the direct path, bit for bit: all of band-optimize's, whose 10-cycle
-# searches have few short cycles, and every one-level call. On the 24
-# shapes timed (1-256 levels x 10-100 cycles x 1-240 columns) the rule
-# took the series only where it was faster.
-SERIES_MIN_PHASES = 1 << 13
+# One column's share of the short-phase series' fixed cost, in cos calls
+# (see _series_columns). A call's fixed numpy calls cost about as much as
+# a few thousand cos calls, which a ratio grid of 240 columns shares and
+# a one-column call pays alone; the rule cannot tell the two apart.
+# Timed on the benchmark workloads (2-core machine, numpy 2.4, in-process
+# passes alternated with the rule's parent): 0 put band-optimize's
+# one-column line searches on the series (about 10% slower there than
+# 2**9), 2**10 and up took it from trotter-sweep's 15-level grids (2**12
+# about 20% slower), and chain-curve read the same from 2**8 to 2**10.
+SERIES_MIN_PHASES = 1 << 9
 
 
 def _log_cos_series(terms: int) -> np.ndarray:
@@ -83,6 +82,8 @@ def _log_cos_series(terms: int) -> np.ndarray:
 # 16 terms leave a truncation error of 6.2e-18 relative at x = SHORT_PHASE
 # (less at smaller x); every term has the same sign, so none cancels.
 LOG_COS_SERIES = _log_cos_series(16)
+# A short cycle with x**2 below this adds only its first series term.
+TINY_SQUARE = 2.0 ** -60
 
 # (pid, workers, executor or None), built by the first large call; a
 # forked child sees another pid and builds its own.
@@ -217,15 +218,16 @@ def log_survival(deltas, times) -> np.ndarray:
     every offset is 0 (a chain objective's target manifold). A zero time
     adds exactly 0.
 
-    When the cost rule (_series_pays) says it pays, the short cycles
-    (h |t| <= SHORT_PHASE, h = max |delta| / 2) are summed by the power
-    series of log cos (_sum_short_phases), truncated below 1e-17
-    relative; this changes the result in its last bits against the cos
-    of each phase. The cycles left go through cos in blocks of ``step`` =
-    max(1, KERNEL_BLOCK_DOUBLES // (L S)) cycles; a plane larger than
-    KERNEL_BLOCK_DOUBLES is cut into tiles so that no block holds more
-    phases than that, and a call with PARALLEL_MIN_PHASES phases or more
-    left for cos runs its tiles on the thread pool.
+    A column's entries depend on its own times and on ``deltas`` alone,
+    bit for bit, whatever other columns share the call. Columns for which
+    the cost rule (_series_columns) says it pays sum their short cycles
+    (h |t| <= SHORT_PHASE, h = max |delta| / 2) by the power series of
+    log cos (_sum_short_phases), truncated below 1e-17 relative; this
+    changes the result in its last bits against the cos of each phase.
+    Every entry then adds the log|cos| of its cycles left one after
+    another, in order, in blocks of at most KERNEL_BLOCK_DOUBLES phases;
+    a call with PARALLEL_MIN_PHASES phases or more left for cos runs its
+    tiles on the thread pool.
     """
     half = 0.5 * np.asarray(deltas, dtype=float)
     # Blocks are slices of rows; a column-major matrix would make each
@@ -234,72 +236,131 @@ def log_survival(deltas, times) -> np.ndarray:
     out = np.zeros((half.size, tm.shape[1]))
     if out.size == 0 or tm.shape[0] == 0 or not np.count_nonzero(half):
         return out
-    tm = _sum_short_phases(half, tm, out)
-    step = max(1, KERNEL_BLOCK_DOUBLES // out.size)
-    if out.size <= KERNEL_BLOCK_DOUBLES and out.size * tm.shape[0] < PARALLEL_MIN_PHASES:
-        _accumulate(half, tm, step, out)
+    series = _series_columns(half, tm)
+    if series is None:
+        groups = [(None, tm)]
     else:
-        _accumulate_tiles(half, tm, step, out)
+        h, short, counts, take = series
+        if take.all():
+            groups = _sum_short_phases(half, h, tm, short, counts, out)
+        else:
+            # The columns that take the series, then the rest; a column's
+            # entries are the same in either group as in the whole call.
+            cols = np.flatnonzero(take)
+            part = np.zeros((half.size, len(cols)))
+            groups = _sum_short_phases(half, h, tm[:, cols], short[:, cols], counts[cols], part)
+            out[:, cols] = part
+            groups = [(cols if g is None else cols[g], left) for g, left in groups]
+            rest = np.flatnonzero(~take)
+            groups.append((rest, np.ascontiguousarray(tm[:, rest])))
+    planes = [out if cols is None else out[:, cols] for cols, _ in groups]
+    _accumulate_tiles(half, [(left, plane) for (_, left), plane in zip(groups, planes)])
+    for (cols, _), plane in zip(groups, planes):
+        if cols is not None:
+            out[:, cols] = plane
     out *= 2.0
     return out
 
 
-def _sum_short_phases(half, tm, out) -> np.ndarray:
+def _series_columns(half, tm):
+    """(h, short, counts, take) of a call whose columns may pay for the
+    series: h = max |half|, the (N, S) mask of the short cycles h |t| <=
+    SHORT_PHASE, each column's count of them, and the (S,) mask of the
+    columns that sum theirs by the series. None when no column could pay,
+    even with every cycle short, or when none does.
+
+    The cost rule, counted in cos calls: the series saves a column one
+    per level for each of its short cycles; its powers and products cost
+    about four per (level or cycle), and SERIES_MIN_PHASES is the
+    column's share of the call's fixed numpy calls. The rule reads
+    nothing of other columns, so a column takes the same path alone as in
+    any batch.
+    """
+    levels, cycles = half.size, tm.shape[0]
+    least = max(1, math.ceil((SERIES_MIN_PHASES + 4 * (levels + cycles)) / levels))
+    if least > cycles:
+        return None
+    h = float(np.abs(half).max())
+    if not 0.0 < h < math.inf:
+        return None
+    # Two comparisons rather than abs: no float temporary of the matrix.
+    short = tm <= SHORT_PHASE / h
+    short &= tm >= -SHORT_PHASE / h
+    counts = short.sum(axis=0)
+    take = counts >= least
+    return (h, short, counts, take) if take.any() else None
+
+
+def _sum_short_phases(half, h, tm, short, counts, out) -> list:
     """Write the short cycles' sum_n log|cos(half t_n)| into ``out`` and
-    return the cycles left for cos, or leave ``out`` alone and return
-    ``tm`` when the series does not pay.
+    return the cycles left for cos as (columns, cycles) groups, columns
+    None for all of them.
 
     With h = max |half|, x = h t and q = (half / h)**2, the short sum is
     sum_j LOG_COS_SERIES[j] q**(j+1) P_j over the power sums
     P_j = sum_n x_n**(2j+2) of each column's short cycles. The other
-    cycles' |t| sort to the bottom of each column, zeros above them, and
-    the rows above the longest column's first one are dropped.
+    cycles' |t| sort to the bottom of each column, zeros above them.
+    Columns with about as many short cycles go together (bands of an
+    eighth of the cycles), and each group drops the rows of zeros its
+    columns share; a zero adds exactly 0, so a column's sum does not
+    depend on the group it falls in.
     """
-    cycles, cols = tm.shape
-    if not _series_pays(half.size, cycles, cols, cycles):
-        return tm
-    h = float(np.abs(half).max())
-    if not 0.0 < h < math.inf:
-        return tm
-    # Two comparisons rather than abs: no float temporary of the matrix.
-    short = tm <= SHORT_PHASE / h
-    short &= tm >= -SHORT_PHASE / h
-    skip = int(short.sum(axis=0).min())
-    if not _series_pays(half.size, cycles, cols, skip):
-        return tm
-    sums = _power_sums(tm, short, h) * LOG_COS_SERIES[:, None]
-    # Powers of q for blocks of levels, then one matrix product each.
-    rows = max(1, KERNEL_BLOCK_DOUBLES // len(sums))
-    buf = np.empty((len(sums), min(rows, half.size)))
+    terms, (cycles, cols) = LOG_COS_SERIES.size, tm.shape
+    coeff = _power_sums(tm, short, h) * LOG_COS_SERIES
+    # Powers of q for fixed blocks of levels, then one matrix-vector
+    # product per column: every column meets the same BLAS call on the
+    # same block, so its entries do not depend on the column count (one
+    # matrix product over all columns would order its sums by the shape).
+    rows = KERNEL_BLOCK_DOUBLES // terms
+    buf = np.empty((terms, min(rows, half.size)))
     for start in range(0, half.size, rows):
         q = buf[:, :min(rows, half.size - start)]
         np.divide(half[start:start + rows], h, out=q[0])
         np.square(q[0], out=q[0])
         _fill_powers(q)
-        np.matmul(q.T, sums, out=out[start:start + rows])
-    # A NaN time sorts last, so it stays and propagates as it would. The
-    # copy lets the full matrix go before the cos loop allocates.
+        chunk = max(1, KERNEL_BLOCK_DOUBLES // q.shape[1])
+        for c in range(0, cols, chunk):
+            products = np.matmul(q.T, coeff[c:c + chunk, :, None])
+            out[start:start + rows, c:c + chunk] = products[:, :, 0].T
+    # A NaN time sorts last, so it stays and propagates as it would.
     left = np.abs(tm)
     np.copyto(left, 0.0, where=short)
     left.sort(axis=0)
-    return left[skip:].copy()
+    bands = (counts - counts.min()) // max(1, cycles // 8)
+    if not bands.any():
+        return [(None, left[int(counts.min()):])]
+    groups = []
+    for band in np.unique(bands):
+        cols = np.flatnonzero(bands == band)
+        groups.append((cols, np.ascontiguousarray(left[int(counts[cols].min()):, cols])))
+    return groups
 
 
 def _power_sums(tm, short, h) -> np.ndarray:
-    """(len(LOG_COS_SERIES), S) power sums P_j = sum_n (h t_n)**(2j+2)
-    over each column's short cycles, in blocks of at most
-    KERNEL_BLOCK_DOUBLES powers; one buffer serves every block."""
+    """(S, len(LOG_COS_SERIES)) power sums P_j = sum_n (h t_n)**(2j+2)
+    over each column's short cycles. A column's powers lie in contiguous
+    rows that numpy sums by its pairwise rule, over blocks of cycles fixed
+    by N alone, so a column's sums do not depend on the other columns.
+    Columns go in chunks of at most KERNEL_BLOCK_DOUBLES powers."""
     terms, (cycles, cols) = LOG_COS_SERIES.size, tm.shape
-    sums = np.zeros((terms, cols))
-    rows = max(1, KERNEL_BLOCK_DOUBLES // (terms * cols))
-    buf = np.empty((terms, min(rows, cycles), cols))
-    for start in range(0, cycles, rows):
-        powers = buf[:, :min(rows, cycles - start)]
-        np.multiply(tm[start:start + rows], short[start:start + rows], out=powers[0])
-        powers[0] *= h
-        np.square(powers[0], out=powers[0])
-        _fill_powers(powers)
-        sums += powers.sum(axis=1)
+    squares = np.multiply(tm.T, short.T, order="C")
+    squares *= h
+    np.square(squares, out=squares)
+    sums = np.zeros((cols, terms))
+    block = min(cycles, KERNEL_BLOCK_DOUBLES // terms)
+    chunk = max(1, KERNEL_BLOCK_DOUBLES // (terms * block))
+    buf = np.empty((terms, min(chunk, cols), block))
+    for c in range(0, cols, chunk):
+        for start in range(0, cycles, block):
+            x2 = squares[c:c + chunk, start:start + block]
+            powers = buf[:, :len(x2), :x2.shape[1]]
+            # Below x**2 = TINY_SQUARE a cycle's terms past the first are
+            # under 2**-60 of it; zero there, they spare the powers
+            # subnormal arithmetic, which runs about a hundred times slower.
+            np.multiply(x2, x2 >= TINY_SQUARE, out=powers[0])
+            _fill_powers(powers)
+            powers[0] = x2
+            sums[c:c + chunk] += powers.sum(axis=2).T
     return sums
 
 
@@ -313,65 +374,64 @@ def _fill_powers(p) -> None:
         done += n
 
 
-def _series_pays(levels, cycles, cols, skipped) -> bool:
-    """Cost rule of the short-phase series, counted in cos calls. It saves
-    one per level for each of the ``skipped`` cycles it takes out of
-    every column (a short entry in a row that some other column keeps
-    still costs a cos of zero, hardly less than the cos it replaces).
-    Its powers and products cost about four per (level or cycle) and
-    column, and its fixed numpy calls SERIES_MIN_PHASES."""
-    return (levels * skipped - 4 * (levels + cycles)) * cols >= SERIES_MIN_PHASES
-
-
-def _accumulate(half, tm, step, out) -> None:
+def _accumulate(half, tm, rows, out) -> None:
     """Add sum_n log|cos(half t_n)| to ``out`` (l, s) for levels ``half``
-    (l,) and schedule columns ``tm`` (N, s), ``step`` cycles per block.
-    The first block allocates the phase buffer and the block sum; later
-    blocks reuse them."""
-    h = half[None, :, None]
-    buf = acc = None
-    for start in range(0, tm.shape[0], step):
-        rows = tm[start:start + step, None, :]
-        if buf is None:
-            phase = buf = h * rows
-        else:
-            phase = np.multiply(h, rows, out=buf[:len(rows)])
+    (l,) and schedule columns ``tm`` (N, s), one cycle after another in
+    order, ``rows`` cycles per block. A block's
+    first row takes the sums so far (x + y is y + x, bit for bit), and
+    numpy adds a block's rows in order when a row holds two or more
+    entries; a one-entry plane, which numpy would sum pairwise, is
+    computed as two copies of its level."""
+    if out.size == 1:
+        pair = np.repeat(out, 2, axis=0)
+        _accumulate(np.repeat(half, 2), tm, rows, pair)
+        out[...] = pair[:1]
+        return
+    buf = np.empty((min(rows, tm.shape[0]),) + out.shape)
+    h = half[:, None]
+    for start in range(0, tm.shape[0], rows):
+        phase = buf[:min(rows, tm.shape[0] - start)]
+        # The times copied in, then scaled in place: numpy buffers a
+        # broadcast product of two operands into a third.
+        phase[...] = tm[start:start + rows, None, :]
+        phase *= h
         np.cos(phase, out=phase)
         np.abs(phase, out=phase)
         np.log(phase, out=phase)
-        if step == 1:
-            out += phase[0]
-        else:
-            acc = np.add.reduce(phase, axis=0, out=acc)
-            out += acc
+        phase[0] += out
+        np.add.reduce(phase, axis=0, out=out)
 
 
-def _accumulate_tiles(half, tm, step, out) -> None:
-    """_accumulate over tiles of the (levels, schedules) plane: whole
-    rows while they fit, at most KERNEL_BLOCK_DOUBLES phases per block,
-    and one tile per worker when the call is large enough for the pool."""
-    levels, cols = out.shape
-    workers, pool = _kernel_pool()
-    want = workers if out.size * tm.shape[0] >= PARALLEL_MIN_PHASES else 1
-    rows_per_tile = KERNEL_BLOCK_DOUBLES // (cols * step)
-    if rows_per_tile:
-        n_rows = min(levels, max(-(-levels // rows_per_tile), want))
-        n_cols = min(cols, -(-want // n_rows))
-    else:
-        n_rows = levels
-        n_cols = max(-(-cols // KERNEL_BLOCK_DOUBLES), -(-want // levels))
-    # Never a one-entry tile of a larger plane: numpy sums a lone entry's
-    # cycles pairwise rather than in order, which would change its bits.
-    if cols == 1:
-        n_rows = min(n_rows, max(1, levels // 2))
-    elif n_rows == levels:
-        n_cols = min(n_cols, cols // 2)
-    row_cuts = [levels * i // n_rows for i in range(n_rows + 1)]
-    col_cuts = [cols * i // n_cols for i in range(n_cols + 1)]
-    tiles = [(half[r0:r1], tm[:, c0:c1], step, out[r0:r1, c0:c1])
-             for r0, r1 in zip(row_cuts, row_cuts[1:])
-             for c0, c1 in zip(col_cuts, col_cuts[1:])]
-    if want == 1:
+def _accumulate_tiles(half, parts) -> None:
+    """_accumulate over tiles of the (levels, schedules) planes of
+    ``parts``, (cycles, plane) pairs: whole rows of a plane while they
+    fit, at most KERNEL_BLOCK_DOUBLES entries each, and one tile per
+    worker of a plane large enough for the pool. The tiles of all planes
+    run on the pool when their phases together reach PARALLEL_MIN_PHASES."""
+    cap = KERNEL_BLOCK_DOUBLES
+    phases = sum(out.size * tm.shape[0] for tm, out in parts)
+    if phases < PARALLEL_MIN_PHASES and len(parts) == 1 and parts[0][1].size <= cap:
+        tm, out = parts[0]
+        _accumulate(half, tm, max(1, cap // out.size), out)
+        return
+    workers, pool = _kernel_pool() if phases >= PARALLEL_MIN_PHASES else (1, None)
+    tiles = []
+    for tm, out in parts:
+        levels, cols = out.shape
+        if out.size == 0:
+            continue
+        want = workers if out.size * tm.shape[0] >= PARALLEL_MIN_PHASES else 1
+        # cycles per block: the blocks of a plane's tiles together hold at
+        # most KERNEL_BLOCK_DOUBLES phases
+        rows = max(1, cap // out.size)
+        n_rows = min(levels, max(want, -(-out.size // cap)))
+        n_cols = min(cols, max(-(-want // n_rows), -(-cols // max(1, cap // -(-levels // n_rows)))))
+        row_cuts = [levels * i // n_rows for i in range(n_rows + 1)]
+        col_cuts = [cols * i // n_cols for i in range(n_cols + 1)]
+        tiles += [(half[r0:r1], tm[:, c0:c1], rows, out[r0:r1, c0:c1])
+                  for r0, r1 in zip(row_cuts, row_cuts[1:])
+                  for c0, c1 in zip(col_cuts, col_cuts[1:])]
+    if pool is None or len(tiles) == 1:
         for tile in tiles:
             _accumulate(*tile)
         return
@@ -402,8 +462,12 @@ def log_surviving(deltas, log_weights, times) -> np.ndarray:
     logs += np.asarray(log_weights, dtype=float)[:, None]
     peak = np.max(logs, axis=0, initial=-np.inf)
     shift = np.where(np.isfinite(peak), peak, 0.0)
+    # Each column's terms in a contiguous row: numpy sums a row the same
+    # way whatever the column count, and a column of a matrix another way.
+    terms = np.subtract(logs.T, shift[:, None], order="C")
+    np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
-        return shift + np.log(np.exp(logs - shift).sum(axis=0))
+        return shift + np.log(terms.sum(axis=1))
 
 
 def survival_product(energies, e_target: float, schedule: TimeSchedule) -> np.ndarray:
@@ -454,20 +518,16 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     returns (S,). Zero times are exact no-ops, so Trotter-floored
     schedules of unequal length can share one zero-padded matrix.
 
-    For a band the integrands density(E) * prod_n cos((E - E_t) t_n / 2)**2
-    of all columns are integrated together with the oscillation-budgeted
-    panel rule, each to ``abs_tol``; the phase rate is the largest column
-    total. Columns go in chunks of quadrature.batch_columns, so that the
-    first round of panels stays within MAX_PANEL_COLUMNS. For a discrete
-    spectrum the non-target levels are summed in log space, as a chain
-    objective's are. A column of zeros returns the initial non-target weight.
+    For a band each column integrates density(E) * prod_n cos((E - E_t)
+    t_n / 2)**2 with the oscillation-budgeted panel rule to ``abs_tol``,
+    its phase rate being its own total; columns on the same panels share
+    one kernel call. For a discrete spectrum the non-target levels are
+    summed in log space, as a chain objective's are. A column of zeros
+    returns the initial non-target weight.
 
-    A column's value depends on the other columns of its call: the
-    kernel's cycle blocks, its short-phase cost rule and its power sums
-    are sized by the column count, and the columns of a band share panels,
-    refined while any column needs it. So a batch column can differ from
-    the same schedule integrated alone: in its last bits for a discrete
-    spectrum, within ``abs_tol`` for a band.
+    A column's value is the bits of its one-column call, whatever other
+    columns share the call: the kernel and the integrator read nothing of
+    a column's neighbours.
     """
     tm = np.asarray(times, dtype=float)
     if isinstance(spectrum, DiscreteSpectrum):
@@ -478,21 +538,19 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
         return np.empty(0)
     lo, hi = spectrum.delta_min, spectrum.delta_max
 
-    def integrand(e, cols=tm):
-        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, cols))
+    def integrand(e, cols):
+        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm[:, cols]))
 
-    rate = float(tm.sum(axis=0).max(initial=0.0))
+    # Each total summed as a contiguous row: the same bits for any column count.
+    rates = np.ascontiguousarray(tm.T).sum(axis=1)
     if tm.shape[1] == 1:
         # One schedule goes through the public integrator as a scalar
         # integral: bench/tracing.py instruments integrate_oscillatory and
         # reads its bound as one float.
-        value, _ = integrate_oscillatory(lambda e: integrand(e)[:, 0], lo, hi,
-                                         phase_rate=rate, abs_tol=abs_tol)
+        value, _ = integrate_oscillatory(lambda e: integrand(e, slice(None))[:, 0], lo, hi,
+                                         phase_rate=float(rates[0]), abs_tol=abs_tol)
         return np.array([value])
-    chunk = batch_columns(lo, hi, rate)
-    return np.concatenate([
-        _integrate(lambda e, cols=tm[:, c:c + chunk]: integrand(e, cols), lo, hi, rate, abs_tol)[0]
-        for c in range(0, tm.shape[1], chunk)])
+    return _integrate_columns(integrand, lo, hi, rates, abs_tol)[0]
 
 
 def rsn_quadrature(spectrum: SpectralFunction, e_target: float,

@@ -162,6 +162,31 @@ def test_optimize_times_runs_and_converges(capsys):
     assert 0 < res["zeta"] < 1.8
 
 
+# The calls and schedules of one seeded search: DE generations each in one
+# call, each polish gradient in one call, line-search points alone.
+SEARCH_COUNTS = {"objective_calls": {"generations": 20, "polish": 44},
+                 "schedules_scored": {"generations": 480, "polish": 110}}
+
+
+def test_search_commands_count_their_objective_calls_outside_the_hash(tmp_path, capsys):
+    search = ["--band", "0.1", "1.0", "--n-samples", "4", "--budget", "480",
+              "--restarts", "2", "--seed", "1"]
+    main(["optimize-times", *search, "--t0-multiple", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    counts = doc["manifest"]["diagnostics"]
+    assert counts == SEARCH_COUNTS
+    assert sum(counts["schedules_scored"].values()) == doc["result"]["evaluations"]
+    assert counts["objective_calls"]["polish"] < counts["schedules_scored"]["polish"]
+    again = tmp_path / "again.json"
+    main(["optimize-times", *search, "--t0-multiple", "1", "--out", str(again), "--format", "json"])
+    assert json.loads(again.read_text())["manifest"]["hash"] == doc["manifest"]["hash"]
+    main(["table1", *search])
+    doc = json.loads(capsys.readouterr().out)
+    rows = doc["manifest"]["diagnostics"]["rows"]
+    assert [row["limit"] for row in rows] == ["0.5*T0", "1*T0", "2*T0", "3*T0"]
+    assert {k: rows[1][k] for k in SEARCH_COUNTS} == SEARCH_COUNTS
+
+
 def test_optimize_alpha_band_backend(capsys):
     code, doc = _run_json(
         ["optimize-alpha", "--band", "0.1", "1.0", "--n-samples", "10",
@@ -254,16 +279,20 @@ def test_readme_sweep_flags_run(tmp_path):
 
 
 # (alpha_opt, zeta) of every sweep point, dt 0.01 T0 then 0.05 T0, as the
-# ratio search gave them before it reused any integral.
+# ratio search gives them integrating every schedule alone. Since each
+# column's kernel sums run in order whatever the column count, five zetas
+# moved in their last bits (0.9879755799374728, 2.2148106857685716e-11,
+# 0.7359031617695629, 0.005388188021892764 and 8.602309452521381e-11
+# before); no ratio moved.
 SWEEP_PINS = [
-    ("1.9621967033631071", "0.9879755799374728"),
+    ("1.9621967033631071", "0.9879755799374729"),
     ("1.9822392058198646", "0.6706716002528976"),
     ("1.6253967452802456", "0.004211951766176197"),
-    ("1.1108737929292223", "2.2148106857685716e-11"),
+    ("1.1108737929292223", "2.2148106857685807e-11"),
     ("1.9621967033631071", "0.9999999999999969"),
-    ("1.7571204344346893", "0.7359031617695629"),
-    ("1.5906523729598905", "0.005388188021892764"),
-    ("1.111107995198585", "8.602309452521381e-11"),
+    ("1.7571204344346893", "0.735903161769563"),
+    ("1.5906523729598905", "0.005388188021892767"),
+    ("1.111107995198585", "8.602309452521426e-11"),
 ]
 
 
@@ -291,11 +320,10 @@ def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
     assert got == SWEEP_PINS
     assert len(calls) == len(SWEEP_PINS)
     for fit in calls:
-        singles = [m.tobytes() for m in fit if m.shape[1] == 1]
-        assert len(set(singles)) == len(singles)
-        for m in fit:
-            if m.shape[1] > 1:
-                assert len({col.tobytes() for col in m.T}) == m.shape[1]
+        # no floored schedule of a fit is integrated twice, in a grid call
+        # or alone
+        columns = [col.tobytes() for m in fit for col in m.T]
+        assert len(set(columns)) == len(columns)
     counts = doc["manifest"]["diagnostics"]
     assert counts["schedules_integrated"] == sum(m.shape[1] for fit in calls for m in fit)
     assert counts["schedules_integrated"] < counts["schedules_scored"]

@@ -60,10 +60,36 @@ def test_optimize_times_scores_each_generation_in_one_call():
                          n, 8.0, **FAST)
     *search, rescore = shapes
     assert rescore == (len(res.best_schedule), 1)
-    assert set(search) == {(n, pop), (n, 1)}
+    # DE generations, one call per polish gradient (its n finite-difference
+    # points) and one-column calls for the polish's line-search points
+    assert set(search) == {(n, pop), (n, n), (n, 1)}
     maxiter = FAST["budget"] // FAST["restarts"] // pop - 1
-    assert sum(s == (n, pop) for s in search) <= FAST["restarts"] * (maxiter + 1)
+    generations = sum(s == (n, pop) for s in search)
+    assert generations <= FAST["restarts"] * (maxiter + 1)
+    assert res.objective_calls == {"generations": generations,
+                                   "polish": len(search) - generations}
+    assert res.schedules_scored["generations"] == generations * pop
     assert sum(cols for _, cols in search) == res.evaluations_used
+    assert sum(res.schedules_scored.values()) == res.evaluations_used
+
+
+@pytest.mark.parametrize("mult", [0.5, 1.0, 2.0, 3.0])
+def test_batched_polish_takes_the_path_of_one_column_calls(mult):
+    # The band-optimize searches: each polish gradient is one batch call,
+    # whose columns are the bits of one-column calls, so the search makes
+    # the decisions it makes when every schedule is scored alone.
+    objective = BAND.objective()
+    t_limit = mult * math.pi / 0.1
+    kw = dict(budget=480, restarts=2, seed=1)
+    res = optimize_times(objective, 10, t_limit, **kw)
+    alone = optimize_times(lambda tm: np.concatenate([objective(tm[:, [j]])
+                                                      for j in range(tm.shape[1])]),
+                           10, t_limit, **kw)
+    assert res.best_schedule.times.tobytes() == alone.best_schedule.times.tobytes()
+    assert res.best_objective == alone.best_objective
+    assert res.restart_bests == alone.restart_bests
+    assert res.evaluations_used == alone.evaluations_used
+    assert res.objective_calls["polish"] < res.schedules_scored["polish"]
 
 
 @pytest.mark.parametrize("t_limit", [6.0, 20.0])

@@ -104,33 +104,33 @@ def test_column_valued_failure_carries_column_estimates(monkeypatch):
     assert info.value.estimate.shape == info.value.error_bound.shape == (2,)
 
 
-def test_unreachable_batch_tolerance_stops_at_the_panel_column_bound(monkeypatch):
-    # 60 columns sharing panels, starting from one: the bound stops
-    # splitting at 500 panels, well before MAX_PANELS (which caps the
-    # damage if the bound breaks).
-    cap = 30_000
+def test_unreachable_batch_tolerance_stops_each_column_at_its_panel_cap(monkeypatch):
+    # 60 columns from one starting panel, each refined on its own until it
+    # reaches MAX_PANELS; no integrand call holds more than
+    # MAX_PANEL_COLUMNS panels x columns, and the failure carries every
+    # column's estimate.
+    cap = 6_000
     monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 4000)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 500)
     omegas = np.linspace(50.0, 400.0, 60)
-    tracemalloc.start()
-    try:
-        with pytest.raises(QuadratureError, match="512 panels x 60 columns") as info:
-            integrate_oscillatory(lambda x: np.cos(np.outer(x, omegas)), 0.0, 1.0,
-                                  abs_tol=1e-30)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    sizes = []
+
+    def func(x, cols):
+        sizes.append(len(x) // 15 * len(cols))
+        return np.cos(np.outer(x, omegas[cols]))
+
+    with pytest.raises(QuadratureError, match="in 60 of 60 columns") as info:
+        quadrature._integrate_columns(func, 0.0, 1.0, np.zeros(60), 1e-30)
     assert info.value.estimate.shape == info.value.error_bound.shape == (60,)
     assert np.all(np.isfinite(info.value.estimate))
-    # one integrand plane is 15 points x 8 bytes per panel and column
-    assert peak < 4 * 15 * 8 * cap
+    assert max(sizes) <= cap < sum(sizes)
 
 
 def test_long_horizon_batch_refines_past_the_panel_column_bound(monkeypatch):
-    # 240 ratio-grid columns whose one-period starting set (46 panels)
-    # alone passes the bound, so they go in chunks of cap // 46 columns:
-    # each chunk may still grow to PANEL_GROWTH times that set, and it
-    # needs twice that set to reach abs_tol.
+    # 240 ratio-grid columns whose one-period starting sets (up to 46
+    # panels) together pass the bound, so each integrand call holds a
+    # chunk of columns; they refine to reach abs_tol, and every column
+    # keeps the bits of its one-column call.
     cap = 10_000
     monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
     twin = BandModel(0.1, 1.0).quadrature_twin()
@@ -139,14 +139,14 @@ def test_long_horizon_batch_refines_past_the_panel_column_bound(monkeypatch):
     batched = rsn_quadrature_batch(twin, 0.0, tm, abs_tol=1e-12)
     per_column = [rsn_quadrature_batch(twin, 0.0, tm[:, [j]], abs_tol=1e-12)[0]
                   for j in range(240)]
-    np.testing.assert_allclose(batched, per_column, rtol=0, atol=2e-12)
+    assert batched.tolist() == per_column
 
 
 def test_wide_batch_is_integrated_in_chunks_within_the_panel_column_bound(monkeypatch):
-    # 240 ratio-grid columns on a 46-panel starting set: one batch would
-    # evaluate 11,040 panels x columns in its first round. Lowering the
-    # bound must lower the peak with it, and chunking must not change what
-    # the per-column route computes.
+    # 240 ratio-grid columns on a 46-panel starting set: one integrand
+    # call would evaluate 11,040 panels x columns. Lowering the bound must
+    # lower the peak with it, and chunking must not change what the
+    # per-column route computes.
     twin = BandModel(0.1, 1.0).quadrature_twin()
     tm = geometric_times(1.0 + np.geomspace(1e-3, 1.0, 240), 10, 100 * math.pi)
     n0 = quadrature.starting_panels(0.1, 1.0, tm.sum(axis=0).max())
@@ -160,14 +160,16 @@ def test_wide_batch_is_integrated_in_chunks_within_the_panel_column_bound(monkey
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        np.testing.assert_allclose(batched, per_column, rtol=0, atol=1e-10)
+        assert batched.tolist() == per_column
         return peak
 
     whole = peak_of_batch()
+    peaks = []
     for cap in (4 * n0, 8 * n0):
         monkeypatch.setattr(quadrature, "MAX_PANEL_COLUMNS", cap)
-        assert quadrature.batch_columns(0.1, 1.0, tm.sum(axis=0).max()) == cap // n0
-        peak = peak_of_batch()
+        peaks.append(peak_of_batch())
         # one integrand plane is 15 points x 8 bytes per panel and column
-        assert peak < 24 * 15 * 8 * cap
-        assert peak < whole / 4
+        assert peaks[-1] < 24 * 15 * 8 * cap
+    # The kernel's one block of at most KERNEL_BLOCK_DOUBLES phases (512 kB)
+    # is most of a chunked call's peak, and of the 2.1 MB of the whole.
+    assert peaks[0] < peaks[1] < whole / 3

@@ -2,12 +2,13 @@
 
 import csv
 import math
+import random
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, TimeSchedule,
@@ -250,7 +251,7 @@ def test_levels_drop_weights_at_or_below_the_floor():
        st.floats(0.5, 100.0), st.one_of(st.none(), st.floats(0.005, 0.5)))
 def test_a_one_column_band_call_equals_the_chunked_path(band, alpha, n, t_mult, dt_mult):
     # rsn_quadrature_batch sends one column through integrate_oscillatory as
-    # a scalar integral; every other call goes through the chunked _integrate.
+    # a scalar integral, which is _integrate's rule on a (P, 1) integrand.
     spectrum, e_target, t0 = SEARCH_BANDS[band]
     tm = geometric_times(alpha, n, t_mult * t0)
     if dt_mult is not None:
@@ -262,6 +263,57 @@ def test_a_one_column_band_call_equals_the_chunked_path(band, alpha, n, t_mult, 
     chunked, _ = _integrate(integrand, spectrum.delta_min, spectrum.delta_max,
                             float(tm.sum()), ABS_TOL)
     assert rsn_quadrature_batch(spectrum, e_target, tm).tobytes() == chunked.tobytes()
+
+
+# Every kind of spectrum rsn_quadrature_batch integrates or sums.
+COLUMN_SPECTRA = dict(
+    SEARCH_BANDS,
+    constant=(ContinuousBand(0.1, 1.0), 0.0, math.pi / 0.1),
+    levels=(DiscreteSpectrum(np.array([0.0, 0.3, 0.7, 1.1]), np.array([0.2, 0.3, 0.3, 0.2])),
+            0.0, math.pi / 0.3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(COLUMN_SPECTRA)), st.sampled_from([2, 11, 60, 240]),
+       st.integers(1, 100), st.floats(0.1, 100.0), st.one_of(st.none(), st.floats(0.005, 0.5)),
+       st.sampled_from([ABS_TOL, 1e-13]), st.randoms(use_true_random=False))
+@example("twin", 11, 10, 10.0, None, 1e-13, random.Random(0))   # columns refine
+@example("xi2", 240, 100, 3.0, 0.01, ABS_TOL, random.Random(0))  # a Trotter ratio grid
+def test_every_batch_column_is_the_bits_of_its_one_column_call(name, width, n, t_mult,
+                                                               dt_mult, abs_tol, rnd):
+    # Widths, cycles and totals straddle the kernel's block, series and
+    # pool thresholds and the integrator's chunks; the column totals span
+    # a decade, so columns start from different panel counts.
+    spectrum, e_target, t0 = COLUMN_SPECTRA[name]
+    totals = np.geomspace(0.1, 1.0, width) * t_mult * t0
+    tm = geometric_times(1.0 + np.geomspace(1e-4, 1.0, width)[::-1], n, totals)
+    if dt_mult is not None:
+        tm = trotter_floor(tm, dt_mult * t0)
+    batch = rsn_quadrature_batch(spectrum, e_target, tm, abs_tol=abs_tol)
+    for j in rnd.sample(range(width), 2):
+        alone = rsn_quadrature_batch(spectrum, e_target, tm[:, [j]], abs_tol=abs_tol)
+        assert alone.tobytes() == batch[j:j + 1].tobytes()
+
+
+def test_refined_columns_keep_their_one_column_bits(monkeypatch):
+    # At abs_tol 1e-13 some of these columns refine, on panels of their
+    # own; columns that split the same panels share one integrand call.
+    from rodeo_sched import quadrature
+
+    twin, _, t0 = SEARCH_BANDS["twin"]
+    tm = geometric_times(1.0 + np.geomspace(1e-4, 1.0, 11), 10, 3.3 * t0)
+    calls, real = [], quadrature._eval_panels
+
+    def spy(func, lo, hi, cols):
+        calls.append(len(cols))
+        return real(func, lo, hi, cols)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", spy)
+    batch = rsn_quadrature_batch(twin, 0.0, tm, abs_tol=1e-13)
+    assert calls[0] == 11 and 1 < len(calls) and max(calls[1:]) > 1
+    monkeypatch.setattr(quadrature, "_eval_panels", real)
+    assert batch.tolist() == [rsn_quadrature_batch(twin, 0.0, tm[:, [j]], abs_tol=1e-13)[0]
+                              for j in range(11)]
 
 
 @settings(max_examples=200, deadline=None)
