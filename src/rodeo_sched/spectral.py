@@ -60,7 +60,7 @@ SHORT_PHASE = 0.5
 # a few thousand cos calls, which a ratio grid of 240 columns shares and
 # a one-column call pays alone; the rule cannot tell the two apart.
 # Timed on the benchmark workloads (2-core machine, numpy 2.4, in-process
-# passes alternated with the rule's parent): 0 put band-optimize's
+# passes alternated with the kernel it replaced): 0 put band-optimize's
 # one-column line searches on the series (about 10% slower there than
 # 2**9), 2**10 and up took it from trotter-sweep's 15-level grids (2**12
 # about 20% slower), and chain-curve read the same from 2**8 to 2**10.
@@ -377,11 +377,11 @@ def _fill_powers(p) -> None:
 def _accumulate(half, tm, rows, out) -> None:
     """Add sum_n log|cos(half t_n)| to ``out`` (l, s) for levels ``half``
     (l,) and schedule columns ``tm`` (N, s), one cycle after another in
-    order, ``rows`` cycles per block. A block's
-    first row takes the sums so far (x + y is y + x, bit for bit), and
-    numpy adds a block's rows in order when a row holds two or more
-    entries; a one-entry plane, which numpy would sum pairwise, is
-    computed as two copies of its level."""
+    order, ``rows`` cycles per block. A block's first row takes the sums
+    so far (x + y is y + x, bit for bit), and numpy adds a block's rows
+    in order when a row holds two or more entries; a one-entry plane,
+    which numpy would sum pairwise, is computed as two copies of its
+    level."""
     if out.size == 1:
         pair = np.repeat(out, 2, axis=0)
         _accumulate(np.repeat(half, 2), tm, rows, pair)
