@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import log_survival
+from .spectral import log_survival, log_survival_grid
 
 # Enumeration cap for the 2**N expansion cross-check.
 MAX_FOURIER_N = 24
@@ -47,6 +47,15 @@ def _auto_terms(alpha: float, theta: float) -> int:
     return max(1, int(math.ceil(math.log(scale / _TRUNCATION_ARG) / math.log(alpha))))
 
 
+def _product_times(alpha: float, n_terms: int) -> np.ndarray:
+    """Factor n of C is the survival of a level at offset theta under a
+    cycle of time 2 (alpha - 1) alpha**-n, so C is the kernel's product
+    over these cycles."""
+    if n_terms < 1:
+        raise ValueError("n_terms must be a positive integer")
+    return 2.0 * (alpha - 1.0) * alpha ** -np.arange(1.0, int(n_terms) + 1.0)
+
+
 def product_function(alpha: float, theta, n_terms: int | None = None):
     """C(alpha, theta, N): the squared-cosine suppression product.
 
@@ -59,11 +68,7 @@ def product_function(alpha: float, theta, n_terms: int | None = None):
     th = np.asarray(theta, dtype=float)
     if n_terms is None:
         n_terms = _auto_terms(alpha, float(np.max(np.abs(th))) if th.size else 0.0)
-    if n_terms < 1:
-        raise ValueError("n_terms must be a positive integer")
-    # Factor n is the survival of a level at offset theta under a cycle
-    # of time 2 (alpha - 1) alpha**-n, so the product is the kernel's.
-    times = 2.0 * (alpha - 1.0) * alpha ** -np.arange(1.0, int(n_terms) + 1.0)
+    times = _product_times(alpha, n_terms)
     value = np.exp(log_survival(th.ravel(), times[:, None])[:, 0]).reshape(th.shape)
     if value.ndim == 0:
         return float(value)
@@ -117,7 +122,8 @@ class DecayFitResult:
     is the RMS misfit in log space. non_decaying marks envelopes whose
     running maximum holds a fixed floor across the fitted range (the
     Pisot signature: limsup C > 0), in which case gamma is not a decay
-    rate and should not be quoted as one.
+    rate and should not be quoted as one. work holds decay_envelope's
+    exact work counts.
     """
 
     gamma: float
@@ -126,6 +132,7 @@ class DecayFitResult:
     non_decaying: bool
     window_centers: np.ndarray
     window_maxima: np.ndarray
+    work: dict
 
 
 # Envelope floor test: the envelope is non-decaying when its running
@@ -137,24 +144,37 @@ _NON_DECAY_DROP = 0.5
 
 
 def decay_envelope(alpha: float, theta_min: float, theta_max: float,
-                   n_windows: int = 50, n_limit: int | None = None):
+                   n_windows: int = 50, n_limit: int | None = None, work: dict | None = None):
     """Windowed maxima of C(alpha, theta) over log-spaced theta windows.
 
     Returns (centers, maxima): geometric window centers and the maximum
     of the truncated infinite product within each window. Sampling step
     0.2 in theta resolves the order-unity peak widths of the product.
+    Each window's evenly spaced samples go through log_survival_grid, so
+    its long factors are summed by angle addition. ``work``, a dict, gets
+    the exact counts: "theta_samples", "factors_per_sample", and under
+    "factors" those summed by the short-phase series, by cos and by angle
+    addition.
     """
     if not theta_max > theta_min > 0:
         raise ValueError("need 0 < theta_min < theta_max")
+    if int(n_windows) < 1:
+        raise ValueError(f"n_windows must be a positive integer, got {n_windows}")
     edges = np.geomspace(theta_min, theta_max, int(n_windows) + 1)
     if n_limit is None:
         n_limit = _auto_terms(alpha, theta_max)
+    times = _product_times(alpha, n_limit)
     centers = np.sqrt(edges[:-1] * edges[1:])
     maxima = np.empty(int(n_windows))
+    factors = {"series": 0, "cos": 0, "angle_addition": 0}
+    samples = 0
     for i in range(int(n_windows)):
         count = max(32, int(math.ceil((edges[i + 1] - edges[i]) / 0.2)) + 1)
-        thetas = np.linspace(edges[i], edges[i + 1], count)
-        maxima[i] = product_function(alpha, thetas, n_limit).max()
+        logs = log_survival_grid(edges[i], edges[i + 1], count, times, factors)
+        maxima[i] = math.exp(logs.max())
+        samples += count
+    if work is not None:
+        work.update(theta_samples=samples, factors_per_sample=times.size, factors=factors)
     return centers, maxima
 
 
@@ -174,7 +194,8 @@ def fit_decay_exponent(alpha: float, theta_max: float, n_limit: int | None = Non
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     if theta_max < 1e3:
         raise ValueError("theta_max must reach at least 1e3 for a stable fit")
-    centers, maxima = decay_envelope(alpha, theta_min, theta_max, n_windows, n_limit)
+    work = {}
+    centers, maxima = decay_envelope(alpha, theta_min, theta_max, n_windows, n_limit, work)
     good = maxima > 0
     if good.sum() < 20:
         raise ValueError(f"only {int(good.sum())} usable envelope points; need >= 20")
@@ -193,4 +214,5 @@ def fit_decay_exponent(alpha: float, theta_max: float, n_limit: int | None = Non
         non_decaying=head > 0 and tail >= _NON_DECAY_DROP * head,
         window_centers=centers,
         window_maxima=maxima,
+        work=work,
     )

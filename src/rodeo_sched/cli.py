@@ -328,7 +328,8 @@ def cmd_decay_fit(args) -> int:
               "non_decaying": fit.non_decaying,
               "theta_range": list(fit.theta_range), "n_windows": args.windows}
     rows = list(map(list, zip(fit.window_centers, fit.window_maxima)))
-    _emit(args, result, header=["theta_center", "envelope_max"], rows=rows)
+    _emit(args, result, header=["theta_center", "envelope_max"], rows=rows,
+          diagnostics=fit.work)
     return 0
 
 
@@ -445,6 +446,23 @@ def _positive_float(text: str) -> float:
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
+
+
+def _count_type(least: int, noun: str):
+    """argparse type of a count: an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a {noun} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _count_type(1, "positive")
+_nonnegative_int = _count_type(0, "nonnegative")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -571,7 +589,7 @@ def build_parser() -> tuple:
     p.add_argument("--theta-min", type=_positive_float, default=0.1)
     p.add_argument("--theta-max", type=_positive_float, default=100.0)
     p.add_argument("--theta-points", type=int, default=200)
-    p.add_argument("--n-terms", type=int, default=0,
+    p.add_argument("--n-terms", type=_nonnegative_int, default=0,
                    help="cycle count (0 means the infinite-product truncation)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_product_function)
@@ -580,8 +598,9 @@ def build_parser() -> tuple:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta-min", type=_positive_float, default=100.0)
     p.add_argument("--theta-max", type=_positive_float, default=1e4)
-    p.add_argument("--windows", type=int, default=50)
-    p.add_argument("--n-terms", type=int, default=0)
+    p.add_argument("--windows", type=_positive_int, default=50)
+    p.add_argument("--n-terms", type=_nonnegative_int, default=0,
+                   help="cycle count (0 means the infinite-product truncation)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_decay_fit)
 

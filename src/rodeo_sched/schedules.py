@@ -9,6 +9,7 @@ draw each time as sigma * |z| with z standard normal.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -69,27 +70,36 @@ def geometric_times(alphas, n_samples: int, total_time) -> np.ndarray:
     column keeps the one-column bits. numpy does not promise that its pow
     loops for other operand layouts round alike.
     """
-    a, total = np.broadcast_arrays(np.asarray(alphas, dtype=float),
-                                   np.asarray(total_time, dtype=float))
     if n_samples < 1:
         raise ValueError("n_samples must be a positive integer")
     n = int(n_samples)
-    t1 = []
-    for alpha, t in zip(a.ravel().tolist(), total.ravel().tolist()):
+    ratios, t1 = [], []
+    for alpha, t in np.broadcast(np.asarray(alphas, dtype=float),
+                                 np.asarray(total_time, dtype=float)):
+        alpha, t = float(alpha), float(t)
         if not alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         if not t > 0:
             raise ValueError("total_time must be positive")
+        ratios.append(alpha)
         if alpha == 1.0:
             t1.append(t / n)
             continue
         log_a = math.log(alpha)
         # expm1 keeps the ratio stable as alpha -> 1+.
         t1.append(t * (-math.expm1(-log_a)) / (-math.expm1(-n * log_a)))
-    powers = np.power(a.reshape(-1, 1), np.arange(0.0, -n, -1.0))
+    powers = np.power(np.array(ratios)[:, None], _exponents(n))
     out = np.empty((n, len(t1)))
     np.multiply(t1, powers.T, out=out)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _exponents(n: int) -> np.ndarray:
+    """0, -1, ..., 1 - n, read-only: the exponents of geometric_times."""
+    steps = np.arange(0.0, -n, -1.0)
+    steps.flags.writeable = False
+    return steps
 
 
 def superiteration_schedule(alpha: float, n_samples: int, total_time: float) -> TimeSchedule:

@@ -14,7 +14,10 @@ smallest double (long schedules at T >> T0) finite and ordered. Cycles
 short enough that every level's phase is at most SHORT_PHASE are summed
 as the power series of log cos, without a cos call, in each schedule
 that has enough of them to pay; geometric schedules spend most of their
-cycles there. The rest go through cos, added in order. Large calls cut
+cycles there. The rest go through cos, added in order. Levels on an
+evenly spaced grid (``log_survival_grid``, the decay envelopes' windows)
+take their long cycles by angle addition, with cos and sin called only
+at block starts and block offsets. Large calls cut
 the (levels x schedules) plane into tiles and run them on a thread pool
 over the CPUs in the process's affinity mask (numpy's ufuncs release the
 GIL). A schedule's entries depend on its own times and the levels alone:
@@ -65,6 +68,16 @@ SHORT_PHASE = 0.5
 # 2**9), 2**10 and up took it from trotter-sweep's 15-level grids (2**12
 # about 20% slower), and chain-curve read the same from 2**8 to 2**10.
 SERIES_MIN_PHASES = 1 << 9
+# log_survival_grid's angle addition: levels per block (the offsets whose
+# cos and sin one cycle needs), rows of blocks per tile, and long factors
+# multiplied before each log. Timed on the two decay fits of the
+# benchmark (theta up to 1e5, in-process, 2-core machine, one BLAS
+# thread; 117-131 ms together as set here): blocks of 128 levels, tiles
+# of 64 rows or groups of 16 read within 10% of that; blocks of 512-1024
+# levels or groups of 4 read 10-25% slower.
+GRID_BLOCK = 256
+GRID_TILE_ROWS = 16
+GRID_GROUP = 8
 
 
 def _log_cos_series(terms: int) -> np.ndarray:
@@ -209,7 +222,7 @@ class ContinuousBand:
 SpectralFunction = Union[DiscreteSpectrum, ContinuousBand]
 
 
-def log_survival(deltas, times) -> np.ndarray:
+def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     """Per-level log filter products for a batch of schedules.
 
     ``deltas`` (L,) are level offsets E - E_t and ``times`` (N, S) holds
@@ -227,7 +240,9 @@ def log_survival(deltas, times) -> np.ndarray:
     Every entry then adds the log|cos| of its cycles left one after
     another, in order, in blocks of at most KERNEL_BLOCK_DOUBLES phases;
     a call with PARALLEL_MIN_PHASES phases or more left for cos runs its
-    tiles on the thread pool.
+    tiles on the thread pool. ``work``, a dict, gains the call's phases
+    (level x cycle entries) summed by the series ("series") and by cos
+    ("cos", counting the zeros kept in shared rows).
     """
     half = 0.5 * np.asarray(deltas, dtype=float)
     # Blocks are slices of rows; a column-major matrix would make each
@@ -254,12 +269,85 @@ def log_survival(deltas, times) -> np.ndarray:
             rest = np.flatnonzero(~take)
             groups.append((rest, np.ascontiguousarray(tm[:, rest])))
     planes = [out if cols is None else out[:, cols] for cols, _ in groups]
+    if work is not None:
+        _count(work, "series", 0 if series is None else half.size * int(counts[take].sum()))
+        _count(work, "cos", sum(plane.size * left.shape[0]
+                                for (_, left), plane in zip(groups, planes)))
     _accumulate_tiles(half, [(left, plane) for (_, left), plane in zip(groups, planes)])
     for (cols, _), plane in zip(groups, planes):
         if cols is not None:
             out[:, cols] = plane
     out *= 2.0
     return out
+
+
+def _count(work: dict, key: str, phases: int) -> None:
+    work[key] = work.get(key, 0) + phases
+
+
+def log_survival_grid(start: float, stop: float, count: int, times,
+                      work: dict | None = None) -> np.ndarray:
+    """log_survival of one schedule, ``times`` (N,), at the evenly spaced
+    levels np.linspace(start, stop, count); returns (count,).
+
+    Short cycles (h |t| <= SHORT_PHASE, h = max(|start|, |stop|) / 2) go
+    through log_survival, its series and its bits. A long cycle's phase
+    at level mB + i (B = GRID_BLOCK) is A_m + b_i, with A_m = x_mB t / 2
+    at the block's first level and b_i = i step t / 2, step = (stop -
+    start) / (count - 1); its cosine is cos A_m cos b_i - sin A_m sin
+    b_i. So a cycle calls cos and sin at the block starts and the B
+    offsets only, and each factor costs two multiplies and a subtract.
+    The level x_mB + i step is the linspace level up to its rounding.
+    GRID_GROUP factors are multiplied before one log: a computed |cos| is
+    at least about 1e-17, so their product cannot underflow; a product
+    that cancels to exactly 0 reads as the smallest normal double.
+    ``work`` gains log_survival's counts and the long phases
+    ("angle_addition").
+    """
+    levels = np.linspace(start, stop, count)
+    tm = np.asarray(times, dtype=float).ravel()
+    h = 0.5 * float(np.abs(levels).max(initial=0.0))
+    # A NaN time is long, so cos meets it and it propagates.
+    short = np.abs(tm) <= (SHORT_PHASE / h if h else math.inf)
+    out = log_survival(levels, tm[short][:, None], work)[:, 0]
+    cycles = tm[~short]
+    if cycles.size and count:
+        step = (stop - start) / (count - 1) if count > 1 else 0.0
+        _add_by_angle_addition(levels, step, 0.5 * cycles, out)
+        if work is not None:
+            _count(work, "angle_addition", count * cycles.size)
+    return out
+
+
+def _add_by_angle_addition(levels, step, half_t, out) -> None:
+    """Add sum_k 2 log|cos(x_j half_t_k)| to ``out`` for the evenly spaced
+    levels x_j, the phases split as in log_survival_grid. Per tile of
+    GRID_TILE_ROWS blocks, a group's factors are one batched matrix
+    product, [cos A_m, -sin A_m] times [cos b_i; sin b_i] per cycle, whose
+    rows are then multiplied together before the log."""
+    starts = np.multiply.outer(half_t, levels[::GRID_BLOCK])
+    left = np.stack([np.cos(starts), -np.sin(starts)], axis=-1)
+    width = min(GRID_BLOCK, levels.size)
+    offsets = np.multiply.outer(half_t, np.arange(width) * step)
+    right = np.stack([np.cos(offsets), np.sin(offsets)], axis=1)
+    blocks = starts.shape[1]
+    acc = np.zeros((blocks, width))
+    factors = np.empty((GRID_GROUP, GRID_TILE_ROWS, width))
+    product = np.empty((GRID_TILE_ROWS, width))
+    tiny = np.finfo(float).tiny
+    for r0 in range(0, blocks, GRID_TILE_ROWS):
+        rows = acc[r0:r0 + GRID_TILE_ROWS]
+        prod = product[:len(rows)]
+        for g0 in range(0, half_t.size, GRID_GROUP):
+            f = factors[:min(GRID_GROUP, half_t.size - g0), :len(rows)]
+            np.matmul(left[g0:g0 + GRID_GROUP, r0:r0 + GRID_TILE_ROWS],
+                      right[g0:g0 + GRID_GROUP], out=f)
+            np.multiply.reduce(f, axis=0, out=prod)
+            np.abs(prod, out=prod)
+            np.maximum(prod, tiny, out=prod)
+            np.log(prod, out=prod)
+            rows += prod
+    out += 2.0 * acc.ravel()[:levels.size]
 
 
 def _series_columns(half, tm):

@@ -240,6 +240,11 @@ def test_decay_fit_reports_flag(capsys):
     assert code == 0
     assert not doc["result"]["non_decaying"]
     assert abs(doc["result"]["gamma"] - 2.0) < 0.2
+    # exact work counts, outside the hash
+    work = doc["manifest"]["diagnostics"]
+    assert work["factors_per_sample"] == 45
+    assert sum(work["factors"].values()) == work["theta_samples"] * 45
+    assert work["factors"]["angle_addition"] > 0 and work["factors"]["series"] > 0
 
 
 def test_schedule_fit_single_point(capsys):
@@ -719,6 +724,12 @@ def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path,
     (["product-function", "--alpha", "2", "--theta-max", "nan"], None, "--theta-max"),
     (["decay-fit", "--alpha", "2", "--theta-min", "x"], None, "--theta-min"),
     (["decay-fit", "--alpha", "2"], {"theta_max": -1e4}, "--theta-max"),
+    (["decay-fit", "--alpha", "2", "--windows", "-1"], None, "--windows"),
+    (["decay-fit", "--alpha", "2", "--windows", "0"], None, "--windows"),
+    (["decay-fit", "--alpha", "2", "--windows", "2.5"], None, "--windows"),
+    (["decay-fit", "--alpha", "2"], {"windows": -1}, "--windows"),
+    (["decay-fit", "--alpha", "2", "--n-terms", "-3"], None, "--n-terms"),
+    (["product-function", "--alpha", "2", "--n-terms", "-1"], None, "--n-terms"),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -728,4 +739,6 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert f"error: argument {flag}: expected a positive number" in capsys.readouterr().err
+    expected = {"--windows": "a positive integer",
+                "--n-terms": "a nonnegative integer"}.get(flag, "a positive number")
+    assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err

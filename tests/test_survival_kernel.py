@@ -490,3 +490,18 @@ def test_product_function_matches_direct_product(alpha, n_terms, thetas):
     got = product_function(alpha, theta, n_terms)
     representable = direct > 1e-300
     np.testing.assert_allclose(got[representable], direct[representable], rtol=1e-12)
+
+
+def test_kernel_counts_the_phases_of_each_path():
+    deltas = np.linspace(-2.0, 2.0, 600)
+    # 100 short cycles (|t| <= SHORT_PHASE / h, h = 1) and 10 long ones, in
+    # a column that takes the series, beside a column of long cycles alone
+    short = np.geomspace(1e-4, SHORT_PHASE, 100)
+    long = np.linspace(1.0, 9.0, 10)
+    tm = np.stack([np.concatenate([long, short]), np.linspace(1.0, 50.0, 110)], axis=1)
+    work = {}
+    log_survival(deltas, tm, work)
+    assert work == {"series": 600 * 100, "cos": 600 * 10 + 600 * 110}
+    # a call with no short cycle to pay for the series adds to the counts
+    log_survival(deltas, tm[:, 1:], work)
+    assert work == {"series": 600 * 100, "cos": 600 * 10 + 2 * 600 * 110}
