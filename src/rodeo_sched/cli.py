@@ -261,22 +261,15 @@ def cmd_curve(args) -> int:
     objective, t0, extras = _hamiltonian_backend(args)
     fixed_alphas = _parse_floats(args.alphas)
     t_grid = np.geomspace(args.t_min_mult, args.t_max_mult, args.t_points) * t0
-
-    def score(tm):
-        return objective.weights(tm)[1] if args.raw_fidelity else 1.0 - objective.batch(tm)
-
     columns: dict = {}
     for a in fixed_alphas:
-        columns[f"fidelity_alpha_{a:g}"] = score(geometric_times(a, args.n_samples, t_grid))
+        columns[f"fidelity_alpha_{a:g}"] = 1.0 - objective.batch(
+            geometric_times(a, args.n_samples, t_grid))
     curve = adaptive_alpha_curve(objective.batch, args.n_samples, t_grid,
                                  monotone=args.monotone,
                                  alpha_bounds=(args.alpha_min, args.alpha_cap))
     columns["alpha_opt"] = [p.alpha for p in curve]
-    if args.raw_fidelity:
-        columns["fidelity_adaptive"] = score(
-            geometric_times(columns["alpha_opt"], args.n_samples, t_grid))
-    else:
-        columns["fidelity_adaptive"] = [1.0 - p.objective for p in curve]
+    columns["fidelity_adaptive"] = [1.0 - p.objective for p in curve]
     if not args.skip_rra:
         # Budget-matched random baseline: the half-normal width is fixed
         # by the mean total time, sigma = (T/N) sqrt(pi/2), and the same
@@ -286,7 +279,7 @@ def cmd_curve(args) -> int:
         means, p10, p90 = [], [], []
         for t in t_grid:
             sigma = (t / args.n_samples) * math.sqrt(math.pi / 2.0)
-            shots = score(sigma * base)
+            shots = 1.0 - objective.batch(sigma * base)
             means.append(float(shots.mean()))
             p10.append(float(np.percentile(shots, 10)))
             p90.append(float(np.percentile(shots, 90)))
@@ -570,16 +563,13 @@ def build_parser() -> tuple:
     p.add_argument("--t-min-mult", type=_positive_float, default=0.1,
                    help="grid start in characteristic-time units")
     p.add_argument("--t-max-mult", type=_positive_float, default=20.0)
-    p.add_argument("--t-points", type=int, default=12)
+    p.add_argument("--t-points", type=_positive_int, default=12)
     p.add_argument("--monotone", action="store_true",
                    help="constrain the adaptive ratio to be nonincreasing in time")
     p.add_argument("--skip-rra", action="store_true",
                    help="omit the Gaussian-random baseline columns")
-    p.add_argument("--rra-samples", type=int, default=50,
+    p.add_argument("--rra-samples", type=_positive_int, default=50,
                    help="Monte Carlo schedules per width")
-    p.add_argument("--raw-fidelity", action="store_true",
-                   help="report unnormalized surviving target weight instead of "
-                        "the post-selected fidelity")
     _add_output_flags(p)
     p.set_defaults(func=cmd_curve)
 
@@ -588,7 +578,7 @@ def build_parser() -> tuple:
     p.add_argument("--theta", type=float)
     p.add_argument("--theta-min", type=_positive_float, default=0.1)
     p.add_argument("--theta-max", type=_positive_float, default=100.0)
-    p.add_argument("--theta-points", type=int, default=200)
+    p.add_argument("--theta-points", type=_positive_int, default=200)
     p.add_argument("--n-terms", type=_nonnegative_int, default=0,
                    help="cycle count (0 means the infinite-product truncation)")
     _add_output_flags(p)
@@ -619,7 +609,7 @@ def build_parser() -> tuple:
                    help="emit a grid over total time and Trotter step")
     p.add_argument("--t-min-mult", type=_positive_float, default=0.1)
     p.add_argument("--t-max-mult", type=_positive_float, default=10.0)
-    p.add_argument("--t-points", type=int, default=20)
+    p.add_argument("--t-points", type=_positive_int, default=20)
     p.add_argument("--dt-mults", default="0.01,0.1,1.0",
                    help="Trotter steps in characteristic-time units (sweep mode)")
     _add_alpha_bounds(p)

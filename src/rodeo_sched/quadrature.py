@@ -7,11 +7,12 @@ initial panels from a caller-supplied phase rate (radians of fastest
 phase per unit of the integration variable) so each panel spans one
 period of the fastest phase, then refines with an embedded 7/15-point
 Gauss-Kronrod pair until the summed error bound meets the requested
-absolute tolerance. An integrand may return one value per point or a
-row of S values (a batch of integrals over the same range). Each column
-gets its own starting panels, splits and panel cap, and its value and
-bound are the bits it would get integrated alone: columns that need the
-same points share one integrand call.
+absolute tolerance. There is one rule, over a batch of S integrand
+columns on the same range (_integrate_columns); integrate_oscillatory is
+its one-column case. Each column gets its own starting panels, splits
+and panel cap, and its value and bound are the bits it would get
+integrated alone: columns that need the same points share one integrand
+call.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ _RULES = np.stack([_W_KRONROD, _W_GAUSS])
 class QuadratureError(RuntimeError):
     """Panel budget exhausted before the error bound met tolerance.
 
-    Carries the best available estimate and its error bound (in the
-    integrand's column shape) so callers can still report a partial
-    result.
+    Carries the best available estimate and its error bound (floats from
+    integrate_oscillatory, (S,) arrays from a batch of columns) so callers
+    can still report a partial result.
     """
 
     def __init__(self, message: str, estimate, error_bound):
@@ -80,24 +81,17 @@ class QuadratureError(RuntimeError):
 
 
 def _eval_panels(func, lo, hi, cols):
-    """Yield (columns, Kronrod estimates, |Kronrod - Gauss|, one_column)
-    of the integrand columns ``cols`` on the panels [lo, hi], the
-    estimates (columns, panels), one call of func at a time. ``cols``
-    None asks func for all its columns in one call (one_column: it
-    returned a 1-D array); otherwise a call holds at most
-    MAX_PANEL_COLUMNS panels x columns."""
+    """Yield (columns, Kronrod estimates, |Kronrod - Gauss|) of the
+    integrand columns ``cols`` on the panels [lo, hi], the estimates
+    (columns, panels), one call of func per at most MAX_PANEL_COLUMNS
+    panels x columns."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     pts = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    if cols is None:
-        vals = np.asarray(func(pts, None), dtype=float)
-        rules = _rule_sums(vals, len(lo)) * half
-        yield range(rules.shape[1]), rules[0], np.abs(rules[0] - rules[1]), vals.ndim == 1
-        return
     step = max(1, MAX_PANEL_COLUMNS // len(lo))
     for c in range(0, len(cols), step):
         rules = _rule_sums(func(pts, cols[c:c + step]), len(lo)) * half
-        yield cols[c:c + step], rules[0], np.abs(rules[0] - rules[1]), False
+        yield cols[c:c + step], rules[0], np.abs(rules[0] - rules[1])
 
 
 def _rule_sums(vals, panels):
@@ -114,53 +108,45 @@ def integrate_oscillatory(func, lo: float, hi: float, *, phase_rate: float = 0.0
                           abs_tol: float = ABS_TOL):
     """Integrate ``func`` over [lo, hi], returning (value, error_bound).
 
-    ``func`` maps a 1-D array of P points to (P,) values, or to (P, S)
-    values for S integrals at once; value and bound come back as floats
-    or as (S,) arrays to match. ``phase_rate`` is the fastest oscillation
+    ``func`` maps a 1-D array of P points to their (P,) values; any other
+    shape raises ValueError. ``phase_rate`` is the fastest oscillation
     rate of the integrand in radians per unit; initial panels are sized so
-    each spans at most PHASE_BUDGET of phase. Each column is refined on
-    its own, as if integrated alone, until its bound is below ``abs_tol``.
-    Raises QuadratureError when a column would need more than MAX_PANELS
-    panels or MAX_ROUNDS rounds.
+    each spans at most PHASE_BUDGET of phase. Panels are refined until the
+    bound is below ``abs_tol``. This is the one-column case of the batch
+    rule (_integrate_columns), with the same bits. Raises QuadratureError,
+    carrying float estimate and bound, when it would need more than
+    MAX_PANELS panels or MAX_ROUNDS rounds.
     """
-    return _integrate(func, lo, hi, phase_rate, abs_tol)
+    def column(points, _cols):
+        vals = np.asarray(func(points), dtype=float)
+        if vals.shape != points.shape:
+            raise ValueError(f"integrand must return one value per point: got shape "
+                             f"{vals.shape} for {points.shape[0]} points")
+        return vals[:, None]
+
+    try:
+        values, bounds = _integrate_columns(column, lo, hi, np.array([phase_rate], dtype=float),
+                                            abs_tol)
+    except QuadratureError as exc:
+        raise QuadratureError(str(exc), float(exc.estimate[0]),
+                              float(exc.error_bound[0])) from None
+    return float(values[0]), float(bounds[0])
 
 
 def starting_panels(lo, hi, phase_rate):
-    """Panels of the first round: PHASE_BUDGET of the fastest phase each,
-    at most MAX_PANELS; an int, or an int array for an array of rates
-    (the same float operations either way)."""
-    if np.ndim(phase_rate) == 0:
-        return min(max(1, math.ceil((hi - lo) * abs(phase_rate) / PHASE_BUDGET)), MAX_PANELS)
+    """Panels of the first round for each rate of ``phase_rate``:
+    PHASE_BUDGET of its phase each, at most MAX_PANELS (an int array)."""
     n = np.ceil((hi - lo) * np.abs(phase_rate) / PHASE_BUDGET)
     return np.minimum(np.maximum(n, 1), MAX_PANELS).astype(int)
 
 
-def _integrate(func, lo, hi, phase_rate, abs_tol):
-    """The integrate_oscillatory rule under a second name, for callers
-    outside the per-call instrumentation of integrate_oscillatory. Every
-    column of ``func`` comes from each call; a column refined on other
-    points than its neighbours takes its own values from a call of its
-    own points."""
-    def columns(points, cols):
-        vals = np.asarray(func(points), dtype=float)
-        return vals if cols is None else vals.reshape(len(points), -1)[:, cols]
-
-    values, bounds, one_column = _integrate_columns(columns, lo, hi, phase_rate, abs_tol)
-    if one_column:
-        return float(values[0]), float(bounds[0])
-    return values, bounds
-
-
 def _integrate_columns(func, lo, hi, phase_rate, abs_tol):
     """Integrate the columns of ``func`` over [lo, hi], each on panels of
-    its own: (values, bounds, one_column), the first two (S,).
+    its own: (values, bounds), both (S,).
 
     ``func(points, cols)`` returns the (P, len(cols)) values of integrand
     columns ``cols`` (an index array) at P points. ``phase_rate`` holds
-    each column's rate (S,), or is one float for every column: then func
-    is first called with cols None for all its columns, and a (P,) result
-    is one column (one_column). A column's starting panels, splits and cap
+    each column's rate (S,). A column's starting panels, splits and cap
     depend on its own rate and values alone, and columns that need the
     same points share one call of func, so a column whose values do not
     depend on the other columns of the call gets the bits it gets alone.
@@ -169,13 +155,13 @@ def _integrate_columns(func, lo, hi, phase_rate, abs_tol):
         raise ValueError(f"empty integration range [{lo}, {hi}]")
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
-    shared = np.ndim(phase_rate) == 0
-    n0 = starting_panels(lo, hi, phase_rate)
+    groups = {}  # starting panel count -> its columns
+    for s, n in enumerate(starting_panels(lo, hi, phase_rate).tolist()):
+        groups.setdefault(n, []).append(s)
     firsts, panels = [], {}
-    for n in [n0] if shared else np.unique(n0):
+    for n, members in sorted(groups.items()):
         edges = np.linspace(lo, hi, n + 1)
-        for cols, kron, err, one_column in _eval_panels(
-                func, edges[:-1], edges[1:], None if shared else np.flatnonzero(n0 == n)):
+        for cols, kron, err in _eval_panels(func, edges[:-1], edges[1:], np.array(members)):
             sums, errs = kron.sum(axis=1), err.sum(axis=1)
             firsts.append((cols, sums, errs))
             for i in np.flatnonzero(errs > abs_tol):
@@ -183,7 +169,7 @@ def _integrate_columns(func, lo, hi, phase_rate, abs_tol):
     if len(firsts) == 1:  # every column in one call, in order
         _, values, bounds = firsts[0]
     else:
-        values, bounds = np.empty(len(n0)), np.empty(len(n0))
+        values, bounds = np.empty(len(phase_rate)), np.empty(len(phase_rate))
         for cols, sums, errs in firsts:
             values[cols], bounds[cols] = sums, errs
 
@@ -205,8 +191,8 @@ def _integrate_columns(func, lo, hi, phase_rate, abs_tol):
         refined = {}
         for new_lo, new_hi, members in splits.values():
             cuts = dict(members)
-            for cols, new_kron, new_err, _ in _eval_panels(func, new_lo, new_hi,
-                                                           np.array(list(cuts))):
+            for cols, new_kron, new_err in _eval_panels(func, new_lo, new_hi,
+                                                        np.array(list(cuts))):
                 for s, kron_s, err_s in zip(cols, new_kron, new_err):
                     split = cuts[s]
                     p_lo, p_hi, kron, err = panels[s]
@@ -227,6 +213,5 @@ def _integrate_columns(func, lo, hi, phase_rate, abs_tol):
         raise QuadratureError(
             f"quadrature did not reach abs_tol={abs_tol:g} in {len(failed)} of "
             f"{len(values)} columns (worst bound {bounds[failed].max():.3e})",
-            estimate=float(values[0]) if one_column else values,
-            error_bound=float(bounds[0]) if one_column else bounds)
-    return values, bounds, one_column
+            estimate=values, error_bound=bounds)
+    return values, bounds

@@ -622,8 +622,6 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
         _, rest, _ = spectrum.levels(e_target)
         return np.exp(log_surviving(*rest, tm))
     target_gap(spectrum, e_target)  # rejects a target inside the band
-    if tm.shape[1] == 0:
-        return np.empty(0)
     lo, hi = spectrum.delta_min, spectrum.delta_max
 
     def integrand(e, cols):
@@ -632,9 +630,9 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     # Each total summed as a contiguous row: the same bits for any column count.
     rates = np.ascontiguousarray(tm.T).sum(axis=1)
     if tm.shape[1] == 1:
-        # One schedule goes through the public integrator as a scalar
-        # integral: bench/tracing.py instruments integrate_oscillatory and
-        # reads its bound as one float.
+        # The one-column case of the integrator, with the batch path's
+        # bits; kept only because bench/tracing.py sees band integrals
+        # through integrate_oscillatory.
         value, _ = integrate_oscillatory(lambda e: integrand(e, slice(None))[:, 0], lo, hi,
                                          phase_rate=float(rates[0]), abs_tol=abs_tol)
         return np.array([value])

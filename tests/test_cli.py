@@ -1,7 +1,6 @@
 """Command-line interface: outputs, manifests, config files, exit codes."""
 
 import json
-import math
 import os
 import shlex
 import subprocess
@@ -11,12 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodeo_sched import (HamiltonianSpec, RodeoObjective, TimeSchedule,
-                         build_sector_hamiltonian, eigendecompose, make_initial_state,
-                         rsn_quadrature, superiteration_schedule)
+from rodeo_sched import TimeSchedule, rsn_quadrature
 from rodeo_sched.cli import PRESETS, _config_flags, _manifest, build_parser, main
 from rodeo_sched.quadrature import ABS_TOL
-from rodeo_sched.schedules import BASELINE_STREAM, half_normal_draws
 from rodeo_sched.spectral import band_from_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -409,46 +405,6 @@ def test_curve_small_grid(tmp_path):
         assert 1.0 <= rec["alpha_opt"] <= 2.0
 
 
-def test_curve_raw_fidelity_is_surviving_target_weight(capsys):
-    code, doc = _run_json(["curve", "--model", "xx", "--length", "6", "--n-samples", "20",
-                           "--t-points", "3", "--t-min-mult", "0.5", "--t-max-mult", "5",
-                           "--alphas", "2.0,1.5", "--skip-rra", "--raw-fidelity"], capsys)
-    assert code == 0
-    res = doc["result"]
-    spec = HamiltonianSpec(model="xx", length=6)
-    eig = eigendecompose(build_sector_hamiltonian(spec))
-    obj = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1),
-                         float(eig.eigenvalues[0]))
-
-    def raw(alpha, total):
-        return obj.weights(superiteration_schedule(alpha, 20, total).times[:, None])[1][0]
-
-    columns = [key for key in res if key.startswith("fidelity_alpha_")]
-    assert columns == ["fidelity_alpha_1.5", "fidelity_alpha_2"]
-    for i, total in enumerate(res["t_grid"]):
-        for key in columns:
-            assert res[key][i] == raw(float(key[len("fidelity_alpha_"):]), total)
-        assert res["fidelity_adaptive"][i] == raw(res["alpha_opt"][i], total)
-
-
-def test_curve_raw_fidelity_covers_the_random_baseline(capsys):
-    code, doc = _run_json(["curve", "--model", "xx", "--length", "6", "--n-samples", "20",
-                           "--t-points", "3", "--rra-samples", "5", "--raw-fidelity"], capsys)
-    assert code == 0
-    res = doc["result"]
-    spec = HamiltonianSpec(model="xx", length=6)
-    eig = eigendecompose(build_sector_hamiltonian(spec))
-    obj = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1),
-                         float(eig.eigenvalues[0]))
-    base = half_normal_draws(20, 5, (0, BASELINE_STREAM))
-    for i, total in enumerate(res["t_grid"]):
-        target = obj.weights((total / 20) * math.sqrt(math.pi / 2.0) * base)[1]
-        assert res["fidelity_rra_mean"][i] == float(target.mean())
-        # E_t is an exact level, so its weight survives every schedule whole.
-        for key in ("fidelity_rra_p10", "fidelity_rra_p90"):
-            assert res[key][i] == pytest.approx(obj.target_weight_initial, rel=1e-14)
-
-
 def test_inverted_band_is_an_error(capsys):
     assert main(["rsn", "--band", "0.5", "0.1"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -730,6 +686,12 @@ def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path,
     (["decay-fit", "--alpha", "2"], {"windows": -1}, "--windows"),
     (["decay-fit", "--alpha", "2", "--n-terms", "-3"], None, "--n-terms"),
     (["product-function", "--alpha", "2", "--n-terms", "-1"], None, "--n-terms"),
+    (["product-function", "--alpha", "2", "--theta-points", "0"], None, "--theta-points"),
+    (["product-function", "--alpha", "2", "--theta-points", "-1"], None, "--theta-points"),
+    (["curve", "--model", "xx", "--t-points", "0"], None, "--t-points"),
+    (["curve", "--model", "xx"], {"t_points": 2.5}, "--t-points"),
+    (["schedule-fit", "--preset", "xi2", "--sweep", "--t-points", "0"], None, "--t-points"),
+    (["curve", "--model", "xx", "--rra-samples", "0"], None, "--rra-samples"),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -739,6 +701,7 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    expected = {"--windows": "a positive integer",
-                "--n-terms": "a nonnegative integer"}.get(flag, "a positive number")
+    counts = ("--windows", "--theta-points", "--t-points", "--rra-samples")
+    expected = ("a positive integer" if flag in counts
+                else "a nonnegative integer" if flag == "--n-terms" else "a positive number")
     assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, TimeSchedu
                          superiteration_schedule, survival_product, trotter_floor,
                          trotter_round)
 from rodeo_sched.cli import PRESETS
-from rodeo_sched.quadrature import ABS_TOL, _integrate
+from rodeo_sched.quadrature import ABS_TOL, _integrate_columns
 from rodeo_sched.spectral import TARGET_RTOL, log_survival, target_mask
 
 # (band, target energy, T0) of the band searches: the closed form's
@@ -250,18 +250,18 @@ def test_levels_drop_weights_at_or_below_the_floor():
 @given(st.sampled_from(sorted(SEARCH_BANDS)), st.floats(1.0, 3.0), st.integers(1, 120),
        st.floats(0.5, 100.0), st.one_of(st.none(), st.floats(0.005, 0.5)))
 def test_a_one_column_band_call_equals_the_chunked_path(band, alpha, n, t_mult, dt_mult):
-    # rsn_quadrature_batch sends one column through integrate_oscillatory as
-    # a scalar integral, which is _integrate's rule on a (P, 1) integrand.
+    # rsn_quadrature_batch sends one column through integrate_oscillatory,
+    # the one-column case of the batch rule: the bits of _integrate_columns.
     spectrum, e_target, t0 = SEARCH_BANDS[band]
     tm = geometric_times(alpha, n, t_mult * t0)
     if dt_mult is not None:
         tm = trotter_floor(tm, dt_mult * t0)
 
-    def integrand(e):
-        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm))
+    def integrand(e, cols):
+        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm[:, cols]))
 
-    chunked, _ = _integrate(integrand, spectrum.delta_min, spectrum.delta_max,
-                            float(tm.sum()), ABS_TOL)
+    chunked, _ = _integrate_columns(integrand, spectrum.delta_min, spectrum.delta_max,
+                                    np.array([tm.sum()]), ABS_TOL)
     assert rsn_quadrature_batch(spectrum, e_target, tm).tobytes() == chunked.tobytes()
 
 
