@@ -276,16 +276,13 @@ def cmd_curve(args) -> int:
         # draws are reused across the grid so the curve is smooth.
         base = half_normal_draws(args.n_samples, args.rra_samples,
                                  (args.seed, BASELINE_STREAM))
-        means, p10, p90 = [], [], []
-        for t in t_grid:
-            sigma = (t / args.n_samples) * math.sqrt(math.pi / 2.0)
-            shots = 1.0 - objective.batch(sigma * base)
-            means.append(float(shots.mean()))
-            p10.append(float(np.percentile(shots, 10)))
-            p90.append(float(np.percentile(shots, 90)))
-        columns["fidelity_rra_mean"] = means
-        columns["fidelity_rra_p10"] = p10
-        columns["fidelity_rra_p90"] = p90
+        sigmas = (t_grid / args.n_samples) * math.sqrt(math.pi / 2.0)
+        # One call scores every grid time's draws; row i of shots is t_grid[i].
+        schedules = (base[:, None, :] * sigmas[:, None]).reshape(len(base), -1)
+        shots = (1.0 - objective.batch(schedules)).reshape(len(t_grid), -1)
+        columns["fidelity_rra_mean"] = shots.mean(axis=1)
+        columns["fidelity_rra_p10"] = np.percentile(shots, 10, axis=1)
+        columns["fidelity_rra_p90"] = np.percentile(shots, 90, axis=1)
 
     header = ["total_time", "t_over_t0"] + list(columns)
     rows = [[t_grid[i], t_grid[i] / t0] + [columns[c][i] for c in columns]
@@ -441,6 +438,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_list(text: str) -> str:
+    """argparse type of a comma-separated list of positive finite numbers,
+    at least one; the text is kept as given, as the manifest records it."""
+    try:
+        values = _parse_floats(text)
+    except ValueError:
+        values = np.array([math.nan])
+    if not (values.size and np.all((values > 0.0) & (values < math.inf))):
+        raise argparse.ArgumentTypeError(f"expected a list of positive numbers, got {text!r}")
+    return text
+
+
 def _count_type(least: int, noun: str):
     """argparse type of a count: an integer of at least ``least``."""
     def parse(text: str) -> int:
@@ -515,19 +524,19 @@ def build_parser() -> tuple:
     schedule.add_argument("--times", help="comma-separated time samples")
     schedule.add_argument("--schedule-file", help="schedule CSV or JSON")
     schedule.add_argument("--alpha", type=float, help="geometric ratio (with --total-time)")
-    p.add_argument("--n-samples", type=int, default=10)
+    p.add_argument("--n-samples", type=_positive_int, default=10)
     p.add_argument("--total-time", type=float)
     _add_output_flags(p)
     p.set_defaults(func=cmd_rsn)
 
     p = sub.add_parser("optimize-times", help="full schedule optimization on a band")
     _add_band_flags(p)
-    p.add_argument("--n-samples", type=int, default=10)
+    p.add_argument("--n-samples", type=_positive_int, default=10)
     p.add_argument("--total-time", type=float)
     p.add_argument("--t0-multiple", type=float, default=1.0,
                    help="time budget in units of pi/DMIN (when --total-time absent)")
-    p.add_argument("--budget", type=int, default=60000)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--budget", type=_positive_int, default=60000)
+    p.add_argument("--restarts", type=_positive_int, default=5)
     p.add_argument("--tolerance", type=float, default=0.01)
     _add_output_flags(p)
     p.set_defaults(func=cmd_optimize_times)
@@ -538,7 +547,7 @@ def build_parser() -> tuple:
     _add_chain_flags(p, model_group=target)
     _add_state_flags(p)
     _add_alpha_bounds(p)
-    p.add_argument("--n-samples", type=int, default=10)
+    p.add_argument("--n-samples", type=_positive_int, default=10)
     p.add_argument("--total-time", type=float)
     p.add_argument("--t0-multiple", type=float, default=1.0)
     _add_output_flags(p)
@@ -546,9 +555,9 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("table1", help="optimized residual weight at four time budgets")
     _add_band_flags(p)
-    p.add_argument("--n-samples", type=int, default=10)
-    p.add_argument("--budget", type=int, default=30000)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--n-samples", type=_positive_int, default=10)
+    p.add_argument("--budget", type=_positive_int, default=30000)
+    p.add_argument("--restarts", type=_positive_int, default=3)
     p.add_argument("--tolerance", type=float, default=0.01)
     _add_output_flags(p)
     p.set_defaults(func=cmd_table1)
@@ -557,7 +566,7 @@ def build_parser() -> tuple:
     _add_chain_flags(p)
     _add_state_flags(p)
     _add_alpha_bounds(p)
-    p.add_argument("--n-samples", type=int, default=100)
+    p.add_argument("--n-samples", type=_positive_int, default=100)
     p.add_argument("--alphas", default="2.0,1.5,1.2",
                    help="comma-separated fixed ratios to plot")
     p.add_argument("--t-min-mult", type=_positive_float, default=0.1,
@@ -601,7 +610,7 @@ def build_parser() -> tuple:
     spectrum.add_argument("--band-file")
     spectrum.add_argument("--spectrum-file")
     p.add_argument("--e-target", type=float, default=-1.0)
-    p.add_argument("--n-samples", type=int, default=100)
+    p.add_argument("--n-samples", type=_positive_int, default=100)
     p.add_argument("--total-time", type=float)
     p.add_argument("--t0-multiple", type=float, default=1.0)
     p.add_argument("--trotter-dt", type=float, default=0.0)
@@ -610,7 +619,7 @@ def build_parser() -> tuple:
     p.add_argument("--t-min-mult", type=_positive_float, default=0.1)
     p.add_argument("--t-max-mult", type=_positive_float, default=10.0)
     p.add_argument("--t-points", type=_positive_int, default=20)
-    p.add_argument("--dt-mults", default="0.01,0.1,1.0",
+    p.add_argument("--dt-mults", type=_positive_list, default="0.01,0.1,1.0",
                    help="Trotter steps in characteristic-time units (sweep mode)")
     _add_alpha_bounds(p)
     _add_output_flags(p)

@@ -11,8 +11,8 @@ absolute tolerance. There is one rule, over a batch of S integrand
 columns on the same range (_integrate_columns); integrate_oscillatory is
 its one-column case. Each column gets its own starting panels, splits
 and panel cap, and its value and bound are the bits it would get
-integrated alone: columns that need the same points share one integrand
-call.
+integrated alone: columns on the same starting panels share the
+first-round integrand call, and a column that refines does so alone.
 """
 
 from __future__ import annotations
@@ -147,9 +147,11 @@ def _integrate_columns(func, lo, hi, phase_rate, abs_tol):
     ``func(points, cols)`` returns the (P, len(cols)) values of integrand
     columns ``cols`` (an index array) at P points. ``phase_rate`` holds
     each column's rate (S,). A column's starting panels, splits and cap
-    depend on its own rate and values alone, and columns that need the
-    same points share one call of func, so a column whose values do not
-    depend on the other columns of the call gets the bits it gets alone.
+    depend on its own rate and values alone. Columns on the same starting
+    panels share the first-round calls of func, and a column that misses
+    ``abs_tol`` then refines alone, one call per round; so a column whose
+    values do not depend on the other columns of a call gets the bits it
+    gets alone.
     """
     if not hi > lo:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
@@ -158,60 +160,37 @@ def _integrate_columns(func, lo, hi, phase_rate, abs_tol):
     groups = {}  # starting panel count -> its columns
     for s, n in enumerate(starting_panels(lo, hi, phase_rate).tolist()):
         groups.setdefault(n, []).append(s)
-    firsts, panels = [], {}
+    values, bounds = np.empty(len(phase_rate)), np.empty(len(phase_rate))
+    refining = []  # (column, panel lows, panel highs, Kronrod, |Kronrod - Gauss|)
     for n, members in sorted(groups.items()):
         edges = np.linspace(lo, hi, n + 1)
         for cols, kron, err in _eval_panels(func, edges[:-1], edges[1:], np.array(members)):
-            sums, errs = kron.sum(axis=1), err.sum(axis=1)
-            firsts.append((cols, sums, errs))
-            for i in np.flatnonzero(errs > abs_tol):
-                panels[cols[i]] = (edges[:-1], edges[1:], kron[i], err[i])
-    if len(firsts) == 1:  # every column in one call, in order
-        _, values, bounds = firsts[0]
-    else:
-        values, bounds = np.empty(len(phase_rate)), np.empty(len(phase_rate))
-        for cols, sums, errs in firsts:
-            values[cols], bounds[cols] = sums, errs
+            values[cols], bounds[cols] = kron.sum(axis=1), err.sum(axis=1)
+            refining += [(s, edges[:-1], edges[1:], kron[i], err[i])
+                         for i, s in enumerate(cols) if bounds[s] > abs_tol]
 
-    failed = []
-    for _ in range(MAX_ROUNDS):
-        splits = {}
-        for s, (p_lo, p_hi, kron, err) in panels.items():
-            if len(p_lo) >= MAX_PANELS:
-                failed.append(s)
-                continue
+    for s, p_lo, p_hi, kron, err in refining:
+        for _ in range(MAX_ROUNDS):
+            if not bounds[s] > abs_tol or len(p_lo) >= MAX_PANELS:
+                break
             split = err > abs_tol / (2.0 * len(err))
             if not split.any():
                 split = err >= err.max()
             mid = 0.5 * (p_lo[split] + p_hi[split])
             new_lo = np.concatenate([p_lo[split], mid])
             new_hi = np.concatenate([mid, p_hi[split]])
-            key = new_lo.tobytes() + new_hi.tobytes()
-            splits.setdefault(key, (new_lo, new_hi, []))[2].append((s, split))
-        refined = {}
-        for new_lo, new_hi, members in splits.values():
-            cuts = dict(members)
-            for cols, new_kron, new_err in _eval_panels(func, new_lo, new_hi,
-                                                        np.array(list(cuts))):
-                for s, kron_s, err_s in zip(cols, new_kron, new_err):
-                    split = cuts[s]
-                    p_lo, p_hi, kron, err = panels[s]
-                    p_lo = np.concatenate([p_lo[~split], new_lo])
-                    p_hi = np.concatenate([p_hi[~split], new_hi])
-                    kron = np.concatenate([kron[~split], kron_s])
-                    err = np.concatenate([err[~split], err_s])
-                    order = np.argsort(p_lo)
-                    kron, err = kron[order], err[order]
-                    values[s], bounds[s] = kron.sum(), err.sum()
-                    if bounds[s] > abs_tol:
-                        refined[s] = (p_lo[order], p_hi[order], kron, err)
-        panels = refined
-        if not panels:
-            break
-    failed += list(panels)
-    if failed:
+            [(_, new_kron, new_err)] = _eval_panels(func, new_lo, new_hi, np.array([s]))
+            p_lo = np.concatenate([p_lo[~split], new_lo])
+            p_hi = np.concatenate([p_hi[~split], new_hi])
+            kron = np.concatenate([kron[~split], new_kron[0]])
+            err = np.concatenate([err[~split], new_err[0]])
+            order = np.argsort(p_lo)
+            p_lo, p_hi, kron, err = p_lo[order], p_hi[order], kron[order], err[order]
+            values[s], bounds[s] = kron.sum(), err.sum()
+    failed = bounds > abs_tol
+    if failed.any():
         raise QuadratureError(
-            f"quadrature did not reach abs_tol={abs_tol:g} in {len(failed)} of "
+            f"quadrature did not reach abs_tol={abs_tol:g} in {failed.sum()} of "
             f"{len(values)} columns (worst bound {bounds[failed].max():.3e})",
             estimate=values, error_bound=bounds)
     return values, bounds

@@ -506,8 +506,6 @@ def _accumulate_tiles(half, parts) -> None:
     tiles = []
     for tm, out in parts:
         levels, cols = out.shape
-        if out.size == 0:
-            continue
         want = workers if out.size * tm.shape[0] >= PARALLEL_MIN_PHASES else 1
         # cycles per block: the blocks of a plane's tiles together hold at
         # most KERNEL_BLOCK_DOUBLES phases
@@ -608,8 +606,9 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
 
     For a band each column integrates density(E) * prod_n cos((E - E_t)
     t_n / 2)**2 with the oscillation-budgeted panel rule to ``abs_tol``,
-    its phase rate being its own total; columns on the same panels share
-    one kernel call. For a discrete spectrum the non-target levels are
+    its phase rate being its own total; columns on the same starting
+    panels share the first-round kernel call, and a column that refines
+    does so alone. For a discrete spectrum the non-target levels are
     summed in log space, as a chain objective's are. A column of zeros
     returns the initial non-target weight.
 

@@ -692,6 +692,21 @@ def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path,
     (["curve", "--model", "xx"], {"t_points": 2.5}, "--t-points"),
     (["schedule-fit", "--preset", "xi2", "--sweep", "--t-points", "0"], None, "--t-points"),
     (["curve", "--model", "xx", "--rra-samples", "0"], None, "--rra-samples"),
+    (["rsn", "--alpha", "2", "--total-time", "10", "--n-samples", "0"], None, "--n-samples"),
+    (["optimize-times", "--n-samples", "-1"], None, "--n-samples"),
+    (["optimize-times", "--budget", "0"], None, "--budget"),
+    (["optimize-times", "--restarts", "0"], None, "--restarts"),
+    (["optimize-alpha", "--n-samples", "0"], None, "--n-samples"),
+    (["table1", "--n-samples", "2.5"], None, "--n-samples"),
+    (["table1", "--budget", "-5"], None, "--budget"),
+    (["table1", "--restarts", "0"], None, "--restarts"),
+    (["curve", "--model", "xx", "--length", "4", "--n-samples", "0"], None, "--n-samples"),
+    (["schedule-fit", "--preset", "xi2", "--sweep"], {"n_samples": 0}, "--n-samples"),
+    (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", ""], None, "--dt-mults"),
+    (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", "0"], None, "--dt-mults"),
+    (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", "0.01,-0.1"], None,
+     "--dt-mults"),
+    (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", "0.01,x"], None, "--dt-mults"),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -701,7 +716,9 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    counts = ("--windows", "--theta-points", "--t-points", "--rra-samples")
+    counts = ("--windows", "--theta-points", "--t-points", "--rra-samples", "--n-samples",
+              "--budget", "--restarts")
     expected = ("a positive integer" if flag in counts
-                else "a nonnegative integer" if flag == "--n-terms" else "a positive number")
+                else "a nonnegative integer" if flag == "--n-terms"
+                else "a list of positive numbers" if flag == "--dt-mults" else "a positive number")
     assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err

@@ -296,24 +296,37 @@ def test_every_batch_column_is_the_bits_of_its_one_column_call(name, width, n, t
 
 
 def test_refined_columns_keep_their_one_column_bits(monkeypatch):
-    # At abs_tol 1e-13 some of these columns refine, on panels of their
-    # own; columns that split the same panels share one integrand call.
+    # In each input every column starts on the same panels and some of
+    # them refine: the first call holds every column, each call after it
+    # one column.
     from rodeo_sched import quadrature
 
-    twin, _, t0 = SEARCH_BANDS["twin"]
-    tm = geometric_times(1.0 + np.geomspace(1e-4, 1.0, 11), 10, 3.3 * t0)
-    calls, real = [], quadrature._eval_panels
+    twin_t0 = SEARCH_BANDS["twin"][2]
+    inputs = [
+        ("twin", geometric_times(1.0 + np.geomspace(1e-4, 1.0, 11), 10, 3.3 * twin_t0), 1e-13),
+        # Trotter-floored columns that start on one panel and then refine,
+        # as on a schedule-fit sweep's short totals (T = 2 T0, dt = 0.05 T0).
+        ("xi1", trotter_floor(geometric_times(np.linspace(1.2, 2.0, 9), 100, 2.0 * math.pi),
+                              0.05 * math.pi), ABS_TOL),
+    ]
+    real = quadrature._eval_panels
+    for name, times, abs_tol in inputs:
+        band, e_target, _ = SEARCH_BANDS[name]
+        calls = []
 
-    def spy(func, lo, hi, cols):
-        calls.append(len(cols))
-        return real(func, lo, hi, cols)
+        def spy(func, lo, hi, cols):
+            calls.append(cols.tolist())
+            return real(func, lo, hi, cols)
 
-    monkeypatch.setattr(quadrature, "_eval_panels", spy)
-    batch = rsn_quadrature_batch(twin, 0.0, tm, abs_tol=1e-13)
-    assert calls[0] == 11 and 1 < len(calls) and max(calls[1:]) > 1
-    monkeypatch.setattr(quadrature, "_eval_panels", real)
-    assert batch.tolist() == [rsn_quadrature_batch(twin, 0.0, tm[:, [j]], abs_tol=1e-13)[0]
-                              for j in range(11)]
+        monkeypatch.setattr(quadrature, "_eval_panels", spy)
+        batch = rsn_quadrature_batch(band, e_target, times, abs_tol=abs_tol)
+        monkeypatch.setattr(quadrature, "_eval_panels", real)
+        assert len(calls[0]) == times.shape[1], name
+        assert all(len(cols) == 1 for cols in calls[1:]), name
+        assert len({cols[0] for cols in calls[1:]}) > 1, name
+        assert batch.tolist() == [rsn_quadrature_batch(band, e_target, times[:, [j]],
+                                                       abs_tol=abs_tol)[0]
+                                  for j in range(times.shape[1])], name
 
 
 @settings(max_examples=200, deadline=None)
