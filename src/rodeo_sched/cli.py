@@ -401,8 +401,8 @@ def cmd_schedule_fit(args) -> int:
               diagnostics=diagnostics([e["zeta"] for e in entries]))
         return 0
     total = _total_time(args, t0)
-    if args.trotter_dt <= 0:
-        raise ValueError("--trotter-dt must be positive (or use --sweep)")
+    if not args.trotter_dt:  # its type admits only positive values
+        raise ValueError("schedule-fit needs --trotter-dt (or --sweep)")
     opt, rounded = fit_one(total, args.trotter_dt)
     result = {"alpha_opt": opt.alpha, "zeta": opt.objective, "flat": opt.flat,
               "total_time": total, "trotter_dt": args.trotter_dt,
@@ -427,15 +427,22 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a grid bound: a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+def _float_type(low: float, high: float, noun: str):
+    """argparse type of a number strictly between ``low`` and ``high``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        return value
+    return parse
+
+
+# A grid bound or a time: a finite number above zero.
+_positive_float = _float_type(0.0, math.inf, "a positive number")
+_fraction = _float_type(0.0, 1.0, "a number in (0, 1)")
 
 
 def _positive_list(text: str) -> str:
@@ -469,8 +476,9 @@ _nonnegative_int = _count_type(0, "nonnegative")
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file path (default: print JSON to stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format when --out is given")
+    p.add_argument("--format", choices=("csv", "json"),
+                   help="output format of --out (default: json for a .json path, "
+                        "else csv)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--config", help="JSON file of flag defaults; flags override it")
 
@@ -525,19 +533,19 @@ def build_parser() -> tuple:
     schedule.add_argument("--schedule-file", help="schedule CSV or JSON")
     schedule.add_argument("--alpha", type=float, help="geometric ratio (with --total-time)")
     p.add_argument("--n-samples", type=_positive_int, default=10)
-    p.add_argument("--total-time", type=float)
+    p.add_argument("--total-time", type=_positive_float)
     _add_output_flags(p)
     p.set_defaults(func=cmd_rsn)
 
     p = sub.add_parser("optimize-times", help="full schedule optimization on a band")
     _add_band_flags(p)
     p.add_argument("--n-samples", type=_positive_int, default=10)
-    p.add_argument("--total-time", type=float)
-    p.add_argument("--t0-multiple", type=float, default=1.0,
+    p.add_argument("--total-time", type=_positive_float)
+    p.add_argument("--t0-multiple", type=_positive_float, default=1.0,
                    help="time budget in units of pi/DMIN (when --total-time absent)")
     p.add_argument("--budget", type=_positive_int, default=60000)
     p.add_argument("--restarts", type=_positive_int, default=5)
-    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--tolerance", type=_fraction, default=0.01)
     _add_output_flags(p)
     p.set_defaults(func=cmd_optimize_times)
 
@@ -548,8 +556,8 @@ def build_parser() -> tuple:
     _add_state_flags(p)
     _add_alpha_bounds(p)
     p.add_argument("--n-samples", type=_positive_int, default=10)
-    p.add_argument("--total-time", type=float)
-    p.add_argument("--t0-multiple", type=float, default=1.0)
+    p.add_argument("--total-time", type=_positive_float)
+    p.add_argument("--t0-multiple", type=_positive_float, default=1.0)
     _add_output_flags(p)
     p.set_defaults(func=cmd_optimize_alpha)
 
@@ -558,7 +566,7 @@ def build_parser() -> tuple:
     p.add_argument("--n-samples", type=_positive_int, default=10)
     p.add_argument("--budget", type=_positive_int, default=30000)
     p.add_argument("--restarts", type=_positive_int, default=3)
-    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--tolerance", type=_fraction, default=0.01)
     _add_output_flags(p)
     p.set_defaults(func=cmd_table1)
 
@@ -611,9 +619,9 @@ def build_parser() -> tuple:
     spectrum.add_argument("--spectrum-file")
     p.add_argument("--e-target", type=float, default=-1.0)
     p.add_argument("--n-samples", type=_positive_int, default=100)
-    p.add_argument("--total-time", type=float)
-    p.add_argument("--t0-multiple", type=float, default=1.0)
-    p.add_argument("--trotter-dt", type=float, default=0.0)
+    p.add_argument("--total-time", type=_positive_float)
+    p.add_argument("--t0-multiple", type=_positive_float, default=1.0)
+    p.add_argument("--trotter-dt", type=_positive_float, default=0.0)
     p.add_argument("--sweep", action="store_true",
                    help="emit a grid over total time and Trotter step")
     p.add_argument("--t-min-mult", type=_positive_float, default=0.1)
@@ -683,6 +691,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
+    if args.out:
+        implied = "json" if args.out.endswith(".json") else "csv"
+        if args.format not in (None, implied):
+            commands[args.command].error(
+                f"argument --format: {args.format} contradicts --out {args.out}, "
+                f"which writes {implied}")
+        args.format = implied
     args._t_start = time.perf_counter()
     try:
         return args.func(args)

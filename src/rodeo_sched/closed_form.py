@@ -23,7 +23,8 @@ The dense enumeration, capped at MAX_ENUM_N cycles, is an independent
 oracle: tests compare it with quadrature and ``rsn`` reports it beside
 the quadrature value. Searches score a band through
 ``BandModel.objective``: batched quadrature on the band's
-``quadrature_twin``.
+``quadrature_twin``, and one schedule's residual with its gradient in
+the times from one integration.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .quadrature import integrate_oscillatory
 from .schedules import TimeSchedule
-from .spectral import ContinuousBand, rsn_quadrature_batch
+from .spectral import ContinuousBand, rsn_quadrature_batch, rsn_quadrature_value_and_grad
 
 # Largest schedule the dense 3**N enumeration accepts.
 MAX_ENUM_N = 12
@@ -67,11 +68,24 @@ class BandModel:
         table = np.array([[self.delta_min, 2.0], [self.delta_max, 2.0]])
         return ContinuousBand(self.delta_min, self.delta_max, table, normalize=False)
 
-    def objective(self):
-        """The band's search objective: (N, S) schedule columns to their
-        (S,) residuals, by rsn_quadrature_batch on the quadrature twin."""
-        twin = self.quadrature_twin()
-        return lambda tm: rsn_quadrature_batch(twin, 0.0, tm)
+    def objective(self) -> BandObjective:
+        """The band's search objective, on the quadrature twin."""
+        return BandObjective(self.quadrature_twin())
+
+
+@dataclass(frozen=True)
+class BandObjective:
+    """A band's search objective: called on (N, S) schedule columns it
+    gives their (S,) residuals by rsn_quadrature_batch; ``value_and_grad``
+    gives one schedule's residual and gradient in its times."""
+
+    twin: ContinuousBand
+
+    def __call__(self, times_matrix) -> np.ndarray:
+        return rsn_quadrature_batch(self.twin, 0.0, times_matrix)
+
+    def value_and_grad(self, times) -> tuple:
+        return rsn_quadrature_value_and_grad(self.twin, 0.0, times)
 
 
 def sinc(x):

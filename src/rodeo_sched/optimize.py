@@ -1,7 +1,8 @@
-"""Derivative-free schedule optimization.
+"""Schedule optimization.
 
 Three searches: the full N-dimensional time optimization under a total
-time budget (population-based differential evolution with restarts),
+time budget (population-based differential evolution with restarts,
+each polished by L-BFGS-B on the objective's gradient),
 the one-dimensional geometric-ratio optimization (grid scan plus
 golden-section refinement), and adaptive ratio curves across total-time
 grids with an optional monotone constraint.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -49,16 +49,15 @@ class OptimizationResult:
 
 
 class _CountingObjective:
-    """Differential evolution's callable over one (N, S) -> (S,) objective.
+    """The searched objective in genes, the square roots of the times.
 
-    Vectorized DE sends one gene matrix (n_genes, population) per
-    generation. The polish scores its line-search points as 1-D gene
-    vectors, one column per call, and the finite-difference points of
-    each gradient as one gene matrix through ``map``, L-BFGS-B's workers
-    map. A batch column takes the bits of its one-column call, so the
-    polish decides as it would on one-column calls. ``calls`` and
-    ``scored`` count objective calls and schedules per phase; scored can
-    exceed the budget, which bounds only the DE generations.
+    Differential evolution calls it on one gene matrix (n_genes,
+    population) per generation, scored in one objective call. The
+    L-BFGS-B polish calls ``value_and_grad`` on one gene vector: the
+    objective's value and time gradient at its schedule, carried to the
+    genes by the chain rule of ``_times``. ``calls`` and ``scored`` count
+    objective calls and schedules per phase; scored can exceed the budget,
+    which bounds only the DE generations.
     """
 
     def __init__(self, objective, t_limit: float):
@@ -76,21 +75,24 @@ class _CountingObjective:
             times = times * scale
         return times
 
-    def _score(self, columns: np.ndarray, phase: str) -> np.ndarray:
-        self.calls[phase] += 1
-        self.scored[phase] += columns.shape[1]
-        return self.objective(self._times(columns))
+    def __call__(self, genes: np.ndarray) -> np.ndarray:
+        self.calls["generations"] += 1
+        self.scored["generations"] += genes.shape[1]
+        return self.objective(self._times(genes))
 
-    def __call__(self, genes: np.ndarray):
-        genes = np.asarray(genes, dtype=float)
-        if genes.ndim > 1:
-            return self._score(genes, "generations")
-        return float(self._score(genes[:, None], "polish")[0])
-
-    def map(self, fun, points):
-        """Score one gradient's finite-difference points in one call.
-        ``fun`` is scipy's wrapper of this objective, bypassed."""
-        return self._score(np.column_stack(list(points)), "polish")
+    def value_and_grad(self, genes: np.ndarray) -> tuple:
+        """(value, gene gradient) of one gene vector. With t = g**2, and
+        t_i = g_i**2 s, s = t_limit / sum g**2, over the budget:
+        dt_i/dg_j = 2 g_j (s delta_ij - t_i / sum g**2)."""
+        self.calls["polish"] += 1
+        self.scored["polish"] += 1
+        column = np.asarray(genes, dtype=float)[:, None]
+        times = self._times(column)[:, 0]
+        value, grad = self.objective.value_and_grad(times)
+        total = float((column ** 2).sum(axis=0)[0])  # as _times sums it
+        if total > self.t_limit:
+            grad = self.t_limit / total * grad - float(grad @ times) / total
+        return value, 2.0 * column[:, 0] * grad
 
 
 def _superiteration_seeds(n_samples: int, t_limit: float, pop: int) -> np.ndarray:
@@ -104,15 +106,14 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
                    tolerance: float = 0.01) -> OptimizationResult:
     """Minimize the objective over all schedules with total <= t_limit.
 
-    ``objective`` maps (n_samples, S) times to (S,) values (for a band,
-    BandModel.objective()); each DE generation is one call. Runs
-    ``restarts`` independently seeded differential evolutions sharing
-    ``budget`` schedule evaluations, each followed by an L-BFGS-B polish
-    that scores each finite-difference gradient in one call and each
-    line-search point in a one-column call. A batch column must equal its
-    one-column call, as rsn_quadrature_batch's do, for the polish to take
-    the path it would take column by column. The run has converged when
-    the two best restarts agree to relative ``tolerance``. The reported
+    ``objective`` maps (n_samples, S) times to (S,) values, one call per
+    DE generation, and its ``value_and_grad`` maps one schedule's
+    (n_samples,) times to its value and time gradient (for a band,
+    BandModel.objective()). Runs ``restarts`` independently seeded
+    differential evolutions sharing ``budget`` schedule evaluations, each
+    followed by an L-BFGS-B polish on ``value_and_grad``, one call per
+    point it tries. The run has converged when the two best restarts
+    agree to relative ``tolerance``. The reported
     schedule drops times below schedules.TIME_FLOOR and the objective is
     recomputed on it.
     """
@@ -135,7 +136,11 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
     maxiter = max(1, per_restart // pop - 1)
     counter = _CountingObjective(objective, t_limit)
     bounds = [(0.0, math.sqrt(t_limit))] * n_samples
-    polish = partial(minimize, method="L-BFGS-B", options={"workers": counter.map})
+
+    def polish(_func, x0, *, bounds, constraints):
+        # DE hands over its own callable, which has no gradient.
+        return minimize(counter.value_and_grad, x0, jac=True, method="L-BFGS-B",
+                        bounds=bounds)
 
     restart_bests = []
     best_genes, best_val = None, math.inf

@@ -638,6 +638,51 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     return _integrate_columns(integrand, lo, hi, rates, abs_tol)[0]
 
 
+def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times,
+                                  *, abs_tol: float = ABS_TOL) -> tuple:
+    """Residual spectral norm of one schedule ``times`` (N,) on a band and
+    its gradient in the times: (value, (N,) gradient).
+
+    One integration of N + 1 columns, all at the schedule's total as
+    phase rate: column 0 is rsn_quadrature_batch's integrand, with the
+    bits of its one-column call, and column n is the derivative under the
+    integral, density(E) * (-d/2) sin(d t_n) prod_{m != n} cos**2(d t_m / 2)
+    with d = E - E_t. The product leaving out cycle n multiplies the
+    factors before and after it, so it stays finite at zeros of cos and at
+    zero times. Each column is refined to ``abs_tol`` on its own.
+    """
+    t = np.asarray(times, dtype=float)
+    tm = t[:, None]
+    target_gap(band, e_target)  # rejects a target inside the band
+
+    def integrand(e, cols):
+        d = e - e_target
+        density = band.density_values(e)[:, None]
+        vals = np.empty((len(e), len(cols)))
+        value = cols == 0
+        if value.any():
+            vals[:, value] = density * np.exp(log_survival(d, tm))
+        if not value.all():
+            n = cols[~value] - 1
+            half = tm * (0.5 * d)
+            cos = np.cos(half)
+            square = cos * cos
+            # Row k of ``before`` (``after``): the product of the factors
+            # of the cycles before (after) cycle k.
+            before, after = np.empty_like(square), np.empty_like(square)
+            before[0] = after[-1] = 1.0
+            np.cumprod(square[:-1], axis=0, out=before[1:])
+            np.cumprod(square[:0:-1], axis=0, out=after[-2::-1])
+            grad = np.sin(half[n]) * cos[n] * before[n] * after[n]
+            vals[:, ~value] = grad.T * (-density * d[:, None])
+        return vals
+
+    rate = np.ascontiguousarray(tm.T).sum(axis=1)  # as rsn_quadrature_batch sums it
+    values, _ = _integrate_columns(integrand, band.delta_min, band.delta_max,
+                                   np.repeat(rate, len(t) + 1), abs_tol)
+    return float(values[0]), values[1:]
+
+
 def rsn_quadrature(spectrum: SpectralFunction, e_target: float,
                    schedule: TimeSchedule, *, abs_tol: float = ABS_TOL) -> float:
     """Residual spectral norm of one schedule: the one-column case of

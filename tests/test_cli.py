@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodeo_sched import TimeSchedule, rsn_quadrature
+from rodeo_sched import TimeSchedule, read_schedule, rsn_quadrature
 from rodeo_sched.cli import PRESETS, _config_flags, _manifest, build_parser, main
 from rodeo_sched.quadrature import ABS_TOL
 from rodeo_sched.spectral import band_from_json
@@ -159,9 +159,9 @@ def test_optimize_times_runs_and_converges(capsys):
 
 
 # The calls and schedules of one seeded search: DE generations each in one
-# call, each polish gradient in one call, line-search points alone.
-SEARCH_COUNTS = {"objective_calls": {"generations": 20, "polish": 44},
-                 "schedules_scored": {"generations": 480, "polish": 110}}
+# call, and one schedule per polish value-and-gradient call.
+SEARCH_COUNTS = {"objective_calls": {"generations": 20, "polish": 22},
+                 "schedules_scored": {"generations": 480, "polish": 22}}
 
 
 def test_search_commands_count_their_objective_calls_outside_the_hash(tmp_path, capsys):
@@ -172,7 +172,7 @@ def test_search_commands_count_their_objective_calls_outside_the_hash(tmp_path, 
     counts = doc["manifest"]["diagnostics"]
     assert counts == SEARCH_COUNTS
     assert sum(counts["schedules_scored"].values()) == doc["result"]["evaluations"]
-    assert counts["objective_calls"]["polish"] < counts["schedules_scored"]["polish"]
+    assert counts["objective_calls"]["polish"] == counts["schedules_scored"]["polish"]
     again = tmp_path / "again.json"
     main(["optimize-times", *search, "--t0-multiple", "1", "--out", str(again), "--format", "json"])
     assert json.loads(again.read_text())["manifest"]["hash"] == doc["manifest"]["hash"]
@@ -415,8 +415,17 @@ def test_inverted_band_is_an_error(capsys):
     ["rsn", "--alpha", "0", "--total-time", "5"],
 ])
 def test_zero_is_a_given_value_not_an_absent_one(argv, capsys):
-    assert main(argv) == 1
-    assert "error:" in capsys.readouterr().err
+    # a zero total time is refused by its flag's type (exit 2), not taken
+    # for an absent one; a zero ratio is refused by the schedule (exit 1)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    if argv[-2:] == ["--total-time", "0"]:
+        assert code == 2 and "argument --total-time: expected a positive number" in err
+    else:
+        assert code == 1 and "error:" in err
 
 
 def test_rsn_band_rejects_a_target_energy(capsys):
@@ -649,6 +658,37 @@ def test_optimized_schedule_file_round_trips_through_rsn(tmp_path, capsys, fmt):
                                rtol=1e-10)
 
 
+def test_the_out_suffix_sets_the_format(tmp_path, capsys):
+    # without --format, a .json path gets JSON and any other path CSV; each
+    # reads back through --schedule-file and scores the same zeta, bit for bit
+    argv = ["optimize-times", "--n-samples", "3", "--budget", "200", "--restarts", "2"]
+    _, doc = _run_json(argv, capsys)
+    hashes = {doc["manifest"]["hash"]}
+    for name in ("opt.json", "opt.csv", "opt.txt"):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) in (0, 1)  # 1 flags restarts that disagree
+        text = out.read_text()
+        if name.endswith(".json"):
+            hashes.add(json.loads(text)["manifest"]["hash"])
+        else:
+            hashes.add(text.splitlines()[0].split("=", 1)[1])
+            assert (tmp_path / (name + ".manifest.json")).is_file()
+        assert read_schedule(out).times.tolist() == doc["result"]["schedule"]
+        code, back = _run_json(["rsn", "--schedule-file", str(out)], capsys)
+        assert code == 0
+        assert back["result"]["zeta_quadrature"] == doc["result"]["zeta"]
+    assert len(hashes) == 1  # the format is outside the hash
+
+
+@pytest.mark.parametrize("out, fmt", [("o.json", "csv"), ("o.csv", "json"), ("o", "json")])
+def test_a_format_contradicting_the_out_suffix_is_a_usage_error(out, fmt, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["rsn", "--out", str(tmp_path / out), "--format", fmt])
+    assert info.value.code == 2
+    assert f"argument --format: {fmt} contradicts --out" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["optimize-alpha", "--model", "xx", "--length", "2", "--coupling", "0"],
     ["curve", "--model", "tfim", "--length", "2", "--coupling", "0", "--field", "0"],
@@ -707,6 +747,22 @@ def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path,
     (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", "0.01,-0.1"], None,
      "--dt-mults"),
     (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", "0.01,x"], None, "--dt-mults"),
+    (["optimize-times", "--tolerance", "2"], None, "--tolerance"),
+    (["optimize-times", "--tolerance", "0"], None, "--tolerance"),
+    (["table1", "--tolerance", "nan"], None, "--tolerance"),
+    (["table1"], {"tolerance": 1}, "--tolerance"),
+    (["rsn", "--alpha", "2", "--total-time", "-5"], None, "--total-time"),
+    (["optimize-times", "--total-time", "0"], None, "--total-time"),
+    (["optimize-alpha", "--band", "0.1", "1", "--total-time", "inf"], None, "--total-time"),
+    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0.01"], {"total_time": -1},
+     "--total-time"),
+    (["optimize-times", "--t0-multiple", "-2"], None, "--t0-multiple"),
+    (["optimize-alpha", "--band", "0.1", "1", "--t0-multiple", "nan"], None, "--t0-multiple"),
+    (["optimize-alpha", "--band", "0.1", "1", "--t0-multiple", "0"], None, "--t0-multiple"),
+    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0.01", "--t0-multiple", "-1"], None,
+     "--t0-multiple"),
+    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0"], None, "--trotter-dt"),
+    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "-0.01"], None, "--trotter-dt"),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -720,5 +776,6 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
               "--budget", "--restarts")
     expected = ("a positive integer" if flag in counts
                 else "a nonnegative integer" if flag == "--n-terms"
+                else "a number in (0, 1)" if flag == "--tolerance"
                 else "a list of positive numbers" if flag == "--dt-mults" else "a positive number")
     assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err
