@@ -31,8 +31,9 @@ from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamilto
                            eigendecompose, make_initial_state, minimum_gap)
 from .optimize import adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import ABS_TOL, QuadratureError
-from .schedules import (BASELINE_STREAM, TimeSchedule, geometric_times, half_normal_draws,
-                        read_schedule, superiteration_schedule, trotter_floor, trotter_round)
+from .schedules import (BASELINE_STREAM, TimeSchedule, file_format, geometric_times,
+                        half_normal_draws, read_schedule, superiteration_schedule, trotter_floor,
+                        trotter_round)
 from .spectral import (ContinuousBand, band_from_json, load_spectrum_csv,
                        rsn_quadrature, rsn_quadrature_batch, target_gap)
 
@@ -692,7 +693,7 @@ def main(argv=None) -> int:
         return 1
     args = parser.parse_args(argv)
     if args.out:
-        implied = "json" if args.out.endswith(".json") else "csv"
+        implied = file_format(args.out)
         if args.format not in (None, implied):
             commands[args.command].error(
                 f"argument --format: {args.format} contradicts --out {args.out}, "

@@ -181,9 +181,15 @@ def schedule_from_json(path) -> TimeSchedule:
     return TimeSchedule(np.array(data, dtype=float))
 
 
+def file_format(path) -> str:
+    """The format of a schedule file: json for a path ending in .json,
+    else csv. The CLI writes that format to ``--out`` and read_schedule
+    reads it back."""
+    return "json" if str(path).endswith(".json") else "csv"
+
+
 def read_schedule(path) -> TimeSchedule:
-    """Load a schedule, dispatching on the file extension."""
-    p = str(path)
-    if p.endswith(".json"):
+    """Load a schedule, dispatching on the file extension (file_format)."""
+    if file_format(path) == "json":
         return schedule_from_json(path)
     return schedule_from_csv(path)

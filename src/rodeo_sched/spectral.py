@@ -638,8 +638,7 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     return _integrate_columns(integrand, lo, hi, rates, abs_tol)[0]
 
 
-def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times,
-                                  *, abs_tol: float = ABS_TOL) -> tuple:
+def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times) -> tuple:
     """Residual spectral norm of one schedule ``times`` (N,) on a band and
     its gradient in the times: (value, (N,) gradient).
 
@@ -649,7 +648,7 @@ def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times,
     integral, density(E) * (-d/2) sin(d t_n) prod_{m != n} cos**2(d t_m / 2)
     with d = E - E_t. The product leaving out cycle n multiplies the
     factors before and after it, so it stays finite at zeros of cos and at
-    zero times. Each column is refined to ``abs_tol`` on its own.
+    zero times. Each column is refined to ABS_TOL on its own.
     """
     t = np.asarray(times, dtype=float)
     tm = t[:, None]
@@ -679,7 +678,7 @@ def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times,
 
     rate = np.ascontiguousarray(tm.T).sum(axis=1)  # as rsn_quadrature_batch sums it
     values, _ = _integrate_columns(integrand, band.delta_min, band.delta_max,
-                                   np.repeat(rate, len(t) + 1), abs_tol)
+                                   np.repeat(rate, len(t) + 1), ABS_TOL)
     return float(values[0]), values[1:]
 
 
