@@ -644,40 +644,25 @@ print(json.dumps([codes, scipy_after_rsn, "scipy.optimize" in sys.modules]))
     assert optimizer_loaded
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "txt"])
 def test_optimized_schedule_file_round_trips_through_rsn(tmp_path, capsys, fmt):
-    # exit code 1 only flags restarts that disagree; the outputs stand
+    # --out's extension sets the format (.json: JSON, any other: CSV), which
+    # stays outside the hash; exit code 1 only flags restarts that
+    # disagree, and the outputs stand
     argv = ["optimize-times", "--n-samples", "3", "--budget", "200", "--restarts", "2"]
     out = tmp_path / f"opt.{fmt}"
-    assert main(argv + ["--out", str(out), "--format", fmt]) in (0, 1)
+    assert main(argv + ["--out", str(out)]) in (0, 1)
     _, doc = _run_json(argv, capsys)
+    text = out.read_text()
+    written = (json.loads(text)["manifest"]["hash"] if fmt == "json"
+               else text.splitlines()[0].split("=", 1)[1])
+    assert written == doc["manifest"]["hash"]
+    assert read_schedule(out).times.tolist() == doc["result"]["schedule"]
     code, back = _run_json(["rsn", "--schedule-file", str(out)], capsys)
     assert code == 0
     assert back["result"]["zeta_quadrature"] == doc["result"]["zeta"]
     np.testing.assert_allclose(back["result"]["zeta_closed_form"], doc["result"]["zeta"],
                                rtol=1e-10)
-
-
-def test_the_out_suffix_sets_the_format(tmp_path, capsys):
-    # without --format, a .json path gets JSON and any other path CSV; each
-    # reads back through --schedule-file and scores the same zeta, bit for bit
-    argv = ["optimize-times", "--n-samples", "3", "--budget", "200", "--restarts", "2"]
-    _, doc = _run_json(argv, capsys)
-    hashes = {doc["manifest"]["hash"]}
-    for name in ("opt.json", "opt.csv", "opt.txt"):
-        out = tmp_path / name
-        assert main(argv + ["--out", str(out)]) in (0, 1)  # 1 flags restarts that disagree
-        text = out.read_text()
-        if name.endswith(".json"):
-            hashes.add(json.loads(text)["manifest"]["hash"])
-        else:
-            hashes.add(text.splitlines()[0].split("=", 1)[1])
-            assert (tmp_path / (name + ".manifest.json")).is_file()
-        assert read_schedule(out).times.tolist() == doc["result"]["schedule"]
-        code, back = _run_json(["rsn", "--schedule-file", str(out)], capsys)
-        assert code == 0
-        assert back["result"]["zeta_quadrature"] == doc["result"]["zeta"]
-    assert len(hashes) == 1  # the format is outside the hash
 
 
 @pytest.mark.parametrize("out, fmt", [("o.json", "csv"), ("o.csv", "json"), ("o", "json")])
