@@ -17,6 +17,7 @@ natural units and times in inverse energy.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -515,7 +516,10 @@ def _add_alpha_bounds(p: argparse.ArgumentParser) -> None:
                    help="upper bound of the ratio search")
 
 
+@functools.cache
 def build_parser() -> tuple:
+    """(parser, subcommand parsers), built once per process: parsing
+    leaves both unchanged, and no command mutates a default."""
     parser = argparse.ArgumentParser(
         prog="rodeo-sched",
         description="Evaluate and optimize filtering time schedules.")

@@ -122,24 +122,6 @@ def _ternary_digits(n: int):
     return digits.astype(float), weights
 
 
-def _sinc_sum(times_matrix: np.ndarray, delta_max: float,
-              delta_min: float = 0.0) -> np.ndarray:
-    """I(delta_max) - I(delta_min) for each column of an (N, S) times
-    matrix, as one weighted sinc sum (I(0) = 0)."""
-    tm = np.asarray(times_matrix, dtype=float)
-    if tm.ndim != 2:
-        raise ValueError("times_matrix must be 2-D with schedules as columns")
-    n = tm.shape[0]
-    if n > MAX_ENUM_N:
-        raise ValueError(
-            f"{n} time samples exceeds the 3**N enumeration bound "
-            f"({MAX_ENUM_N}); use rsn_quadrature instead")
-    digits, weights = _ternary_digits(n)
-    sums = digits @ tm
-    return weights @ (2.0 * delta_max * sinc(delta_max * sums)
-                      - 2.0 * delta_min * sinc(delta_min * sums))
-
-
 def rsn_closed_form(band: BandModel, schedule: TimeSchedule) -> float:
     """Exact residual spectral norm of a schedule on a constant band.
 
@@ -155,10 +137,21 @@ def rsn_closed_form(band: BandModel, schedule: TimeSchedule) -> float:
 def rsn_closed_form_batch(band: BandModel, times_matrix: np.ndarray) -> np.ndarray:
     """Vectorized rsn_closed_form over schedules stacked as columns.
 
-    ``times_matrix`` has shape (N, S); returns the S residual norms.
+    ``times_matrix`` has shape (N, S); returns the S residual norms,
+    each (I(delta_max) - I(delta_min)) / 4**N as one weighted sinc sum.
     """
     tm = np.asarray(times_matrix, dtype=float)
-    return _sinc_sum(tm, band.delta_max, band.delta_min) / 4.0 ** tm.shape[0]
+    if tm.ndim != 2:
+        raise ValueError("times_matrix must be 2-D with schedules as columns")
+    n = tm.shape[0]
+    if n > MAX_ENUM_N:
+        raise ValueError(
+            f"{n} time samples exceeds the 3**N enumeration bound "
+            f"({MAX_ENUM_N}); use rsn_quadrature instead")
+    digits, weights = _ternary_digits(n)
+    sums = digits @ tm
+    lo, hi = band.delta_min, band.delta_max
+    return weights @ (2.0 * hi * sinc(hi * sums) - 2.0 * lo * sinc(lo * sums)) / 4.0 ** n
 
 
 def superiteration_limit_rsn(band: BandModel, t1: float) -> float:

@@ -284,7 +284,6 @@ class RodeoObjective:
         floor = (len(psi.vector) * np.finfo(float).eps) ** 2 * float(weights.sum())
         self._target, self._rest, self.levels_below_resolution = DiscreteSpectrum(
             eig.eigenvalues, weights).levels(e_target, floor)
-        self.target_weight_initial = float(np.exp(self._target[1]).sum())
         self.levels = len(self._rest[0])
 
     def _log_weights(self, times_matrix) -> tuple:

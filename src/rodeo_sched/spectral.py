@@ -59,7 +59,7 @@ PARALLEL_MIN_PHASES = 1 << 18
 # level: h |t| <= SHORT_PHASE with h = max |delta| / 2.
 SHORT_PHASE = 0.5
 # One column's share of the short-phase series' fixed cost, in cos calls
-# (see _series_columns). A call's fixed numpy calls cost about as much as
+# (see _split_cycles). A call's fixed numpy calls cost about as much as
 # a few thousand cos calls, which a ratio grid of 240 columns shares and
 # a one-column call pays alone; the rule cannot tell the two apart.
 # Timed on the benchmark workloads (2-core machine, numpy 2.4, in-process
@@ -232,17 +232,18 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     adds exactly 0.
 
     A column's entries depend on its own times and on ``deltas`` alone,
-    bit for bit, whatever other columns share the call. Columns for which
-    the cost rule (_series_columns) says it pays sum their short cycles
-    (h |t| <= SHORT_PHASE, h = max |delta| / 2) by the power series of
-    log cos (_sum_short_phases), truncated below 1e-17 relative; this
-    changes the result in its last bits against the cos of each phase.
-    Every entry then adds the log|cos| of its cycles left one after
-    another, in order, in blocks of at most KERNEL_BLOCK_DOUBLES phases;
-    a call with PARALLEL_MIN_PHASES phases or more left for cos runs its
-    tiles on the thread pool. ``work``, a dict, gains the call's phases
-    (level x cycle entries) summed by the series ("series") and by cos
-    ("cos", counting the zeros kept in shared rows).
+    bit for bit, whatever other columns share the call. One step,
+    _split_cycles, sums the short cycles (h |t| <= SHORT_PHASE, h = max
+    |delta| / 2) of each column whose cost rule says it pays by the power
+    series of log cos, truncated below 1e-17 relative (this changes the
+    result in its last bits against the cos of each phase), and groups
+    every column's other cycles for cos. Every entry then adds the
+    log|cos| of its cycles left one after another, in order, in blocks of
+    at most KERNEL_BLOCK_DOUBLES phases; a call with PARALLEL_MIN_PHASES
+    phases or more left for cos runs its tiles on the thread pool.
+    ``work``, a dict, gains the call's phases (level x cycle entries)
+    summed by the series ("series") and by cos ("cos", counting the zeros
+    kept in shared rows).
     """
     half = 0.5 * np.asarray(deltas, dtype=float)
     # Blocks are slices of rows; a column-major matrix would make each
@@ -251,31 +252,15 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     out = np.zeros((half.size, tm.shape[1]))
     if out.size == 0 or tm.shape[0] == 0 or not np.count_nonzero(half):
         return out
-    series = _series_columns(half, tm)
-    if series is None:
-        groups = [(None, tm)]
-    else:
-        h, short, counts, take = series
-        if take.all():
-            groups = _sum_short_phases(half, h, tm, short, counts, out)
-        else:
-            # The columns that take the series, then the rest; a column's
-            # entries are the same in either group as in the whole call.
-            cols = np.flatnonzero(take)
-            part = np.zeros((half.size, len(cols)))
-            groups = _sum_short_phases(half, h, tm[:, cols], short[:, cols], counts[cols], part)
-            out[:, cols] = part
-            groups = [(cols if g is None else cols[g], left) for g, left in groups]
-            rest = np.flatnonzero(~take)
-            groups.append((rest, np.ascontiguousarray(tm[:, rest])))
-    planes = [out if cols is None else out[:, cols] for cols, _ in groups]
+    groups, phases = _split_cycles(half, tm, out)
+    parts = [(left, out[:, cols]) for cols, left in groups]
     if work is not None:
-        _count(work, "series", 0 if series is None else half.size * int(counts[take].sum()))
-        _count(work, "cos", sum(plane.size * left.shape[0]
-                                for (_, left), plane in zip(groups, planes)))
-    _accumulate_tiles(half, [(left, plane) for (_, left), plane in zip(groups, planes)])
-    for (cols, _), plane in zip(groups, planes):
-        if cols is not None:
+        _count(work, "series", phases)
+        _count(work, "cos", sum(plane.size * left.shape[0] for left, plane in parts))
+    _accumulate_tiles(half, parts)
+    # An index array took a copy of its columns; slice(None) took a view.
+    for (cols, _), (_, plane) in zip(groups, parts):
+        if not isinstance(cols, slice):
             out[:, cols] = plane
     out *= 2.0
     return out
@@ -350,78 +335,85 @@ def _add_by_angle_addition(levels, step, half_t, out) -> None:
     out += 2.0 * acc.ravel()[:levels.size]
 
 
-def _series_columns(half, tm):
-    """(h, short, counts, take) of a call whose columns may pay for the
-    series: h = max |half|, the (N, S) mask of the short cycles h |t| <=
-    SHORT_PHASE, each column's count of them, and the (S,) mask of the
-    columns that sum theirs by the series. None when no column could pay,
-    even with every cycle short, or when none does.
+def _split_cycles(half, tm, out) -> tuple:
+    """Write into ``out`` the short cycles' sum_n log|cos(half t_n)| of
+    each column that takes the series, and return (groups, phases): all
+    cycles left for cos as (columns, cycles) groups, columns slice(None)
+    for a group of every column, and the phases the series summed.
 
-    The cost rule, counted in cos calls: the series saves a column one
-    per level for each of its short cycles; its powers and products cost
-    about four per (level or cycle), and SERIES_MIN_PHASES is the
-    column's share of the call's fixed numpy calls. The rule reads
-    nothing of other columns, so a column takes the same path alone as in
-    any batch.
+    The cost rule, in cos calls: the series saves a column one per level
+    for each short cycle (h |t| <= SHORT_PHASE, h = max |half|) and costs
+    about four per (level or cycle), plus SERIES_MIN_PHASES, the column's
+    share of the call's fixed numpy calls. It reads nothing of the other
+    columns, so a column takes the same path alone as in any batch. With
+    x = h t and q = (half / h)**2, a column's short sum is sum_j
+    LOG_COS_SERIES[j] q**(j+1) P_j over its power sums P_j = sum_n
+    x_n**(2j+2). Its other cycles' |t| sort to the bottom, zeros above.
+    Series columns with about as many short cycles group together (bands
+    of an eighth of the cycles) and drop the rows of zeros they share; a
+    zero adds exactly 0, so no column's sum depends on its group. The
+    other columns form one group, their times as given.
     """
-    levels, cycles = half.size, tm.shape[0]
+    levels, (cycles, cols) = half.size, tm.shape
     least = max(1, math.ceil((SERIES_MIN_PHASES + 4 * (levels + cycles)) / levels))
-    if least > cycles:
-        return None
-    h = float(np.abs(half).max())
-    if not 0.0 < h < math.inf:
-        return None
-    # Two comparisons rather than abs: no float temporary of the matrix.
-    short = tm <= SHORT_PHASE / h
-    short &= tm >= -SHORT_PHASE / h
-    counts = short.sum(axis=0)
-    take = counts >= least
-    return (h, short, counts, take) if take.any() else None
+    h = float(np.abs(half).max()) if least <= cycles else 0.0
+    take = np.zeros(cols, dtype=bool)
+    if 0.0 < h < math.inf:
+        # Two comparisons rather than abs: no float temporary of the matrix.
+        short = tm <= SHORT_PHASE / h
+        short &= tm >= -SHORT_PHASE / h
+        counts = short.sum(axis=0)
+        take = counts >= least
+    groups, phases, series = [], 0, np.flatnonzero(take)
+    if series.size:
+        pick = _whole(series, cols)
+        tm_s, short, counts = tm[:, pick], short[:, pick], counts[pick]
+        phases = levels * int(counts.sum())
+        terms = LOG_COS_SERIES.size
+        coeff = _power_sums(tm_s, short, h) * LOG_COS_SERIES
+        # Powers of q for fixed blocks of levels, then one matrix-vector
+        # product per column: every column meets the same BLAS call on the
+        # same block, so its entries do not depend on the column count (one
+        # matrix product over all columns would order its sums by the shape).
+        rows = KERNEL_BLOCK_DOUBLES // terms
+        buf = np.empty((terms, min(rows, levels)))
+        for start in range(0, levels, rows):
+            q = buf[:, :min(rows, levels - start)]
+            np.divide(half[start:start + rows], h, out=q[0])
+            np.square(q[0], out=q[0])
+            _fill_powers(q)
+            chunk = max(1, KERNEL_BLOCK_DOUBLES // q.shape[1])
+            for c in range(0, series.size, chunk):
+                at = series[c:c + chunk]
+                # A run of columns as a slice: numpy writes it two to three
+                # times faster than through an index array.
+                if at[-1] - at[0] == at.size - 1:
+                    at = slice(at[0], at[-1] + 1)
+                products = np.matmul(q.T, coeff[c:c + chunk, :, None])
+                out[start:start + rows, at] = products[:, :, 0].T
+        # A NaN time sorts last, so it stays and propagates as it would.
+        left = np.abs(tm_s)
+        np.copyto(left, 0.0, where=short)
+        left.sort(axis=0)
+        bands = (counts - counts.min()) // max(1, cycles // 8)
+        # The bands in use, in order; np.unique would import numpy.ma
+        # (about 1 MB) on its first call.
+        for band in np.flatnonzero(np.bincount(bands)):
+            idx = np.flatnonzero(bands == band)
+            cycles_left = left[int(counts[idx].min()):, _whole(idx, series.size)]
+            groups.append((_whole(series[idx], cols), np.ascontiguousarray(cycles_left)))
+        # Free the series columns' copies before the direct columns are copied.
+        del tm_s, short, left, cycles_left
+    direct = np.flatnonzero(~take)
+    if direct.size:
+        pick = _whole(direct, cols)
+        groups.append((pick, np.ascontiguousarray(tm[:, pick])))
+    return groups, phases
 
 
-def _sum_short_phases(half, h, tm, short, counts, out) -> list:
-    """Write the short cycles' sum_n log|cos(half t_n)| into ``out`` and
-    return the cycles left for cos as (columns, cycles) groups, columns
-    None for all of them.
-
-    With h = max |half|, x = h t and q = (half / h)**2, the short sum is
-    sum_j LOG_COS_SERIES[j] q**(j+1) P_j over the power sums
-    P_j = sum_n x_n**(2j+2) of each column's short cycles. The other
-    cycles' |t| sort to the bottom of each column, zeros above them.
-    Columns with about as many short cycles go together (bands of an
-    eighth of the cycles), and each group drops the rows of zeros its
-    columns share; a zero adds exactly 0, so a column's sum does not
-    depend on the group it falls in.
-    """
-    terms, (cycles, cols) = LOG_COS_SERIES.size, tm.shape
-    coeff = _power_sums(tm, short, h) * LOG_COS_SERIES
-    # Powers of q for fixed blocks of levels, then one matrix-vector
-    # product per column: every column meets the same BLAS call on the
-    # same block, so its entries do not depend on the column count (one
-    # matrix product over all columns would order its sums by the shape).
-    rows = KERNEL_BLOCK_DOUBLES // terms
-    buf = np.empty((terms, min(rows, half.size)))
-    for start in range(0, half.size, rows):
-        q = buf[:, :min(rows, half.size - start)]
-        np.divide(half[start:start + rows], h, out=q[0])
-        np.square(q[0], out=q[0])
-        _fill_powers(q)
-        chunk = max(1, KERNEL_BLOCK_DOUBLES // q.shape[1])
-        for c in range(0, cols, chunk):
-            products = np.matmul(q.T, coeff[c:c + chunk, :, None])
-            out[start:start + rows, c:c + chunk] = products[:, :, 0].T
-    # A NaN time sorts last, so it stays and propagates as it would.
-    left = np.abs(tm)
-    np.copyto(left, 0.0, where=short)
-    left.sort(axis=0)
-    bands = (counts - counts.min()) // max(1, cycles // 8)
-    if not bands.any():
-        return [(None, left[int(counts.min()):])]
-    groups = []
-    for band in np.unique(bands):
-        cols = np.flatnonzero(bands == band)
-        groups.append((cols, np.ascontiguousarray(left[int(counts[cols].min()):, cols])))
-    return groups
+def _whole(idx, n):
+    """slice(None), a view, for indices of all n columns; else ``idx``."""
+    return slice(None) if idx.size == n else idx
 
 
 def _power_sums(tm, short, h) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_criterion_08_rra_formula_vs_monte_carlo():
 
 def test_criterion_09_initial_overlaps():
     obj, _, eig = _xx_backend()
-    e1_overlap = obj.target_weight_initial
+    e1_overlap = float(obj.weights(np.zeros((0, 1)))[1][0])  # the target weight before any cycle
     spec = HamiltonianSpec(model="xx", length=10)
     fusion = make_initial_state(spec, "fusion")
     fusion_fid = float(abs(eig.eigenvectors[:, 0] @ fusion.vector) ** 2)

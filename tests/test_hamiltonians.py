@@ -220,7 +220,7 @@ def test_a_chain_with_every_level_on_the_target_has_no_residual():
     eig = eigendecompose(build_sector_hamiltonian(spec))
     obj = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1), 0.0)
     assert (obj.levels, obj.levels_below_resolution, len(obj._target[0])) == (0, 0, 1)
-    assert obj.target_weight_initial == 1.0
+    assert obj.weights(np.zeros((0, 1)))[1][0] == 1.0  # the target weight before any cycle
     np.testing.assert_array_equal(obj.batch(np.ones((4, 3))), [0.0] * 3)
     with pytest.raises(ValueError, match="no gap exists"):
         minimum_gap(eig)

@@ -323,8 +323,9 @@ def _blocked_reference(deltas, times):
 
 def _takes_series(deltas, times):
     """Whether log_survival sums some cycles of this call as a power series."""
-    tm = np.ascontiguousarray(times, dtype=float)
-    return spectral._series_columns(0.5 * np.asarray(deltas, dtype=float), tm) is not None
+    work = {}
+    log_survival(deltas, times, work)
+    return work.get("series", 0) > 0
 
 
 @contextmanager
@@ -415,11 +416,45 @@ def test_zero_offsets_return_zeros_without_a_cos_pass(levels, cycles, cols, monk
         raise AssertionError("zero offsets entered the cycle loop")
 
     monkeypatch.setattr(spectral, "_accumulate", refuse)
-    monkeypatch.setattr(spectral, "_sum_short_phases", refuse)
+    monkeypatch.setattr(spectral, "_split_cycles", refuse)
     times = np.random.default_rng(0).uniform(0.0, 50.0, (cycles, cols))
     got = log_survival(np.zeros(levels), times)
     assert got.shape == (levels, cols)
     assert np.array_equal(got, np.zeros((levels, cols)))
+
+
+def _column(short, cycles):
+    """A schedule column of ``cycles`` times, ``short`` of them short at
+    offsets up to 2 (h = 1): the short ones geometric below SHORT_PHASE, the
+    rest long, the two kinds interleaved."""
+    t = np.concatenate([SHORT_PHASE * 0.9 ** np.arange(short),
+                        np.linspace(1.0, 9.0, cycles - short)])
+    return np.random.default_rng(short).permutation(t)
+
+
+@st.composite
+def _mixed_calls(draw):
+    """(deltas, times) at 32-128 levels and 40-80 cycles, each column with
+    its own count of short cycles: under the cost rule (10-30 short cycles
+    pay here) columns with few go direct and the others take the series
+    in bands of an eighth of the cycles, several bands in one call."""
+    levels, cycles = draw(st.integers(32, 128)), draw(st.integers(40, 80))
+    shorts = draw(st.lists(st.integers(0, cycles), min_size=1, max_size=8))
+    deltas = np.linspace(-2.0, 2.0, levels)
+    return deltas, np.stack([_column(k, cycles) for k in shorts], axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_calls())
+@example((np.linspace(-2.0, 2.0, 64), np.stack([_column(k, 64) for k in (60, 62, 64)], axis=1)))
+@example((np.linspace(-2.0, 2.0, 64), np.stack([_column(k, 64) for k in (0, 20, 60, 10)], axis=1)))
+def test_every_kernel_column_is_the_bits_of_its_one_column_call(call):
+    # The first example has every column on the series in one band, the
+    # second direct columns beside series columns of two bands.
+    deltas, tm = call
+    got = log_survival(deltas, tm)
+    for j in range(tm.shape[1]):
+        assert got[:, j].tobytes() == log_survival(deltas, tm[:, j:j + 1])[:, 0].tobytes()
 
 
 def _kernel_call(shape, seed, kind):
