@@ -445,6 +445,9 @@ def _float_type(low: float, high: float, noun: str):
 # A grid bound or a time: a finite number above zero.
 _positive_float = _float_type(0.0, math.inf, "a positive number")
 _fraction = _float_type(0.0, 1.0, "a number in (0, 1)")
+_finite_float = _float_type(-math.inf, math.inf, "a finite number")
+# The ratio of a suppression product; rsn's --alpha also admits 1.
+_ratio = _float_type(1.0, math.inf, "a number above 1")
 
 
 def _positive_list(text: str) -> str:
@@ -496,8 +499,8 @@ def _add_chain_flags(p: argparse.ArgumentParser, model_group=None) -> None:
     (model_group or p).add_argument("--model", choices=("xx", "tfim"),
                                     required=model_group is None)
     p.add_argument("--length", type=int, default=10)
-    p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--field", type=float, default=1.0)
+    p.add_argument("--coupling", type=_finite_float, default=1.0)
+    p.add_argument("--field", type=_finite_float, default=1.0)
     p.add_argument("--sector", default=None,
                    help="zero_magnetization, even_parity or full "
                         "(default: the model's native sector)")
@@ -596,7 +599,7 @@ def build_parser() -> tuple:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("product-function", help="evaluate the suppression product")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_ratio, required=True)
     p.add_argument("--theta", type=float)
     p.add_argument("--theta-min", type=_positive_float, default=0.1)
     p.add_argument("--theta-max", type=_positive_float, default=100.0)
@@ -607,7 +610,7 @@ def build_parser() -> tuple:
     p.set_defaults(func=cmd_product_function)
 
     p = sub.add_parser("decay-fit", help="power-law fit of the suppression envelope")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_ratio, required=True)
     p.add_argument("--theta-min", type=_positive_float, default=100.0)
     p.add_argument("--theta-max", type=_positive_float, default=1e4)
     p.add_argument("--windows", type=_positive_int, default=50)

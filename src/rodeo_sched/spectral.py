@@ -237,10 +237,13 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     |delta| / 2) of each column whose cost rule says it pays by the power
     series of log cos, truncated below 1e-17 relative (this changes the
     result in its last bits against the cos of each phase), and groups
-    every column's other cycles for cos. Every entry then adds the
-    log|cos| of its cycles left one after another, in order, in blocks of
-    at most KERNEL_BLOCK_DOUBLES phases; a call with PARALLEL_MIN_PHASES
-    phases or more left for cos runs its tiles on the thread pool.
+    every column's other cycles for cos, each group a slice of the
+    columns of one plane; when the groups interleave, that plane holds the
+    columns reordered by group, and one gather puts them back at the end.
+    Every entry then adds the log|cos| of its cycles left one after
+    another, in order, in blocks of at most KERNEL_BLOCK_DOUBLES phases; a
+    call with PARALLEL_MIN_PHASES phases or more left for cos runs its
+    tiles on the thread pool.
     ``work``, a dict, gains the call's phases (level x cycle entries)
     summed by the series ("series") and by cos ("cos", counting the zeros
     kept in shared rows).
@@ -252,18 +255,14 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     out = np.zeros((half.size, tm.shape[1]))
     if out.size == 0 or tm.shape[0] == 0 or not np.count_nonzero(half):
         return out
-    groups, phases = _split_cycles(half, tm, out)
+    order, groups, phases = _split_cycles(half, tm, out)
     parts = [(left, out[:, cols]) for cols, left in groups]
     if work is not None:
         _count(work, "series", phases)
         _count(work, "cos", sum(plane.size * left.shape[0] for left, plane in parts))
     _accumulate_tiles(half, parts)
-    # An index array took a copy of its columns; slice(None) took a view.
-    for (cols, _), (_, plane) in zip(groups, parts):
-        if not isinstance(cols, slice):
-            out[:, cols] = plane
     out *= 2.0
-    return out
+    return out if order is None else np.take(out, np.argsort(order), axis=1)
 
 
 def _count(work: dict, key: str, phases: int) -> None:
@@ -337,9 +336,10 @@ def _add_by_angle_addition(levels, step, half_t, out) -> None:
 
 def _split_cycles(half, tm, out) -> tuple:
     """Write into ``out`` the short cycles' sum_n log|cos(half t_n)| of
-    each column that takes the series, and return (groups, phases): all
-    cycles left for cos as (columns, cycles) groups, columns slice(None)
-    for a group of every column, and the phases the series summed.
+    each column that takes the series, and return (order, groups,
+    phases): the order of ``tm``'s columns that ``out`` holds, None for
+    their own; all cycles left for cos as (columns, cycles) groups, each
+    a slice of ``out``'s columns; and the phases the series summed.
 
     The cost rule, in cos calls: the series saves a column one per level
     for each short cycle (h |t| <= SHORT_PHASE, h = max |half|) and costs
@@ -352,7 +352,10 @@ def _split_cycles(half, tm, out) -> tuple:
     Series columns with about as many short cycles group together (bands
     of an eighth of the cycles) and drop the rows of zeros they share; a
     zero adds exactly 0, so no column's sum depends on its group. The
-    other columns form one group, their times as given.
+    other columns form one group, their times as given. Each column's
+    group key is -1 when it goes direct, else its band; when the keys
+    are not in order, the columns are reordered once, stably by key, so
+    that every group, the direct one first, is one slice of the plane.
     """
     levels, (cycles, cols) = half.size, tm.shape
     least = max(1, math.ceil((SERIES_MIN_PHASES + 4 * (levels + cycles)) / levels))
@@ -364,10 +367,16 @@ def _split_cycles(half, tm, out) -> tuple:
         short &= tm >= -SHORT_PHASE / h
         counts = short.sum(axis=0)
         take = counts >= least
-    groups, phases, series = [], 0, np.flatnonzero(take)
-    if series.size:
-        pick = _whole(series, cols)
-        tm_s, short, counts = tm[:, pick], short[:, pick], counts[pick]
+    first = cols - int(np.count_nonzero(take))
+    order, groups, phases = None, [], 0
+    if first < cols:
+        key = np.where(take, (counts - counts[take].min()) // max(1, cycles // 8), -1)
+        if (key[1:] < key[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            key, counts = key[order], counts[order]
+            tm, short = np.take(tm, order, axis=1), np.take(short, order, axis=1)
+        series = out[:, first:]
+        tm_s, short, counts, key = tm[:, first:], short[:, first:], counts[first:], key[first:]
         phases = levels * int(counts.sum())
         terms = LOG_COS_SERIES.size
         coeff = _power_sums(tm_s, short, h) * LOG_COS_SERIES
@@ -383,37 +392,19 @@ def _split_cycles(half, tm, out) -> tuple:
             np.square(q[0], out=q[0])
             _fill_powers(q)
             chunk = max(1, KERNEL_BLOCK_DOUBLES // q.shape[1])
-            for c in range(0, series.size, chunk):
-                at = series[c:c + chunk]
-                # A run of columns as a slice: numpy writes it two to three
-                # times faster than through an index array.
-                if at[-1] - at[0] == at.size - 1:
-                    at = slice(at[0], at[-1] + 1)
+            for c in range(0, series.shape[1], chunk):
                 products = np.matmul(q.T, coeff[c:c + chunk, :, None])
-                out[start:start + rows, at] = products[:, :, 0].T
+                series[start:start + rows, c:c + chunk] = products[:, :, 0].T
         # A NaN time sorts last, so it stays and propagates as it would.
         left = np.abs(tm_s)
         np.copyto(left, 0.0, where=short)
         left.sort(axis=0)
-        bands = (counts - counts.min()) // max(1, cycles // 8)
-        # The bands in use, in order; np.unique would import numpy.ma
-        # (about 1 MB) on its first call.
-        for band in np.flatnonzero(np.bincount(bands)):
-            idx = np.flatnonzero(bands == band)
-            cycles_left = left[int(counts[idx].min()):, _whole(idx, series.size)]
-            groups.append((_whole(series[idx], cols), np.ascontiguousarray(cycles_left)))
-        # Free the series columns' copies before the direct columns are copied.
-        del tm_s, short, left, cycles_left
-    direct = np.flatnonzero(~take)
-    if direct.size:
-        pick = _whole(direct, cols)
-        groups.append((pick, np.ascontiguousarray(tm[:, pick])))
-    return groups, phases
-
-
-def _whole(idx, n):
-    """slice(None), a view, for indices of all n columns; else ``idx``."""
-    return slice(None) if idx.size == n else idx
+        cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
+        groups = [(slice(first + a, first + b), left[int(counts[a:b].min()):, a:b])
+                  for a, b in zip(cuts, cuts[1:])]
+    if first:
+        groups.append((slice(0, first), tm[:, :first]))
+    return order, groups, phases
 
 
 def _power_sums(tm, short, h) -> np.ndarray:
@@ -490,10 +481,6 @@ def _accumulate_tiles(half, parts) -> None:
     run on the pool when their phases together reach PARALLEL_MIN_PHASES."""
     cap = KERNEL_BLOCK_DOUBLES
     phases = sum(out.size * tm.shape[0] for tm, out in parts)
-    if phases < PARALLEL_MIN_PHASES and len(parts) == 1 and parts[0][1].size <= cap:
-        tm, out = parts[0]
-        _accumulate(half, tm, max(1, cap // out.size), out)
-        return
     workers, pool = _kernel_pool() if phases >= PARALLEL_MIN_PHASES else (1, None)
     tiles = []
     for tm, out in parts:
@@ -686,8 +673,8 @@ def rsn_quadrature(spectrum: SpectralFunction, e_target: float,
 def load_spectrum_csv(path) -> DiscreteSpectrum:
     """Read a discrete spectrum from CSV rows of energy,weight.
 
-    A header row is required; malformed rows raise with the line and
-    field that failed.
+    A header row and at least one data row are required; malformed rows
+    raise with the line and field that failed.
     """
     energies, weights = [], []
     with open(path, newline="") as fh:
@@ -715,6 +702,8 @@ def load_spectrum_csv(path) -> DiscreteSpectrum:
                         f"{path}: line {lineno}: bad {name} field: {cell!r}")
             energies.append(parsed[0])
             weights.append(parsed[1])
+    if not energies:
+        raise ValueError(f"{path}: no energy,weight rows after the header")
     return DiscreteSpectrum(np.array(energies), np.array(weights))
 
 

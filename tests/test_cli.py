@@ -373,6 +373,21 @@ def test_schedule_fit_counts_zetas_below_the_integrator_tolerance(tmp_path, caps
     assert "zeta_below_tolerance" not in doc["manifest"]["diagnostics"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["rsn", "--times", "1,2"],
+    ["schedule-fit", "--trotter-dt", "0.01"],
+])
+def test_a_spectrum_file_without_rows_is_an_error(argv, tmp_path, capsys):
+    # A header alone is no spectrum, not one of zero weight, nor one whose
+    # every level lies on the target; both commands refuse it naming the file.
+    spectrum = tmp_path / "levels.csv"
+    spectrum.write_text("energy,weight\n")
+    assert main(argv + ["--spectrum-file", str(spectrum), "--e-target", "0"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"error: {spectrum}: no energy,weight rows" in captured.err
+
+
 def test_a_spectrum_file_fit_keeps_its_ratio_and_its_value_to_the_last_bits(tmp_path, capsys):
     # Values before discrete spectra were summed in log space as merged
     # levels; the sum moved zeta by 9e-12 relative and left the ratio alone.
@@ -748,6 +763,13 @@ def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path,
      "--t0-multiple"),
     (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0"], None, "--trotter-dt"),
     (["schedule-fit", "--preset", "xi2", "--trotter-dt", "-0.01"], None, "--trotter-dt"),
+    (["decay-fit", "--alpha", "1"], None, "--alpha"),
+    (["decay-fit", "--alpha", "inf"], None, "--alpha"),
+    (["product-function", "--alpha", "0.5"], None, "--alpha"),
+    (["product-function"], {"alpha": "nan"}, "--alpha"),
+    (["spectrum", "--model", "tfim", "--length", "4", "--field", "inf"], None, "--field"),
+    (["curve", "--model", "xx", "--coupling", "nan"], None, "--coupling"),
+    (["optimize-alpha", "--model", "tfim"], {"coupling": "-inf"}, "--coupling"),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -759,8 +781,9 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     assert info.value.code == 2
     counts = ("--windows", "--theta-points", "--t-points", "--rra-samples", "--n-samples",
               "--budget", "--restarts")
-    expected = ("a positive integer" if flag in counts
-                else "a nonnegative integer" if flag == "--n-terms"
-                else "a number in (0, 1)" if flag == "--tolerance"
-                else "a list of positive numbers" if flag == "--dt-mults" else "a positive number")
+    expected = ("a positive integer" if flag in counts else {
+        "--n-terms": "a nonnegative integer", "--tolerance": "a number in (0, 1)",
+        "--dt-mults": "a list of positive numbers", "--alpha": "a number above 1",
+        "--coupling": "a finite number", "--field": "a finite number",
+    }.get(flag, "a positive number"))
     assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err

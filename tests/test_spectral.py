@@ -137,6 +137,11 @@ def test_spectrum_csv_round_trips_bit_exactly(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.csv"
         save_spectrum_csv(spectrum, path)
+        if not rows:
+            # a header alone is refused, naming the file
+            with pytest.raises(ValueError, match=f"{path}: no energy,weight rows"):
+                load_spectrum_csv(path)
+            return
         back = load_spectrum_csv(path)
     for got, want in ((back.energies, energies), (back.weights, weights)):
         assert got.shape == want.shape

@@ -297,6 +297,25 @@ def test_kernel_memory_of_the_series_has_no_plane_sized_temporary():
     assert peak < 3.5 * out.nbytes
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_memory_of_a_reordered_call_holds_two_planes(seed):
+    # A Trotter-floored ratio grid whose direct and series columns of
+    # several bands interleave, so the columns are reordered once: the
+    # groups accumulate into slices of one plane and a gather puts the
+    # columns back, beside a copy of the times, with no per-group copy.
+    deltas, tm = _kernel_call((600, 240, 100), seed, "trotter")
+    order, _, _ = spectral._split_cycles(0.5 * deltas, tm, np.zeros((600, 240)))
+    assert order is not None
+    tracemalloc.start()
+    try:
+        out = log_survival(deltas, tm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (600, 240)
+    assert peak < 2.5 * out.nbytes
+
+
 @contextmanager
 def _kernel_workers(workers):
     """Run the kernel with a given worker count (1: serial)."""
