@@ -153,8 +153,8 @@ def decay_envelope(alpha: float, theta_min: float, theta_max: float,
     Each window's evenly spaced samples go through log_survival_grid, so
     its long factors are summed by angle addition. ``work``, a dict, gets
     the exact counts: "theta_samples", "factors_per_sample", and under
-    "factors" those summed by the short-phase series, by cos and by angle
-    addition.
+    "factors" those summed by the short-phase series, by the kernel's
+    direct path ("cos") and by angle addition.
     """
     if not theta_max > theta_min > 0:
         raise ValueError("need 0 < theta_min < theta_max")

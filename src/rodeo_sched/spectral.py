@@ -12,16 +12,19 @@ kernel, ``log_survival``: per-level sums of log cos**2 over the cycles,
 batched over schedules. Log space keeps products that fall below the
 smallest double (long schedules at T >> T0) finite and ordered. Cycles
 short enough that every level's phase is at most SHORT_PHASE are summed
-as the power series of log cos, without a cos call, in each schedule
-that has enough of them to pay; geometric schedules spend most of their
-cycles there. The rest go through cos, added in order. Levels on an
-evenly spaced grid (``log_survival_grid``, the decay envelopes' windows)
-take their long cycles by angle addition, with cos and sin called only
-at block starts and block offsets. Large calls cut
-the (levels x schedules) plane into tiles and run them on a thread pool
-over the CPUs in the process's affinity mask (numpy's ufuncs release the
-GIL). A schedule's entries depend on its own times and the levels alone:
-not on the tiling, nor on the other schedules of the call.
+as the power series of log cos, without a per-phase call, in each
+schedule that has enough of them to pay; geometric schedules spend most
+of their cycles there. The rest take the direct path: log cos**2 x =
+-log1p(tan**2 x) per phase, added in order (numpy's tan is vectorized
+where its cos is not, and this form keeps its relative accuracy at tiny
+phases, where cos rounds to 1). Levels on an evenly spaced grid
+(``log_survival_grid``, the decay envelopes' windows) take their long
+cycles by angle addition, with cos and sin called only at block starts
+and block offsets. Large calls cut the (levels x schedules) plane into
+tiles and run them on a thread pool over the CPUs in the process's
+affinity mask (numpy's ufuncs release the GIL). A schedule's entries
+depend on its own times and the levels alone: not on the tiling, nor on
+the other schedules of the call.
 """
 
 from __future__ import annotations
@@ -47,26 +50,32 @@ TARGET_RTOL = 1e-10
 # 2**16 doubles (512 kB) stay in cache and keep batched ratio grids from
 # raising peak memory.
 KERNEL_BLOCK_DOUBLES = 1 << 16
-# Calls with at least this many phases (cycles x levels x schedules) run
-# their tiles on the thread pool; smaller ones stay on the calling thread.
-# Measured on a 2-core machine: a pool round trip takes 27-69 us; two
-# threads run 2**16-2**20 phases in 0.55-0.85 of the serial time when the
-# second core is idle, 1.03-1.16 of it when that core is busy. At 2**18
-# (about 5 ms serial) the round trip is about 1% of a call, and the
-# 10**3-10**4-phase calls of band searches stay serial.
+# Calls with at least this many direct phases (cycles x levels x
+# schedules) run their tiles on the thread pool; smaller ones stay on the
+# calling thread. Measured on a 2-core machine: a pool round trip takes
+# 27-69 us, and a direct phase 5.3 ns, so 2**18 phases take about 1.5 ms
+# serial. Two threads ran (121 levels, 240 schedules) calls in 1.3 of the
+# serial time at 2**16 phases, 0.9-1.2 at 2**17, 0.85-0.97 at 2**18 and
+# 0.65 at 2**20. In benchmark pairs 2**17 was slower on chain-curve and
+# trotter-sweep (3 of 4 pairs each) and 2**19 on trotter-sweep (4 of 4).
+# The 10**3-10**4-phase calls of band searches stay serial.
 PARALLEL_MIN_PHASES = 1 << 18
 # A cycle of time t is short when SHORT_PHASE bounds its phase at every
 # level: h |t| <= SHORT_PHASE with h = max |delta| / 2.
 SHORT_PHASE = 0.5
-# One column's share of the short-phase series' fixed cost, in cos calls
-# (see _split_cycles). A call's fixed numpy calls cost about as much as
-# a few thousand cos calls, which a ratio grid of 240 columns shares and
-# a one-column call pays alone; the rule cannot tell the two apart.
-# Timed on the benchmark workloads (2-core machine, numpy 2.4, in-process
-# passes alternated with the kernel it replaced): 0 put band-optimize's
-# one-column line searches on the series (about 10% slower there than
-# 2**9), 2**10 and up took it from trotter-sweep's 15-level grids (2**12
-# about 20% slower), and chain-curve read the same from 2**8 to 2**10.
+# One column's share of the short-phase series' fixed cost, in direct
+# phases (see _split_cycles). A call's fixed numpy calls take 60-90 us,
+# 10,000-17,000 direct phases of 5.3 ns, which a ratio grid of 240
+# columns shares and a one-column call pays alone; the rule cannot tell
+# the two apart. Timed on the benchmark workloads (2-core machine, numpy
+# 2.4, in-process passes) when a direct phase cost a cos call of 24 ns: 0
+# put band-optimize's one-column line searches on the series (about 10%
+# slower there than 2**9), 2**10 and up took it from trotter-sweep's
+# 15-level grids (2**12 about 20% slower), and chain-curve read the same
+# from 2**8 to 2**10. At 5.3 ns, 2**11 with 18 per level or cycle (the
+# same costs in the new unit) again took trotter-sweep's grids off the
+# series: slower there in 3 of 4 benchmark pairs, faster on chain-curve
+# in 3 of 4.
 SERIES_MIN_PHASES = 1 << 9
 # log_survival_grid's angle addition: levels per block (the offsets whose
 # cos and sin one cycle needs), rows of blocks per tile, and long factors
@@ -236,17 +245,20 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     _split_cycles, sums the short cycles (h |t| <= SHORT_PHASE, h = max
     |delta| / 2) of each column whose cost rule says it pays by the power
     series of log cos, truncated below 1e-17 relative (this changes the
-    result in its last bits against the cos of each phase), and groups
-    every column's other cycles for cos, each group a slice of the
+    result in its last bits against the direct path), and groups every
+    column's other cycles for the direct path, each group a slice of the
     columns of one plane; when the groups interleave, that plane holds the
     columns reordered by group, and one gather puts them back at the end.
-    Every entry then adds the log|cos| of its cycles left one after
-    another, in order, in blocks of at most KERNEL_BLOCK_DOUBLES phases; a
-    call with PARALLEL_MIN_PHASES phases or more left for cos runs its
-    tiles on the thread pool.
+    Every entry then adds the log1p(tan**2) = -log cos**2 of its cycles
+    left one after another, in order, in blocks of at most
+    KERNEL_BLOCK_DOUBLES phases, onto the series sums written scaled by
+    -2, and the plane is negated once; a call with PARALLEL_MIN_PHASES
+    phases or more left for the direct path runs its tiles on the thread
+    pool. A direct phase is within about 3e-16 of log cos**2 relative,
+    from 1e-150 up to 1e6, next to the poles and zeros of cos included.
     ``work``, a dict, gains the call's phases (level x cycle entries)
-    summed by the series ("series") and by cos ("cos", counting the zeros
-    kept in shared rows).
+    summed by the series ("series") and by the direct path ("cos", a name
+    kept from its first form; it counts the zeros kept in shared rows).
     """
     half = 0.5 * np.asarray(deltas, dtype=float)
     # Blocks are slices of rows; a column-major matrix would make each
@@ -261,7 +273,7 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
         _count(work, "series", phases)
         _count(work, "cos", sum(plane.size * left.shape[0] for left, plane in parts))
     _accumulate_tiles(half, parts)
-    out *= 2.0
+    np.negative(out, out=out)
     return out if order is None else np.take(out, np.argsort(order), axis=1)
 
 
@@ -335,27 +347,32 @@ def _add_by_angle_addition(levels, step, half_t, out) -> None:
 
 
 def _split_cycles(half, tm, out) -> tuple:
-    """Write into ``out`` the short cycles' sum_n log|cos(half t_n)| of
-    each column that takes the series, and return (order, groups,
-    phases): the order of ``tm``'s columns that ``out`` holds, None for
-    their own; all cycles left for cos as (columns, cycles) groups, each
-    a slice of ``out``'s columns; and the phases the series summed.
+    """Write into ``out`` the short cycles' -2 sum_n log|cos(half t_n)| =
+    -sum_n log cos**2 of each column that takes the series (the sign and
+    scale of _accumulate's sums), and return (order, groups, phases): the
+    order of ``tm``'s columns that ``out`` holds, None for their own; the
+    cycles left for the direct path as (columns, cycles) groups, each a
+    slice of ``out``'s columns, none without a cycle; and the phases the
+    series summed.
 
-    The cost rule, in cos calls: the series saves a column one per level
-    for each short cycle (h |t| <= SHORT_PHASE, h = max |half|) and costs
-    about four per (level or cycle), plus SERIES_MIN_PHASES, the column's
-    share of the call's fixed numpy calls. It reads nothing of the other
-    columns, so a column takes the same path alone as in any batch. With
-    x = h t and q = (half / h)**2, a column's short sum is sum_j
-    LOG_COS_SERIES[j] q**(j+1) P_j over its power sums P_j = sum_n
-    x_n**(2j+2). Its other cycles' |t| sort to the bottom, zeros above.
-    Series columns with about as many short cycles group together (bands
-    of an eighth of the cycles) and drop the rows of zeros they share; a
-    zero adds exactly 0, so no column's sum depends on its group. The
-    other columns form one group, their times as given. Each column's
-    group key is -1 when it goes direct, else its band; when the keys
-    are not in order, the columns are reordered once, stably by key, so
-    that every group, the direct one first, is one slice of the plane.
+    The cost rule, in direct phases (one level of one cycle, about 5.3
+    ns): the series saves a column one per level for each short cycle (h
+    |t| <= SHORT_PHASE, h = max |half|) and costs about four per (level or
+    cycle), plus SERIES_MIN_PHASES, the column's share of the call's fixed
+    numpy calls (measured in a call of 240 series columns: about 7 per
+    cycle, under 1 per level, and 60-90 us a call). It reads nothing of
+    the other columns, so a column takes the same path alone as in any
+    batch. With x = h t and q = (half / h)**2, a column's short sum of
+    log|cos| is sum_j LOG_COS_SERIES[j] q**(j+1) P_j over its power sums
+    P_j = sum_n x_n**(2j+2). Its other cycles' |t| sort to the bottom,
+    zeros above. Series columns with about as many short cycles group
+    together (bands of an eighth of the cycles) and drop the rows of
+    zeros they share; a zero adds exactly 0, so no column's sum depends
+    on its group, and a band left with no rows is no group. The other
+    columns form one group, their times as given. Each column's group key
+    is -1 when it goes direct, else its band; when the keys are not in
+    order, the columns are reordered once, stably by key, so that every
+    group, the direct one first, is one slice of the plane.
     """
     levels, (cycles, cols) = half.size, tm.shape
     least = max(1, math.ceil((SERIES_MIN_PHASES + 4 * (levels + cycles)) / levels))
@@ -379,7 +396,7 @@ def _split_cycles(half, tm, out) -> tuple:
         tm_s, short, counts, key = tm[:, first:], short[:, first:], counts[first:], key[first:]
         phases = levels * int(counts.sum())
         terms = LOG_COS_SERIES.size
-        coeff = _power_sums(tm_s, short, h) * LOG_COS_SERIES
+        coeff = _power_sums(tm_s, short, h) * (-2.0 * LOG_COS_SERIES)
         # Powers of q for fixed blocks of levels, then one matrix-vector
         # product per column: every column meets the same BLAS call on the
         # same block, so its entries do not depend on the column count (one
@@ -401,7 +418,7 @@ def _split_cycles(half, tm, out) -> tuple:
         left.sort(axis=0)
         cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
         groups = [(slice(first + a, first + b), left[int(counts[a:b].min()):, a:b])
-                  for a, b in zip(cuts, cuts[1:])]
+                  for a, b in zip(cuts, cuts[1:]) if counts[a:b].min() < cycles]
     if first:
         groups.append((slice(0, first), tm[:, :first]))
     return order, groups, phases
@@ -446,13 +463,14 @@ def _fill_powers(p) -> None:
 
 
 def _accumulate(half, tm, rows, out) -> None:
-    """Add sum_n log|cos(half t_n)| to ``out`` (l, s) for levels ``half``
-    (l,) and schedule columns ``tm`` (N, s), one cycle after another in
-    order, ``rows`` cycles per block. A block's first row takes the sums
-    so far (x + y is y + x, bit for bit), and numpy adds a block's rows
-    in order when a row holds two or more entries; a one-entry plane,
-    which numpy would sum pairwise, is computed as two copies of its
-    level."""
+    """Add sum_n log1p(tan**2(half t_n)) = -sum_n log cos**2(half t_n) to
+    ``out`` (l, s) for levels ``half`` (l,) and schedule columns ``tm``
+    (N, s), one cycle after another in order, ``rows`` cycles per block.
+    A zero time adds exactly 0 and a NaN propagates. A block's first row
+    takes the sums so far (x + y is y + x, bit for bit), and numpy adds a
+    block's rows in order when a row holds two or more entries; a
+    one-entry plane, which numpy would sum pairwise, is computed as two
+    copies of its level."""
     if out.size == 1:
         pair = np.repeat(out, 2, axis=0)
         _accumulate(np.repeat(half, 2), tm, rows, pair)
@@ -466,9 +484,9 @@ def _accumulate(half, tm, rows, out) -> None:
         # broadcast product of two operands into a third.
         phase[...] = tm[start:start + rows, None, :]
         phase *= h
-        np.cos(phase, out=phase)
-        np.abs(phase, out=phase)
-        np.log(phase, out=phase)
+        np.tan(phase, out=phase)
+        np.square(phase, out=phase)
+        np.log1p(phase, out=phase)
         phase[0] += out
         np.add.reduce(phase, axis=0, out=out)
 
@@ -642,16 +660,17 @@ def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times) 
             vals[:, value] = density * np.exp(log_survival(d, tm))
         if not value.all():
             n = cols[~value] - 1
-            half = tm * (0.5 * d)
-            cos = np.cos(half)
-            square = cos * cos
+            # tan x cos**2 x = sin x cos x, and cos**2 x = 1 / (1 + tan**2 x):
+            # one tan in place of a cos and a sin.
+            u = np.tan(tm * (0.5 * d))
+            square = 1.0 / (1.0 + u * u)
             # Row k of ``before`` (``after``): the product of the factors
             # of the cycles before (after) cycle k.
             before, after = np.empty_like(square), np.empty_like(square)
             before[0] = after[-1] = 1.0
             np.cumprod(square[:-1], axis=0, out=before[1:])
             np.cumprod(square[:0:-1], axis=0, out=after[-2::-1])
-            grad = np.sin(half[n]) * cos[n] * before[n] * after[n]
+            grad = u[n] * square[n] * before[n] * after[n]
             vals[:, ~value] = grad.T * (-density * d[:, None])
         return vals
 

@@ -10,7 +10,10 @@ A change that moves a benchmark output on purpose re-pins it with
     PYTHONPATH=src python tests/test_bench_outputs.py
 
 and lists each moved value. The pins hold for the numpy and scipy
-versions stored beside them; other versions may round differently.
+versions stored beside them, and for the SIMD extensions that numpy's CPU
+dispatch found (``np.show_runtime()``'s "found" list): the survival
+kernel's ``np.tan`` takes a vectorized loop on some of them and libm's on
+others. Other versions or machines may round differently.
 """
 
 import importlib.util
@@ -76,6 +79,13 @@ def _job_outputs(tmp: Path) -> dict:
     return json.loads(path.read_text())
 
 
+def _simd_found() -> list:
+    """The SIMD extensions numpy dispatches to on this machine, in the
+    order np.show_runtime() lists them as found."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+
+
 def _text(result) -> str:
     return json.dumps(result, sort_keys=True)
 
@@ -96,8 +106,9 @@ def test_the_pins_cover_every_benchmark_job():
 def test_benchmark_job_output_is_pinned(key, outputs):
     pin, got = PINNED["jobs"][key], outputs[key]
     assert got["argv"] == pin["argv"], f"{key}: the job changed; re-pin"
-    versions = (f"pinned with numpy {PINNED['numpy']}, scipy {PINNED['scipy']}; "
-                f"running numpy {np.__version__}, scipy {scipy.__version__}")
+    versions = (f"pinned with numpy {PINNED['numpy']}, scipy {PINNED['scipy']}, "
+                f"SIMD {PINNED['simd']}; running numpy {np.__version__}, "
+                f"scipy {scipy.__version__}, SIMD {_simd_found()}")
     assert got["hash"] == pin["hash"], f"{key}: manifest hash moved ({versions})"
     # Compared as JSON text, so that -0.0 and nan count bit for bit too.
     assert _text(got["result"]) == _text(pin["result"]), f"{key}: result moved ({versions})"
@@ -110,5 +121,6 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             jobs = _job_outputs(Path(tmp))
         PINS.write_text(json.dumps({"numpy": np.__version__, "scipy": scipy.__version__,
-                                    "seed": SEED, "jobs": jobs}, indent=1, sort_keys=True)
+                                    "simd": _simd_found(), "seed": SEED, "jobs": jobs},
+                                   indent=1, sort_keys=True)
                         + "\n")

@@ -284,16 +284,19 @@ def test_readme_sweep_flags_run(tmp_path):
 # column's kernel sums run in order whatever the column count, five zetas
 # moved in their last bits (0.9879755799374728, 2.2148106857685716e-11,
 # 0.7359031617695629, 0.005388188021892764 and 8.602309452521381e-11
-# before); no ratio moved.
+# before); no ratio moved. The kernel's log1p(tan**2) in place of log|cos|
+# moved four more (0.6706716002528976, 2.2148106857685807e-11,
+# 0.005388188021892767 and 8.602309452521426e-11 before), at most 1.4e-15
+# relative; again no ratio moved.
 SWEEP_PINS = [
     ("1.9621967033631071", "0.9879755799374729"),
-    ("1.9822392058198646", "0.6706716002528976"),
+    ("1.9822392058198646", "0.6706716002528975"),
     ("1.6253967452802456", "0.004211951766176197"),
-    ("1.1108737929292223", "2.2148106857685807e-11"),
+    ("1.1108737929292223", "2.2148106857685804e-11"),
     ("1.9621967033631071", "0.9999999999999969"),
     ("1.7571204344346893", "0.735903161769563"),
-    ("1.5906523729598905", "0.005388188021892767"),
-    ("1.111107995198585", "8.602309452521426e-11"),
+    ("1.5906523729598905", "0.0053881880218927675"),
+    ("1.111107995198585", "8.602309452521415e-11"),
 ]
 
 

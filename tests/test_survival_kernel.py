@@ -106,9 +106,11 @@ def test_levels_below_float64_resolution_are_dropped(build, kept, dropped):
 # Since each column's cycles are added in order and each column decides
 # the series alone, three values moved in their last bits:
 # 0.22372612908953934 -> ...394 and 0.0003364557692242408 -> ...414 (tfim),
-# 5.584464699474477e-19 -> ...4595e-19 (xx).
+# 5.584464699474477e-19 -> ...4595e-19 (xx). The direct path's log1p(tan**2)
+# in place of log|cos| moved 2.2576502366592384e-20 -> ...2224e-20 (tfim),
+# 1.6e-16 of its log.
 @pytest.mark.parametrize("build, expected", (
-    (_tfim_chain, "[0.2237261290895394, 0.0003364557692242414, 2.2576502366592384e-20]"),
+    (_tfim_chain, "[0.2237261290895394, 0.0003364557692242414, 2.2576502366592224e-20]"),
     (_xx_chain, "[0.9903319591352839, 0.15362364148253504, 5.584464699474595e-19]")),
     ids=("tfim-plus", "xx-e1"))
 def test_chain_objective_bits_are_pinned(build, expected):
@@ -332,12 +334,13 @@ def _kernel_workers(workers):
 
 def _blocked_reference(deltas, times):
     """The direct cos**2 product with the kernel's arithmetic and no tiles:
-    each cycle's log|cos| over the whole plane, added in order."""
+    each cycle's log1p(tan**2) = -log cos**2 over the whole plane, added
+    in order, and the sum negated."""
     half = 0.5 * deltas
     out = np.zeros((half.size, times.shape[1]))
     for row in times:
-        out += np.log(np.abs(np.cos(half[:, None] * row[None, :])))
-    return 2.0 * out
+        out += np.log1p(np.tan(half[:, None] * row[None, :]) ** 2)
+    return -out
 
 
 def _takes_series(deltas, times):
@@ -360,9 +363,7 @@ def _series_forced():
 
 def _assert_matches_reference(got, deltas, times):
     # rtol 1e-13 on the log plus as much absolute: where the log is of
-    # order one the products agree to 1e-13 relative. The series is the
-    # closer of the two for tiny phases, where the direct product rounds
-    # cos(x) to 1 before taking its log.
+    # order one the products agree to 1e-13 relative.
     np.testing.assert_allclose(got, _blocked_reference(deltas, times), rtol=1e-13, atol=1e-13)
 
 
@@ -414,6 +415,28 @@ def test_log_cos_coefficients_and_truncation_match_mpmath():
         truth = mpmath.log(mpmath.cos(x))
         tail = truth - sum(c * x ** (2 * n) for n, c in enumerate(exact, start=1))
         assert abs(tail / truth) < 2e-17
+
+
+def test_direct_path_matches_mpmath_to_the_last_bit_or_so(monkeypatch):
+    # One level at offset 2 (h = 1), one cycle per column: each entry is the
+    # direct path's -log1p(tan**2 t) for a phase t, against log cos**2 t in
+    # 350 digits (cos 1e-150 differs from 1 in its 300th). Phases: tiny,
+    # next to k pi and (k + 1/2) pi, and up to 1e6.
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(spectral, "SERIES_MIN_PHASES", 2 ** 62)
+    tiny = 10.0 ** -np.arange(150.0, 0.0, -7.0)
+    ks = np.array([1.0, 2.0, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5, 3e5])
+    poles = np.concatenate([ks * math.pi, (ks + 0.5) * math.pi, [0.5 * math.pi]])
+    poles = np.concatenate([poles, np.nextafter(poles, 0.0), np.nextafter(poles, np.inf)])
+    wide = np.random.default_rng(0).uniform(0.0, 1e6, 200)
+    phases = np.concatenate([tiny, poles, wide, [1e6]])
+    work = {}
+    got = log_survival(np.array([2.0]), phases[None, :], work)[0]
+    assert work == {"series": 0, "cos": phases.size}
+    with mpmath.workdps(350):
+        for x, value in zip(phases, got):
+            exact = mpmath.log(mpmath.cos(mpmath.mpf(float(x))) ** 2)
+            assert abs(value - exact) <= 1e-15 * abs(exact), x
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["direct", "series"])
@@ -559,3 +582,14 @@ def test_kernel_counts_the_phases_of_each_path():
     # a call with no short cycle to pay for the series adds to the counts
     log_survival(deltas, tm[:, 1:], work)
     assert work == {"series": 600 * 100, "cos": 600 * 10 + 2 * 600 * 110}
+
+
+def test_a_band_without_long_cycles_hands_the_direct_path_no_group():
+    # Two columns of short cycles only (one series band) beside a column
+    # with 40 long ones (another band): only the latter's cycles are left.
+    deltas = np.linspace(-2.0, 2.0, 600)
+    short = np.geomspace(1e-4, SHORT_PHASE, 100)
+    mixed = np.concatenate([short[:60], np.linspace(1.0, 9.0, 40)])
+    tm = np.stack([short, short[::-1], mixed], axis=1)
+    _, groups, _ = spectral._split_cycles(0.5 * deltas, tm, np.zeros((600, 3)))
+    assert [(cols, left.shape) for cols, left in groups] == [(slice(0, 1), (40, 1))]
