@@ -417,7 +417,7 @@ def test_log_cos_coefficients_and_truncation_match_mpmath():
         assert abs(tail / truth) < 2e-17
 
 
-def test_direct_path_matches_mpmath_to_the_last_bit_or_so(monkeypatch):
+def test_direct_path_matches_mpmath(monkeypatch):
     # One level at offset 2 (h = 1), one cycle per column: each entry is the
     # direct path's -log1p(tan**2 t) for a phase t, against log cos**2 t in
     # 350 digits (cos 1e-150 differs from 1 in its 300th). Phases: tiny,
