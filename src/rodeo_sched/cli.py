@@ -446,8 +446,9 @@ def _float_type(low: float, high: float, noun: str):
 _positive_float = _float_type(0.0, math.inf, "a positive number")
 _fraction = _float_type(0.0, 1.0, "a number in (0, 1)")
 _finite_float = _float_type(-math.inf, math.inf, "a finite number")
-# The ratio of a suppression product; rsn's --alpha also admits 1.
+# The ratio of a suppression product; a geometric schedule's may also be 1.
 _ratio = _float_type(1.0, math.inf, "a number above 1")
+_schedule_ratio = _float_type(math.nextafter(1.0, 0.0), math.inf, "a number of at least 1")
 
 
 def _positive_list(text: str) -> str:
@@ -514,8 +515,8 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_alpha_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha-min", type=float, default=1.0)
-    p.add_argument("--alpha-cap", type=float, default=2.0,
+    p.add_argument("--alpha-min", type=_schedule_ratio, default=1.0)
+    p.add_argument("--alpha-cap", type=_ratio, default=2.0,
                    help="upper bound of the ratio search")
 
 
@@ -534,12 +535,13 @@ def build_parser() -> tuple:
     _add_band_flags(spectrum)
     spectrum.add_argument("--band-file", help="JSON band description")
     spectrum.add_argument("--spectrum-file", help="discrete spectrum CSV (energy,weight)")
-    p.add_argument("--e-target", type=float, default=0.0,
+    p.add_argument("--e-target", type=_finite_float, default=0.0,
                    help="target energy of --band-file or --spectrum-file")
     schedule = p.add_mutually_exclusive_group()
     schedule.add_argument("--times", help="comma-separated time samples")
     schedule.add_argument("--schedule-file", help="schedule CSV or JSON")
-    schedule.add_argument("--alpha", type=float, help="geometric ratio (with --total-time)")
+    schedule.add_argument("--alpha", type=_schedule_ratio,
+                          help="geometric ratio (with --total-time)")
     p.add_argument("--n-samples", type=_positive_int, default=10)
     p.add_argument("--total-time", type=_positive_float)
     _add_output_flags(p)
@@ -625,7 +627,7 @@ def build_parser() -> tuple:
     spectrum.add_argument("--preset", choices=tuple(PRESETS))
     spectrum.add_argument("--band-file")
     spectrum.add_argument("--spectrum-file")
-    p.add_argument("--e-target", type=float, default=-1.0)
+    p.add_argument("--e-target", type=_finite_float, default=-1.0)
     p.add_argument("--n-samples", type=_positive_int, default=100)
     p.add_argument("--total-time", type=_positive_float)
     p.add_argument("--t0-multiple", type=_positive_float, default=1.0)

@@ -643,36 +643,23 @@ def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times) 
     phase rate: column 0 is rsn_quadrature_batch's integrand, with the
     bits of its one-column call, and column n is the derivative under the
     integral, density(E) * (-d/2) sin(d t_n) prod_{m != n} cos**2(d t_m / 2)
-    with d = E - E_t. The product leaving out cycle n multiplies the
-    factors before and after it, so it stays finite at zeros of cos and at
-    zero times. Each column is refined to ABS_TOL on its own.
+    with d = E - E_t. Since d/dt cos**2(d t / 2) = -d tan(d t / 2)
+    cos**2(d t / 2), column n is column 0 times -d tan(d t_n / 2): the
+    product over every cycle is taken once, in log space by the survival
+    kernel. A double phase has a finite tan, so every column is finite,
+    and a zero time's column is 0. Each column is refined to ABS_TOL on
+    its own.
     """
     t = np.asarray(times, dtype=float)
     tm = t[:, None]
     target_gap(band, e_target)  # rejects a target inside the band
 
     def integrand(e, cols):
-        d = e - e_target
-        density = band.density_values(e)[:, None]
-        vals = np.empty((len(e), len(cols)))
-        value = cols == 0
-        if value.any():
-            vals[:, value] = density * np.exp(log_survival(d, tm))
-        if not value.all():
-            n = cols[~value] - 1
-            # tan x cos**2 x = sin x cos x, and cos**2 x = 1 / (1 + tan**2 x):
-            # one tan in place of a cos and a sin.
-            u = np.tan(tm * (0.5 * d))
-            square = 1.0 / (1.0 + u * u)
-            # Row k of ``before`` (``after``): the product of the factors
-            # of the cycles before (after) cycle k.
-            before, after = np.empty_like(square), np.empty_like(square)
-            before[0] = after[-1] = 1.0
-            np.cumprod(square[:-1], axis=0, out=before[1:])
-            np.cumprod(square[:0:-1], axis=0, out=after[-2::-1])
-            grad = u[n] * square[n] * before[n] * after[n]
-            vals[:, ~value] = grad.T * (-density * d[:, None])
-        return vals
+        d = (e - e_target)[:, None]
+        value = band.density_values(e)[:, None] * np.exp(log_survival(d[:, 0], tm))
+        factor = -d * np.tan(0.5 * d * t[cols - 1])
+        factor[:, cols == 0] = 1.0  # column 0 is the value itself
+        return value * factor
 
     rate = np.ascontiguousarray(tm.T).sum(axis=1)  # as rsn_quadrature_batch sums it
     values, _ = _integrate_columns(integrand, band.delta_min, band.delta_max,

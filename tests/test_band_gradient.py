@@ -69,11 +69,9 @@ def test_zero_times_have_a_zero_gradient():
     np.testing.assert_allclose(grad, _central_differences(times), rtol=0, atol=GRAD_ATOL)
 
 
-def test_integrand_is_finite_at_float_zeros_of_cos(monkeypatch):
-    # Fifteen cycles whose phases all sit at the float nearest pi/2 at one
-    # level: each cos**2 is about 4e-33, and the product of the others
-    # underflows to 0. A gradient formed as the full product over one
-    # factor (tan, or division by cos**2) would be 0/0 there.
+def _integrand(monkeypatch, times):
+    """The integrand ``func(points, cols)`` that rsn_quadrature_value_and_grad
+    hands the integrator for ``times`` on the band's twin (target 0)."""
     seen = {}
 
     def capture(func, lo, hi, rates, abs_tol):
@@ -81,16 +79,64 @@ def test_integrand_is_finite_at_float_zeros_of_cos(monkeypatch):
         return np.zeros(len(rates)), np.zeros(len(rates))
 
     monkeypatch.setattr(spectral, "_integrate_columns", capture)
-    level = 0.5
-    times = np.full(15, math.pi / level)
     spectral.rsn_quadrature_value_and_grad(BAND.quadrature_twin(), 0.0, times)
+    return seen["func"]
+
+
+def test_integrand_is_finite_at_float_zeros_of_cos(monkeypatch):
+    # Fifteen cycles whose phases all sit at the float nearest pi/2 at one
+    # level: each cos**2 is about 4e-33, and the full product underflows
+    # to 0. Dividing it by one cycle's cos**2 would be 0/0 there; the
+    # gradient multiplies it by -d tan x instead, and tan of a double is
+    # finite (about 1.6e16 at the float nearest pi/2), so it reads 0.
+    level = 0.5
+    func = _integrand(monkeypatch, np.full(15, math.pi / level))
     points = np.array([level, np.nextafter(level, 1.0), 0.25])
-    vals = seen["func"](points, np.arange(16))
+    vals = func(points, np.arange(16))
     assert vals.shape == (3, 16)
     assert np.all(np.isfinite(vals))
     assert np.all(vals[:2] == 0.0)
     # one column alone, as a refining column is evaluated, gives its bits
-    np.testing.assert_array_equal(seen["func"](points, np.array([5]))[:, 0], vals[:, 5])
+    np.testing.assert_array_equal(func(points, np.array([5]))[:, 0], vals[:, 5])
+
+
+def _phase_points(t):
+    """Levels of the band at which phase (level / 2) t is the double next to
+    k pi or (k + 1/2) pi, with their two float neighbours on each side."""
+    points = []
+    for m in np.arange(1, 2.0 * t / math.pi) / 2:  # multiples of pi/2
+        level = 2.0 * m * math.pi / t
+        if BAND.delta_min <= level <= BAND.delta_max:
+            below, above = np.nextafter(level, 0.0), np.nextafter(level, 2.0)
+            points += [np.nextafter(below, 0.0), below, level, above, np.nextafter(above, 2.0)]
+    return points
+
+
+def test_gradient_integrand_matches_mpmath_next_to_zeros_of_sin_and_cos(monkeypatch):
+    # Each gradient entry against -density d sin x_n cos x_n
+    # prod_{m != n} cos**2 x_m at 40 digits, with x_m the double phase
+    # (d / 2) t_m the kernel rounds to. Random schedules, some with zero
+    # times, at levels that put one cycle next to a zero of sin or of cos.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(8):
+        times = rng.uniform(0.0, 40.0, rng.integers(2, 11))
+        times[rng.random(len(times)) < 0.25] = 0.0
+        func = _integrand(monkeypatch, times)
+        points = np.array([p for t in times[times > 0] for p in _phase_points(t)])
+        grad = func(points, np.arange(1, len(times) + 1))
+        density = BAND.quadrature_twin().density_values(points)
+        with mpmath.workdps(40):
+            for row, d in enumerate(points):
+                phases = [mpmath.mpf(float(x)) for x in 0.5 * d * times]
+                squares = [mpmath.cos(x) ** 2 for x in phases]
+                for n, x in enumerate(phases):
+                    rest = mpmath.fprod(squares[:n] + squares[n + 1:])
+                    exact = -density[row] * d * mpmath.sin(x) * mpmath.cos(x) * rest
+                    assert abs(grad[row, n] - exact) <= 1e-13 * abs(exact), (times, d, n)
+                    checked += 1
+    assert checked > 500
 
 
 class _Smooth:

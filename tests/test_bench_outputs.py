@@ -9,7 +9,8 @@ A change that moves a benchmark output on purpose re-pins it with
 
     PYTHONPATH=src python tests/test_bench_outputs.py
 
-and lists each moved value. The pins hold for the numpy and scipy
+which prints each moved value (path, old -> new, relative change) before
+it writes the pins; the change lists them. The pins hold for the numpy and scipy
 versions stored beside them, and for the SIMD extensions that numpy's CPU
 dispatch found (``np.show_runtime()``'s "found" list): the survival
 kernel's ``np.tan`` takes a vectorized loop on some of them and libm's on
@@ -90,6 +91,30 @@ def _text(result) -> str:
     return json.dumps(result, sort_keys=True)
 
 
+def _moved(old, new, path=""):
+    """(path, old, new) of every leaf that differs between two pin
+    documents; a key on one side only is None on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _moved(old.get(key), new.get(key), f"{path}/{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _moved(a, b, f"{path}[{i}]")
+    elif _text(old) != _text(new):
+        yield path, old, new
+
+
+def _print_moved(old, new) -> None:
+    """Print each moved leaf as path, old -> new and, for numbers, the
+    relative change."""
+    moved = list(_moved(old, new))
+    for path, a, b in moved:
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        change = f"  ({(b - a) / abs(a):+.3e} relative)" if numbers and a else ""
+        print(f"{path}: {a!r} -> {b!r}{change}")
+    print(f"{len(moved)} pinned values moved")
+
+
 PINNED = json.loads(PINS.read_text())
 
 
@@ -120,7 +145,7 @@ if __name__ == "__main__":
     else:
         with tempfile.TemporaryDirectory() as tmp:
             jobs = _job_outputs(Path(tmp))
-        PINS.write_text(json.dumps({"numpy": np.__version__, "scipy": scipy.__version__,
-                                    "simd": _simd_found(), "seed": SEED, "jobs": jobs},
-                                   indent=1, sort_keys=True)
-                        + "\n")
+        pins = {"numpy": np.__version__, "scipy": scipy.__version__,
+                "simd": _simd_found(), "seed": SEED, "jobs": jobs}
+        _print_moved(PINNED, pins)
+        PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -433,17 +433,13 @@ def test_inverted_band_is_an_error(capsys):
     ["rsn", "--alpha", "0", "--total-time", "5"],
 ])
 def test_zero_is_a_given_value_not_an_absent_one(argv, capsys):
-    # a zero total time is refused by its flag's type (exit 2), not taken
-    # for an absent one; a zero ratio is refused by the schedule (exit 1)
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    err = capsys.readouterr().err
-    if argv[-2:] == ["--total-time", "0"]:
-        assert code == 2 and "argument --total-time: expected a positive number" in err
-    else:
-        assert code == 1 and "error:" in err
+    # a zero total time or ratio is refused by its flag's type (exit 2),
+    # not taken for an absent one
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    flag = argv[argv.index("0") - 1]
+    assert f"argument {flag}: expected a" in capsys.readouterr().err
 
 
 def test_rsn_band_rejects_a_target_energy(capsys):
@@ -773,6 +769,13 @@ def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path,
     (["spectrum", "--model", "tfim", "--length", "4", "--field", "inf"], None, "--field"),
     (["curve", "--model", "xx", "--coupling", "nan"], None, "--coupling"),
     (["optimize-alpha", "--model", "tfim"], {"coupling": "-inf"}, "--coupling"),
+    (["rsn", "--e-target", "nan"], None, "--e-target"),
+    (["schedule-fit", "--preset", "xi2", "--e-target", "inf", "--trotter-dt", "0.01"], None,
+     "--e-target"),
+    (["rsn", "--alpha", "inf", "--total-time", "10"], None, "--alpha"),
+    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0.01", "--alpha-min", "0.5"], None,
+     "--alpha-min"),
+    (["curve", "--model", "xx", "--alpha-cap", "inf"], None, "--alpha-cap"),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -786,7 +789,9 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
               "--budget", "--restarts")
     expected = ("a positive integer" if flag in counts else {
         "--n-terms": "a nonnegative integer", "--tolerance": "a number in (0, 1)",
-        "--dt-mults": "a list of positive numbers", "--alpha": "a number above 1",
-        "--coupling": "a finite number", "--field": "a finite number",
+        "--dt-mults": "a list of positive numbers", "--alpha-cap": "a number above 1",
+        "--alpha": "a number of at least 1" if argv[0] == "rsn" else "a number above 1",
+        "--alpha-min": "a number of at least 1", "--coupling": "a finite number",
+        "--field": "a finite number", "--e-target": "a finite number",
     }.get(flag, "a positive number"))
     assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err
