@@ -602,7 +602,7 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("product-function", help="evaluate the suppression product")
     p.add_argument("--alpha", type=_ratio, required=True)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=_finite_float)
     p.add_argument("--theta-min", type=_positive_float, default=0.1)
     p.add_argument("--theta-max", type=_positive_float, default=100.0)
     p.add_argument("--theta-points", type=_positive_int, default=200)

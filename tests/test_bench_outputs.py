@@ -10,11 +10,11 @@ A change that moves a benchmark output on purpose re-pins it with
     PYTHONPATH=src python tests/test_bench_outputs.py
 
 which prints each moved value (path, old -> new, relative change) before
-it writes the pins; the change lists them. The pins hold for the numpy and scipy
-versions stored beside them, and for the SIMD extensions that numpy's CPU
-dispatch found (``np.show_runtime()``'s "found" list): the survival
-kernel's ``np.tan`` takes a vectorized loop on some of them and libm's on
-others. Other versions or machines may round differently.
+it writes the pins, for the change to list. The pins hold for the numpy
+and scipy versions stored beside them, and for the SIMD extensions that
+numpy's CPU dispatch found (``np.show_runtime()``'s "found" list): the
+survival kernel's ``np.tan`` takes a vectorized loop on some of them and
+libm's on others. Other versions or machines may round differently.
 """
 
 import importlib.util

@@ -776,6 +776,7 @@ def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path,
     (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0.01", "--alpha-min", "0.5"], None,
      "--alpha-min"),
     (["curve", "--model", "xx", "--alpha-cap", "inf"], None, "--alpha-cap"),
+    (["product-function", "--alpha", "2", "--theta", "inf"], None, "--theta"),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -793,5 +794,6 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
         "--alpha": "a number of at least 1" if argv[0] == "rsn" else "a number above 1",
         "--alpha-min": "a number of at least 1", "--coupling": "a finite number",
         "--field": "a finite number", "--e-target": "a finite number",
+        "--theta": "a finite number",
     }.get(flag, "a positive number"))
     assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err
