@@ -19,8 +19,8 @@ from .closed_form import (BandModel, asymptotic_rsn, rsn_closed_form,
 from .hamiltonians import (EigenSystem, HamiltonianSpec, InitialState,
                            RodeoObjective, build_sector_hamiltonian, eigendecompose,
                            make_initial_state, minimum_gap, sector_basis)
-from .optimize import (AlphaOptimum, CurvePoint, OptimizationResult,
-                       adaptive_alpha_curve, optimize_alpha, optimize_times)
+from .optimize import (AlphaOptimum, OptimizationResult, adaptive_alpha_curve,
+                       optimize_alpha, optimize_times)
 from .quadrature import QuadratureError, integrate_oscillatory
 from .schedules import (TimeSchedule, geometric_times, read_schedule,
                         superiteration_schedule, trotter_floor, trotter_round)
@@ -34,7 +34,6 @@ __all__ = [
     "AlphaOptimum",
     "BandModel",
     "ContinuousBand",
-    "CurvePoint",
     "DecayFitResult",
     "DiscreteSpectrum",
     "EigenSystem",

@@ -30,7 +30,7 @@ from . import __version__
 from .closed_form import MAX_ENUM_N, BandModel, rsn_closed_form
 from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                            eigendecompose, make_initial_state, minimum_gap)
-from .optimize import adaptive_alpha_curve, optimize_alpha, optimize_times
+from .optimize import _optimize_alphas, adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import ABS_TOL, QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, file_format, geometric_times,
                         half_normal_draws, read_schedule, superiteration_schedule, trotter_floor,
@@ -340,42 +340,34 @@ def _spectral_input(args):
 def cmd_schedule_fit(args) -> int:
     spectrum, label = _spectral_input(args)
     t0 = math.pi / target_gap(spectrum, args.e_target)
-    bounds = (args.alpha_min, args.alpha_cap)
     counts = {"schedules_scored": 0, "schedules_integrated": 0}
 
-    def integrate(floored):
-        counts["schedules_integrated"] += floored.shape[1]
-        return rsn_quadrature_batch(spectrum, args.e_target, floored)
-
-    def fit_one(total: float, dt: float):
-        if dt >= total:
-            raise ValueError(f"trotter step {dt} must be smaller than the total time {total}")
+    def fit(totals: list, dt: float) -> list:
+        for total in totals:
+            if dt >= total:
+                raise ValueError(f"trotter step {dt} must be smaller than the total time {total}")
         # Flooring makes the objective piecewise constant in the ratio, so
         # golden steps and grid columns repeat schedules. A batch column
         # is the bits of its one-column call, so every distinct floored
-        # schedule of the fit is integrated once, keyed by its bytes
+        # schedule of the step is integrated once, keyed by its bytes
         # (np.unique(axis=1) costs more than the duplicates).
         known = {}
 
         def objective(tm):
             floored = trotter_floor(tm, dt)
             counts["schedules_scored"] += floored.shape[1]
-            if floored.shape[1] == 1:  # a golden-section step
-                key = floored.tobytes()
-                if key not in known:
-                    known[key] = integrate(floored)[0]
-                return np.array([known[key]])
             keys = [col.tobytes() for col in floored.T]
             new = [key for key in dict.fromkeys(keys) if key not in known]
             if new:
-                distinct = np.frombuffer(b"".join(new)).reshape(len(new), -1).T
-                known.update(zip(new, integrate(np.ascontiguousarray(distinct))))
+                counts["schedules_integrated"] += len(new)
+                distinct = np.frombuffer(b"".join(new)).reshape(len(new), -1).T.copy()
+                known.update(zip(new, rsn_quadrature_batch(spectrum, args.e_target, distinct)))
             return np.fromiter(map(known.__getitem__, keys), float, len(keys))
 
-        opt = optimize_alpha(objective, args.n_samples, total, alpha_bounds=bounds)
-        rounded = trotter_round(
-            superiteration_schedule(opt.alpha, args.n_samples, total), dt)
-        return opt, rounded
+        return [(opt, trotter_round(
+                    superiteration_schedule(opt.alpha, args.n_samples, opt.total_time), dt))
+                for opt in _optimize_alphas(objective, args.n_samples, totals,
+                                            (args.alpha_min, args.alpha_cap))]
 
     def diagnostics(zetas) -> dict:
         # A band's zeta below the integrator's tolerance is not resolved; a
@@ -386,28 +378,22 @@ def cmd_schedule_fit(args) -> int:
 
     manifest_extra = {"spectral_input": label, "characteristic_time": t0}
     if args.sweep:
-        dt_mults = _parse_floats(args.dt_mults)
         t_grid = np.geomspace(args.t_min_mult, args.t_max_mult, args.t_points) * t0
-        rows, entries = [], []
-        for dm in dt_mults:
-            for t in t_grid:
-                opt, rounded = fit_one(float(t), float(dm * t0))
-                rows.append([t, t / t0, dm, opt.alpha, opt.objective, len(rounded)])
-                entries.append({"total_time": float(t), "dt_mult": float(dm),
-                                "alpha_opt": opt.alpha, "zeta": opt.objective,
-                                "surviving_times": len(rounded)})
-        _emit(args, {"points": entries},
-              header=["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta",
-                      "surviving_times"],
-              rows=rows, extra=manifest_extra,
+        entries = [{"total_time": opt.total_time, "dt_mult": float(dm), "alpha_opt": opt.alpha,
+                    "zeta": opt.objective, "surviving_times": len(rounded)}
+                   for dm in _parse_floats(args.dt_mults)
+                   for opt, rounded in fit(t_grid.tolist(), float(dm * t0))]
+        header = ["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta", "surviving_times"]
+        rows = [[e["total_time"], e["total_time"] / t0] + [e[c] for c in header[2:]]
+                for e in entries]
+        _emit(args, {"points": entries}, header=header, rows=rows, extra=manifest_extra,
               diagnostics=diagnostics([e["zeta"] for e in entries]))
         return 0
-    total = _total_time(args, t0)
     if not args.trotter_dt:  # its type admits only positive values
         raise ValueError("schedule-fit needs --trotter-dt (or --sweep)")
-    opt, rounded = fit_one(total, args.trotter_dt)
+    [(opt, rounded)] = fit([_total_time(args, t0)], args.trotter_dt)
     result = {"alpha_opt": opt.alpha, "zeta": opt.objective, "flat": opt.flat,
-              "total_time": total, "trotter_dt": args.trotter_dt,
+              "total_time": opt.total_time, "trotter_dt": args.trotter_dt,
               "schedule": rounded.times.tolist(),
               "surviving_times": len(rounded)}
     _emit(args, result, header=["index", "time"],
@@ -464,20 +450,20 @@ def _positive_list(text: str) -> str:
 
 
 def _count_type(least: int, noun: str):
-    """argparse type of a count: an integer of at least ``least``."""
+    """argparse type of an integer of at least ``least``, described as ``noun``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = least - 1
         if value < least:
-            raise argparse.ArgumentTypeError(f"expected a {noun} integer, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _count_type(1, "positive")
-_nonnegative_int = _count_type(0, "nonnegative")
+_positive_int = _count_type(1, "a positive integer")
+_nonnegative_int = _count_type(0, "a nonnegative integer")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -485,7 +471,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"),
                    help="output format of --out (default: json for a .json path, "
                         "else csv)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed")
     p.add_argument("--config", help="JSON file of flag defaults; flags override it")
 
 
@@ -499,7 +485,7 @@ def _add_chain_flags(p: argparse.ArgumentParser, model_group=None) -> None:
     mutually exclusive group of alternative inputs."""
     (model_group or p).add_argument("--model", choices=("xx", "tfim"),
                                     required=model_group is None)
-    p.add_argument("--length", type=int, default=10)
+    p.add_argument("--length", type=_count_type(2, "an integer of at least 2"), default=10)
     p.add_argument("--coupling", type=_finite_float, default=1.0)
     p.add_argument("--field", type=_finite_float, default=1.0)
     p.add_argument("--sector", default=None,

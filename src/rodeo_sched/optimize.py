@@ -179,11 +179,62 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
 
 @dataclass(frozen=True)
 class AlphaOptimum:
-    """Ratio search outcome; flat marks an alpha-independent landscape."""
+    """Ratio search outcome at one total time; flat marks an alpha-independent landscape."""
 
+    total_time: float
     alpha: float
     objective: float
     flat: bool = False
+
+
+def _ratio_search(objective, n_samples: int, total_time: float, grid, bounds: tuple):
+    """One ratio search as a generator: it scores its grid, then yields each
+    golden-section ratio, is sent that ratio's value, and returns its optimum."""
+    vals = np.asarray(objective(geometric_times(grid, n_samples, total_time)), dtype=float)
+    spread = float(vals.max() - vals.min())
+    if spread <= 1e-12 * float(np.abs(vals).max()):
+        return AlphaOptimum(total_time, 0.5 * (bounds[0] + bounds[1]), float(vals[0]), flat=True)
+    k = int(np.argmin(vals))  # argmin takes the first, hence smallest, tied ratio
+    a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = (yield x1), (yield x2)
+    while (b - a) > 1e-6 * a:
+        if f1 <= f2:  # ties move toward the smaller ratio
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = yield x1
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = yield x2
+    return AlphaOptimum(total_time, float(x1 if f1 <= f2 else x2), float(min(f1, f2)))
+
+
+def _optimize_alphas(objective, n_samples: int, totals, alpha_bounds: tuple) -> list:
+    """optimize_alpha at each of ``totals``, in lockstep: each search makes
+    its own grid call, then each golden-section step is one call holding
+    the next ratio of every search still refining. The objective must score
+    each column on its own; each search then returns what it returns alone."""
+    lo, hi = alpha_bounds
+    if not hi > lo >= 1.0:
+        raise ValueError(f"alpha bounds must satisfy 1 <= low < high, got {(lo, hi)}")
+    lo_excess = max(lo - 1.0, ALPHA_FLOOR * (hi - 1.0))
+    grid = 1.0 + np.geomspace(lo_excess, hi - 1.0, ALPHA_GRID_POINTS)
+    searches = [_ratio_search(objective, n_samples, float(t), grid, (lo, hi)) for t in totals]
+    results, sent = [None] * len(totals), dict.fromkeys(range(len(totals)))
+    while True:
+        asked = {}  # the ratio each search still refining asks for
+        for i, value in sent.items():
+            try:
+                asked[i] = searches[i].send(value)
+            except StopIteration as done:
+                results[i] = done.value
+        if not asked:
+            return results
+        tm = geometric_times(list(asked.values()), n_samples, [totals[i] for i in asked])
+        sent = dict(zip(asked, map(float, objective(tm))))
 
 
 def optimize_alpha(objective, n_samples: int, total_time: float, *,
@@ -199,54 +250,16 @@ def optimize_alpha(objective, n_samples: int, total_time: float, *,
     however small its values: it returns the bounds midpoint with
     flat=True.
     """
-    lo, hi = alpha_bounds
-    if not hi > lo >= 1.0:
-        raise ValueError(f"alpha bounds must satisfy 1 <= low < high, got {(lo, hi)}")
-    lo_excess = max(lo - 1.0, ALPHA_FLOOR * (hi - 1.0))
-    grid = 1.0 + np.geomspace(lo_excess, hi - 1.0, ALPHA_GRID_POINTS)
-
-    def value(alpha: float) -> float:
-        return float(objective(geometric_times(alpha, n_samples, total_time))[0])
-
-    vals = np.asarray(objective(geometric_times(grid, n_samples, total_time)), dtype=float)
-    spread = float(vals.max() - vals.min())
-    if spread <= 1e-12 * float(np.abs(vals).max()):
-        return AlphaOptimum(alpha=0.5 * (lo + hi), objective=float(vals[0]), flat=True)
-    k = int(np.argmin(vals))  # argmin takes the first, hence smallest, tied ratio
-    a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
-
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = value(x1), value(x2)
-    while (b - a) > 1e-6 * a:
-        if f1 <= f2:  # ties move toward the smaller ratio
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = value(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = value(x2)
-    alpha = x1 if f1 <= f2 else x2
-    best = min(f1, f2)
-    return AlphaOptimum(alpha=float(alpha), objective=float(best), flat=False)
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One adaptive-curve entry: budget, best ratio, and its objective."""
-
-    total_time: float
-    alpha: float
-    objective: float
+    return _optimize_alphas(objective, n_samples, [total_time], alpha_bounds)[0]
 
 
 def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = False, *,
                          alpha_bounds: tuple = (1.0, 2.0)) -> list:
     """Optimal ratio at each total time of an ascending grid.
 
-    ``objective`` is optimize_alpha's (n_samples, S) -> (S,) callable.
-    With monotone=True each search's upper ratio bound is the previous
+    ``objective`` is optimize_alpha's (n_samples, S) -> (S,) callable,
+    scoring each column on its own. The searches run in lockstep, unless
+    monotone=True makes each search's upper ratio bound the previous
     optimum, encoding that the best ratio only falls as time grows. A
     flat search locates no optimum, so it leaves the bound as it was.
     """
@@ -255,11 +268,13 @@ def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = Fal
         raise ValueError("t_grid must be a nonempty 1-D array")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly ascending")
+    if not monotone:
+        return _optimize_alphas(objective, n_samples, t_grid, alpha_bounds)
     lo, hi = alpha_bounds
     points = []
     for t in t_grid:
         opt = optimize_alpha(objective, n_samples, float(t), alpha_bounds=(lo, hi))
-        points.append(CurvePoint(total_time=float(t), alpha=opt.alpha, objective=opt.objective))
-        if monotone and not opt.flat:
+        points.append(opt)
+        if not opt.flat:
             hi = max(opt.alpha, lo + ALPHA_FLOOR * (alpha_bounds[1] - 1.0))
     return points

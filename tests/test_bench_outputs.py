@@ -136,7 +136,10 @@ def test_benchmark_job_output_is_pinned(key, outputs):
                 f"scipy {scipy.__version__}, SIMD {_simd_found()}")
     assert got["hash"] == pin["hash"], f"{key}: manifest hash moved ({versions})"
     # Compared as JSON text, so that -0.0 and nan count bit for bit too.
-    assert _text(got["result"]) == _text(pin["result"]), f"{key}: result moved ({versions})"
+    moved = "; ".join(f"{path}: {a!r} -> {b!r}"
+                      for path, a, b in _moved(pin["result"], got["result"]))
+    assert _text(got["result"]) == _text(pin["result"]), (
+        f"{key}: result moved ({versions}): {moved}")
 
 
 if __name__ == "__main__":

@@ -303,18 +303,20 @@ SWEEP_PINS = [
 def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
     from rodeo_sched import cli
 
-    calls, real_batch, real_search = [], cli.rsn_quadrature_batch, cli.optimize_alpha
+    calls, fits = [], []
+    real_batch, real_searches = cli.rsn_quadrature_batch, cli._optimize_alphas
 
     def batch(spectrum, e_target, times, **kw):
         calls[-1].append(np.array(times))
         return real_batch(spectrum, e_target, times, **kw)
 
-    def search(*args, **kw):
-        calls.append([])  # one list of integrated matrices per fit
-        return real_search(*args, **kw)
+    def searches(objective, n_samples, totals, alpha_bounds):
+        calls.append([])  # one list of integrated matrices per Trotter step
+        fits.append(len(totals))
+        return real_searches(objective, n_samples, totals, alpha_bounds)
 
     monkeypatch.setattr(cli, "rsn_quadrature_batch", batch)
-    monkeypatch.setattr(cli, "optimize_alpha", search)
+    monkeypatch.setattr(cli, "_optimize_alphas", searches)
     out = tmp_path / "sweep.json"
     assert main(["schedule-fit", "--preset", "xi2", "--sweep", "--n-samples", "100",
                  "--t-points", "4", "--dt-mults", "0.01,0.05",
@@ -322,14 +324,14 @@ def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
     doc = json.loads(out.read_text())
     got = [(repr(p["alpha_opt"]), repr(p["zeta"])) for p in doc["result"]["points"]]
     assert got == SWEEP_PINS
-    assert len(calls) == len(SWEEP_PINS)
-    for fit in calls:
-        # no floored schedule of a fit is integrated twice, in a grid call
-        # or alone
-        columns = [col.tobytes() for m in fit for col in m.T]
+    assert fits == [4, 4] and sum(fits) == len(SWEEP_PINS)
+    for step in calls:
+        # no floored schedule of a Trotter step is integrated twice, in a
+        # grid call or a golden-section call, by one fit or by two
+        columns = [col.tobytes() for m in step for col in m.T]
         assert len(set(columns)) == len(columns)
     counts = doc["manifest"]["diagnostics"]
-    assert counts["schedules_integrated"] == sum(m.shape[1] for fit in calls for m in fit)
+    assert counts["schedules_integrated"] == sum(m.shape[1] for step in calls for m in step)
     assert counts["schedules_integrated"] < counts["schedules_scored"]
 
 
@@ -777,6 +779,12 @@ def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path,
      "--alpha-min"),
     (["curve", "--model", "xx", "--alpha-cap", "inf"], None, "--alpha-cap"),
     (["product-function", "--alpha", "2", "--theta", "inf"], None, "--theta"),
+    (["curve", "--model", "xx", "--seed", "-1"], None, "--seed"),
+    (["optimize-times", "--seed", "-1"], None, "--seed"),
+    (["rsn", "--times", "1"], {"seed": -3}, "--seed"),
+    (["curve", "--model", "xx", "--length", "0"], None, "--length"),
+    (["spectrum", "--model", "tfim", "--length", "1"], None, "--length"),
+    (["optimize-alpha", "--model", "xx"], {"length": -2}, "--length"),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     if config is not None:
@@ -789,7 +797,8 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
     counts = ("--windows", "--theta-points", "--t-points", "--rra-samples", "--n-samples",
               "--budget", "--restarts")
     expected = ("a positive integer" if flag in counts else {
-        "--n-terms": "a nonnegative integer", "--tolerance": "a number in (0, 1)",
+        "--n-terms": "a nonnegative integer", "--seed": "a nonnegative integer",
+        "--length": "an integer of at least 2", "--tolerance": "a number in (0, 1)",
         "--dt-mults": "a list of positive numbers", "--alpha-cap": "a number above 1",
         "--alpha": "a number of at least 1" if argv[0] == "rsn" else "a number above 1",
         "--alpha-min": "a number of at least 1", "--coupling": "a finite number",

@@ -11,7 +11,7 @@ from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, Hamiltonia
                          geometric_times, make_initial_state, minimum_gap, optimize_alpha,
                          optimize_times, rsn_closed_form, rsn_quadrature,
                          rsn_quadrature_batch, trotter_floor, trotter_round)
-from rodeo_sched.optimize import ALPHA_GRID_POINTS
+from rodeo_sched.optimize import ALPHA_GRID_POINTS, _optimize_alphas
 
 BAND = BandModel(0.1, 1.0)
 FAST = dict(budget=4000, restarts=2, seed=0)
@@ -31,6 +31,14 @@ def _spy(objective, shapes):
         shapes.append(tm.shape)
         return objective(tm)
     return spied
+
+
+def _recorder(objective, matrices):
+    """``objective``, keeping a copy of every matrix it is called on."""
+    def recorded(tm):
+        matrices.append(np.array(tm))
+        return objective(tm)
+    return recorded
 
 
 class _Objective:
@@ -215,6 +223,46 @@ def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_band():
         np.testing.assert_allclose((batched.alpha, batched.objective), expected, rtol=1e-12)
         assert shapes[0] == (100, ALPHA_GRID_POINTS)
         assert len(shapes) > 1 and set(shapes[1:]) == {(100, 1)}
+
+
+def test_lockstep_searches_equal_searches_run_alone():
+    spec = HamiltonianSpec(model="xx", length=8)
+    eig = eigendecompose(build_sector_hamiltonian(spec))
+    e0 = float(eig.eigenvalues[0])
+    chain = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1), e0)
+    t0 = math.pi / minimum_gap(eig, e0)
+    band = ContinuousBand(0.0, 1.0, density="gaussian")
+    levels = DiscreteSpectrum(energies=np.array([0.0, 0.3, 0.45, 1.0]),
+                              weights=np.array([0.4, 0.3, 0.2, 0.1]))
+    cases = [
+        (chain.batch, 60, [0.5 * t0, 2.0 * t0, 4.0 * t0]),
+        # at 0.1 pi every ratio floors to the empty schedule: a flat search
+        (lambda tm: rsn_quadrature_batch(band, -1.0, trotter_floor(tm, 0.25)), 60,
+         [0.1 * math.pi, math.pi, 5.0 * math.pi]),
+        (lambda tm: rsn_quadrature_batch(levels, 0.0, tm), 20, [3.0, 10.0, 40.0]),
+    ]
+    flat, step_counts = 0, set()
+    for objective, n, totals in cases:
+        alone, solo = [], []  # each search run on its own, and the matrices it scored
+        for t in totals:
+            solo.append([])
+            alone.append(optimize_alpha(_recorder(objective, solo[-1]), n, t))
+        together = []
+        assert _optimize_alphas(_recorder(objective, together), n, totals, (1.0, 2.0)) == alone
+        assert [opt.total_time for opt in alone] == totals
+        assert all(m.shape[1] > 0 for m in together)
+        # one grid call per search, in the order of the totals
+        grids, golden = together[:len(totals)], together[len(totals):]
+        for grid, own in zip(grids, solo):
+            np.testing.assert_array_equal(grid, own[0])
+        # golden step s holds the s-th step of each search still refining
+        assert len(golden) == max(len(own) - 1 for own in solo)
+        for s, m in enumerate(golden):
+            np.testing.assert_array_equal(
+                m, np.hstack([own[1 + s] for own in solo if len(own) > 1 + s]))
+        flat += sum(opt.flat for opt in alone)
+        step_counts |= {len(own) - 1 for own in solo}
+    assert flat == 1 and len(step_counts) >= 3
 
 
 def test_adaptive_curve_monotone_mode():

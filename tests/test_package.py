@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 import rodeo_sched
 import rodeo_sched.hamiltonians
 
@@ -35,3 +37,20 @@ def test_every_name_the_benchmark_traces_resolves_and_is_restored():
         during = lookups()
     assert {key: fn.__wrapped__ for key, fn in during.items()} == before
     assert lookups() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule-fit", "--preset", "xi2", "--sweep", "--n-samples", "30", "--t-points", "2",
+     "--dt-mults", "0.01"],
+    ["curve", "--model", "xx", "--length", "6", "--n-samples", "30", "--t-points", "2",
+     "--skip-rra"],
+    ["optimize-alpha", "--band", "0.1", "1.0", "--n-samples", "10"],
+])
+def test_traced_ratio_searches_run(argv, tmp_path):
+    # `bench/run.py --trace 1` runs every job under tracing, whose wrappers
+    # read the searches' results (optimize_alpha's .flat, the curve's length)
+    from rodeo_sched.cli import main
+
+    with tracing.traced(tracing.Tracer()) as tracer:
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert tracer.spans
