@@ -83,7 +83,8 @@ def _write_csv(path: str, header: list, rows: list, manifest: dict) -> None:
 def _emit(args, result: dict, header: list | None = None, rows: list | None = None,
           extra: dict | None = None, diagnostics: dict | None = None) -> None:
     """Write CSV rows or a JSON document to --out, else print JSON. Without
-    rows the CSV is the result as a quantity,value table; ``extra`` goes
+    rows the CSV is the result's scalars as a quantity,value table (a list
+    cell would put commas inside a CSV field); ``extra`` goes
     into the manifest's params. ``diagnostics``, like wall_time, goes into
     the manifest outside the hash."""
     wall = time.perf_counter() - args._t_start
@@ -92,7 +93,8 @@ def _emit(args, result: dict, header: list | None = None, rows: list | None = No
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
     if rows is None:
-        header, rows = ["quantity", "value"], [[k, v] for k, v in result.items()]
+        header = ["quantity", "value"]
+        rows = [[k, v] for k, v in result.items() if not isinstance(v, list)]
     if args.out and args.format == "csv":
         _write_csv(args.out, header, rows, manifest)
         return
@@ -105,12 +107,14 @@ def _emit(args, result: dict, header: list | None = None, rows: list | None = No
         print(text)
 
 
+def _items(text: str) -> list:
+    """The entries of a list flag, separated by commas or whitespace."""
+    return [p for chunk in text.split(",") for p in chunk.split()]
+
+
 def _parse_floats(text: str) -> np.ndarray:
-    items = [p for chunk in text.split(",") for p in chunk.split()]
-    try:
-        return np.array([float(p) for p in items])
-    except ValueError as exc:
-        raise ValueError(f"could not parse float list {text!r}: {exc}") from None
+    """A list flag's numbers; its type has checked every entry."""
+    return np.array([float(p) for p in _items(text)])
 
 
 def _resolve_schedule(args) -> TimeSchedule:
@@ -232,7 +236,8 @@ def cmd_optimize_alpha(args) -> int:
     opt = optimize_alpha(objective, args.n_samples, total,
                          alpha_bounds=(args.alpha_min, args.alpha_cap))
     result = {"alpha_opt": opt.alpha, "objective": opt.objective, "flat": opt.flat,
-              "total_time": total, "n_samples": args.n_samples}
+              "total_time": total, "n_samples": args.n_samples,
+              "schedule": superiteration_schedule(opt.alpha, args.n_samples, total).times.tolist()}
     _emit(args, result, extra=dict(extras, resolved_total_time=total),
           diagnostics=diagnostics)
     return 0
@@ -432,21 +437,11 @@ def _float_type(low: float, high: float, noun: str):
 _positive_float = _float_type(0.0, math.inf, "a positive number")
 _fraction = _float_type(0.0, 1.0, "a number in (0, 1)")
 _finite_float = _float_type(-math.inf, math.inf, "a finite number")
+# A time sample; -0.0 counts as zero.
+_nonnegative_float = _float_type(math.nextafter(0.0, -1.0), math.inf, "a nonnegative number")
 # The ratio of a suppression product; a geometric schedule's may also be 1.
 _ratio = _float_type(1.0, math.inf, "a number above 1")
 _schedule_ratio = _float_type(math.nextafter(1.0, 0.0), math.inf, "a number of at least 1")
-
-
-def _positive_list(text: str) -> str:
-    """argparse type of a comma-separated list of positive finite numbers,
-    at least one; the text is kept as given, as the manifest records it."""
-    try:
-        values = _parse_floats(text)
-    except ValueError:
-        values = np.array([math.nan])
-    if not (values.size and np.all((values > 0.0) & (values < math.inf))):
-        raise argparse.ArgumentTypeError(f"expected a list of positive numbers, got {text!r}")
-    return text
 
 
 def _count_type(least: int, noun: str):
@@ -464,6 +459,29 @@ def _count_type(least: int, noun: str):
 
 _positive_int = _count_type(1, "a positive integer")
 _nonnegative_int = _count_type(0, "a nonnegative integer")
+_chain_length = _count_type(2, "an integer of at least 2")
+
+
+def _list_type(entry, noun: str, least: int = 0):
+    """argparse type of a list of at least ``least`` entries, each in the
+    domain of the type ``entry``; the text is kept as given, as the
+    manifest records it."""
+    def parse(text: str) -> str:
+        items = _items(text)
+        try:
+            for item in items:
+                entry(item)
+        except argparse.ArgumentTypeError:
+            items = None
+        if items is None or len(items) < least:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        return text
+    return parse
+
+
+_positive_list = _list_type(_positive_float, "a list of positive numbers", least=1)
+_time_list = _list_type(_nonnegative_float, "a list of nonnegative numbers")
+_ratio_list = _list_type(_schedule_ratio, "a list of numbers of at least 1")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -476,7 +494,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_band_flags(p) -> None:
-    p.add_argument("--band", nargs=2, type=float, default=[0.1, 1.0],
+    p.add_argument("--band", nargs=2, type=_positive_float, default=[0.1, 1.0],
                    metavar=("DMIN", "DMAX"), help="gap band edges")
 
 
@@ -485,18 +503,17 @@ def _add_chain_flags(p: argparse.ArgumentParser, model_group=None) -> None:
     mutually exclusive group of alternative inputs."""
     (model_group or p).add_argument("--model", choices=("xx", "tfim"),
                                     required=model_group is None)
-    p.add_argument("--length", type=_count_type(2, "an integer of at least 2"), default=10)
+    p.add_argument("--length", type=_chain_length, default=10)
     p.add_argument("--coupling", type=_finite_float, default=1.0)
     p.add_argument("--field", type=_finite_float, default=1.0)
-    p.add_argument("--sector", default=None,
-                   help="zero_magnetization, even_parity or full "
-                        "(default: the model's native sector)")
+    p.add_argument("--sector", choices=("zero_magnetization", "even_parity", "full"),
+                   default=None, help="default: the model's native sector")
 
 
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
     state = p.add_mutually_exclusive_group()
     state.add_argument("--initial-state", choices=("e1", "fusion", "plus"), default=None)
-    state.add_argument("--basis-index", type=int, default=None,
+    state.add_argument("--basis-index", type=_nonnegative_int, default=None,
                        help="start from this ordered sector basis vector")
 
 
@@ -524,7 +541,7 @@ def build_parser() -> tuple:
     p.add_argument("--e-target", type=_finite_float, default=0.0,
                    help="target energy of --band-file or --spectrum-file")
     schedule = p.add_mutually_exclusive_group()
-    schedule.add_argument("--times", help="comma-separated time samples")
+    schedule.add_argument("--times", type=_time_list, help="comma-separated time samples")
     schedule.add_argument("--schedule-file", help="schedule CSV or JSON")
     schedule.add_argument("--alpha", type=_schedule_ratio,
                           help="geometric ratio (with --total-time)")
@@ -571,7 +588,7 @@ def build_parser() -> tuple:
     _add_state_flags(p)
     _add_alpha_bounds(p)
     p.add_argument("--n-samples", type=_positive_int, default=100)
-    p.add_argument("--alphas", default="2.0,1.5,1.2",
+    p.add_argument("--alphas", type=_ratio_list, default="2.0,1.5,1.2",
                    help="comma-separated fixed ratios to plot")
     p.add_argument("--t-min-mult", type=_positive_float, default=0.1,
                    help="grid start in characteristic-time units")

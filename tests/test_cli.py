@@ -1,7 +1,9 @@
 """Command-line interface: outputs, manifests, config files, exit codes."""
 
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodeo_sched import TimeSchedule, read_schedule, rsn_quadrature
+from rodeo_sched import TimeSchedule, cli, read_schedule, rsn_quadrature, superiteration_schedule
 from rodeo_sched.cli import PRESETS, _config_flags, _manifest, build_parser, main
 from rodeo_sched.quadrature import ABS_TOL
 from rodeo_sched.spectral import band_from_json
@@ -30,6 +32,14 @@ def _read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return lines[0].split("=", 1)[1], header, rows
+
+
+def _usage_error(argv, capsys) -> str:
+    """stderr of a command line that exits 2; any other exit or exception fails."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    return capsys.readouterr().err
 
 
 def test_rsn_dual_convention(capsys):
@@ -301,8 +311,6 @@ SWEEP_PINS = [
 
 
 def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
-    from rodeo_sched import cli
-
     calls, fits = [], []
     real_batch, real_searches = cli.rsn_quadrature_batch, cli._optimize_alphas
 
@@ -437,11 +445,8 @@ def test_inverted_band_is_an_error(capsys):
 def test_zero_is_a_given_value_not_an_absent_one(argv, capsys):
     # a zero total time or ratio is refused by its flag's type (exit 2),
     # not taken for an absent one
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
     flag = argv[argv.index("0") - 1]
-    assert f"argument {flag}: expected a" in capsys.readouterr().err
+    assert f"argument {flag}: expected a" in _usage_error(argv, capsys)
 
 
 def test_rsn_band_rejects_a_target_energy(capsys):
@@ -460,10 +465,7 @@ def test_rsn_band_rejects_a_target_energy(capsys):
      "--n-samples", "5"],
 ])
 def test_conflicting_inputs_are_a_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "not allowed with argument" in _usage_error(argv, capsys)
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -474,10 +476,8 @@ def test_conflicting_inputs_are_a_usage_error(argv, capsys):
 def test_config_values_obey_the_exclusive_groups(config, flags, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    with pytest.raises(SystemExit) as info:
-        main(["rsn", "--config", str(cfg)] + flags)
-    assert info.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "not allowed with argument" in _usage_error(["rsn", "--config", str(cfg)] + flags,
+                                                       capsys)
 
 
 def test_a_flag_repeating_a_grouped_config_key_wins(tmp_path, capsys):
@@ -500,10 +500,7 @@ def test_a_flag_repeating_a_grouped_config_key_wins(tmp_path, capsys):
 def test_config_values_get_the_flag_checks(config, argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    with pytest.raises(SystemExit) as info:  # any other exception is a traceback
-        main(argv + ["--config", str(cfg)])
-    assert info.value.code == 2
-    assert "error: " in capsys.readouterr().err
+    assert "error: " in _usage_error(argv + ["--config", str(cfg)], capsys)
 
 
 def test_config_supplies_a_required_flag(tmp_path, capsys):
@@ -535,23 +532,16 @@ def test_config_values_become_flags_after_the_subcommand(tmp_path):
     ["optimize-alpha", "--model", "xx", "--basis-index", "3", "--initial-state", "e1"],
 ])
 def test_state_flags_exclude_each_other(argv, tmp_path, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "not allowed with argument" in _usage_error(argv, capsys)
     # one from a config file, the other as a flag
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({argv[3][2:]: argv[4]}))
-    with pytest.raises(SystemExit) as info:
-        main(argv[:3] + argv[5:] + ["--config", str(cfg)])
-    assert info.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "not allowed with argument" in _usage_error(
+        argv[:3] + argv[5:] + ["--config", str(cfg)], capsys)
 
 
 def test_spectrum_takes_only_chain_flags(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["spectrum", "--model", "xx", "--length", "4", "--initial-state", "e1"])
-    assert info.value.code == 2
+    _usage_error(["spectrum", "--model", "xx", "--length", "4", "--initial-state", "e1"], capsys)
     code, doc = _run_json(["spectrum", "--model", "xx", "--length", "4"], capsys)
     assert code == 0
     assert sorted(doc["manifest"]["params"]) == [
@@ -681,12 +671,30 @@ def test_optimized_schedule_file_round_trips_through_rsn(tmp_path, capsys, fmt):
                                rtol=1e-10)
 
 
+def test_a_ratio_fit_round_trips_through_rsn(tmp_path, capsys):
+    # the JSON document holds the geometric times the search scored; the
+    # CSV stays a table of the scalar fields
+    argv = ["optimize-alpha", "--band", "0.1", "1", "--n-samples", "8", "--t0-multiple", "2"]
+    out = tmp_path / "fit.json"
+    assert main(argv + ["--out", str(out), "--format", "json"]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert not result["flat"]
+    times = superiteration_schedule(result["alpha_opt"], 8, result["total_time"]).times
+    assert read_schedule(out).times.tolist() == result["schedule"] == times.tolist()
+    code, back = _run_json(["rsn", "--schedule-file", str(out)], capsys)
+    assert code == 0
+    assert back["result"]["zeta_quadrature"] == result["objective"]
+    assert main(argv + ["--out", str(tmp_path / "fit.csv")]) == 0
+    _, header, rows = _read_csv(tmp_path / "fit.csv")
+    assert header == ["quantity", "value"]
+    assert [row[0] for row in rows] == ["alpha_opt", "objective", "flat", "total_time",
+                                        "n_samples"]
+
+
 @pytest.mark.parametrize("out, fmt", [("o.json", "csv"), ("o.csv", "json"), ("o", "json")])
 def test_a_format_contradicting_the_out_suffix_is_a_usage_error(out, fmt, tmp_path, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["rsn", "--out", str(tmp_path / out), "--format", fmt])
-    assert info.value.code == 2
-    assert f"argument --format: {fmt} contradicts --out" in capsys.readouterr().err
+    err = _usage_error(["rsn", "--out", str(tmp_path / out), "--format", fmt], capsys)
+    assert f"argument --format: {fmt} contradicts --out" in err
     assert not (tmp_path / out).exists()
 
 
@@ -703,106 +711,151 @@ def test_a_chain_without_a_gap_says_so(argv, capsys):
 def test_a_config_list_for_a_one_value_flag_names_the_key_and_the_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"times": [1, 2, 3]}))
-    with pytest.raises(SystemExit) as info:
-        main(["rsn", "--config", str(cfg)])
-    assert info.value.code == 2
     assert (f"rodeo-sched rsn: error: config key 'times' in {cfg} is a list, "
-            "but --times takes none") in capsys.readouterr().err
+            "but --times takes none") in _usage_error(["rsn", "--config", str(cfg)], capsys)
+
+
+def _valued_flags() -> list:
+    """(command, flag, action) of every flag that takes a value."""
+    return [(command, action.option_strings[0], action)
+            for command, parser in build_parser()[1].items()
+            for action in parser._actions if action.option_strings and action.nargs != 0]
+
+
+def _refusal(command, flag, value) -> str:
+    """The usage error that ``flag``'s type gives for ``value``."""
+    [action] = [a for c, f, a in _valued_flags() if (c, f) == (command, flag)]
+    with pytest.raises(argparse.ArgumentTypeError) as info:
+        action.type(value)
+    return f"error: argument {flag}: {info.value}"
+
+
+# Values outside the domain of each flag type. Every flag of a type gets
+# every value below; a flag that takes a value has a path, choices or one
+# of these types.
+OUTSIDE = {
+    cli._positive_float: ["0", "-0.01", "-1", "-2", "-5", "inf", "nan", "x"],
+    cli._fraction: ["0", "1", "2", "nan"],
+    cli._finite_float: ["inf", "-inf", "nan", "x"],
+    cli._ratio: ["0.5", "1", "inf", "nan"],
+    cli._schedule_ratio: ["0", "0.5", "inf", "nan"],
+    cli._positive_int: ["-5", "-1", "0", "2.5", "x"],
+    cli._nonnegative_int: ["-3", "-1", "2.5"],
+    cli._chain_length: ["-2", "0", "1"],
+    cli._positive_list: ["", "0", "0.01,-0.1", "0.01,x", "1,inf"],
+    cli._time_list: ["1,-2", "-0.5", "inf", "nan", "x"],
+    cli._ratio_list: ["0.5", "2,0.99", "inf", "1,x"],
+}
+PATH_FLAGS = ("--out", "--config", "--band-file", "--spectrum-file", "--schedule-file")
+DOMAIN_CASES = [(command, flag, value) for command, flag, action in _valued_flags()
+                if action.type in OUTSIDE for value in OUTSIDE[action.type]]
+
+
+@pytest.mark.parametrize("command, flag, value", DOMAIN_CASES,
+                         ids=[f"{c} {f}={v}" for c, f, v in DOMAIN_CASES])
+def test_a_value_outside_its_flags_domain_is_a_usage_error(command, flag, value, capsys):
+    # flag=value keeps a value such as -inf from being read as a flag; a
+    # type error exits before argparse looks for the required flags
+    argv = [command, flag, value, "1"] if flag == "--band" else [command, f"{flag}={value}"]
+    assert _refusal(command, flag, value) in _usage_error(argv, capsys)
+
+
+def test_every_flag_that_takes_a_value_declares_its_domain():
+    assert [(command, flag) for command, flag, action in _valued_flags()
+            if flag not in PATH_FLAGS and action.choices is None
+            and action.type not in OUTSIDE] == []
+
+
+def test_the_readme_exit_codes_name_every_flag_with_a_domain():
+    text = README.read_text()
+    paragraph = text[text.index("Exit codes:"):].split("\n\n")[0]
+    assert sorted({flag for _, flag, action in _valued_flags() if action.type in OUTSIDE
+                   and not re.search(rf"(?<![\w-]){flag}(?![\w-])", paragraph)}) == []
+
+
+def _bad_line(line, config=None):
+    """(argv, config, flag) of a command line whose last flag, or whose one
+    config key, holds a value outside the flag's domain."""
+    argv = shlex.split(line)
+    return argv, config, "--" + next(iter(config)).replace("_", "-") if config else argv[-2]
 
 
 @pytest.mark.parametrize("argv, config, flag", [
-    (["curve", "--model", "xx", "--t-min-mult", "-1"], None, "--t-min-mult"),
-    (["curve", "--model", "xx", "--t-max-mult", "0"], None, "--t-max-mult"),
-    (["schedule-fit", "--preset", "xi2", "--sweep", "--t-min-mult", "-1"], None, "--t-min-mult"),
-    (["schedule-fit", "--preset", "xi2", "--sweep", "--t-max-mult", "inf"], None,
-     "--t-max-mult"),
-    (["product-function", "--alpha", "2", "--theta-min", "-1", "--theta-max", "100"], None,
-     "--theta-min"),
-    (["product-function", "--alpha", "2", "--theta-max", "nan"], None, "--theta-max"),
-    (["decay-fit", "--alpha", "2", "--theta-min", "x"], None, "--theta-min"),
-    (["decay-fit", "--alpha", "2"], {"theta_max": -1e4}, "--theta-max"),
-    (["decay-fit", "--alpha", "2", "--windows", "-1"], None, "--windows"),
-    (["decay-fit", "--alpha", "2", "--windows", "0"], None, "--windows"),
-    (["decay-fit", "--alpha", "2", "--windows", "2.5"], None, "--windows"),
-    (["decay-fit", "--alpha", "2"], {"windows": -1}, "--windows"),
-    (["decay-fit", "--alpha", "2", "--n-terms", "-3"], None, "--n-terms"),
-    (["product-function", "--alpha", "2", "--n-terms", "-1"], None, "--n-terms"),
-    (["product-function", "--alpha", "2", "--theta-points", "0"], None, "--theta-points"),
-    (["product-function", "--alpha", "2", "--theta-points", "-1"], None, "--theta-points"),
-    (["curve", "--model", "xx", "--t-points", "0"], None, "--t-points"),
-    (["curve", "--model", "xx"], {"t_points": 2.5}, "--t-points"),
-    (["schedule-fit", "--preset", "xi2", "--sweep", "--t-points", "0"], None, "--t-points"),
-    (["curve", "--model", "xx", "--rra-samples", "0"], None, "--rra-samples"),
-    (["rsn", "--alpha", "2", "--total-time", "10", "--n-samples", "0"], None, "--n-samples"),
-    (["optimize-times", "--n-samples", "-1"], None, "--n-samples"),
-    (["optimize-times", "--budget", "0"], None, "--budget"),
-    (["optimize-times", "--restarts", "0"], None, "--restarts"),
-    (["optimize-alpha", "--n-samples", "0"], None, "--n-samples"),
-    (["table1", "--n-samples", "2.5"], None, "--n-samples"),
-    (["table1", "--budget", "-5"], None, "--budget"),
-    (["table1", "--restarts", "0"], None, "--restarts"),
-    (["curve", "--model", "xx", "--length", "4", "--n-samples", "0"], None, "--n-samples"),
-    (["schedule-fit", "--preset", "xi2", "--sweep"], {"n_samples": 0}, "--n-samples"),
-    (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", ""], None, "--dt-mults"),
-    (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", "0"], None, "--dt-mults"),
-    (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", "0.01,-0.1"], None,
-     "--dt-mults"),
-    (["schedule-fit", "--preset", "xi2", "--sweep", "--dt-mults", "0.01,x"], None, "--dt-mults"),
-    (["optimize-times", "--tolerance", "2"], None, "--tolerance"),
-    (["optimize-times", "--tolerance", "0"], None, "--tolerance"),
-    (["table1", "--tolerance", "nan"], None, "--tolerance"),
-    (["table1"], {"tolerance": 1}, "--tolerance"),
-    (["rsn", "--alpha", "2", "--total-time", "-5"], None, "--total-time"),
-    (["optimize-times", "--total-time", "0"], None, "--total-time"),
-    (["optimize-alpha", "--band", "0.1", "1", "--total-time", "inf"], None, "--total-time"),
-    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0.01"], {"total_time": -1},
-     "--total-time"),
-    (["optimize-times", "--t0-multiple", "-2"], None, "--t0-multiple"),
-    (["optimize-alpha", "--band", "0.1", "1", "--t0-multiple", "nan"], None, "--t0-multiple"),
-    (["optimize-alpha", "--band", "0.1", "1", "--t0-multiple", "0"], None, "--t0-multiple"),
-    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0.01", "--t0-multiple", "-1"], None,
-     "--t0-multiple"),
-    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0"], None, "--trotter-dt"),
-    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "-0.01"], None, "--trotter-dt"),
-    (["decay-fit", "--alpha", "1"], None, "--alpha"),
-    (["decay-fit", "--alpha", "inf"], None, "--alpha"),
-    (["product-function", "--alpha", "0.5"], None, "--alpha"),
-    (["product-function"], {"alpha": "nan"}, "--alpha"),
-    (["spectrum", "--model", "tfim", "--length", "4", "--field", "inf"], None, "--field"),
-    (["curve", "--model", "xx", "--coupling", "nan"], None, "--coupling"),
-    (["optimize-alpha", "--model", "tfim"], {"coupling": "-inf"}, "--coupling"),
-    (["rsn", "--e-target", "nan"], None, "--e-target"),
-    (["schedule-fit", "--preset", "xi2", "--e-target", "inf", "--trotter-dt", "0.01"], None,
-     "--e-target"),
-    (["rsn", "--alpha", "inf", "--total-time", "10"], None, "--alpha"),
-    (["schedule-fit", "--preset", "xi2", "--trotter-dt", "0.01", "--alpha-min", "0.5"], None,
-     "--alpha-min"),
-    (["curve", "--model", "xx", "--alpha-cap", "inf"], None, "--alpha-cap"),
-    (["product-function", "--alpha", "2", "--theta", "inf"], None, "--theta"),
-    (["curve", "--model", "xx", "--seed", "-1"], None, "--seed"),
-    (["optimize-times", "--seed", "-1"], None, "--seed"),
-    (["rsn", "--times", "1"], {"seed": -3}, "--seed"),
-    (["curve", "--model", "xx", "--length", "0"], None, "--length"),
-    (["spectrum", "--model", "tfim", "--length", "1"], None, "--length"),
-    (["optimize-alpha", "--model", "xx"], {"length": -2}, "--length"),
+    _bad_line("curve --model xx --t-min-mult -1"),
+    _bad_line("curve --model xx --t-max-mult 0"),
+    _bad_line("schedule-fit --preset xi2 --sweep --t-min-mult -1"),
+    _bad_line("schedule-fit --preset xi2 --sweep --t-max-mult inf"),
+    _bad_line("product-function --alpha 2 --theta-max 100 --theta-min -1"),
+    _bad_line("product-function --alpha 2 --theta-max nan"),
+    _bad_line("decay-fit --alpha 2 --theta-min x"),
+    _bad_line("decay-fit --alpha 2", {"theta_max": -1e4}),
+    _bad_line("decay-fit --alpha 2 --windows -1"),
+    _bad_line("decay-fit --alpha 2 --windows 0"),
+    _bad_line("decay-fit --alpha 2 --windows 2.5"),
+    _bad_line("decay-fit --alpha 2", {"windows": -1}),
+    _bad_line("decay-fit --alpha 2 --n-terms -3"),
+    _bad_line("product-function --alpha 2 --n-terms -1"),
+    _bad_line("product-function --alpha 2 --theta-points 0"),
+    _bad_line("product-function --alpha 2 --theta-points -1"),
+    _bad_line("curve --model xx --t-points 0"),
+    _bad_line("curve --model xx", {"t_points": 2.5}),
+    _bad_line("schedule-fit --preset xi2 --sweep --t-points 0"),
+    _bad_line("curve --model xx --rra-samples 0"),
+    _bad_line("rsn --alpha 2 --total-time 10 --n-samples 0"),
+    _bad_line("optimize-times --n-samples -1"),
+    _bad_line("optimize-times --budget 0"),
+    _bad_line("optimize-times --restarts 0"),
+    _bad_line("optimize-alpha --n-samples 0"),
+    _bad_line("table1 --n-samples 2.5"),
+    _bad_line("table1 --budget -5"),
+    _bad_line("table1 --restarts 0"),
+    _bad_line("curve --model xx --length 4 --n-samples 0"),
+    _bad_line("schedule-fit --preset xi2 --sweep", {"n_samples": 0}),
+    _bad_line("schedule-fit --preset xi2 --sweep --dt-mults ''"),
+    _bad_line("schedule-fit --preset xi2 --sweep --dt-mults 0"),
+    _bad_line("schedule-fit --preset xi2 --sweep --dt-mults 0.01,-0.1"),
+    _bad_line("schedule-fit --preset xi2 --sweep --dt-mults 0.01,x"),
+    _bad_line("optimize-times --tolerance 2"),
+    _bad_line("optimize-times --tolerance 0"),
+    _bad_line("table1 --tolerance nan"),
+    _bad_line("table1", {"tolerance": 1}),
+    _bad_line("rsn --alpha 2 --total-time -5"),
+    _bad_line("optimize-times --total-time 0"),
+    _bad_line("optimize-alpha --band 0.1 1 --total-time inf"),
+    _bad_line("schedule-fit --preset xi2 --trotter-dt 0.01", {"total_time": -1}),
+    _bad_line("optimize-times --t0-multiple -2"),
+    _bad_line("optimize-alpha --band 0.1 1 --t0-multiple nan"),
+    _bad_line("optimize-alpha --band 0.1 1 --t0-multiple 0"),
+    _bad_line("schedule-fit --preset xi2 --trotter-dt 0.01 --t0-multiple -1"),
+    _bad_line("schedule-fit --preset xi2 --trotter-dt 0"),
+    _bad_line("schedule-fit --preset xi2 --trotter-dt -0.01"),
+    _bad_line("decay-fit --alpha 1"),
+    _bad_line("decay-fit --alpha inf"),
+    _bad_line("product-function --alpha 0.5"),
+    _bad_line("product-function", {"alpha": "nan"}),
+    _bad_line("spectrum --model tfim --length 4 --field inf"),
+    _bad_line("curve --model xx --coupling nan"),
+    _bad_line("optimize-alpha --model tfim", {"coupling": "-inf"}),
+    _bad_line("rsn --e-target nan"),
+    _bad_line("schedule-fit --preset xi2 --trotter-dt 0.01 --e-target inf"),
+    _bad_line("rsn --total-time 10 --alpha inf"),
+    _bad_line("schedule-fit --preset xi2 --trotter-dt 0.01 --alpha-min 0.5"),
+    _bad_line("curve --model xx --alpha-cap inf"),
+    _bad_line("product-function --alpha 2 --theta inf"),
+    _bad_line("curve --model xx --seed -1"),
+    _bad_line("optimize-times --seed -1"),
+    _bad_line("rsn --times 1", {"seed": -3}),
+    _bad_line("curve --model xx --length 0"),
+    _bad_line("spectrum --model tfim --length 1"),
+    _bad_line("optimize-alpha --model xx", {"length": -2}),
 ])
 def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
+    # Whole command lines, with the flags a run needs, or the value in a
+    # config file; the message is the one the flag's type gives.
+    value = argv[-1]
     if config is not None:
+        [value] = map(str, config.values())
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = argv + ["--config", str(cfg)]
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    counts = ("--windows", "--theta-points", "--t-points", "--rra-samples", "--n-samples",
-              "--budget", "--restarts")
-    expected = ("a positive integer" if flag in counts else {
-        "--n-terms": "a nonnegative integer", "--seed": "a nonnegative integer",
-        "--length": "an integer of at least 2", "--tolerance": "a number in (0, 1)",
-        "--dt-mults": "a list of positive numbers", "--alpha-cap": "a number above 1",
-        "--alpha": "a number of at least 1" if argv[0] == "rsn" else "a number above 1",
-        "--alpha-min": "a number of at least 1", "--coupling": "a finite number",
-        "--field": "a finite number", "--e-target": "a finite number",
-        "--theta": "a finite number",
-    }.get(flag, "a positive number"))
-    assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err
+    assert _refusal(argv[0], flag, value) in _usage_error(argv, capsys)
