@@ -18,7 +18,8 @@ from .closed_form import (BandModel, asymptotic_rsn, rsn_closed_form,
                           rsn_closed_form_batch, superiteration_limit_rsn)
 from .hamiltonians import (EigenSystem, HamiltonianSpec, InitialState,
                            RodeoObjective, build_sector_hamiltonian, eigendecompose,
-                           make_initial_state, minimum_gap, sector_basis)
+                           make_initial_state, minimum_gap, sector_basis,
+                           sector_symmetries)
 from .optimize import (AlphaOptimum, OptimizationResult, adaptive_alpha_curve,
                        optimize_alpha, optimize_times)
 from .quadrature import QuadratureError, integrate_oscillatory
@@ -67,6 +68,7 @@ __all__ = [
     "rsn_quadrature",
     "rsn_quadrature_batch",
     "sector_basis",
+    "sector_symmetries",
     "superiteration_limit_rsn",
     "superiteration_schedule",
     "survival_product",

@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .closed_form import MAX_ENUM_N, BandModel, rsn_closed_form
 from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
-                           eigendecompose, make_initial_state, minimum_gap)
+                           eigendecompose, make_initial_state, minimum_gap,
+                           sector_symmetries)
 from .optimize import _optimize_alphas, adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import ABS_TOL, QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, file_format, geometric_times,
@@ -139,7 +140,7 @@ def _chain(args):
     spec = HamiltonianSpec(model=args.model, length=args.length,
                            coupling=args.coupling, field=args.field,
                            sector=args.sector or "")
-    return spec, eigendecompose(build_sector_hamiltonian(spec))
+    return spec, eigendecompose(build_sector_hamiltonian(spec), sector_symmetries(spec))
 
 
 def _hamiltonian_backend(args):
@@ -270,7 +271,7 @@ def cmd_curve(args) -> int:
     t_grid = np.geomspace(args.t_min_mult, args.t_max_mult, args.t_points) * t0
     columns: dict = {}
     for a in fixed_alphas:
-        columns[f"fidelity_alpha_{a:g}"] = 1.0 - objective.batch(
+        columns[_alpha_column(a)] = 1.0 - objective.batch(
             geometric_times(a, args.n_samples, t_grid))
     curve = adaptive_alpha_curve(objective.batch, args.n_samples, t_grid,
                                  monotone=args.monotone,
@@ -462,26 +463,35 @@ _nonnegative_int = _count_type(0, "a nonnegative integer")
 _chain_length = _count_type(2, "an integer of at least 2")
 
 
-def _list_type(entry, noun: str, least: int = 0):
+def _list_type(entry, noun: str, least: int = 0, name=None):
     """argparse type of a list of at least ``least`` entries, each in the
-    domain of the type ``entry``; the text is kept as given, as the
-    manifest records it."""
+    domain of the type ``entry``; with ``name``, no two entries may give
+    the same name(value). The text is kept as given, as the manifest
+    records it."""
     def parse(text: str) -> str:
         items = _items(text)
         try:
-            for item in items:
-                entry(item)
+            values = [entry(item) for item in items]
         except argparse.ArgumentTypeError:
-            items = None
-        if items is None or len(items) < least:
+            values = None
+        if values is None or len(values) < least:
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if name is not None and len({name(v) for v in values}) < len(values):
+            raise argparse.ArgumentTypeError(
+                f"expected {noun} that name distinct columns, got {text!r}")
         return text
     return parse
 
 
+def _alpha_column(alpha: float) -> str:
+    """curve's column of the fixed ratio ``alpha``."""
+    return f"fidelity_alpha_{alpha:g}"
+
+
 _positive_list = _list_type(_positive_float, "a list of positive numbers", least=1)
 _time_list = _list_type(_nonnegative_float, "a list of nonnegative numbers")
-_ratio_list = _list_type(_schedule_ratio, "a list of numbers of at least 1")
+_ratio_list = _list_type(_schedule_ratio, "a list of numbers of at least 1",
+                         name=_alpha_column)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

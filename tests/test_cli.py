@@ -744,7 +744,8 @@ OUTSIDE = {
     cli._chain_length: ["-2", "0", "1"],
     cli._positive_list: ["", "0", "0.01,-0.1", "0.01,x", "1,inf"],
     cli._time_list: ["1,-2", "-0.5", "inf", "nan", "x"],
-    cli._ratio_list: ["0.5", "2,0.99", "inf", "1,x"],
+    # 1.5000001 prints as 1.5 under :g, the name of its curve column
+    cli._ratio_list: ["0.5", "2,0.99", "inf", "1,x", "1.5,1.5000001,2", "2,2.0"],
 }
 PATH_FLAGS = ("--out", "--config", "--band-file", "--spectrum-file", "--schedule-file")
 DOMAIN_CASES = [(command, flag, value) for command, flag, action in _valued_flags()
