@@ -355,14 +355,16 @@ def cmd_schedule_fit(args) -> int:
         # Flooring makes the objective piecewise constant in the ratio, so
         # golden steps and grid columns repeat schedules. A batch column
         # is the bits of its one-column call, so every distinct floored
-        # schedule of the step is integrated once, keyed by its bytes
+        # schedule of the step is integrated once, keyed by its bytes: one
+        # void view of the columns, the bytes of each column's tobytes()
         # (np.unique(axis=1) costs more than the duplicates).
         known = {}
 
         def objective(tm):
             floored = trotter_floor(tm, dt)
             counts["schedules_scored"] += floored.shape[1]
-            keys = [col.tobytes() for col in floored.T]
+            keys = (np.ascontiguousarray(floored.T)
+                    .view((np.void, 8 * floored.shape[0])).ravel().tolist())
             new = [key for key in dict.fromkeys(keys) if key not in known]
             if new:
                 counts["schedules_integrated"] += len(new)

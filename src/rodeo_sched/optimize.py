@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import TimeSchedule, geometric_times
+from .schedules import TimeSchedule, geometric_table, geometric_times, scale_table
 
 MAX_OPTIMIZE_N = 15
 ALPHA_GRID_POINTS = 240
@@ -187,10 +187,11 @@ class AlphaOptimum:
     flat: bool = False
 
 
-def _ratio_search(objective, n_samples: int, total_time: float, grid, bounds: tuple):
-    """One ratio search as a generator: it scores its grid, then yields each
-    golden-section ratio, is sent that ratio's value, and returns its optimum."""
-    vals = np.asarray(objective(geometric_times(grid, n_samples, total_time)), dtype=float)
+def _ratio_search(total_time: float, grid, bounds: tuple):
+    """One ratio search as a generator: it is sent its grid's values, then
+    yields each golden-section ratio, is sent that ratio's value, and
+    returns its optimum."""
+    vals = np.asarray((yield), dtype=float)
     spread = float(vals.max() - vals.min())
     if spread <= 1e-12 * float(np.abs(vals).max()):
         return AlphaOptimum(total_time, 0.5 * (bounds[0] + bounds[1]), float(vals[0]), flat=True)
@@ -213,28 +214,46 @@ def _ratio_search(objective, n_samples: int, total_time: float, grid, bounds: tu
 
 
 def _optimize_alphas(objective, n_samples: int, totals, alpha_bounds: tuple) -> list:
-    """optimize_alpha at each of ``totals``, in lockstep: each search makes
-    its own grid call, then each golden-section step is one call holding
-    the next ratio of every search still refining. The objective must score
-    each column on its own; each search then returns what it returns alone."""
+    """optimize_alpha at each of ``totals``, in lockstep: one grid call per
+    search, in the order of the totals, then each golden-section step is
+    one call holding the next ratio of every search still refining. The
+    objective must score each column on its own; each search then returns
+    what it returns alone. The grids share one geometric table, which no
+    grid outlives."""
     lo, hi = alpha_bounds
     if not hi > lo >= 1.0:
         raise ValueError(f"alpha bounds must satisfy 1 <= low < high, got {(lo, hi)}")
     lo_excess = max(lo - 1.0, ALPHA_FLOOR * (hi - 1.0))
     grid = 1.0 + np.geomspace(lo_excess, hi - 1.0, ALPHA_GRID_POINTS)
-    searches = [_ratio_search(objective, n_samples, float(t), grid, (lo, hi)) for t in totals]
-    results, sent = [None] * len(totals), dict.fromkeys(range(len(totals)))
-    while True:
-        asked = {}  # the ratio each search still refining asks for
-        for i, value in sent.items():
-            try:
-                asked[i] = searches[i].send(value)
-            except StopIteration as done:
-                results[i] = done.value
-        if not asked:
-            return results
-        tm = geometric_times(list(asked.values()), n_samples, [totals[i] for i in asked])
-        sent = dict(zip(asked, map(float, objective(tm))))
+    totals = [float(t) for t in totals]
+    searches = [_ratio_search(t, grid, (lo, hi)) for t in totals]
+    results = [None] * len(totals)
+
+    def send(i, values, asked):
+        """Send search i its values; record the ratio it asks for next in
+        ``asked``, or its result once it returns."""
+        try:
+            asked[i] = searches[i].send(values)
+        except StopIteration as done:
+            results[i] = done.value
+
+    asked = {}
+    table = geometric_table(grid, n_samples)
+    for i, t in enumerate(totals):
+        next(searches[i])
+        if i < len(totals) - 1:
+            send(i, objective(scale_table(table, t)), asked)
+        else:  # rebinding frees the table before the last grid is scored
+            table = scale_table(table, t)
+            send(i, objective(table), asked)
+    del table
+    while asked:
+        refining, asked = asked, {}
+        values = objective(geometric_times(list(refining.values()), n_samples,
+                                           [totals[i] for i in refining]))
+        for i, value in zip(refining, map(float, values)):
+            send(i, value, asked)
+    return results
 
 
 def optimize_alpha(objective, n_samples: int, total_time: float, *,

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,47 +57,77 @@ class TimeSchedule:
         return TimeSchedule(self.times[self.times >= TIME_FLOOR])
 
 
-def geometric_times(alphas, n_samples: int, total_time) -> np.ndarray:
-    """Geometric schedules t_n = t1 * alpha**-(n-1) summing to total_time,
-    one per column: (n_samples, S) for alphas and total_time broadcast to S.
+class GeometricTable(NamedTuple):
+    """What geometric schedules share across totals, one entry per ratio:
+    t1 = T * num / den, and powers[j, n] = alpha_j**-n."""
 
-    t1 = T * (1 - 1/alpha) / (1 - alpha**-N); alpha = 1 gives the uniform
-    schedule T/N (the closed form is 0/0 there, and 1**-n is exactly 1).
-    A column must not depend on the others, so t1 comes from scalar
-    math.log/expm1 per column (numpy's vectorized log may round
-    differently). The powers are one np.power over an (S, N) plane, each
-    row one ratio broadcast over the contiguous exponents 0, -1, ...:
-    the inner loop a one-column call (ratio ** steps) runs too, so every
-    column keeps the one-column bits. numpy does not promise that its pow
-    loops for other operand layouts round alike.
-    """
+    num: np.ndarray  # (S,): 1 - 1/alpha, or 1 at alpha = 1
+    den: np.ndarray  # (S,): 1 - alpha**-N, or N at alpha = 1
+    powers: np.ndarray  # (S, N)
+
+
+def geometric_table(alphas, n_samples: int) -> GeometricTable:
+    """The GeometricTable of ``alphas`` (flattened) at ``n_samples`` cycles."""
     if n_samples < 1:
         raise ValueError("n_samples must be a positive integer")
     n = int(n_samples)
-    ratios, t1 = [], []
-    for alpha, t in np.broadcast(np.asarray(alphas, dtype=float),
-                                 np.asarray(total_time, dtype=float)):
-        alpha, t = float(alpha), float(t)
+    ratios = np.asarray(alphas, dtype=float).ravel()
+    num, den = [], []
+    for alpha in ratios.tolist():
         if not alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
-        if not t > 0:
-            raise ValueError("total_time must be positive")
-        ratios.append(alpha)
         if alpha == 1.0:
-            t1.append(t / n)
+            num.append(1.0)
+            den.append(float(n))
             continue
         log_a = math.log(alpha)
         # expm1 keeps the ratio stable as alpha -> 1+.
-        t1.append(t * (-math.expm1(-log_a)) / (-math.expm1(-n * log_a)))
-    powers = np.power(np.array(ratios)[:, None], _exponents(n))
-    out = np.empty((n, len(t1)))
-    np.multiply(t1, powers.T, out=out)
-    return out
+        num.append(-math.expm1(-log_a))
+        den.append(-math.expm1(-n * log_a))
+    return GeometricTable(np.array(num), np.array(den),
+                          np.power(ratios[:, None], _exponents(n)))
+
+
+def scale_table(table: GeometricTable, total_time) -> np.ndarray:
+    """The (N, S) geometric times of ``table`` at ``total_time``: a scalar,
+    or one total per column (a one-ratio table then serves every total)."""
+    totals = np.asarray(total_time, dtype=float).ravel()
+    if not all(t > 0 for t in totals.tolist()):  # NaN fails too
+        raise ValueError("total_time must be positive")
+    t1 = totals * table.num
+    t1 /= table.den
+    out = np.empty((table.powers.shape[1], t1.size))
+    return np.multiply(t1, table.powers.T, out=out)
+
+
+def geometric_times(alphas, n_samples: int, total_time) -> np.ndarray:
+    """Geometric schedules t_n = t1 * alpha**-(n-1) summing to total_time,
+    one per column: (n_samples, S) for S ratios and S totals, or one of
+    them a scalar.
+
+    t1 = T * (1 - 1/alpha) / (1 - alpha**-N); alpha = 1 gives the uniform
+    schedule T/N (the closed form is 0/0 there, and 1**-n is exactly 1).
+    The work splits in two steps, so that a ratio search builds one table
+    for all its totals. geometric_table holds what depends on the ratio
+    alone: num = -expm1(-log alpha) and den = -expm1(-N log alpha), from
+    scalar math.log/expm1 per ratio (numpy's vectorized log may round
+    differently, and a column must not depend on the others), num = 1 and
+    den = N at alpha = 1, and the powers. scale_table then takes
+    t1 = (T * num) / den and the times t1 * powers. Products and
+    quotients are correctly rounded in numpy as in Python, so t1 has the
+    bits of the scalar expression, and is T / N exactly at alpha = 1.
+    The powers are one np.power over an (S, N) plane, each row one ratio
+    broadcast over the contiguous exponents 0, -1, ...: the inner loop a
+    one-column call (ratio ** steps) runs too, so every column keeps the
+    one-column bits. numpy does not promise that its pow loops for other
+    operand layouts round alike.
+    """
+    return scale_table(geometric_table(alphas, n_samples), total_time)
 
 
 @functools.lru_cache(maxsize=16)
 def _exponents(n: int) -> np.ndarray:
-    """0, -1, ..., 1 - n, read-only: the exponents of geometric_times."""
+    """0, -1, ..., 1 - n, read-only: the exponents of geometric_table."""
     steps = np.arange(0.0, -n, -1.0)
     steps.flags.writeable = False
     return steps
@@ -128,14 +159,19 @@ def half_normal_draws(n_samples: int, n_schedules: int, seed) -> np.ndarray:
 def trotter_floor(times, dt: float) -> np.ndarray:
     """Round each time down to a multiple of dt, keeping the array's shape
     (times that round to zero stay as zeros, which the survival kernel
-    treats as exact no-ops)."""
+    treats as exact no-ops). ``times`` is not written to."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     t = np.asarray(times, dtype=float)
-    mult = np.floor(t / dt)
+    mult = np.divide(t, dt, out=np.empty_like(t))
+    np.floor(mult, out=mult)
     # A time already sitting on a multiple must not slip down a step.
-    mult = np.where(t - (mult + 1.0) * dt > -1e-9 * dt, mult + 1.0, mult)
-    return mult * dt
+    edge = mult + 1.0
+    edge *= dt
+    np.subtract(t, edge, out=edge)
+    np.add(mult, 1.0, out=mult, where=edge > -1e-9 * dt)
+    mult *= dt
+    return mult
 
 
 def trotter_round(schedule: TimeSchedule, dt: float) -> TimeSchedule:

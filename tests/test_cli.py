@@ -691,6 +691,31 @@ def test_a_ratio_fit_round_trips_through_rsn(tmp_path, capsys):
                                         "n_samples"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_trotter_fit_round_trips_through_rsn(tmp_path, capsys, fmt):
+    # the fit scores the floored column with its zero times, rsn the
+    # surviving times read back; zero times are exact no-ops of the kernel,
+    # and the two zetas measured equal, so the tolerance is zero
+    band = tmp_path / "b.json"
+    band.write_text(json.dumps({"delta_min": 0.0, "delta_max": 1.0, "density": "constant"}))
+    argv = ["schedule-fit", "--band-file", str(band), "--e-target", "-1", "--n-samples", "30",
+            "--t0-multiple", "2", "--trotter-dt", "0.05"]
+    out = tmp_path / f"fit.{fmt}"
+    assert main(argv + ["--out", str(out)]) == 0
+    _, doc = _run_json(argv, capsys)
+    result = doc["result"]
+    assert not result["flat"] and 0 < result["surviving_times"] < 30
+    assert read_schedule(out).times.tolist() == result["schedule"]
+    if fmt == "csv":
+        _, header, rows = _read_csv(out)
+        assert header == ["index", "time"]
+        assert [int(row[0]) for row in rows] == list(range(result["surviving_times"]))
+    code, back = _run_json(["rsn", "--band-file", str(band), "--e-target", "-1",
+                            "--schedule-file", str(out)], capsys)
+    assert code == 0
+    assert back["result"]["zeta_quadrature"] == result["zeta"]
+
+
 @pytest.mark.parametrize("out, fmt", [("o.json", "csv"), ("o.csv", "json"), ("o", "json")])
 def test_a_format_contradicting_the_out_suffix_is_a_usage_error(out, fmt, tmp_path, capsys):
     err = _usage_error(["rsn", "--out", str(tmp_path / out), "--format", fmt], capsys)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, HamiltonianSpec,
                          RodeoObjective, TimeSchedule,
@@ -11,6 +13,8 @@ from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, Hamiltonia
                          geometric_times, make_initial_state, minimum_gap, optimize_alpha,
                          optimize_times, rsn_closed_form, rsn_quadrature,
                          rsn_quadrature_batch, trotter_floor, trotter_round)
+from rodeo_sched import optimize
+from rodeo_sched.cli import main
 from rodeo_sched.optimize import ALPHA_GRID_POINTS, _optimize_alphas
 
 BAND = BandModel(0.1, 1.0)
@@ -263,6 +267,48 @@ def test_lockstep_searches_equal_searches_run_alone():
         flat += sum(opt.flat for opt in alone)
         step_counts |= {len(own) - 1 for own in solo}
     assert flat == 1 and len(step_counts) >= 3
+
+
+def _counting(calls, function):
+    """``function``, appending its positional arguments to ``calls``."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+    return counted
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 1200), st.lists(st.floats(1e-2, 1e4), min_size=1, max_size=12),
+       st.floats(1.0, 3.0), st.floats(1e-3, 2.0))
+def test_a_lockstep_run_builds_one_table_and_scores_its_grids_bit_for_bit(n, totals, lo, width):
+    tables, matrices = [], 0
+
+    def objective(tm):
+        # a ratio landscape with its minimum inside the bounds: t1 against the mean time
+        nonlocal matrices
+        if matrices < len(totals):
+            [(grid, _)] = tables
+            assert tm.flags.c_contiguous
+            assert tm.tobytes() == geometric_times(grid, n, totals[matrices]).tobytes()
+        matrices += 1
+        return np.abs(tm[0] - 1.5 * tm.mean(axis=0))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "geometric_table", _counting(tables, optimize.geometric_table))
+        results = _optimize_alphas(objective, n, totals, (lo, lo + width))
+    assert len(tables) == 1 and tables[0][0].shape == (ALPHA_GRID_POINTS,)
+    assert [opt.total_time for opt in results] == totals
+    assert matrices >= len(totals)
+
+
+def test_a_sweep_builds_one_table_per_trotter_step(monkeypatch, tmp_path):
+    tables, grids = [], []
+    monkeypatch.setattr(optimize, "geometric_table", _counting(tables, optimize.geometric_table))
+    monkeypatch.setattr(optimize, "scale_table", _counting(grids, optimize.scale_table))
+    assert main(["schedule-fit", "--preset", "xi2", "--sweep", "--n-samples", "100",
+                 "--t-points", "10", "--dt-mults", "0.01,0.05",
+                 "--out", str(tmp_path / "sweep.json")]) == 0
+    assert len(tables) == 2 and len(grids) == 20
 
 
 def test_adaptive_curve_monotone_mode():

@@ -157,6 +157,41 @@ def test_trotter_floor_keeps_matrix_shape_and_zeros():
         trotter_floor(tm, 0.0)
 
 
+def _trotter_floor_reference(times, dt):
+    """trotter_floor as one expression, before it ran in place."""
+    t = np.asarray(times, dtype=float)
+    mult = np.floor(t / dt)
+    mult = np.where(t - (mult + 1.0) * dt > -1e-9 * dt, mult + 1.0, mult)
+    return mult * dt
+
+
+@st.composite
+def _floor_cases(draw):
+    """(times, dt): an (N, S) matrix of zeros, exact multiples of dt, times
+    within 1e-10 dt below a multiple, and other times."""
+    dt = draw(st.floats(1e-3, 5.0))
+    steps = st.integers(1, 5000)
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        steps.map(lambda k: k * dt),
+        st.tuples(steps, st.floats(0.0, 1e-10)).map(lambda c: c[0] * dt - c[1] * dt),
+        st.floats(0.0, 100.0))
+    n, s = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    return np.array(draw(st.lists(entry, min_size=n * s, max_size=n * s))).reshape(n, s), dt
+
+
+@settings(max_examples=150, deadline=None)
+@given(_floor_cases())
+def test_trotter_floor_matches_its_one_expression_bit_for_bit(case):
+    times, dt = case
+    before = times.copy()
+    floored = trotter_floor(times, dt)
+    assert floored.shape == times.shape and not np.shares_memory(floored, times)
+    assert floored.tobytes() == _trotter_floor_reference(times, dt).tobytes()
+    assert times.tobytes() == before.tobytes()
+    assert trotter_floor(times.T, dt).tobytes() == _trotter_floor_reference(times.T, dt).tobytes()
+
+
 def test_canonical_applies_floor():
     sched = TimeSchedule(times=np.array([3.0, TIME_FLOOR / 10, 1.0]))
     kept = sched.canonical()
