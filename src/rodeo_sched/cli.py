@@ -30,7 +30,7 @@ from . import __version__
 from .closed_form import MAX_ENUM_N, BandModel, rsn_closed_form
 from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                            eigendecompose, make_initial_state, minimum_gap,
-                           sector_symmetries)
+                           sector_basis, sector_symmetries)
 from .optimize import _optimize_alphas, adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import ABS_TOL, QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, file_format, geometric_times,
@@ -135,11 +135,14 @@ def _total_time(args, t0: float) -> float:
     return args.total_time if args.total_time is not None else args.t0_multiple * t0
 
 
+def _chain_spec(args) -> HamiltonianSpec:
+    return HamiltonianSpec(model=args.model, length=args.length, coupling=args.coupling,
+                           field=args.field, sector=args.sector or "")
+
+
 def _chain(args):
     """(spec, eigensystem) of the requested chain."""
-    spec = HamiltonianSpec(model=args.model, length=args.length,
-                           coupling=args.coupling, field=args.field,
-                           sector=args.sector or "")
+    spec = _chain_spec(args)
     return spec, eigendecompose(build_sector_hamiltonian(spec), sector_symmetries(spec))
 
 
@@ -369,7 +372,8 @@ def cmd_schedule_fit(args) -> int:
             if new:
                 counts["schedules_integrated"] += len(new)
                 distinct = np.frombuffer(b"".join(new)).reshape(len(new), -1).T.copy()
-                known.update(zip(new, rsn_quadrature_batch(spectrum, args.e_target, distinct)))
+                known.update(zip(new, rsn_quadrature_batch(spectrum, args.e_target, distinct,
+                                                           step=dt)))
             return np.fromiter(map(known.__getitem__, keys), float, len(keys))
 
         return [(opt, trotter_round(
@@ -707,6 +711,25 @@ def _config_flags(commands: dict, argv: list) -> list:
     return argv[:1] + flags + argv[1:]
 
 
+def _flag_pair_error(args) -> str | None:
+    """The usage error of values that each parse but do not fit together:
+    --band edges out of order, or a --basis-index outside the chain's
+    sector (its dimension read from the sector basis, without a solve).
+    A chain the library refuses is left to the command, which exits 1."""
+    band = getattr(args, "band", None)
+    if band and not band[0] < band[1]:
+        return f"argument --band: DMAX must exceed DMIN, got {band[0]:g} {band[1]:g}"
+    if getattr(args, "basis_index", None) is not None and args.model:
+        try:
+            dim = len(sector_basis(_chain_spec(args)))
+        except ValueError:
+            return None
+        if args.basis_index >= dim:
+            return (f"argument --basis-index: expected an index below the sector "
+                    f"dimension {dim}, got {args.basis_index}")
+    return None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
@@ -723,6 +746,9 @@ def main(argv=None) -> int:
                 f"argument --format: {args.format} contradicts --out {args.out}, "
                 f"which writes {implied}")
         args.format = implied
+    problem = _flag_pair_error(args)
+    if problem:
+        commands[args.command].error(problem)
     args._t_start = time.perf_counter()
     try:
         return args.func(args)

@@ -22,9 +22,13 @@ phases, where cos rounds to 1). Levels on an evenly spaced grid
 cycles by angle addition, with cos and sin called only at block starts
 and block offsets. Large calls cut the (levels x schedules) plane into
 tiles and run them on a thread pool over the CPUs in the process's
-affinity mask (numpy's ufuncs release the GIL). A schedule's entries
-depend on its own times and the levels alone: not on the tiling, nor on
-the other schedules of the call.
+affinity mask (numpy's ufuncs release the GIL). Schedules floored to
+multiples k dt of a Trotter step (``step=dt``) take the lattice path:
+one table of the direct path's entries per call, over the levels and the
+call's distinct nonzero steps k, each schedule a gather and an in-order
+sum of its steps' entries, so each cycle costs a lookup and an add. A
+schedule's entries depend on its own times and the levels alone: not on
+the tiling, nor on the other schedules of the call.
 """
 
 from __future__ import annotations
@@ -58,7 +62,10 @@ KERNEL_BLOCK_DOUBLES = 1 << 16
 # serial time at 2**16 phases, 0.9-1.2 at 2**17, 0.85-0.97 at 2**18 and
 # 0.65 at 2**20. In benchmark pairs 2**17 was slower on chain-curve and
 # trotter-sweep (3 of 4 pairs each) and 2**19 on trotter-sweep (4 of 4).
-# The 10**3-10**4-phase calls of band searches stay serial.
+# The 10**3-10**4-phase calls of band searches stay serial, and so does
+# the lattice path of Trotter-floored schedules (trotter-sweep): of the
+# benchmark's calls, chain-curve's ratio grids and long-horizon's
+# 1000-cycle grid reach the pool.
 PARALLEL_MIN_PHASES = 1 << 18
 # A cycle of time t is short when SHORT_PHASE bounds its phase at every
 # level: h |t| <= SHORT_PHASE with h = max |delta| / 2.
@@ -75,7 +82,10 @@ SHORT_PHASE = 0.5
 # from 2**8 to 2**10. At 5.3 ns, 2**11 with 18 per level or cycle (the
 # same costs in the new unit) again took trotter-sweep's grids off the
 # series: slower there in 3 of 4 benchmark pairs, faster on chain-curve
-# in 3 of 4.
+# in 3 of 4. trotter-sweep's grids take the lattice path, which has no
+# series, and band-optimize's 10-cycle calls fall below the rule:
+# chain-curve's ratio grids and long-horizon's grid and decay windows are
+# the benchmark calls that take the series.
 SERIES_MIN_PHASES = 1 << 9
 # log_survival_grid's angle addition: levels per block (the offsets whose
 # cos and sin one cycle needs), rows of blocks per tile, and long factors
@@ -87,6 +97,12 @@ SERIES_MIN_PHASES = 1 << 9
 GRID_BLOCK = 256
 GRID_TILE_ROWS = 16
 GRID_GROUP = 8
+# Most entries the lattice path gathers and adds at once (_add_lattice).
+# trotter-sweep's 125 kernel calls a pass, replayed in-process (2-core
+# machine, numpy 2.4), took 16-16.5 ms in blocks of 2**15, 17-19.5 ms at
+# 2**14, 17 ms at 2**16 and 20-24 ms at 2**12-2**13; within whole passes
+# 2**15 and 2**16 read the same.
+LATTICE_BLOCK_DOUBLES = 1 << 15
 
 
 def _log_cos_series(terms: int) -> np.ndarray:
@@ -231,7 +247,8 @@ class ContinuousBand:
 SpectralFunction = Union[DiscreteSpectrum, ContinuousBand]
 
 
-def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
+def log_survival(deltas, times, work: dict | None = None, *,
+                 step: float | None = None) -> np.ndarray:
     """Per-level log filter products for a batch of schedules.
 
     ``deltas`` (L,) are level offsets E - E_t and ``times`` (N, S) holds
@@ -239,6 +256,15 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     sum_n log cos**2(delta t_n / 2), zeros when L, N or S is 0 or when
     every offset is 0 (a chain objective's target manifold). A zero time
     adds exactly 0.
+
+    With ``step`` (dt > 0) every time must be k dt for an integer k >= 0,
+    as trotter_floor writes it (fl(k dt) == t), or the call raises
+    ValueError; every column then takes the lattice path, _add_lattice: a
+    table of log1p(tan**2) over the levels and the call's distinct
+    nonzero steps, gathered and added in schedule order. Its entries are
+    those of the direct path below on every cycle, bit for bit (no
+    series), and it computes at most min(K + 1, N S) table rows.
+    ``work`` gains the table entries ("lattice").
 
     A column's entries depend on its own times and on ``deltas`` alone,
     bit for bit, whatever other columns share the call. One step,
@@ -264,8 +290,15 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     # Blocks are slices of rows; a column-major matrix would make each
     # block's temporaries strided and the kernel about twice as slow.
     tm = np.ascontiguousarray(times, dtype=float)
+    steps = None if step is None else _lattice_steps(tm, step)
     out = np.zeros((half.size, tm.shape[1]))
     if out.size == 0 or tm.shape[0] == 0 or not np.count_nonzero(half):
+        return out
+    if steps is not None:
+        entries = _add_lattice(half, steps, step, out)
+        if work is not None:
+            _count(work, "lattice", entries)
+        np.negative(out, out=out)
         return out
     order, groups, phases = _split_cycles(half, tm, out)
     parts = [(left, out[:, cols]) for cols, left in groups]
@@ -522,6 +555,100 @@ def _accumulate_tiles(half, parts) -> None:
         future.result()
 
 
+def _lattice_steps(tm, step) -> np.ndarray:
+    """The integer steps k of times ``tm`` on the lattice k ``step``, k
+    below 2**53; raises ValueError unless every time is fl(k step)."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be a positive number, got {step!r}")
+    k = np.rint(tm / step)
+    # NaN fails the comparison, as does a time off the lattice.
+    if not (np.array_equal(k * step, tm) and np.all((k >= 0) & (k < 2.0 ** 53))):
+        raise ValueError(f"times must be nonnegative integer multiples of step {step!r}")
+    return k.astype(np.intp)
+
+
+def _add_lattice(half, steps, step, out) -> int:
+    """Write into ``out`` (l, S), zeros on entry, sum_n log1p(tan**2(half
+    fl(k_n step))) over the steps k_n of each column of ``steps`` (N, S),
+    added in order as _accumulate adds them over the times fl(k_n step);
+    return the table entries computed at nonzero steps.
+
+    A column's length is its rows up to its last nonzero step. The columns
+    go longest first, so the columns that row r reaches are a prefix, and
+    no step past a column's length is read; a zero step within it adds
+    the table's exact 0. The table holds each level's entry at each
+    distinct step read, the direct path's ufuncs on the same products; a
+    presence mask finds the steps while K + 1 is at most the steps read,
+    a sort beyond. Levels go in tiles of at least two: a tile's table and
+    its sums (S per level) hold at most KERNEL_BLOCK_DOUBLES entries each
+    where two levels allow. A tile's rows of entries are gathered and
+    added one after another, in blocks of at most LATTICE_BLOCK_DOUBLES
+    entries or one row. numpy adds a block's rows in order when a row
+    holds two or more entries, so a one-level call is computed as two
+    copies of its level (as _accumulate computes a one-entry plane)."""
+    if out.shape[0] == 1:
+        pair = np.repeat(out, 2, axis=0)
+        entries = _add_lattice(np.repeat(half, 2), steps, step, pair)
+        out[...] = pair[:1]
+        return entries // 2
+    nonzero = steps != 0
+    length = np.where(nonzero.any(axis=0), len(steps) - nonzero[::-1].argmax(axis=0), 0)
+    del nonzero
+    order = np.argsort(-length, kind="stable")
+    length = length[order]
+    steps = np.take(steps[:length[0]], order, axis=1)
+    top = int(steps.max(initial=0))
+    if top < steps.size:
+        present = np.zeros(top + 1, dtype=bool)
+        present[steps] = True
+        distinct = np.flatnonzero(present)
+        row = np.empty(present.size, dtype=np.intp)
+        row[distinct] = np.arange(distinct.size)
+        index = np.take(row, steps)
+    else:
+        # np.unique's inverse with fewer temporaries: each step's rank
+        # among the distinct steps is written over it
+        flat = steps.ravel()
+        by_step = np.argsort(flat)
+        ranks = flat[by_step]
+        first = np.empty(ranks.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+        distinct = ranks[first]
+        np.cumsum(first, out=ranks)
+        ranks -= 1
+        flat[by_step] = ranks
+        index = steps
+    # active[r]: the columns that row r reaches
+    active = np.searchsorted(-length, -np.arange(length[0]), side="left")
+    times = (distinct * step)[:, None]
+    levels, cols = out.shape
+    per_tile = max(2, KERNEL_BLOCK_DOUBLES // max(times.size, cols))
+    tiles = max(1, min(levels // 2, -(-levels // per_tile)))
+    cuts = [levels * i // tiles for i in range(tiles + 1)]
+    for l0, l1 in zip(cuts, cuts[1:]):
+        table = np.empty((times.size, l1 - l0))
+        table[...] = times
+        table *= half[l0:l1]
+        np.tan(table, out=table)
+        np.square(table, out=table)
+        np.log1p(table, out=table)
+        sums = np.zeros((cols, l1 - l0))
+        buf = np.empty(max(LATTICE_BLOCK_DOUBLES, sums.size))
+        r0 = 0
+        while r0 < len(active):
+            n = int(active[r0])
+            r1 = min(len(active), r0 + max(1, LATTICE_BLOCK_DOUBLES // (n * (l1 - l0))))
+            gathered = buf[:(r1 - r0) * n * (l1 - l0)].reshape(r1 - r0, n, l1 - l0)
+            # Every index is in range; "clip" spares the bounds check.
+            np.take(table, index[r0:r1, :n], axis=0, mode="clip", out=gathered)
+            gathered[0] += sums[:n]
+            np.add.reduce(gathered, axis=0, out=sums[:n])
+            r0 = r1
+        out[l0:l1, order] = sums.T
+    return levels * int(np.count_nonzero(distinct))
+
+
 def _kernel_pool():
     """(workers, executor) of this process: one thread per CPU in the
     affinity mask, no executor when that is one CPU."""
@@ -537,11 +664,12 @@ def _kernel_pool():
         return _pool[1], _pool[2]
 
 
-def log_surviving(deltas, log_weights, times) -> np.ndarray:
+def log_surviving(deltas, log_weights, times, *, step: float | None = None) -> np.ndarray:
     """log of the surviving weight sum_k w_k prod_n cos**2(delta_k t_n / 2)
     for each column of ``times`` (N, S); returns (S,). Zero weights
-    (log -inf) and an empty level set are allowed."""
-    logs = log_survival(deltas, times)
+    (log -inf) and an empty level set are allowed. ``step`` is
+    log_survival's."""
+    logs = log_survival(deltas, times, step=step)
     logs += np.asarray(log_weights, dtype=float)[:, None]
     peak = np.max(logs, axis=0, initial=-np.inf)
     shift = np.where(np.isfinite(peak), peak, 0.0)
@@ -596,7 +724,7 @@ def target_gap(spectrum: SpectralFunction, e_target: float) -> float:
 
 
 def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
-                         *, abs_tol: float = ABS_TOL) -> np.ndarray:
+                         *, abs_tol: float = ABS_TOL, step: float | None = None) -> np.ndarray:
     """Residual spectral norm of each schedule column of ``times`` (N, S);
     returns (S,). Zero times are exact no-ops, so Trotter-floored
     schedules of unequal length can share one zero-padded matrix.
@@ -611,17 +739,20 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
 
     A column's value is the bits of its one-column call, whatever other
     columns share the call: the kernel and the integrator read nothing of
-    a column's neighbours.
+    a column's neighbours. ``step`` is log_survival's: with it, times
+    must lie on its lattice (trotter_floor's output), and every kernel
+    call takes the lattice path.
     """
     tm = np.asarray(times, dtype=float)
     if isinstance(spectrum, DiscreteSpectrum):
         _, rest, _ = spectrum.levels(e_target)
-        return np.exp(log_surviving(*rest, tm))
+        return np.exp(log_surviving(*rest, tm, step=step))
     target_gap(spectrum, e_target)  # rejects a target inside the band
     lo, hi = spectrum.delta_min, spectrum.delta_max
 
     def integrand(e, cols):
-        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm[:, cols]))
+        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm[:, cols],
+                                                                       step=step))
 
     # Each total summed as a contiguous row: the same bits for any column count.
     rates = np.ascontiguousarray(tm.T).sum(axis=1)

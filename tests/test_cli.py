@@ -7,12 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rodeo_sched import TimeSchedule, cli, read_schedule, rsn_quadrature, superiteration_schedule
+from rodeo_sched import (TimeSchedule, cli, read_schedule, rsn_quadrature, spectral,
+                         superiteration_schedule)
 from rodeo_sched.cli import PRESETS, _config_flags, _manifest, build_parser, main
 from rodeo_sched.quadrature import ABS_TOL
 from rodeo_sched.spectral import band_from_json
@@ -297,16 +299,19 @@ def test_readme_sweep_flags_run(tmp_path):
 # before); no ratio moved. The kernel's log1p(tan**2) in place of log|cos|
 # moved four more (0.6706716002528976, 2.2148106857685807e-11,
 # 0.005388188021892767 and 8.602309452521426e-11 before), at most 1.4e-15
-# relative; again no ratio moved.
+# relative; again no ratio moved. Scoring the floored schedules on the
+# lattice path (every cycle direct, no short-cycle series) moved four more
+# (0.004211951766176197, 2.2148106857685804e-11, 0.0053881880218927675 and
+# 8.602309452521415e-11 before), at most 4.5e-15 relative; no ratio moved.
 SWEEP_PINS = [
     ("1.9621967033631071", "0.9879755799374729"),
     ("1.9822392058198646", "0.6706716002528975"),
-    ("1.6253967452802456", "0.004211951766176197"),
-    ("1.1108737929292223", "2.2148106857685804e-11"),
+    ("1.6253967452802456", "0.004211951766176196"),
+    ("1.1108737929292223", "2.2148106857685703e-11"),
     ("1.9621967033631071", "0.9999999999999969"),
     ("1.7571204344346893", "0.735903161769563"),
-    ("1.5906523729598905", "0.0053881880218927675"),
-    ("1.111107995198585", "8.602309452521415e-11"),
+    ("1.5906523729598905", "0.005388188021892766"),
+    ("1.111107995198585", "8.602309452521379e-11"),
 ]
 
 
@@ -341,6 +346,40 @@ def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
     counts = doc["manifest"]["diagnostics"]
     assert counts["schedules_integrated"] == sum(m.shape[1] for step in calls for m in step)
     assert counts["schedules_integrated"] < counts["schedules_scored"]
+
+
+def test_a_large_step_count_stays_on_the_distinct_step_table(tmp_path, capsys, monkeypatch):
+    # Ten even levels at 3000 T0, dt = 1e-3, N = 1000: the largest step K is
+    # about 9.4e6, against N S = 240,000 steps in a grid call, so the
+    # distinct steps are sorted out rather than marked in a (K + 1) mask,
+    # and the table holds at most one entry per step a call holds.
+    # tracemalloc's peak for the whole command measured 17.3 MB (9.5 MB
+    # with the series kernel, which holds no step matrices).
+    spectrum = tmp_path / "ten.csv"
+    spectrum.write_text("energy,weight\n" + "".join(f"{e},0.1\n" for e in range(10)))
+    calls, real = [], spectral._add_lattice
+
+    def lattice(half, steps, step, out):
+        entries = real(half, steps, step, out)
+        calls.append((int(steps.max()), steps.size, entries, len(half)))
+        return entries
+
+    monkeypatch.setattr(spectral, "_add_lattice", lattice)
+    tracemalloc.start()
+    try:
+        code, doc = _run_json(["schedule-fit", "--spectrum-file", str(spectrum),
+                               "--e-target", "0", "--trotter-dt", "1e-3", "--n-samples", "1000",
+                               "--t0-multiple", "3000"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 24 * 2 ** 20
+    assert any(top + 1 > size for top, size, _, _ in calls)
+    assert all(entries <= levels * min(top, size) for top, size, entries, levels in calls)
+    # The ratio reported before the lattice path: ROADMAP item 2's false
+    # optimum, whose log-space ranking is another change.
+    assert doc["result"]["alpha_opt"] == 1.00027994568971
 
 
 def test_flat_trotter_grid_reports_its_one_column_value(capsys):
@@ -434,8 +473,33 @@ def test_curve_small_grid(tmp_path):
 
 
 def test_inverted_band_is_an_error(capsys):
-    assert main(["rsn", "--band", "0.5", "0.1"]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = _usage_error(["rsn", "--band", "0.5", "0.1"], capsys)
+    assert "argument --band: DMAX must exceed DMIN, got 0.5 0.1" in err
+
+
+@pytest.mark.parametrize("argv", [["optimize-times", "--band", "1", "1"],
+                                  ["optimize-alpha", "--band", "0.2", "0.1"],
+                                  ["table1", "--band", "1", "0.1"]])
+def test_every_band_command_refuses_edges_out_of_order(argv, capsys):
+    assert "argument --band: DMAX must exceed DMIN" in _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (["curve", "--model", "xx", "--length", "4", "--basis-index", "6"], 6),
+    (["optimize-alpha", "--model", "tfim", "--length", "4", "--basis-index", "8"], 8),
+    (["curve", "--model", "tfim", "--length", "4", "--sector", "full", "--basis-index", "99"],
+     16),
+])
+def test_a_basis_index_outside_the_sector_is_a_usage_error(argv, dim, capsys):
+    err = _usage_error(argv, capsys)
+    assert (f"argument --basis-index: expected an index below the sector dimension {dim}, "
+            f"got {argv[-1]}") in err
+
+
+def test_a_chain_the_library_refuses_keeps_its_exit_1(capsys):
+    # the sector check cannot size an odd chain's zero-magnetization sector
+    assert main(["curve", "--model", "xx", "--length", "5", "--basis-index", "60"]) == 1
+    assert "requires even length" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

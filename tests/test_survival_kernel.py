@@ -593,3 +593,130 @@ def test_a_band_without_long_cycles_hands_the_direct_path_no_group():
     tm = np.stack([short, short[::-1], mixed], axis=1)
     _, groups, _ = spectral._split_cycles(0.5 * deltas, tm, np.zeros((600, 3)))
     assert [(cols, left.shape) for cols, left in groups] == [(slice(0, 1), (40, 1))]
+
+
+@contextmanager
+def _series_off():
+    """Send every cycle to the direct path, whatever the series would save."""
+    saved = spectral.SERIES_MIN_PHASES
+    spectral.SERIES_MIN_PHASES = 2 ** 62
+    try:
+        yield
+    finally:
+        spectral.SERIES_MIN_PHASES = saved
+
+
+@st.composite
+def _lattice_calls(draw):
+    """(deltas, times, dt) of a Trotter-floored call: times fl(k dt) as
+    trotter_floor writes them, for integer steps k up to K = 10**4, zero
+    steps drawn often; columns as drawn or in decreasing order, as floored
+    geometric schedules come (zero steps last)."""
+    levels, cycles, cols = draw(st.integers(1, 30)), draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    top = draw(st.sampled_from([1, 10, 500, 10 ** 4]))
+    steps = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(0, top)),
+                                   min_size=cycles * cols, max_size=cycles * cols)))
+    steps = steps.reshape(cycles, cols)
+    if draw(st.booleans()):
+        steps = -np.sort(-steps, axis=0)
+    dt = draw(st.floats(1e-3, 2.0))
+    deltas = np.array(draw(st.lists(st.floats(-6.0, 6.0, allow_subnormal=False),
+                                    min_size=levels, max_size=levels)))
+    return deltas, steps * dt, dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_calls())
+@example((np.array([1.5]), np.array([[3.0], [2.0], [1.0]]) * 0.1, 0.1))  # one entry
+@example((np.array([1.5]), np.array([[3.0, 0.0], [1.0, 0.0]]) * 0.1, 0.1))  # one level
+@example((np.array([1.0, -0.5]), np.zeros((4, 3)), 0.5))                   # zero steps only
+@example((np.zeros(3), np.array([[2.0, 1.0]]) * 0.3, 0.3))                 # all offsets 0
+@example((np.array([1.0, 1.7283399e-158]), np.array([[7.0], [3.0]]) * 0.9, 0.9))  # subnormal sums
+def test_the_lattice_path_is_the_direct_path_bit_for_bit(call):
+    deltas, tm, dt = call
+    got = log_survival(deltas, tm, step=dt)
+    with _series_off():
+        assert got.tobytes() == log_survival(deltas, tm).tobytes()
+    for s in range(tm.shape[1]):
+        assert log_survival(deltas, tm[:, s:s + 1], step=dt).tobytes() == got[:, s:s + 1].tobytes()
+    # Against the default kernel, whose series sums short cycles another
+    # way: 1.3e-15 relative at most over 20,000 random calls of this shape
+    # (both sums add at most 40 terms of one sign, about 40 ulp apart).
+    # Below the smallest normal double a sum keeps fewer digits, so that
+    # range is compared in absolute terms.
+    np.testing.assert_allclose(got, log_survival(deltas, tm), rtol=1e-14,
+                               atol=np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_benchmark_shaped_lattice_call_is_the_direct_path_in_tiles(seed):
+    # 600 band levels under a floored ratio grid: 144-164 distinct steps, so
+    # the table splits over levels; and peak memory stays under 3.5 planes
+    # (2.7 measured: the result, each tile's table and sums, the steps).
+    deltas, tm = _kernel_call((600, 240, 100), seed, "trotter")
+    dt = 0.01 * math.pi
+    tracemalloc.start()
+    try:
+        got = log_survival(deltas, tm, step=dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * got.nbytes
+    with _series_off():
+        assert got.tobytes() == log_survival(deltas, tm).tobytes()
+
+
+def test_the_lattice_table_holds_each_level_at_each_distinct_nonzero_step():
+    deltas = np.linspace(0.5, 2.0, 7)
+    steps = np.array([[5, 9, 0], [3, 5, 0], [0, 3, 0], [5, 0, 0]])
+    work = {}
+    log_survival(deltas, steps * 0.25, work, step=0.25)
+    assert work == {"lattice": 7 * 3}   # steps 3, 5 and 9
+
+
+@pytest.mark.parametrize("times, step", [
+    ([[0.3], [0.25]], 0.1),          # 0.25 is no multiple of 0.1
+    ([[0.2], [-0.1]], 0.1),          # negative
+    ([[0.2], [math.nan]], 0.1),
+    ([[1e300]], 1.0),                # beyond 2**53 steps
+    ([[0.2]], 0.0),
+    ([[0.2]], -0.1),
+    ([[0.2]], math.inf),
+])
+def test_the_lattice_path_refuses_times_off_the_lattice(times, step):
+    with pytest.raises(ValueError):
+        log_survival(np.array([1.0, 2.0]), np.array(times), step=step)
+
+
+def test_lattice_entries_next_to_zeros_of_cos_match_mpmath():
+    # One level at offset 2 (h = 1), so each entry is log cos**2 of the
+    # time fl(k dt) itself; dt = pi / 2000 puts steps 1000 (2m + 1) + j
+    # within a few dt of the zeros (2m + 1) pi / 2 of cos, two steps to a
+    # column, all in one table. Against 60 digits.
+    mpmath = pytest.importorskip("mpmath")
+    dt = math.pi / 2000.0
+    steps = [1000 * (2 * m + 1) + j for m in (0, 1, 10, 100, 1000) for j in (-3, -1, 0, 1, 2, 3)]
+    tm = np.array(steps, dtype=float).reshape(2, -1) * dt
+    work = {}
+    got = log_survival(np.array([2.0]), tm, work, step=dt)
+    assert work == {"lattice": len(steps)}
+    with mpmath.workdps(60):
+        for col, value in zip(tm.T, got[0]):
+            exact = sum(mpmath.log(mpmath.cos(mpmath.mpf(float(t))) ** 2) for t in col)
+            assert abs(value - exact) <= 1e-15 * abs(exact), col
+
+
+@pytest.mark.parametrize("spectrum, e_target", [
+    (spectral.ContinuousBand(0.0, 1.0, "gaussian"), -1.0),
+    (DiscreteSpectrum(np.array([0.0, 0.5, 1.3, 2.0]), np.array([0.4, 0.3, 0.2, 0.1])), 0.0),
+], ids=["band", "discrete"])
+def test_residual_batches_pass_the_step_to_the_kernel(spectrum, e_target):
+    dt = 0.05
+    alphas = 1.0 + np.geomspace(1e-3, 1.0, 12)
+    tm = trotter_floor(geometric_times(alphas, 30, 2.0 * math.pi), dt)
+    got = rsn_quadrature_batch(spectrum, e_target, tm, step=dt)
+    for s in range(tm.shape[1]):
+        assert got[s] == rsn_quadrature_batch(spectrum, e_target, tm[:, s:s + 1], step=dt)[0]
+    np.testing.assert_allclose(got, rsn_quadrature_batch(spectrum, e_target, tm), rtol=1e-13)
+    with pytest.raises(ValueError, match="multiples of step"):
+        rsn_quadrature_batch(spectrum, e_target, tm + 1e-3, step=dt)
