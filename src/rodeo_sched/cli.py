@@ -34,8 +34,8 @@ from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamilto
 from .optimize import _optimize_alphas, adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import ABS_TOL, QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, file_format, geometric_times,
-                        half_normal_draws, read_schedule, superiteration_schedule, trotter_floor,
-                        trotter_round)
+                        half_normal_draws, read_schedule, superiteration_schedule, trotter_round,
+                        trotter_steps)
 from .spectral import (ContinuousBand, band_from_json, load_spectrum_csv,
                        rsn_quadrature, rsn_quadrature_batch, target_gap)
 
@@ -349,31 +349,39 @@ def _spectral_input(args):
 def cmd_schedule_fit(args) -> int:
     spectrum, label = _spectral_input(args)
     t0 = math.pi / target_gap(spectrum, args.e_target)
-    counts = {"schedules_scored": 0, "schedules_integrated": 0}
+    # Work summed over the fits; "lattice", "gathered" and "kernel_calls"
+    # are the survival kernel's (rsn_quadrature_batch's work).
+    counts = dict.fromkeys(("schedules_scored", "schedules_integrated", "lattice", "gathered",
+                            "kernel_calls"), 0)
 
     def fit(totals: list, dt: float) -> list:
         for total in totals:
             if dt >= total:
                 raise ValueError(f"trotter step {dt} must be smaller than the total time {total}")
+            # Exact, and no numpy overflow warning: a power-of-two scaling.
+            if total >= 2.0 ** 53 * dt:
+                raise ValueError(f"trotter step {dt} is too small for the total time {total}: "
+                                 "the schedule would take 2**53 or more steps")
         # Flooring makes the objective piecewise constant in the ratio, so
         # golden steps and grid columns repeat schedules. A batch column
         # is the bits of its one-column call, so every distinct floored
-        # schedule of the step is integrated once, keyed by its bytes: one
-        # void view of the columns, the bytes of each column's tobytes()
-        # (np.unique(axis=1) costs more than the duplicates).
+        # schedule of the step is integrated once, keyed by the bytes of
+        # its integer steps: one void view of the columns as rows, the
+        # bytes of each column's tobytes() (np.unique(axis=1) costs more
+        # than the duplicates). The new columns go to the kernel as those
+        # steps, with their times k dt (trotter_floor's bits) for the rates.
         known = {}
 
         def objective(tm):
-            floored = trotter_floor(tm, dt)
-            counts["schedules_scored"] += floored.shape[1]
-            keys = (np.ascontiguousarray(floored.T)
-                    .view((np.void, 8 * floored.shape[0])).ravel().tolist())
+            steps = np.ascontiguousarray(trotter_steps(tm, dt).T, dtype=np.intp)
+            counts["schedules_scored"] += steps.shape[0]
+            keys = steps.view((np.void, steps.itemsize * steps.shape[1])).ravel().tolist()
             new = [key for key in dict.fromkeys(keys) if key not in known]
             if new:
                 counts["schedules_integrated"] += len(new)
-                distinct = np.frombuffer(b"".join(new)).reshape(len(new), -1).T.copy()
-                known.update(zip(new, rsn_quadrature_batch(spectrum, args.e_target, distinct,
-                                                           step=dt)))
+                distinct = np.frombuffer(b"".join(new), dtype=np.intp).reshape(len(new), -1).T
+                known.update(zip(new, rsn_quadrature_batch(spectrum, args.e_target, distinct * dt,
+                                                           step=dt, steps=distinct, work=counts)))
             return np.fromiter(map(known.__getitem__, keys), float, len(keys))
 
         return [(opt, trotter_round(

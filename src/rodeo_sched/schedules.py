@@ -156,20 +156,31 @@ def half_normal_draws(n_samples: int, n_schedules: int, seed) -> np.ndarray:
     return np.abs(ndtri(u)).T
 
 
-def trotter_floor(times, dt: float) -> np.ndarray:
-    """Round each time down to a multiple of dt, keeping the array's shape
-    (times that round to zero stay as zeros, which the survival kernel
-    treats as exact no-ops). ``times`` is not written to."""
+def trotter_steps(times, dt: float) -> np.ndarray:
+    """The multiple of dt each time rounds down to, as an array of floats
+    holding integers in the array's shape: floor(t / dt), one step more
+    where t lies within 1e-9 dt below the next multiple, so that a time
+    already on a multiple does not slip down a step. trotter_floor is these
+    steps times dt; a step below 2**53 converts to an integer exactly.
+    ``times`` is not written to."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     t = np.asarray(times, dtype=float)
     mult = np.divide(t, dt, out=np.empty_like(t))
     np.floor(mult, out=mult)
-    # A time already sitting on a multiple must not slip down a step.
     edge = mult + 1.0
     edge *= dt
     np.subtract(t, edge, out=edge)
     np.add(mult, 1.0, out=mult, where=edge > -1e-9 * dt)
+    return mult
+
+
+def trotter_floor(times, dt: float) -> np.ndarray:
+    """Round each time down to a multiple of dt, keeping the array's shape:
+    trotter_steps(times, dt) * dt (times that round to zero stay as zeros,
+    which the survival kernel treats as exact no-ops). ``times`` is not
+    written to."""
+    mult = trotter_steps(times, dt)
     mult *= dt
     return mult
 

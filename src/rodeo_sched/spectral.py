@@ -26,7 +26,9 @@ affinity mask (numpy's ufuncs release the GIL). Schedules floored to
 multiples k dt of a Trotter step (``step=dt``) take the lattice path:
 one table of the direct path's entries per call, over the levels and the
 call's distinct nonzero steps k, each schedule a gather and an in-order
-sum of its steps' entries, so each cycle costs a lookup and an add. A
+sum of its steps' entries, so each cycle costs a lookup and an add; a
+batch's integer steps are checked (or taken from the caller) and ordered
+once, and each of its calls reads an ordered slice of them. A
 schedule's entries depend on its own times and the levels alone: not on
 the tiling, nor on the other schedules of the call.
 """
@@ -40,11 +42,11 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .quadrature import ABS_TOL, _integrate_columns, integrate_oscillatory
+from .quadrature import ABS_TOL, QuadratureError, _integrate_columns, integrate_oscillatory
 from .schedules import TimeSchedule
 
 # Levels within this distance of the target energy, relative to the
@@ -101,7 +103,10 @@ GRID_GROUP = 8
 # trotter-sweep's 125 kernel calls a pass, replayed in-process (2-core
 # machine, numpy 2.4), took 16-16.5 ms in blocks of 2**15, 17-19.5 ms at
 # 2**14, 17 ms at 2**16 and 20-24 ms at 2**12-2**13; within whole passes
-# 2**15 and 2**16 read the same.
+# 2**15 and 2**16 read the same. Up to this many candidate steps (K + 1)
+# the path also marks its distinct steps in a presence mask, whatever the
+# steps read: the 73 of those calls with more candidates than steps read
+# (one-column refinements) took 1.1 ms sorted and 0.35 ms marked.
 LATTICE_BLOCK_DOUBLES = 1 << 15
 
 
@@ -259,12 +264,15 @@ def log_survival(deltas, times, work: dict | None = None, *,
 
     With ``step`` (dt > 0) every time must be k dt for an integer k >= 0,
     as trotter_floor writes it (fl(k dt) == t), or the call raises
-    ValueError; every column then takes the lattice path, _add_lattice: a
-    table of log1p(tan**2) over the levels and the call's distinct
-    nonzero steps, gathered and added in schedule order. Its entries are
-    those of the direct path below on every cycle, bit for bit (no
-    series), and it computes at most min(K + 1, N S) table rows.
-    ``work`` gains the table entries ("lattice").
+    ValueError; the steps k are then planned once (_lattice_plan: the
+    columns longest first) and every column takes the lattice path,
+    _add_lattice: a table of log1p(tan**2) over the levels and the call's
+    distinct nonzero steps, gathered and added in schedule order. Its
+    entries are those of the direct path below on every cycle, bit for bit
+    (no series), and it computes at most min(K + 1, N S) table rows.
+    ``work`` gains the table entries ("lattice") and the entries gathered
+    ("gathered", one per level for each step up to a column's last
+    nonzero step).
 
     A column's entries depend on its own times and on ``deltas`` alone,
     bit for bit, whatever other columns share the call. One step,
@@ -290,15 +298,11 @@ def log_survival(deltas, times, work: dict | None = None, *,
     # Blocks are slices of rows; a column-major matrix would make each
     # block's temporaries strided and the kernel about twice as slow.
     tm = np.ascontiguousarray(times, dtype=float)
-    steps = None if step is None else _lattice_steps(tm, step)
+    if step is not None:
+        plan = _lattice_plan(_lattice_steps(tm, step))
+        return _lattice_survival(half, plan, np.arange(tm.shape[1]), step, work, plan.order)
     out = np.zeros((half.size, tm.shape[1]))
     if out.size == 0 or tm.shape[0] == 0 or not np.count_nonzero(half):
-        return out
-    if steps is not None:
-        entries = _add_lattice(half, steps, step, out)
-        if work is not None:
-            _count(work, "lattice", entries)
-        np.negative(out, out=out)
         return out
     order, groups, phases = _split_cycles(half, tm, out)
     parts = [(left, out[:, cols]) for cols, left in groups]
@@ -555,11 +559,24 @@ def _accumulate_tiles(half, parts) -> None:
         future.result()
 
 
+class _Lattice(NamedTuple):
+    """The integer steps of a batch of schedules on one lattice, checked
+    and ordered once (_lattice_plan)."""
+
+    steps: np.ndarray   # (N, S) intp, C-ordered, the columns longest first
+    length: np.ndarray  # (S,) each column's rows up to its last nonzero step
+    order: np.ndarray   # (S,) the batch column of each planned column
+
+
+def _check_step(step) -> None:
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be a positive number, got {step!r}")
+
+
 def _lattice_steps(tm, step) -> np.ndarray:
     """The integer steps k of times ``tm`` on the lattice k ``step``, k
     below 2**53; raises ValueError unless every time is fl(k step)."""
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be a positive number, got {step!r}")
+    _check_step(step)
     k = np.rint(tm / step)
     # NaN fails the comparison, as does a time off the lattice.
     if not (np.array_equal(k * step, tm) and np.all((k >= 0) & (k < 2.0 ** 53))):
@@ -567,38 +584,87 @@ def _lattice_steps(tm, step) -> np.ndarray:
     return k.astype(np.intp)
 
 
-def _add_lattice(half, steps, step, out) -> int:
+def _given_steps(steps, shape, step) -> np.ndarray:
+    """A caller's integer steps, one per time of ``shape``, as intp; raises
+    ValueError unless each is an integer 0 <= k < 2**53 (its time k step
+    is then exact in the product fl(k step))."""
+    _check_step(step)
+    k = np.asarray(steps)
+    if not (k.shape == shape and k.dtype.kind in "iu"
+            and (k.size == 0 or (k.min() >= 0 and k.max() < 2 ** 53))):
+        raise ValueError(f"steps must be integers 0 <= k < 2**53 of shape {shape}")
+    return k.astype(np.intp, copy=False)
+
+
+def _lattice_plan(steps) -> _Lattice:
+    """The _Lattice of integer steps (N, S): a column's length is its rows
+    up to its last nonzero step, and the columns go longest first (a
+    stable order), so the columns of any increasing selection that row r
+    reaches are a prefix of it. The work runs on steps.T, one schedule per
+    row, which is contiguous when the caller holds its schedules as rows
+    (schedule-fit's keys do)."""
+    rows = steps.T
+    length = np.zeros(len(rows), dtype=np.intp)
+    if rows.shape[1]:
+        nonzero = rows != 0
+        length = np.where(nonzero.any(axis=1), rows.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
+    order = np.argsort(-length, kind="stable")
+    return _Lattice(np.ascontiguousarray(np.take(rows, order, axis=0).T), length[order], order)
+
+
+def _lattice_survival(half, plan, cols, step, work, order=slice(None)) -> np.ndarray:
+    """log_survival's lattice path for levels ``half`` (half the offsets)
+    over the columns ``cols`` of ``plan``, an increasing index array:
+    (L, len(cols)), in that order, or with column order[j] holding
+    cols[j]."""
+    out = np.zeros((half.size, len(cols)))
+    if out.size == 0 or len(plan.steps) == 0 or not np.count_nonzero(half):
+        return out
+    length = plan.length[cols]
+    # A private C-ordered copy, cut after the longest column: _add_lattice
+    # may write over it, and the plan serves the batch's other calls.
+    steps = np.take(plan.steps[:length[0]], cols, axis=1)
+    entries = _add_lattice(half, steps, length, step, out, order)
+    if work is not None:
+        _count(work, "lattice", entries)
+        _count(work, "gathered", half.size * int(length.sum()))
+    np.negative(out, out=out)
+    return out
+
+
+def _add_lattice(half, steps, length, step, out, order=slice(None)) -> int:
     """Write into ``out`` (l, S), zeros on entry, sum_n log1p(tan**2(half
-    fl(k_n step))) over the steps k_n of each column of ``steps`` (N, S),
-    added in order as _accumulate adds them over the times fl(k_n step);
+    fl(k_n step))) over the integer steps k_n of each column of ``steps``
+    (n, S), added in order as _accumulate adds them over the times
+    fl(k_n step), column j of ``steps`` into column order[j] of ``out``;
     return the table entries computed at nonzero steps.
 
-    A column's length is its rows up to its last nonzero step. The columns
-    go longest first, so the columns that row r reaches are a prefix, and
-    no step past a column's length is read; a zero step within it adds
-    the table's exact 0. The table holds each level's entry at each
-    distinct step read, the direct path's ufuncs on the same products; a
-    presence mask finds the steps while K + 1 is at most the steps read,
-    a sort beyond. Levels go in tiles of at least two: a tile's table and
-    its sums (S per level) hold at most KERNEL_BLOCK_DOUBLES entries each
-    where two levels allow. A tile's rows of entries are gathered and
-    added one after another, in blocks of at most LATTICE_BLOCK_DOUBLES
-    entries or one row. numpy adds a block's rows in order when a row
-    holds two or more entries, so a one-level call is computed as two
-    copies of its level (as _accumulate computes a one-entry plane)."""
+    ``length`` holds each column's rows up to its last nonzero step,
+    non-increasing: the columns come longest first, as a _Lattice orders
+    them, and ``steps`` holds rows up to the longest. So the columns that
+    row r reaches are a prefix, and no step past a column's length is
+    read; a zero step within it adds the table's exact 0. ``steps`` may be
+    written over. The table holds each level's entry at each distinct step
+    read, the direct path's ufuncs on the same products; a presence mask
+    finds the steps while K + 1 is at most the steps read or
+    LATTICE_BLOCK_DOUBLES, a sort beyond.
+    Levels go in tiles of at least two: a tile's table and its sums (S per
+    level) hold at most KERNEL_BLOCK_DOUBLES entries each where two levels
+    allow. A tile's rows of entries are gathered and added one after
+    another, in blocks of at most LATTICE_BLOCK_DOUBLES entries or one
+    row. numpy adds a block's rows in order when a row holds two or more
+    entries, so a one-level call is computed as two copies of its level
+    (as _accumulate computes a one-entry plane)."""
     if out.shape[0] == 1:
         pair = np.repeat(out, 2, axis=0)
-        entries = _add_lattice(np.repeat(half, 2), steps, step, pair)
+        entries = _add_lattice(np.repeat(half, 2), steps, length, step, pair, order)
         out[...] = pair[:1]
         return entries // 2
-    nonzero = steps != 0
-    length = np.where(nonzero.any(axis=0), len(steps) - nonzero[::-1].argmax(axis=0), 0)
-    del nonzero
-    order = np.argsort(-length, kind="stable")
-    length = length[order]
-    steps = np.take(steps[:length[0]], order, axis=1)
     top = int(steps.max(initial=0))
-    if top < steps.size:
+    # The mask and its row map hold K + 1 entries: at most one per step read
+    # or per gather block. Sorting a one-column call's hundred steps costs
+    # more than marking them in a mask of thousands.
+    if top < max(steps.size, LATTICE_BLOCK_DOUBLES):
         present = np.zeros(top + 1, dtype=bool)
         present[steps] = True
         distinct = np.flatnonzero(present)
@@ -618,7 +684,8 @@ def _add_lattice(half, steps, step, out) -> int:
         np.cumsum(first, out=ranks)
         ranks -= 1
         flat[by_step] = ranks
-        index = steps
+        # the ranks, whether ravel gave a view of steps or a copy
+        index = flat.reshape(steps.shape)
     # active[r]: the columns that row r reaches
     active = np.searchsorted(-length, -np.arange(length[0]), side="left")
     times = (distinct * step)[:, None]
@@ -664,12 +731,16 @@ def _kernel_pool():
         return _pool[1], _pool[2]
 
 
-def log_surviving(deltas, log_weights, times, *, step: float | None = None) -> np.ndarray:
+def log_surviving(deltas, log_weights, times) -> np.ndarray:
     """log of the surviving weight sum_k w_k prod_n cos**2(delta_k t_n / 2)
     for each column of ``times`` (N, S); returns (S,). Zero weights
-    (log -inf) and an empty level set are allowed. ``step`` is
-    log_survival's."""
-    logs = log_survival(deltas, times, step=step)
+    (log -inf) and an empty level set are allowed."""
+    return _log_weighted_sum(log_survival(deltas, times), log_weights)
+
+
+def _log_weighted_sum(logs, log_weights) -> np.ndarray:
+    """log sum_k exp(logs[k] + log_weights[k]) of each column of ``logs``
+    (L, S), shifted by the column's largest term; written over ``logs``."""
     logs += np.asarray(log_weights, dtype=float)[:, None]
     peak = np.max(logs, axis=0, initial=-np.inf)
     shift = np.where(np.isfinite(peak), peak, 0.0)
@@ -724,7 +795,8 @@ def target_gap(spectrum: SpectralFunction, e_target: float) -> float:
 
 
 def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
-                         *, abs_tol: float = ABS_TOL, step: float | None = None) -> np.ndarray:
+                         *, abs_tol: float = ABS_TOL, step: float | None = None,
+                         steps=None, work: dict | None = None) -> np.ndarray:
     """Residual spectral norm of each schedule column of ``times`` (N, S);
     returns (S,). Zero times are exact no-ops, so Trotter-floored
     schedules of unequal length can share one zero-padded matrix.
@@ -741,29 +813,61 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
     columns share the call: the kernel and the integrator read nothing of
     a column's neighbours. ``step`` is log_survival's: with it, times
     must lie on its lattice (trotter_floor's output), and every kernel
-    call takes the lattice path.
+    call takes the lattice path. The batch's integer steps are found
+    once, by log_survival's check of the times, or are the caller's
+    ``steps`` (integers 0 <= k < 2**53 with fl(k step) == times, which is
+    then not checked), and planned once (_lattice_plan): the columns go to
+    the integrator longest first, so that each kernel call gets its
+    columns in order, and the values come back in the caller's order.
+    ``work``, a dict, gains each kernel call's counts (log_survival's) and
+    the calls ("kernel_calls").
     """
     tm = np.asarray(times, dtype=float)
+    if step is None:
+        if steps is not None:
+            raise ValueError("steps need the step of their lattice")
+        plan, order = None, slice(None)
+    else:
+        plan = _lattice_plan(_lattice_steps(tm, step) if steps is None
+                             else _given_steps(steps, tm.shape, step))
+        order = plan.order
+
+    def survival(deltas, cols):
+        # cols: an increasing index array of the integrator's columns
+        if work is not None:
+            _count(work, "kernel_calls", 1)
+        if plan is None:
+            return log_survival(deltas, tm[:, cols], work)
+        return _lattice_survival(0.5 * np.asarray(deltas, dtype=float), plan, cols, step, work)
+
+    every = np.arange(tm.shape[1])
+    values = np.empty(tm.shape[1])
     if isinstance(spectrum, DiscreteSpectrum):
-        _, rest, _ = spectrum.levels(e_target)
-        return np.exp(log_surviving(*rest, tm, step=step))
+        _, (deltas, log_weights), _ = spectrum.levels(e_target)
+        values[order] = np.exp(_log_weighted_sum(survival(deltas, every), log_weights))
+        return values
     target_gap(spectrum, e_target)  # rejects a target inside the band
     lo, hi = spectrum.delta_min, spectrum.delta_max
 
     def integrand(e, cols):
-        return spectrum.density_values(e)[:, None] * np.exp(log_survival(e - e_target, tm[:, cols],
-                                                                       step=step))
+        return spectrum.density_values(e)[:, None] * np.exp(survival(e - e_target, cols))
 
     # Each total summed as a contiguous row: the same bits for any column count.
-    rates = np.ascontiguousarray(tm.T).sum(axis=1)
+    rates = np.ascontiguousarray(tm.T).sum(axis=1)[order]
     if tm.shape[1] == 1:
         # The one-column case of the integrator, with the batch path's
         # bits; kept only because bench/tracing.py sees band integrals
         # through integrate_oscillatory.
-        value, _ = integrate_oscillatory(lambda e: integrand(e, slice(None))[:, 0], lo, hi,
+        value, _ = integrate_oscillatory(lambda e: integrand(e, every)[:, 0], lo, hi,
                                          phase_rate=float(rates[0]), abs_tol=abs_tol)
         return np.array([value])
-    return _integrate_columns(integrand, lo, hi, rates, abs_tol)[0]
+    try:
+        values[order] = _integrate_columns(integrand, lo, hi, rates, abs_tol)[0]
+    except QuadratureError as exc:
+        estimate, bound = np.empty_like(values), np.empty_like(values)
+        estimate[order], bound[order] = exc.estimate, exc.error_bound
+        raise QuadratureError(str(exc), estimate, bound) from None
+    return values
 
 
 def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times) -> tuple:

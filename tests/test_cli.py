@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,9 +360,11 @@ def test_a_large_step_count_stays_on_the_distinct_step_table(tmp_path, capsys, m
     spectrum.write_text("energy,weight\n" + "".join(f"{e},0.1\n" for e in range(10)))
     calls, real = [], spectral._add_lattice
 
-    def lattice(half, steps, step, out):
-        entries = real(half, steps, step, out)
-        calls.append((int(steps.max()), steps.size, entries, len(half)))
+    def lattice(half, steps, *rest):
+        # read before the call, which may write ranks over its steps
+        top, size = int(steps.max()), steps.size
+        entries = real(half, steps, *rest)
+        calls.append((top, size, entries, len(half)))
         return entries
 
     monkeypatch.setattr(spectral, "_add_lattice", lattice)
@@ -380,6 +383,66 @@ def test_a_large_step_count_stays_on_the_distinct_step_table(tmp_path, capsys, m
     # The ratio reported before the lattice path: ROADMAP item 2's false
     # optimum, whose log-space ranking is another change.
     assert doc["result"]["alpha_opt"] == 1.00027994568971
+
+
+@pytest.mark.parametrize("flags", [["--trotter-dt", "1e-300"], ["--trotter-dt", "5e-324"],
+                                   ["--sweep", "--t-points", "2", "--dt-mults", "0.01,1e-300"],
+                                   ["--sweep", "--t-points", "2", "--dt-mults", "5e-324"]])
+def test_a_trotter_step_too_small_for_the_lattice_is_refused(flags, capsys):
+    # A total of 2**53 steps or more is refused before any search, naming the
+    # step and the total; 5e-324 once overflowed numpy's divide with a
+    # RuntimeWarning and then failed inside the kernel.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["schedule-fit", "--preset", "xi2", "--n-samples", "20",
+                     "--t0-multiple", "1", *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(r"error: trotter step \S+ is too small for the total time \S+: the "
+                        r"schedule would take 2\*\*53 or more steps\n", err), err
+
+
+# The Trotter sweeps of the benchmark (both presets, 10 totals, two steps).
+_SWEEP_JOBS = {p: ["schedule-fit", "--preset", p, "--sweep", "--n-samples", "100",
+                   "--t-min-mult", "0.1", "--t-max-mult", "10", "--t-points", "10",
+                   "--dt-mults", "0.01,0.05"] for p in ("xi2", "xi1")}
+
+
+@pytest.mark.parametrize("preset, kernel_calls", [("xi2", 55), ("xi1", 70)])
+def test_a_trotter_sweep_plans_its_steps_without_checking_times(preset, kernel_calls, capsys,
+                                                                monkeypatch):
+    # schedule-fit hands integer steps down, so no kernel call checks float
+    # times; the lattice calls per job are as many as when each call
+    # checked and ordered its own columns, and the manifest counts them.
+    calls = {"check": 0, "kernel": 0}
+    check, kernel = spectral._lattice_steps, spectral._add_lattice
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(spectral, "_lattice_steps", counted("check", check))
+    monkeypatch.setattr(spectral, "_add_lattice", counted("kernel", kernel))
+    code, doc = _run_json(_SWEEP_JOBS[preset], capsys)
+    assert code == 0
+    assert calls == {"check": 0, "kernel": kernel_calls}
+    assert doc["manifest"]["diagnostics"]["kernel_calls"] == kernel_calls
+
+
+def test_schedule_fit_counts_its_kernel_work_the_same_every_run(tmp_path, capsys):
+    spectrum = tmp_path / "levels.csv"
+    spectrum.write_text("energy,weight\n0,0.5\n0.5,0.25\n1,0.25\n")
+    for argv in (_SWEEP_JOBS["xi2"],
+                 ["schedule-fit", "--spectrum-file", str(spectrum), "--e-target", "0",
+                  "--trotter-dt", "0.01", "--n-samples", "50", "--t0-multiple", "3"]):
+        runs = [_run_json(argv, capsys)[1] for _ in range(2)]
+        first, second = (doc["manifest"]["diagnostics"] for doc in runs)
+        assert first == second
+        assert first["kernel_calls"] > 0 and first["gathered"] >= first["lattice"] > 0
+        # outside the hash, as wall_time is
+        assert runs[0]["manifest"]["hash"] == runs[1]["manifest"]["hash"]
 
 
 def test_flat_trotter_grid_reports_its_one_column_value(capsys):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from rodeo_sched import (TimeSchedule, geometric_times, read_schedule,
                          superiteration_schedule, trotter_floor, trotter_round)
 from rodeo_sched.cli import _emit, _write_csv
-from rodeo_sched.schedules import TIME_FLOOR, schedule_from_csv, schedule_from_json
+from rodeo_sched.schedules import (TIME_FLOOR, schedule_from_csv, schedule_from_json,
+                                   trotter_steps)
 
 
 def write_cli_csv(sched, path):
@@ -190,6 +191,13 @@ def test_trotter_floor_matches_its_one_expression_bit_for_bit(case):
     assert floored.tobytes() == _trotter_floor_reference(times, dt).tobytes()
     assert times.tobytes() == before.tobytes()
     assert trotter_floor(times.T, dt).tobytes() == _trotter_floor_reference(times.T, dt).tobytes()
+    # The steps are the floor without its multiply: integers, whose product
+    # with dt has trotter_floor's bits (-0.0 included), in either layout.
+    for t in (times, times.T):
+        steps = trotter_steps(t, dt)
+        assert np.array_equal(steps, np.floor(steps))
+        assert (steps * dt).tobytes() == _trotter_floor_reference(t, dt).tobytes()
+    assert times.tobytes() == before.tobytes()
 
 
 def test_canonical_applies_floor():

@@ -16,6 +16,8 @@ from rodeo_sched import (DiscreteSpectrum, EigenSystem, HamiltonianSpec, Initial
                          geometric_times, make_initial_state, minimum_gap,
                          product_function, rsn_quadrature, rsn_quadrature_batch,
                          superiteration_schedule, spectral, trotter_floor)
+from rodeo_sched import quadrature
+from rodeo_sched.quadrature import QuadratureError
 from rodeo_sched.schedules import TIME_FLOOR
 from rodeo_sched.spectral import (LOG_COS_SERIES, PARALLEL_MIN_PHASES,
                                   SHORT_PHASE, log_survival, log_surviving, target_mask)
@@ -609,11 +611,12 @@ def _series_off():
 @st.composite
 def _lattice_calls(draw):
     """(deltas, times, dt) of a Trotter-floored call: times fl(k dt) as
-    trotter_floor writes them, for integer steps k up to K = 10**4, zero
-    steps drawn often; columns as drawn or in decreasing order, as floored
+    trotter_floor writes them, for integer steps k up to K = 10**6 (the
+    largest past the presence mask's reach, so sorted), zero steps drawn
+    often; columns as drawn or in decreasing order, as floored
     geometric schedules come (zero steps last)."""
     levels, cycles, cols = draw(st.integers(1, 30)), draw(st.integers(1, 40)), draw(st.integers(1, 6))
-    top = draw(st.sampled_from([1, 10, 500, 10 ** 4]))
+    top = draw(st.sampled_from([1, 10, 500, 10 ** 4, 10 ** 6]))
     steps = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(0, top)),
                                    min_size=cycles * cols, max_size=cycles * cols)))
     steps = steps.reshape(cycles, cols)
@@ -671,7 +674,9 @@ def test_the_lattice_table_holds_each_level_at_each_distinct_nonzero_step():
     steps = np.array([[5, 9, 0], [3, 5, 0], [0, 3, 0], [5, 0, 0]])
     work = {}
     log_survival(deltas, steps * 0.25, work, step=0.25)
-    assert work == {"lattice": 7 * 3}   # steps 3, 5 and 9
+    # steps 3, 5 and 9; 4 + 3 + 0 rows read up to each column's last
+    # nonzero step, one entry per level each
+    assert work == {"lattice": 7 * 3, "gathered": 7 * 7}
 
 
 @pytest.mark.parametrize("times, step", [
@@ -699,7 +704,7 @@ def test_lattice_entries_next_to_zeros_of_cos_match_mpmath():
     tm = np.array(steps, dtype=float).reshape(2, -1) * dt
     work = {}
     got = log_survival(np.array([2.0]), tm, work, step=dt)
-    assert work == {"lattice": len(steps)}
+    assert work == {"lattice": len(steps), "gathered": len(steps)}
     with mpmath.workdps(60):
         for col, value in zip(tm.T, got[0]):
             exact = sum(mpmath.log(mpmath.cos(mpmath.mpf(float(t))) ** 2) for t in col)
@@ -720,3 +725,137 @@ def test_residual_batches_pass_the_step_to_the_kernel(spectrum, e_target):
     np.testing.assert_allclose(got, rsn_quadrature_batch(spectrum, e_target, tm), rtol=1e-13)
     with pytest.raises(ValueError, match="multiples of step"):
         rsn_quadrature_batch(spectrum, e_target, tm + 1e-3, step=dt)
+
+
+_PLANNED_SPECTRA = {
+    "band": (spectral.ContinuousBand(0.0, 1.0, "gaussian"), -1.0),
+    "discrete": (DiscreteSpectrum(np.array([0.0, 0.5, 1.3, 2.0]),
+                                  np.array([0.4, 0.3, 0.2, 0.1])), 0.0),
+}
+
+
+@st.composite
+def _planned_batches(draw):
+    """(steps, dt): the integer steps (N, S) of a Trotter batch, S from 0
+    to 5, columns of any length from 0 (all zeros) to N, ties in length
+    common, in any column order and either memory layout."""
+    cycles, cols = draw(st.integers(1, 8)), draw(st.integers(0, 5))
+    top = draw(st.sampled_from([1, 5, 40]))
+    columns = []
+    for _ in range(cols):
+        length = draw(st.integers(0, cycles))
+        col = draw(st.lists(st.integers(0, top), min_size=length, max_size=length))
+        if length:
+            col[-1] = max(col[-1], 1)
+        columns.append(col + [0] * (cycles - length))
+    steps = np.array(columns, dtype=np.intp).reshape(cols, cycles).T
+    steps = steps[:, draw(st.permutations(range(cols)))]
+    if draw(st.booleans()):
+        steps = np.ascontiguousarray(steps)
+    return steps, draw(st.sampled_from([0.01, 0.05, 0.3]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_planned_batches(), st.sampled_from(sorted(_PLANNED_SPECTRA)))
+@example((np.zeros((3, 0), dtype=np.intp), 0.05), "band")               # S = 0
+@example((np.zeros((3, 0), dtype=np.intp), 0.05), "discrete")
+@example((np.array([[4], [2]]), 0.05), "band")                          # S = 1
+@example((np.array([[0, 3, 0, 3], [0, 1, 0, 2]]), 0.05), "band")        # zeros, ties
+@example((np.array([[0, 3, 0, 3], [0, 1, 0, 2]]), 0.05), "discrete")
+def test_a_planned_batch_is_each_columns_one_column_call_bit_for_bit(batch, kind):
+    # One plan per call (the columns checked and ordered longest first
+    # once); every kernel call takes an ordered slice of it, and a call
+    # that sorts its steps writes its ranks over a private copy, so the
+    # refinements of one column, sharing the plan, read it intact.
+    steps, dt = batch
+    spectrum, e_target = _PLANNED_SPECTRA[kind]
+    tm = steps * dt
+    given_steps = steps.copy()
+    got = rsn_quadrature_batch(spectrum, e_target, tm, step=dt)
+    assert got.shape == (steps.shape[1],)
+    assert rsn_quadrature_batch(spectrum, e_target, tm, step=dt,
+                                steps=given_steps).tobytes() == got.tobytes()
+    assert given_steps.tobytes() == steps.tobytes()
+    # the direct path, which plans nothing, has the lattice path's bits
+    with _series_off():
+        assert rsn_quadrature_batch(spectrum, e_target, tm).tobytes() == got.tobytes()
+    for s in range(steps.shape[1]):
+        one = rsn_quadrature_batch(spectrum, e_target, tm[:, s:s + 1], step=dt)
+        assert one.tobytes() == got[s:s + 1].tobytes()
+        assert rsn_quadrature_batch(spectrum, e_target, tm[:, s:s + 1], step=dt,
+                                    steps=steps[:, s:s + 1]).tobytes() == one.tobytes()
+
+
+def test_the_rank_branch_reads_a_fortran_ordered_column_subset():
+    # Steps up to 10**6 against n S = 48: _add_lattice sorts them and writes
+    # their ranks over its steps. A column subset steps[:, cols] comes back
+    # Fortran-ordered, so ravel() copies it; the ranks must be read from
+    # that copy, not from the untouched steps.
+    full = np.random.default_rng(3).integers(1, 10 ** 6, size=(12, 9))
+    subset = full[:, [1, 4, 5, 8]]
+    assert not subset.flags.c_contiguous
+    half = 0.5 * np.linspace(0.3, 2.0, 5)
+    length = np.full(4, 12)
+    ordered = np.zeros((5, 4))
+    spectral._add_lattice(half, np.ascontiguousarray(subset), length, 0.01, ordered)
+    got = np.zeros((5, 4))
+    spectral._add_lattice(half, subset, length, 0.01, got)
+    assert got.tobytes() == ordered.tobytes()
+    with _series_off():
+        assert (-got).tobytes() == log_survival(2.0 * half, subset * 0.01).tobytes()
+
+
+@pytest.mark.parametrize("steps", [
+    np.array([[1.0, 2.0]]),              # not integers
+    np.array([[1, -2]]),                 # negative
+    np.array([[1, 2 ** 53]]),            # beyond 2**53
+    np.array([[1], [2]]),                # another shape than the times
+])
+def test_a_batchs_given_steps_are_range_checked(steps):
+    band, e_target = _PLANNED_SPECTRA["band"]
+    with pytest.raises(ValueError, match="steps must be integers"):
+        rsn_quadrature_batch(band, e_target, np.array([[0.1, 0.2]]), step=0.1, steps=steps)
+    with pytest.raises(ValueError, match="step of their lattice"):
+        rsn_quadrature_batch(band, e_target, np.array([[0.1, 0.2]]), steps=np.array([[1, 2]]))
+
+
+@pytest.mark.parametrize("kind", sorted(_PLANNED_SPECTRA))
+def test_a_float_time_batch_checks_its_times_once(kind, monkeypatch):
+    calls = {"check": 0, "kernel": 0}
+    check, kernel = spectral._lattice_steps, spectral._add_lattice
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(spectral, "_lattice_steps", counted("check", check))
+    monkeypatch.setattr(spectral, "_add_lattice", counted("kernel", kernel))
+    spectrum, e_target = _PLANNED_SPECTRA[kind]
+    dt = 0.05
+    totals = np.geomspace(2.0, 40.0, 12) * math.pi   # several starting-panel groups
+    tm = trotter_floor(geometric_times(1.0 + np.geomspace(1e-3, 1.0, 12), 30, totals), dt)
+    work = {}
+    rsn_quadrature_batch(spectrum, e_target, tm, step=dt, work=work)
+    assert calls["check"] == 1
+    # a band's first-round groups and refinements each call the kernel
+    assert calls["kernel"] == work["kernel_calls"] >= (2 if kind == "band" else 1)
+    assert work["gathered"] >= work["lattice"] > 0
+
+
+def test_a_planned_batch_reports_a_quadrature_failure_in_its_own_column_order(monkeypatch):
+    # The plan hands the integrator its columns longest first (here the
+    # second column first); a failure's estimates and bounds come back in
+    # the caller's order, each the one-column call's.
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
+    band, e_target = _PLANNED_SPECTRA["band"]
+    dt = 0.5
+    tm = np.array([[3, 5, 1], [0, 4, 0]]) * dt
+    with pytest.raises(QuadratureError) as batch:
+        rsn_quadrature_batch(band, e_target, tm, abs_tol=1e-300, step=dt)
+    for s in range(3):
+        with pytest.raises(QuadratureError) as one:
+            rsn_quadrature_batch(band, e_target, tm[:, s:s + 1], abs_tol=1e-300, step=dt)
+        assert batch.value.estimate[s] == one.value.estimate
+        assert batch.value.error_bound[s] == one.value.error_bound
