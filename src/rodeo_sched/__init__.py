@@ -19,7 +19,7 @@ from .closed_form import (BandModel, asymptotic_rsn, rsn_closed_form,
 from .hamiltonians import (EigenSystem, HamiltonianSpec, InitialState,
                            RodeoObjective, build_sector_hamiltonian, eigendecompose,
                            make_initial_state, minimum_gap, sector_basis,
-                           sector_symmetries)
+                           sector_symmetries, state_spectrum)
 from .optimize import (AlphaOptimum, OptimizationResult, adaptive_alpha_curve,
                        optimize_alpha, optimize_times)
 from .quadrature import QuadratureError, integrate_oscillatory
@@ -69,6 +69,7 @@ __all__ = [
     "rsn_quadrature_batch",
     "sector_basis",
     "sector_symmetries",
+    "state_spectrum",
     "superiteration_limit_rsn",
     "superiteration_schedule",
     "survival_product",

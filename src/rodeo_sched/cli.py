@@ -30,13 +30,13 @@ from . import __version__
 from .closed_form import MAX_ENUM_N, BandModel, rsn_closed_form
 from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
                            eigendecompose, make_initial_state, minimum_gap,
-                           sector_basis, sector_symmetries)
+                           sector_basis, sector_symmetries, state_spectrum)
 from .optimize import _optimize_alphas, adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import ABS_TOL, QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, file_format, geometric_times,
                         half_normal_draws, read_schedule, superiteration_schedule, trotter_round,
                         trotter_steps)
-from .spectral import (ContinuousBand, band_from_json, load_spectrum_csv,
+from .spectral import (ContinuousBand, band_from_json, level_gap, load_spectrum_csv,
                        rsn_quadrature, rsn_quadrature_batch, target_gap)
 
 # Spectral-function presets for schedule fitting; shapes are normalized
@@ -140,15 +140,9 @@ def _chain_spec(args) -> HamiltonianSpec:
                            field=args.field, sector=args.sector or "")
 
 
-def _chain(args):
-    """(spec, eigensystem) of the requested chain."""
-    spec = _chain_spec(args)
-    return spec, eigendecompose(build_sector_hamiltonian(spec), sector_symmetries(spec))
-
-
 def _hamiltonian_backend(args):
     """(objective, t0, extras) for the requested chain."""
-    spec, eig = _chain(args)
+    spec = _chain_spec(args)
     state_name = args.initial_state or ("e1" if spec.model == "xx" else "plus")
     if args.basis_index is not None:
         psi = make_initial_state(spec, "basis_index", basis_index=args.basis_index)
@@ -159,12 +153,14 @@ def _hamiltonian_backend(args):
         psi = make_initial_state(spec, "fusion")
     else:  # plus; --initial-state's choices admit no other name
         psi = make_initial_state(spec, "plus_projected")
-    e_target = float(eig.eigenvalues[0])
-    objective = RodeoObjective(eig, psi, e_target)
-    gap = minimum_gap(eig, e_target)
+    energies, weights = state_spectrum(build_sector_hamiltonian(spec),
+                                       sector_symmetries(spec), psi)
+    e_target = float(energies[0])
+    objective = RodeoObjective.from_levels(energies, weights, len(energies), e_target)
+    gap = level_gap(energies, e_target)
     extras = {"resolved_initial_state": state_name, "e_target": e_target,
               "gap": gap, "characteristic_time": math.pi / gap,
-              "sector_dim": eig.sector_dim}
+              "sector_dim": len(energies)}
     return objective, math.pi / gap, extras
 
 
@@ -423,7 +419,8 @@ def cmd_schedule_fit(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _, eig = _chain(args)
+    spec = _chain_spec(args)
+    eig = eigendecompose(build_sector_hamiltonian(spec), sector_symmetries(spec))
     gap = minimum_gap(eig)
     result = {"eigenvalues": eig.eigenvalues.tolist(),
               "ground_energy": float(eig.eigenvalues[0]),

@@ -4,9 +4,10 @@ Two models: the spin-1/2 XX chain with open boundaries, solved in the
 zero-magnetization sector, and the transverse-field Ising model (TFIM)
 with periodic boundaries, solved in the even-parity sector. Both are
 projected onto their symmetry sector, diagonalized block by block over
-the sector's commuting involutions (sector_symmetries), and used to
-evaluate filtering fidelities exactly in the eigenbasis (no Trotterized
-time evolution is simulated here).
+the sector's commuting involutions (sector_symmetries; state_spectrum
+gives eigenvectors only to the blocks an initial state touches), and
+used to evaluate filtering fidelities exactly in the eigenbasis (no
+Trotterized time evolution is simulated here).
 
 Basis convention: a computational state is an integer whose bit i
 (least significant = site 0, the leftmost site) is 1 when site i is
@@ -205,6 +206,52 @@ def _involution_group(maps, m: np.ndarray, nonzero: tuple) -> np.ndarray:
     return np.array(elements)
 
 
+def _character_blocks(matrix, symmetries) -> tuple:
+    """(images, stabilizer, blocks) of the block solve that eigendecompose
+    describes: images (|G|, R) holds g r for every group element g and
+    orbit representative r, stabilizer holds |S_r|, and blocks yields
+    (chi, allowed, block) for each character that allows a
+    representative, in character order. Checks the matrix and the maps
+    first, raising ValueError as eigendecompose states."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    # Both checks read only the nonzero entries; np.nonzero on the float
+    # matrix itself takes several times longer than on its mask.
+    nonzero = np.divmod(np.flatnonzero(m != 0), m.shape[0])
+    values = m[nonzero]
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    asym = float(np.abs(values - m[nonzero[::-1]]).max(initial=0.0))
+    if asym > 1e-12 * scale:
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    n = m.shape[0]
+    group = _involution_group(symmetries, m, nonzero)
+    order = len(group)
+    reps = np.flatnonzero(group.min(axis=0) == np.arange(n))
+    images = group[:, reps]  # (|G|, R): g r for every representative r
+    fixed = images == reps
+    stabilizer = fixed.sum(axis=0)
+
+    def blocks():
+        for char in range(order):
+            # chi(g) = -1 to the number of generators that g and chi share
+            chi = np.array([-1.0 if bin(g & char).count("1") % 2 else 1.0
+                            for g in range(order)])
+            allowed = ~np.any(fixed & (chi[:, None] < 0), axis=0)
+            if not allowed.any():
+                continue
+            # gathered from m directly: a copy of the representatives' rows
+            # would take (R, n) doubles more, 137 MB for TFIM L = 14
+            rows = reps[allowed][:, None]
+            block = m[rows, images[0, allowed]]  # g = identity, chi = 1
+            for g in range(1, order):
+                block += chi[g] * m[rows, images[g, allowed]]
+            norm = 1.0 / np.sqrt(stabilizer[allowed])
+            block *= norm[:, None] * norm
+            yield chi, allowed, block
+    return images, stabilizer, blocks()
+
+
 def eigendecompose(matrix: np.ndarray, symmetries=()) -> EigenSystem:
     """Symmetric eigensolve, one block per character of the symmetries.
 
@@ -226,48 +273,19 @@ def eigendecompose(matrix: np.ndarray, symmetries=()) -> EigenSystem:
     {identity}: one block, the matrix itself, and the result is one
     dense eigh's, bit for bit. Raises ValueError on a non-square or
     asymmetric matrix, and on maps that are not commuting involutions
-    of it.
+    of it. state_spectrum solves the same blocks for one state's
+    weights without the (n, n) eigenvector array.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # Both checks read only the nonzero entries; np.nonzero on the float
-    # matrix itself takes several times longer than on its mask.
-    nonzero = np.divmod(np.flatnonzero(m != 0), m.shape[0])
-    values = m[nonzero]
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    asym = float(np.abs(values - m[nonzero[::-1]]).max(initial=0.0))
-    if asym > 1e-12 * scale:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    n = m.shape[0]
-    group = _involution_group(symmetries, m, nonzero)
-    order = len(group)
-    reps = np.flatnonzero(group.min(axis=0) == np.arange(n))
-    images = group[:, reps]  # (|G|, R): g r for every representative r
-    fixed = images == reps
-    stabilizer = fixed.sum(axis=0)
-    blocks = []
-    for char in range(order):
-        # chi(g) = -1 to the number of generators that g and chi share
-        chi = np.array([-1.0 if bin(g & char).count("1") % 2 else 1.0 for g in range(order)])
-        allowed = ~np.any(fixed & (chi[:, None] < 0), axis=0)
-        if not allowed.any():
-            continue
-        rows = m[reps[allowed]]
-        block = rows[:, images[0, allowed]]  # g = identity, chi = 1
-        for g in range(1, order):
-            block += chi[g] * rows[:, images[g, allowed]]
-        norm = 1.0 / np.sqrt(stabilizer[allowed])
-        block *= norm[:, None] * norm
-        vals, vecs = np.linalg.eigh(block)
-        blocks.append((chi, allowed, vals, vecs))
-    energies = np.concatenate([vals for _, _, vals, _ in blocks])
+    images, stabilizer, blocks = _character_blocks(matrix, symmetries)
+    order, n = len(images), np.shape(matrix)[0]
+    solved = [(chi, allowed, *np.linalg.eigh(block)) for chi, allowed, block in blocks]
+    energies = np.concatenate([vals for _, _, vals, _ in solved])
     ascending = np.argsort(energies, kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[ascending] = np.arange(n)
     eigenvectors = np.zeros((n, n))
     start = 0
-    for chi, allowed, vals, vecs in blocks:
+    for chi, allowed, vals, vecs in solved:
         cols = rank[start:start + len(vals)]
         start += len(vals)
         amplitude = np.sqrt(stabilizer[allowed] / order)
@@ -276,6 +294,39 @@ def eigendecompose(matrix: np.ndarray, symmetries=()) -> EigenSystem:
                 (chi[g] * amplitude)[:, None] * vecs)
     return EigenSystem(eigenvalues=energies[ascending], eigenvectors=eigenvectors,
                        sector_dim=n)
+
+
+def state_spectrum(matrix: np.ndarray, symmetries, psi: InitialState) -> tuple:
+    """(energies, weights): the whole spectrum of ``matrix``, ascending,
+    and the weight |<v|psi>|**2 of ``psi`` on each eigenvector v, from
+    eigendecompose's blocks but with no eigenvector of the whole basis.
+
+    ``psi``'s coordinates in the block basis of character chi are
+    c_r = sum_g chi(g) psi[g r] / sqrt(|G| |S_r|). A block with a nonzero
+    c goes to eigh, and its levels weigh (vecs.T @ c)**2; any other
+    block goes to eigvalsh, and its levels weigh exactly 0. An eigh
+    block's energies are eigendecompose's bit for bit; eigvalsh's can
+    differ from eigh's in the last bits. Raises ValueError as
+    eigendecompose does, and on a state of another dimension.
+    """
+    images, stabilizer, blocks = _character_blocks(matrix, symmetries)
+    if len(psi.vector) != np.shape(matrix)[0]:
+        raise ValueError(f"state has dimension {len(psi.vector)}, "
+                         f"the matrix {np.shape(matrix)[0]}")
+    coords = psi.vector[images] / np.sqrt(len(images) * stabilizer)
+    energies, weights = [], []
+    for chi, allowed, block in blocks:
+        c = chi @ coords[:, allowed]
+        if c.any():
+            vals, vecs = np.linalg.eigh(block)
+            weights.append((vecs.T @ c) ** 2)
+        else:
+            vals = np.linalg.eigvalsh(block)
+            weights.append(np.zeros(len(vals)))
+        energies.append(vals)
+    energies = np.concatenate(energies)
+    ascending = np.argsort(energies, kind="stable")
+    return energies[ascending], np.concatenate(weights)[ascending]
 
 
 def minimum_gap(eig: EigenSystem, e_target: float | None = None) -> float:
@@ -376,33 +427,53 @@ def make_initial_state(spec: HamiltonianSpec, kind: str, *,
 
 
 class RodeoObjective:
-    """Reusable filtering evaluator for one (eigensystem, state, target).
+    """Reusable filtering evaluator for one (spectrum, state weights, target).
 
-    Reads the eigenbasis overlaps once as the two level sets of a
-    DiscreteSpectrum (DiscreteSpectrum.levels); every evaluation sums each
-    set in log space with log_surviving. batch and weights take schedules
-    as the columns of an (n_samples, n_schedules) matrix: batch returns the
-    post-selected infidelity zeta / (target + zeta) of each column, and
-    weights the raw surviving (zeta, target weight). value(times) is the
-    one-schedule case of batch.
+    Takes the level sets of a DiscreteSpectrum (DiscreteSpectrum.levels)
+    once; every evaluation sums each set in log space with log_surviving.
+    batch and weights take schedules as the columns of an
+    (n_samples, n_schedules) matrix: batch returns the post-selected
+    infidelity zeta / (target + zeta) of each column, and weights the raw
+    surviving (zeta, target weight). value(times) is the one-schedule
+    case of batch.
+
+    from_levels builds it from energies and the state's weight on each,
+    as state_spectrum gives them; RodeoObjective(eig, psi, e_target)
+    takes the weights from an EigenSystem's vectors instead.
 
     Levels whose weight float64 cannot resolve are dropped: an overlap
     v.psi of unit vectors of dimension n carries about n * eps of
     round-off, so a weight at or below (n * eps)**2 of the total is noise,
-    typically an overlap that a symmetry makes zero (TFIM L = 10 plus
-    state: 90 of 120 non-target levels, all below 3e-30, against a floor
-    of 1.3e-26; its real levels weigh 5.7e-6 and up). Dropping a level
+    typically an overlap that a symmetry makes zero. Dropping a level
     changes zeta or the target weight by at most that level's weight,
-    since no cycle factor exceeds 1. ``levels`` counts the non-target
-    levels scored and ``levels_below_resolution`` the levels dropped, in
-    and outside the target manifold.
+    since no cycle factor exceeds 1. An energy of a block that
+    state_spectrum leaves unsolved weighs exactly 0; a level made only of
+    such energies is dropped alike, and one it shares with a solved
+    block weighs what the solved block gives it. The TFIM L = 10 plus
+    state scores 30 of its 120 non-target levels, of weight 5.7e-6 and up;
+    the other 90 weigh 1.1e-30 or less (one exactly 0), against a floor of
+    1.3e-26. ``levels`` counts the non-target levels scored and
+    ``levels_below_resolution`` the levels dropped, in and outside the
+    target manifold.
     """
 
     def __init__(self, eig: EigenSystem, psi: InitialState, e_target: float):
-        weights = (eig.eigenvectors.T @ psi.vector) ** 2
-        floor = (len(psi.vector) * np.finfo(float).eps) ** 2 * float(weights.sum())
+        self._take_levels(eig.eigenvalues, (eig.eigenvectors.T @ psi.vector) ** 2,
+                          len(psi.vector), e_target)
+
+    @classmethod
+    def from_levels(cls, energies, weights, dimension: int,
+                    e_target: float) -> RodeoObjective:
+        """The objective of a state with weight weights[i] on energy
+        energies[i], in a space of ``dimension`` states."""
+        objective = cls.__new__(cls)
+        objective._take_levels(energies, weights, dimension, e_target)
+        return objective
+
+    def _take_levels(self, energies, weights, dimension: int, e_target: float) -> None:
+        floor = (dimension * np.finfo(float).eps) ** 2 * float(np.sum(weights))
         self._target, self._rest, self.levels_below_resolution = DiscreteSpectrum(
-            eig.eigenvalues, weights).levels(e_target, floor)
+            energies, weights).levels(e_target, floor)
         self.levels = len(self._rest[0])
 
     def _log_weights(self, times_matrix) -> tuple:

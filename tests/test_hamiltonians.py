@@ -6,6 +6,7 @@ sector construction is validated independently.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from rodeo_sched import (DiscreteSpectrum, HamiltonianSpec, InitialState, RodeoObjective,
                          TimeSchedule, build_sector_hamiltonian, eigendecompose,
-                         make_initial_state, minimum_gap, sector_basis, sector_symmetries)
+                         make_initial_state, minimum_gap, sector_basis, sector_symmetries,
+                         state_spectrum)
 from rodeo_sched.cli import main
 
 EPS = np.finfo(float).eps
@@ -321,6 +323,170 @@ def test_the_block_solve_matches_the_dense_oracle(chain, coupling, field, pick):
         assert np.all(np.abs(np.log(wa[kept]) - np.log(wb[kept])) <= np.log1p(bound[kept] / low))
 
 
+def _random_state(n, seed, density):
+    """A state with a random normal entry on each basis vector with
+    probability ``density``, and on basis vector 0 at least."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) * (rng.random(n) < density)
+    v[0] += 1.0
+    return InitialState(v)
+
+
+def _objective_counts(obj):
+    """(levels kept in and outside the target, levels dropped)."""
+    return len(obj._target[0]) + obj.levels, obj.levels_below_resolution
+
+
+# Tolerances measured first against eigendecompose with the same maps,
+# over every chain above at coupling 1, 0.37, -1.7 and 2.5, fields 0,
+# 0.5, 1 and 3, basis states 0, 1, n/3 and n-1, plus, fusion and 3 random
+# states (and 20 more random states per chain at two couplings): energies
+# within 8.4e-15 of the spectral scale (a touched block's are
+# eigendecompose's bits, eigvalsh's differ from eigh's), merged offsets
+# within 1.6e-15 of it where both weights are nonzero, and level counts
+# equal in every case. A touched block's weights come from the same block
+# vectors, summed over its representatives instead of the whole basis:
+# they moved a weight w by at most d (2 sqrt(w) + d) with d = 5.5 eps.
+@settings(max_examples=40, deadline=None)
+@given(chain=st.sampled_from(CHAINS), coupling=st.sampled_from((1.0, -1.7, 0.37, 2.5)),
+       field=st.sampled_from((0.0, 0.5, 1.0, 3.0)), pick=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.05, 0.5, 1.0)))
+@example(chain=("tfim", "full", 10), coupling=2.5, field=0.5, pick=1.0, seed=0, density=1.0)
+@example(chain=("tfim", "even_parity", 7), coupling=0.37, field=0.5, pick=0.5, seed=1,
+         density=0.05)
+@example(chain=("xx", "zero_magnetization", 12), coupling=-1.7, field=0.0, pick=0.3, seed=2,
+         density=0.5)
+@example(chain=("xx", "full", 10), coupling=1.0, field=0.0, pick=0.0, seed=3, density=0.05)
+def test_the_touched_block_solve_matches_eigendecompose(chain, coupling, field, pick, seed,
+                                                         density):
+    model, sector, length = chain
+    spec = HamiltonianSpec(model, length, coupling, field, sector)
+    m, maps = build_sector_hamiltonian(spec), sector_symmetries(spec)
+    eig = eigendecompose(m, maps)
+    n = len(m)
+    scale = max(1.0, float(np.abs(eig.eigenvalues).max()))
+    e0 = float(eig.eigenvalues[0])
+    states = [make_initial_state(spec, "basis_index", basis_index=round(pick * (n - 1))),
+              _random_state(n, seed, density)]
+    if model == "tfim":
+        states.append(make_initial_state(spec, "plus_projected"))
+    if sector == "zero_magnetization":
+        states.append(make_initial_state(spec, "fusion"))
+    floor = (n * EPS) ** 2
+    d = 10 * EPS
+    for psi in states:
+        energies, weights = state_spectrum(m, maps, psi)
+        assert np.all(np.diff(energies) >= 0)
+        assert np.abs(energies - eig.eigenvalues).max() <= 3e-14 * scale
+        assert abs(weights.sum() - 1.0) <= 1e-13
+        (da, wa), (db, wb) = (_every_level(e, w, e0) for e, w in (
+            (eig.eigenvalues, (eig.eigenvectors.T @ psi.vector) ** 2), (energies, weights)))
+        assert len(da) == len(db)
+        both = (wa > 0) & (wb > 0)
+        assert np.all(np.abs(da - db)[both] <= 1e-14 * scale)
+        weighty = np.maximum(wa, wb)
+        bound = d * (2 * np.sqrt(weighty) + d)
+        assert np.all(np.abs(wa - wb) <= bound)
+        # the same levels kept and dropped, unless a weight's bound
+        # reaches the floor; kept weights agree in log
+        full, touched = (RodeoObjective(eig, psi, e0),
+                         RodeoObjective.from_levels(energies, weights, n, e0))
+        kept_a, kept_b = wa > floor * wa.sum(), wb > floor * wb.sum()
+        assert _objective_counts(full) == (kept_a.sum(), (~kept_a).sum())
+        assert _objective_counts(touched) == (kept_b.sum(), (~kept_b).sum())
+        clear = np.abs(weighty - floor) > bound
+        assert np.array_equal(kept_a[clear], kept_b[clear])
+        kept = kept_a & kept_b
+        low = np.minimum(wa, wb)[kept]
+        assert np.all(np.abs(np.log(wa[kept]) - np.log(wb[kept])) <= np.log1p(bound[kept] / low))
+
+
+@pytest.mark.parametrize("spec", [
+    HamiltonianSpec("tfim", 10, field=1.0),
+    HamiltonianSpec("xx", 10),
+    HamiltonianSpec("tfim", 10, 2.5, 0.5, "full"),
+    HamiltonianSpec("xx", 9, sector="full")], ids=("tfim-even", "xx-zero", "tfim-full", "xx-full"))
+def test_a_state_in_every_character_reproduces_the_block_solve(spec, monkeypatch):
+    m, maps = build_sector_hamiltonian(spec), sector_symmetries(spec)
+    eig = eigendecompose(m, maps)
+    psi = _random_state(len(m), 7, 1.0)
+    values_only = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: values_only.append(len(a)) or eigvalsh(a))
+    energies, weights = state_spectrum(m, maps, psi)
+    assert values_only == []
+    np.testing.assert_array_equal(energies, eig.eigenvalues)  # the same eigh calls
+    e0, scale = float(energies[0]), max(1.0, float(np.abs(energies).max()))
+    full, touched = (RodeoObjective(eig, psi, e0),
+                     RodeoObjective.from_levels(energies, weights, len(m), e0))
+    assert _objective_counts(touched) == _objective_counts(full)
+    for (da, la), (db, lb) in ((full._rest, touched._rest), (full._target, touched._target)):
+        np.testing.assert_allclose(db, da, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(lb, la, rtol=0, atol=1e-12)
+
+
+def test_a_state_outside_the_targets_character_has_no_target_weight():
+    # TFIM L = 10: the ground state is even under the site reflection; a
+    # basis state minus its mirror image is odd
+    spec = HamiltonianSpec("tfim", 10, field=1.0)
+    m, (reflect, *_) = build_sector_hamiltonian(spec), sector_symmetries(spec)
+    v = np.zeros(len(m))
+    v[1], v[reflect[1]] = 1.0, -1.0
+    energies, weights = state_spectrum(m, sector_symmetries(spec), InitialState(v))
+    ground = eigendecompose(m).eigenvalues[0]
+    assert abs(energies[0] - ground) <= 1e-14 * abs(ground) and weights[0] == 0.0
+    obj = RodeoObjective.from_levels(energies, weights, len(m), float(energies[0]))
+    assert len(obj._target[0]) == 0 and obj.levels_below_resolution >= 1
+    zeta, target = obj.weights(np.ones((3, 2)))
+    np.testing.assert_array_equal(target, [0.0, 0.0])
+    assert np.all(zeta > 0)
+    np.testing.assert_array_equal(obj.batch(np.ones((3, 2))), [1.0, 1.0])
+
+
+def test_the_tfim_chain_backend_stays_under_4_mb():
+    # measured: 2.9 MB, of which 2.1 MB is the 512 x 512 sector matrix;
+    # eigendecompose's (n, n) eigenvector array took the peak to 5.8 MB
+    import tracemalloc
+
+    from rodeo_sched.cli import _hamiltonian_backend, build_parser
+
+    args = build_parser()[1]["curve"].parse_args(["--model", "tfim", "--length", "10"])
+    tracemalloc.start()
+    try:
+        objective, _, extras = _hamiltonian_backend(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extras["sector_dim"] == 512 and objective.levels == 30
+    assert peak <= 4e6
+
+
+# Levels zero by symmetry: a dense eigh mixes nearly degenerate levels of
+# different symmetry by about n eps scale / gap, so some pass the
+# (n eps)**2 floor (TFIM full L = 10: two extra levels of 4.7e-23 to
+# 1.7e-17; even parity L = 7: one of 2.9e-28 against a floor of
+# 2.0e-28). The chain commands solve by blocks and keep none of them.
+@pytest.mark.parametrize("spec, flags, dense, solved", [
+    (HamiltonianSpec("tfim", 10, 2.5, 0.5, "full"), ["--sector", "full"], (33, 250), (31, 252)),
+    (HamiltonianSpec("tfim", 7, 0.37, 0.5), ["--basis-index", "21"], (20, 6), (19, 7)),
+], ids=("tfim-full-plus", "tfim-even-basis-21"))
+def test_levels_zero_by_symmetry_stay_dropped_on_the_cli_path(spec, flags, dense, solved,
+                                                               capsys, tmp_path):
+    m = build_sector_hamiltonian(spec)
+    psi = (make_initial_state(spec, "basis_index", basis_index=21) if "--basis-index" in flags
+           else make_initial_state(spec, "plus_projected"))
+    eig = eigendecompose(m)
+    obj = RodeoObjective(eig, psi, float(eig.eigenvalues[0]))
+    assert (obj.levels, obj.levels_below_resolution) == dense
+    out = tmp_path / "c.json"
+    argv = ["curve", "--model", "tfim", "--length", str(spec.length), "--coupling",
+            str(spec.coupling), "--field", str(spec.field), "--n-samples", "10",
+            "--t-points", "2", "--skip-rra", "--format", "json", "--out", str(out)] + flags
+    assert main(argv) == 0
+    diagnostics = json.loads(out.read_text())["manifest"]["diagnostics"]
+    assert (diagnostics["levels"], diagnostics["levels_below_resolution"]) == solved
+
+
 @pytest.mark.parametrize("spec, kind, kept, dropped", [
     (HamiltonianSpec("tfim", 10, field=1.0), "plus_projected", 30, 90),
     (HamiltonianSpec("xx", 10), "basis_index", 121, 0)], ids=("tfim-plus", "xx-e1"))
@@ -331,11 +497,15 @@ def test_the_benchmark_chains_keep_their_levels_under_the_block_solve(spec, kind
     e0 = float(np.linalg.eigvalsh(m)[0])
     dense, blocks = (RodeoObjective(eigendecompose(m, maps), psi, e0)
                      for maps in ((), sector_symmetries(spec)))
-    for obj in (dense, blocks):
+    # the touched-block solve gives the unsolved blocks' energies weight 0
+    energies, weights = state_spectrum(m, sector_symmetries(spec), psi)
+    touched = RodeoObjective.from_levels(energies, weights, len(m), e0)
+    for obj in (dense, blocks, touched):
         assert (obj.levels, obj.levels_below_resolution) == (kept, dropped)
-    for (da, la), (db, lb) in ((dense._rest, blocks._rest), (dense._target, blocks._target)):
-        np.testing.assert_allclose(db, da, rtol=0, atol=5e-14)
-        np.testing.assert_allclose(lb, la, rtol=0, atol=5e-12)
+    for other in (blocks, touched):
+        for (da, la), (db, lb) in ((dense._rest, other._rest), (dense._target, other._target)):
+            np.testing.assert_allclose(db, da, rtol=0, atol=5e-14)
+            np.testing.assert_allclose(lb, la, rtol=0, atol=5e-12)
 
 
 @pytest.mark.parametrize("spec, blocks", [
@@ -353,13 +523,17 @@ def test_each_symmetry_block_goes_to_eigh_alone(spec, blocks, monkeypatch):
 
 
 def test_curve_solves_the_tfim_chain_block_by_block(monkeypatch, tmp_path):
-    sizes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    # the plus state lies in the trivial character's block of 152 states;
+    # the other three blocks get eigenvalues only
+    sizes = {"eigh": [], "eigvalsh": []}
+    for name, solve in (("eigh", np.linalg.eigh), ("eigvalsh", np.linalg.eigvalsh)):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, name=name, solve=solve: sizes[name].append(len(a))
+                            or solve(a))
     argv = ["curve", "--model", "tfim", "--length", "10", "--n-samples", "10",
             "--t-points", "2", "--skip-rra", "--out", str(tmp_path / "c.json")]
     assert main(argv) == 0
-    assert 512 not in sizes and sum(sizes) == 512
+    assert sizes == {"eigh": [152], "eigvalsh": [120, 120, 120]}
 
 
 def test_symmetries_that_do_not_hold_are_refused():
