@@ -34,10 +34,9 @@ from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamilto
 from .optimize import _optimize_alphas, adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import ABS_TOL, QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, file_format, geometric_times,
-                        half_normal_draws, read_schedule, superiteration_schedule, trotter_round,
-                        trotter_steps)
-from .spectral import (ContinuousBand, band_from_json, level_gap, load_spectrum_csv,
-                       rsn_quadrature, rsn_quadrature_batch, target_gap)
+                        half_normal_draws, read_schedule, superiteration_schedule, trotter_round)
+from .spectral import (ContinuousBand, TrotterObjective, band_from_json, level_gap,
+                       load_spectrum_csv, rsn_quadrature, target_gap)
 
 # Spectral-function presets for schedule fitting; shapes are normalized
 # internally. Both live on [0, 1] and pair with a target below the band.
@@ -345,10 +344,7 @@ def _spectral_input(args):
 def cmd_schedule_fit(args) -> int:
     spectrum, label = _spectral_input(args)
     t0 = math.pi / target_gap(spectrum, args.e_target)
-    # Work summed over the fits; "lattice", "gathered" and "kernel_calls"
-    # are the survival kernel's (rsn_quadrature_batch's work).
-    counts = dict.fromkeys(("schedules_scored", "schedules_integrated", "lattice", "gathered",
-                            "kernel_calls"), 0)
+    counts = {}  # TrotterObjective's work, summed over the fits
 
     def fit(totals: list, dt: float) -> list:
         for total in totals:
@@ -358,28 +354,7 @@ def cmd_schedule_fit(args) -> int:
             if total >= 2.0 ** 53 * dt:
                 raise ValueError(f"trotter step {dt} is too small for the total time {total}: "
                                  "the schedule would take 2**53 or more steps")
-        # Flooring makes the objective piecewise constant in the ratio, so
-        # golden steps and grid columns repeat schedules. A batch column
-        # is the bits of its one-column call, so every distinct floored
-        # schedule of the step is integrated once, keyed by the bytes of
-        # its integer steps: one void view of the columns as rows, the
-        # bytes of each column's tobytes() (np.unique(axis=1) costs more
-        # than the duplicates). The new columns go to the kernel as those
-        # steps, with their times k dt (trotter_floor's bits) for the rates.
-        known = {}
-
-        def objective(tm):
-            steps = np.ascontiguousarray(trotter_steps(tm, dt).T, dtype=np.intp)
-            counts["schedules_scored"] += steps.shape[0]
-            keys = steps.view((np.void, steps.itemsize * steps.shape[1])).ravel().tolist()
-            new = [key for key in dict.fromkeys(keys) if key not in known]
-            if new:
-                counts["schedules_integrated"] += len(new)
-                distinct = np.frombuffer(b"".join(new), dtype=np.intp).reshape(len(new), -1).T
-                known.update(zip(new, rsn_quadrature_batch(spectrum, args.e_target, distinct * dt,
-                                                           step=dt, steps=distinct, work=counts)))
-            return np.fromiter(map(known.__getitem__, keys), float, len(keys))
-
+        objective = TrotterObjective(spectrum, args.e_target, dt, counts)
         return [(opt, trotter_round(
                     superiteration_schedule(opt.alpha, args.n_samples, opt.total_time), dt))
                 for opt in _optimize_alphas(objective, args.n_samples, totals,
@@ -716,14 +691,27 @@ def _config_flags(commands: dict, argv: list) -> list:
     return argv[:1] + flags + argv[1:]
 
 
+# The (low, high) flag pairs of a range, with the dest of its grid's point
+# count: low must lie below high, or at it on a one-point grid.
+_RANGES = (("--t-min-mult", "--t-max-mult", "t_points"),
+           ("--theta-min", "--theta-max", "theta_points"),
+           ("--alpha-min", "--alpha-cap", None))
+
+
 def _flag_pair_error(args) -> str | None:
     """The usage error of values that each parse but do not fit together:
-    --band edges out of order, or a --basis-index outside the chain's
-    sector (its dimension read from the sector basis, without a solve).
-    A chain the library refuses is left to the command, which exits 1."""
+    --band edges or a pair of _RANGES out of order, or a --basis-index
+    outside the chain's sector (its dimension read from the sector basis,
+    without a solve). A chain the library refuses is left to the command,
+    which exits 1."""
     band = getattr(args, "band", None)
     if band and not band[0] < band[1]:
         return f"argument --band: DMAX must exceed DMIN, got {band[0]:g} {band[1]:g}"
+    for low, high, points in _RANGES:
+        lo, hi = (getattr(args, flag[2:].replace("-", "_"), None) for flag in (low, high))
+        one_point = points is not None and getattr(args, points, None) == 1
+        if lo is not None and not (lo < hi or (one_point and lo == hi)):
+            return f"argument {high}: must exceed {low}, got {lo:g} {hi:g}"
     if getattr(args, "basis_index", None) is not None and args.model:
         try:
             dim = len(sector_basis(_chain_spec(args)))

@@ -22,15 +22,18 @@ phases, where cos rounds to 1). Levels on an evenly spaced grid
 cycles by angle addition, with cos and sin called only at block starts
 and block offsets. Large calls cut the (levels x schedules) plane into
 tiles and run them on a thread pool over the CPUs in the process's
-affinity mask (numpy's ufuncs release the GIL). Schedules floored to
-multiples k dt of a Trotter step (``step=dt``) take the lattice path:
-one table of the direct path's entries per call, over the levels and the
-call's distinct nonzero steps k, each schedule a gather and an in-order
-sum of its steps' entries, so each cycle costs a lookup and an add; a
-batch's integer steps are checked (or taken from the caller) and ordered
-once, and each of its calls reads an ordered slice of them. A
-schedule's entries depend on its own times and the levels alone: not on
-the tiling, nor on the other schedules of the call.
+affinity mask (numpy's ufuncs release the GIL). A schedule's entries
+depend on its own times and the levels alone: not on the tiling, nor on
+the other schedules of the call.
+
+Schedules floored to a Trotter step dt enter in one place,
+``TrotterObjective``: it floors them to integer steps k, integrates each
+distinct floored schedule once and scores it on the lattice path. That
+path holds one table of the direct path's entries per kernel call, over
+the levels and the call's distinct nonzero steps k, and sums each
+schedule as a gather and an in-order add of its steps' entries, so each
+cycle costs a lookup and an add; a batch's steps are ordered once, and
+each of its calls reads an ordered slice of them.
 """
 
 from __future__ import annotations
@@ -41,13 +44,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .quadrature import ABS_TOL, QuadratureError, _integrate_columns, integrate_oscillatory
-from .schedules import TimeSchedule
+from .schedules import TimeSchedule, trotter_steps
 
 # Levels within this distance of the target energy, relative to the
 # spectral scale max(1, |E_t|, max |E|), form the target manifold.
@@ -252,8 +255,7 @@ class ContinuousBand:
 SpectralFunction = Union[DiscreteSpectrum, ContinuousBand]
 
 
-def log_survival(deltas, times, work: dict | None = None, *,
-                 step: float | None = None) -> np.ndarray:
+def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     """Per-level log filter products for a batch of schedules.
 
     ``deltas`` (L,) are level offsets E - E_t and ``times`` (N, S) holds
@@ -261,18 +263,6 @@ def log_survival(deltas, times, work: dict | None = None, *,
     sum_n log cos**2(delta t_n / 2), zeros when L, N or S is 0 or when
     every offset is 0 (a chain objective's target manifold). A zero time
     adds exactly 0.
-
-    With ``step`` (dt > 0) every time must be k dt for an integer k >= 0,
-    as trotter_floor writes it (fl(k dt) == t), or the call raises
-    ValueError; the steps k are then planned once (_lattice_plan: the
-    columns longest first) and every column takes the lattice path,
-    _add_lattice: a table of log1p(tan**2) over the levels and the call's
-    distinct nonzero steps, gathered and added in schedule order. Its
-    entries are those of the direct path below on every cycle, bit for bit
-    (no series), and it computes at most min(K + 1, N S) table rows.
-    ``work`` gains the table entries ("lattice") and the entries gathered
-    ("gathered", one per level for each step up to a column's last
-    nonzero step).
 
     A column's entries depend on its own times and on ``deltas`` alone,
     bit for bit, whatever other columns share the call. One step,
@@ -298,9 +288,6 @@ def log_survival(deltas, times, work: dict | None = None, *,
     # Blocks are slices of rows; a column-major matrix would make each
     # block's temporaries strided and the kernel about twice as slow.
     tm = np.ascontiguousarray(times, dtype=float)
-    if step is not None:
-        plan = _lattice_plan(_lattice_steps(tm, step))
-        return _lattice_survival(half, plan, np.arange(tm.shape[1]), step, work, plan.order)
     out = np.zeros((half.size, tm.shape[1]))
     if out.size == 0 or tm.shape[0] == 0 or not np.count_nonzero(half):
         return out
@@ -560,40 +547,12 @@ def _accumulate_tiles(half, parts) -> None:
 
 
 class _Lattice(NamedTuple):
-    """The integer steps of a batch of schedules on one lattice, checked
-    and ordered once (_lattice_plan)."""
+    """The integer steps of a batch of schedules on one lattice, ordered
+    once (_lattice_plan)."""
 
     steps: np.ndarray   # (N, S) intp, C-ordered, the columns longest first
     length: np.ndarray  # (S,) each column's rows up to its last nonzero step
     order: np.ndarray   # (S,) the batch column of each planned column
-
-
-def _check_step(step) -> None:
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be a positive number, got {step!r}")
-
-
-def _lattice_steps(tm, step) -> np.ndarray:
-    """The integer steps k of times ``tm`` on the lattice k ``step``, k
-    below 2**53; raises ValueError unless every time is fl(k step)."""
-    _check_step(step)
-    k = np.rint(tm / step)
-    # NaN fails the comparison, as does a time off the lattice.
-    if not (np.array_equal(k * step, tm) and np.all((k >= 0) & (k < 2.0 ** 53))):
-        raise ValueError(f"times must be nonnegative integer multiples of step {step!r}")
-    return k.astype(np.intp)
-
-
-def _given_steps(steps, shape, step) -> np.ndarray:
-    """A caller's integer steps, one per time of ``shape``, as intp; raises
-    ValueError unless each is an integer 0 <= k < 2**53 (its time k step
-    is then exact in the product fl(k step))."""
-    _check_step(step)
-    k = np.asarray(steps)
-    if not (k.shape == shape and k.dtype.kind in "iu"
-            and (k.size == 0 or (k.min() >= 0 and k.max() < 2 ** 53))):
-        raise ValueError(f"steps must be integers 0 <= k < 2**53 of shape {shape}")
-    return k.astype(np.intp, copy=False)
 
 
 def _lattice_plan(steps) -> _Lattice:
@@ -612,11 +571,15 @@ def _lattice_plan(steps) -> _Lattice:
     return _Lattice(np.ascontiguousarray(np.take(rows, order, axis=0).T), length[order], order)
 
 
-def _lattice_survival(half, plan, cols, step, work, order=slice(None)) -> np.ndarray:
-    """log_survival's lattice path for levels ``half`` (half the offsets)
-    over the columns ``cols`` of ``plan``, an increasing index array:
-    (L, len(cols)), in that order, or with column order[j] holding
-    cols[j]."""
+def _lattice_survival(half, plan, cols, step, work) -> np.ndarray:
+    """log_survival of the schedules fl(k step) for levels ``half`` (half
+    the offsets), over the columns ``cols`` of ``plan``, an increasing
+    index array: (L, len(cols)), in that order. Every column takes the
+    lattice path, _add_lattice, whose entries are those of log_survival's
+    direct path on every cycle, bit for bit (no series); it computes at
+    most min(K + 1, N S) table rows. ``work`` gains the table entries
+    ("lattice") and the entries gathered ("gathered", one per level for
+    each step up to a column's last nonzero step)."""
     out = np.zeros((half.size, len(cols)))
     if out.size == 0 or len(plan.steps) == 0 or not np.count_nonzero(half):
         return out
@@ -624,20 +587,18 @@ def _lattice_survival(half, plan, cols, step, work, order=slice(None)) -> np.nda
     # A private C-ordered copy, cut after the longest column: _add_lattice
     # may write over it, and the plan serves the batch's other calls.
     steps = np.take(plan.steps[:length[0]], cols, axis=1)
-    entries = _add_lattice(half, steps, length, step, out, order)
-    if work is not None:
-        _count(work, "lattice", entries)
-        _count(work, "gathered", half.size * int(length.sum()))
+    entries = _add_lattice(half, steps, length, step, out)
+    _count(work, "lattice", entries)
+    _count(work, "gathered", half.size * int(length.sum()))
     np.negative(out, out=out)
     return out
 
 
-def _add_lattice(half, steps, length, step, out, order=slice(None)) -> int:
+def _add_lattice(half, steps, length, step, out) -> int:
     """Write into ``out`` (l, S), zeros on entry, sum_n log1p(tan**2(half
     fl(k_n step))) over the integer steps k_n of each column of ``steps``
     (n, S), added in order as _accumulate adds them over the times
-    fl(k_n step), column j of ``steps`` into column order[j] of ``out``;
-    return the table entries computed at nonzero steps.
+    fl(k_n step); return the table entries computed at nonzero steps.
 
     ``length`` holds each column's rows up to its last nonzero step,
     non-increasing: the columns come longest first, as a _Lattice orders
@@ -657,7 +618,7 @@ def _add_lattice(half, steps, length, step, out, order=slice(None)) -> int:
     (as _accumulate computes a one-entry plane)."""
     if out.shape[0] == 1:
         pair = np.repeat(out, 2, axis=0)
-        entries = _add_lattice(np.repeat(half, 2), steps, length, step, pair, order)
+        entries = _add_lattice(np.repeat(half, 2), steps, length, step, pair)
         out[...] = pair[:1]
         return entries // 2
     top = int(steps.max(initial=0))
@@ -712,7 +673,7 @@ def _add_lattice(half, steps, length, step, out, order=slice(None)) -> int:
             gathered[0] += sums[:n]
             np.add.reduce(gathered, axis=0, out=sums[:n])
             r0 = r1
-        out[l0:l1, order] = sums.T
+        out[l0:l1] = sums.T
     return levels * int(np.count_nonzero(distinct))
 
 
@@ -795,8 +756,7 @@ def target_gap(spectrum: SpectralFunction, e_target: float) -> float:
 
 
 def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
-                         *, abs_tol: float = ABS_TOL, step: float | None = None,
-                         steps=None, work: dict | None = None) -> np.ndarray:
+                         *, abs_tol: float = ABS_TOL) -> np.ndarray:
     """Residual spectral norm of each schedule column of ``times`` (N, S);
     returns (S,). Zero times are exact no-ops, so Trotter-floored
     schedules of unequal length can share one zero-padded matrix.
@@ -811,35 +771,20 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
 
     A column's value is the bits of its one-column call, whatever other
     columns share the call: the kernel and the integrator read nothing of
-    a column's neighbours. ``step`` is log_survival's: with it, times
-    must lie on its lattice (trotter_floor's output), and every kernel
-    call takes the lattice path. The batch's integer steps are found
-    once, by log_survival's check of the times, or are the caller's
-    ``steps`` (integers 0 <= k < 2**53 with fl(k step) == times, which is
-    then not checked), and planned once (_lattice_plan): the columns go to
-    the integrator longest first, so that each kernel call gets its
-    columns in order, and the values come back in the caller's order.
-    ``work``, a dict, gains each kernel call's counts (log_survival's) and
-    the calls ("kernel_calls").
+    a column's neighbours.
     """
     tm = np.asarray(times, dtype=float)
-    if step is None:
-        if steps is not None:
-            raise ValueError("steps need the step of their lattice")
-        plan, order = None, slice(None)
-    else:
-        plan = _lattice_plan(_lattice_steps(tm, step) if steps is None
-                             else _given_steps(steps, tm.shape, step))
-        order = plan.order
+    return _residuals(spectrum, e_target, tm,
+                      lambda deltas, cols: log_survival(deltas, tm[:, cols]), abs_tol)
 
-    def survival(deltas, cols):
-        # cols: an increasing index array of the integrator's columns
-        if work is not None:
-            _count(work, "kernel_calls", 1)
-        if plan is None:
-            return log_survival(deltas, tm[:, cols], work)
-        return _lattice_survival(0.5 * np.asarray(deltas, dtype=float), plan, cols, step, work)
 
+def _residuals(spectrum, e_target, tm, survival, abs_tol, order=slice(None)) -> np.ndarray:
+    """rsn_quadrature_batch of the schedules ``tm`` (N, S), each kernel
+    call made by ``survival(deltas, cols)``: the (L, len(cols))
+    log_survival of the integrator's columns ``cols``, an increasing index
+    array. The integrator's column j is column order[j] of ``tm``; the
+    values, and a failure's estimates and bounds, come back in ``tm``'s
+    order."""
     every = np.arange(tm.shape[1])
     values = np.empty(tm.shape[1])
     if isinstance(spectrum, DiscreteSpectrum):
@@ -868,6 +813,57 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
         estimate[order], bound[order] = exc.estimate, exc.error_bound
         raise QuadratureError(str(exc), estimate, bound) from None
     return values
+
+
+@dataclass
+class TrotterObjective:
+    """schedule-fit's search objective on a Trotter step ``dt``: called on
+    unrounded (N, S) schedule columns, each below 2**53 steps, it gives
+    the (S,) residuals of their floors trotter_floor(times, dt), as
+    rsn_quadrature_batch gives them to ABS_TOL.
+
+    Flooring makes the objective piecewise constant in the ratio, so a
+    search's golden steps and grid columns repeat schedules. A column's
+    residual is the bits of its one-column call, so each distinct floored
+    schedule is integrated once in the objective's life, keyed by the
+    bytes of its integer steps: one void view of the schedules as rows
+    (np.unique(axis=1) costs more than the duplicates). The new schedules
+    are planned once (_lattice_plan: longest first) and go to the
+    integrator in that order, with their times k dt (trotter_floor's
+    bits) for the phase rates; every kernel call takes the lattice path.
+    ``work`` gains the schedules scored and integrated, and each kernel
+    call ("kernel_calls") with its counts (_lattice_survival's), from 0.
+    """
+
+    spectrum: SpectralFunction
+    e_target: float
+    dt: float
+    work: dict = field(default_factory=dict)
+    _known: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for key in ("schedules_scored", "schedules_integrated", "lattice", "gathered",
+                    "kernel_calls"):
+            self.work.setdefault(key, 0)
+
+    def __call__(self, times) -> np.ndarray:
+        steps = np.ascontiguousarray(trotter_steps(times, self.dt).T, dtype=np.intp)
+        _count(self.work, "schedules_scored", steps.shape[0])
+        keys = steps.view((np.void, steps.itemsize * steps.shape[1])).ravel().tolist()
+        new = [key for key in dict.fromkeys(keys) if key not in self._known]
+        if new:
+            _count(self.work, "schedules_integrated", len(new))
+            distinct = np.frombuffer(b"".join(new), dtype=np.intp).reshape(len(new), -1).T
+            plan = _lattice_plan(distinct)
+
+            def survival(deltas, cols):
+                _count(self.work, "kernel_calls", 1)
+                half = 0.5 * np.asarray(deltas, dtype=float)
+                return _lattice_survival(half, plan, cols, self.dt, self.work)
+
+            self._known.update(zip(new, _residuals(self.spectrum, self.e_target, distinct * self.dt,
+                                                   survival, ABS_TOL, plan.order)))
+        return np.fromiter(map(self._known.__getitem__, keys), float, len(keys))
 
 
 def rsn_quadrature_value_and_grad(band: ContinuousBand, e_target: float, times) -> tuple:

@@ -29,11 +29,12 @@ import numpy as np
 import pytest
 import scipy
 
+from conftest import BLAS_THREAD_VARS, _simd_found
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 PINS = Path(__file__).resolve().parent / "bench_outputs.json"
 SEED = 1
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _workload_jobs() -> dict:
@@ -78,13 +79,6 @@ def _job_outputs(tmp: Path) -> dict:
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     return json.loads(path.read_text())
-
-
-def _simd_found() -> list:
-    """The SIMD extensions numpy dispatches to on this machine, in the
-    order np.show_runtime() lists them as found."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return [name for name in __cpu_dispatch__ if __cpu_features__[name]]
 
 
 def _text(result) -> str:

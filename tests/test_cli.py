@@ -318,18 +318,18 @@ SWEEP_PINS = [
 
 def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
     calls, fits = [], []
-    real_batch, real_searches = cli.rsn_quadrature_batch, cli._optimize_alphas
+    real_plan, real_searches = spectral._lattice_plan, cli._optimize_alphas
 
-    def batch(spectrum, e_target, times, **kw):
-        calls[-1].append(np.array(times))
-        return real_batch(spectrum, e_target, times, **kw)
+    def plan(steps):
+        calls[-1].append(np.array(steps))
+        return real_plan(steps)
 
     def searches(objective, n_samples, totals, alpha_bounds):
-        calls.append([])  # one list of integrated matrices per Trotter step
+        calls.append([])  # the integer steps integrated, one list per Trotter step
         fits.append(len(totals))
         return real_searches(objective, n_samples, totals, alpha_bounds)
 
-    monkeypatch.setattr(cli, "rsn_quadrature_batch", batch)
+    monkeypatch.setattr(spectral, "_lattice_plan", plan)
     monkeypatch.setattr(cli, "_optimize_alphas", searches)
     out = tmp_path / "sweep.json"
     assert main(["schedule-fit", "--preset", "xi2", "--sweep", "--n-samples", "100",
@@ -409,26 +409,19 @@ _SWEEP_JOBS = {p: ["schedule-fit", "--preset", p, "--sweep", "--n-samples", "100
 
 
 @pytest.mark.parametrize("preset, kernel_calls", [("xi2", 55), ("xi1", 70)])
-def test_a_trotter_sweep_plans_its_steps_without_checking_times(preset, kernel_calls, capsys,
-                                                                monkeypatch):
-    # schedule-fit hands integer steps down, so no kernel call checks float
-    # times; the lattice calls per job are as many as when each call
-    # checked and ordered its own columns, and the manifest counts them.
-    calls = {"check": 0, "kernel": 0}
-    check, kernel = spectral._lattice_steps, spectral._add_lattice
+def test_a_trotter_sweep_counts_its_lattice_kernel_calls(preset, kernel_calls, capsys,
+                                                          monkeypatch):
+    # The manifest counts every lattice kernel call of a benchmark sweep job.
+    calls, kernel = [], spectral._add_lattice
 
-    def counted(name, real):
-        def call(*args):
-            calls[name] += 1
-            return real(*args)
-        return call
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
 
-    monkeypatch.setattr(spectral, "_lattice_steps", counted("check", check))
-    monkeypatch.setattr(spectral, "_add_lattice", counted("kernel", kernel))
+    monkeypatch.setattr(spectral, "_add_lattice", counted)
     code, doc = _run_json(_SWEEP_JOBS[preset], capsys)
     assert code == 0
-    assert calls == {"check": 0, "kernel": kernel_calls}
-    assert doc["manifest"]["diagnostics"]["kernel_calls"] == kernel_calls
+    assert len(calls) == doc["manifest"]["diagnostics"]["kernel_calls"] == kernel_calls
 
 
 def test_schedule_fit_counts_its_kernel_work_the_same_every_run(tmp_path, capsys):
@@ -545,6 +538,45 @@ def test_inverted_band_is_an_error(capsys):
                                   ["table1", "--band", "1", "0.1"]])
 def test_every_band_command_refuses_edges_out_of_order(argv, capsys):
     assert "argument --band: DMAX must exceed DMIN" in _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("line, config, low, high", [
+    ("curve --model xx --t-min-mult 5 --t-max-mult 1", None, "--t-min-mult", "--t-max-mult"),
+    ("curve --model xx --t-points 1 --t-min-mult 5 --t-max-mult 1", None,
+     "--t-min-mult", "--t-max-mult"),
+    ("schedule-fit --preset xi2 --sweep --t-min-mult 5 --t-max-mult 1", None,
+     "--t-min-mult", "--t-max-mult"),
+    ("product-function --alpha 2 --theta-min 10 --theta-max 1", None,
+     "--theta-min", "--theta-max"),
+    ("decay-fit --alpha 2 --theta-min 1e4 --theta-max 1e3", None, "--theta-min", "--theta-max"),
+    ("decay-fit --alpha 2 --theta-min 1e3 --theta-max 1e3", None, "--theta-min", "--theta-max"),
+    ("optimize-alpha --alpha-min 1.5 --alpha-cap 1.2", None, "--alpha-min", "--alpha-cap"),
+    ("curve --model xx --alpha-min 2 --alpha-cap 2", None, "--alpha-min", "--alpha-cap"),
+    ("schedule-fit --preset xi2 --trotter-dt 0.01 --alpha-min 1.9 --alpha-cap 1.2", None,
+     "--alpha-min", "--alpha-cap"),
+    ("decay-fit --alpha 2", {"theta_min": 1e4, "theta_max": 1e3}, "--theta-min", "--theta-max"),
+])
+def test_a_range_out_of_order_names_both_flags(line, config, low, high, tmp_path, capsys):
+    # Low must lie strictly below high; only a one-point grid may have the
+    # two equal (next test). --band has its own message (above).
+    argv = shlex.split(line)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert f"argument {high}: must exceed {low}, got " in _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("line", [
+    "curve --model xx --length 4 --n-samples 5 --alphas 2 --rra-samples 3 "
+    "--t-points 1 --t-min-mult 2 --t-max-mult 2",
+    "schedule-fit --preset xi2 --sweep --n-samples 20 --dt-mults 0.01 "
+    "--t-points 1 --t-min-mult 1 --t-max-mult 1",
+    "product-function --alpha 2 --theta-points 1 --theta-min 5 --theta-max 5",
+])
+def test_a_one_point_grid_may_have_equal_bounds(line, capsys):
+    code, doc = _run_json(shlex.split(line), capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv, dim", [

@@ -18,9 +18,9 @@ from rodeo_sched import (DiscreteSpectrum, EigenSystem, HamiltonianSpec, Initial
                          superiteration_schedule, spectral, trotter_floor)
 from rodeo_sched import quadrature
 from rodeo_sched.quadrature import QuadratureError
-from rodeo_sched.schedules import TIME_FLOOR
-from rodeo_sched.spectral import (LOG_COS_SERIES, PARALLEL_MIN_PHASES,
-                                  SHORT_PHASE, log_survival, log_surviving, target_mask)
+from rodeo_sched.schedules import TIME_FLOOR, trotter_steps
+from rodeo_sched.spectral import (LOG_COS_SERIES, PARALLEL_MIN_PHASES, SHORT_PHASE,
+                                  TrotterObjective, log_survival, log_surviving, target_mask)
 
 deltas_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)
 times_st = st.lists(st.floats(0.0, 40.0), min_size=0, max_size=12)
@@ -608,13 +608,24 @@ def _series_off():
         spectral.SERIES_MIN_PHASES = saved
 
 
+def _lattice(deltas, steps, dt, work=None):
+    """log_survival of the schedules fl(k dt), k = ``steps`` (N, S), on
+    the lattice path (TrotterObjective's kernel), columns in their order."""
+    plan = spectral._lattice_plan(np.asarray(steps, dtype=np.intp))
+    out = np.empty((len(deltas), len(plan.order)))
+    out[:, plan.order] = spectral._lattice_survival(0.5 * np.asarray(deltas, dtype=float), plan,
+                                                    np.arange(len(plan.order)), dt,
+                                                    {} if work is None else work)
+    return out
+
+
 @st.composite
 def _lattice_calls(draw):
-    """(deltas, times, dt) of a Trotter-floored call: times fl(k dt) as
-    trotter_floor writes them, for integer steps k up to K = 10**6 (the
-    largest past the presence mask's reach, so sorted), zero steps drawn
-    often; columns as drawn or in decreasing order, as floored
-    geometric schedules come (zero steps last)."""
+    """(deltas, steps, dt) of a Trotter-floored call: integer steps k up
+    to K = 10**6 (the largest past the presence mask's reach, so sorted),
+    zero steps drawn often, of the times fl(k dt) trotter_floor writes;
+    columns as drawn or in decreasing order, as floored geometric
+    schedules come (zero steps last)."""
     levels, cycles, cols = draw(st.integers(1, 30)), draw(st.integers(1, 40)), draw(st.integers(1, 6))
     top = draw(st.sampled_from([1, 10, 500, 10 ** 4, 10 ** 6]))
     steps = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(0, top)),
@@ -625,23 +636,24 @@ def _lattice_calls(draw):
     dt = draw(st.floats(1e-3, 2.0))
     deltas = np.array(draw(st.lists(st.floats(-6.0, 6.0, allow_subnormal=False),
                                     min_size=levels, max_size=levels)))
-    return deltas, steps * dt, dt
+    return deltas, steps, dt
 
 
 @settings(max_examples=300, deadline=None)
 @given(_lattice_calls())
-@example((np.array([1.5]), np.array([[3.0], [2.0], [1.0]]) * 0.1, 0.1))  # one entry
-@example((np.array([1.5]), np.array([[3.0, 0.0], [1.0, 0.0]]) * 0.1, 0.1))  # one level
-@example((np.array([1.0, -0.5]), np.zeros((4, 3)), 0.5))                   # zero steps only
-@example((np.zeros(3), np.array([[2.0, 1.0]]) * 0.3, 0.3))                 # all offsets 0
-@example((np.array([1.0, 1.7283399e-158]), np.array([[7.0], [3.0]]) * 0.9, 0.9))  # subnormal sums
+@example((np.array([1.5]), np.array([[3], [2], [1]]), 0.1))                # one entry
+@example((np.array([1.5]), np.array([[3, 0], [1, 0]]), 0.1))               # one level
+@example((np.array([1.0, -0.5]), np.zeros((4, 3), dtype=np.intp), 0.5))   # zero steps only
+@example((np.zeros(3), np.array([[2, 1]]), 0.3))                           # all offsets 0
+@example((np.array([1.0, 1.7283399e-158]), np.array([[7], [3]]), 0.9))     # subnormal sums
 def test_the_lattice_path_is_the_direct_path_bit_for_bit(call):
-    deltas, tm, dt = call
-    got = log_survival(deltas, tm, step=dt)
+    deltas, steps, dt = call
+    tm = steps * dt
+    got = _lattice(deltas, steps, dt)
     with _series_off():
         assert got.tobytes() == log_survival(deltas, tm).tobytes()
     for s in range(tm.shape[1]):
-        assert log_survival(deltas, tm[:, s:s + 1], step=dt).tobytes() == got[:, s:s + 1].tobytes()
+        assert _lattice(deltas, steps[:, s:s + 1], dt).tobytes() == got[:, s:s + 1].tobytes()
     # Against the default kernel, whose series sums short cycles another
     # way: 1.3e-15 relative at most over 20,000 random calls of this shape
     # (both sums add at most 40 terms of one sign, about 40 ulp apart).
@@ -654,43 +666,33 @@ def test_the_lattice_path_is_the_direct_path_bit_for_bit(call):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_a_benchmark_shaped_lattice_call_is_the_direct_path_in_tiles(seed):
     # 600 band levels under a floored ratio grid: 144-164 distinct steps, so
-    # the table splits over levels; and peak memory stays under 3.5 planes
-    # (2.7 measured: the result, each tile's table and sums, the steps).
+    # the table splits over levels; and peak memory, the plan included,
+    # stays under 3.5 planes (2.7 measured: the result, each tile's table
+    # and sums, the steps).
     deltas, tm = _kernel_call((600, 240, 100), seed, "trotter")
     dt = 0.01 * math.pi
+    steps = trotter_steps(tm, dt).astype(np.intp)
+    assert (steps * dt).tobytes() == tm.tobytes()
     tracemalloc.start()
     try:
-        got = log_survival(deltas, tm, step=dt)
+        plan = spectral._lattice_plan(steps)
+        got = spectral._lattice_survival(0.5 * deltas, plan, np.arange(240), dt, {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * got.nbytes
     with _series_off():
-        assert got.tobytes() == log_survival(deltas, tm).tobytes()
+        assert got.tobytes() == log_survival(deltas, tm[:, plan.order]).tobytes()
 
 
 def test_the_lattice_table_holds_each_level_at_each_distinct_nonzero_step():
     deltas = np.linspace(0.5, 2.0, 7)
     steps = np.array([[5, 9, 0], [3, 5, 0], [0, 3, 0], [5, 0, 0]])
     work = {}
-    log_survival(deltas, steps * 0.25, work, step=0.25)
+    _lattice(deltas, steps, 0.25, work)
     # steps 3, 5 and 9; 4 + 3 + 0 rows read up to each column's last
     # nonzero step, one entry per level each
     assert work == {"lattice": 7 * 3, "gathered": 7 * 7}
-
-
-@pytest.mark.parametrize("times, step", [
-    ([[0.3], [0.25]], 0.1),          # 0.25 is no multiple of 0.1
-    ([[0.2], [-0.1]], 0.1),          # negative
-    ([[0.2], [math.nan]], 0.1),
-    ([[1e300]], 1.0),                # beyond 2**53 steps
-    ([[0.2]], 0.0),
-    ([[0.2]], -0.1),
-    ([[0.2]], math.inf),
-])
-def test_the_lattice_path_refuses_times_off_the_lattice(times, step):
-    with pytest.raises(ValueError):
-        log_survival(np.array([1.0, 2.0]), np.array(times), step=step)
 
 
 def test_lattice_entries_next_to_zeros_of_cos_match_mpmath():
@@ -701,30 +703,14 @@ def test_lattice_entries_next_to_zeros_of_cos_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     dt = math.pi / 2000.0
     steps = [1000 * (2 * m + 1) + j for m in (0, 1, 10, 100, 1000) for j in (-3, -1, 0, 1, 2, 3)]
-    tm = np.array(steps, dtype=float).reshape(2, -1) * dt
+    k = np.array(steps).reshape(2, -1)
     work = {}
-    got = log_survival(np.array([2.0]), tm, work, step=dt)
+    got = _lattice(np.array([2.0]), k, dt, work)
     assert work == {"lattice": len(steps), "gathered": len(steps)}
     with mpmath.workdps(60):
-        for col, value in zip(tm.T, got[0]):
+        for col, value in zip((k * dt).T, got[0]):
             exact = sum(mpmath.log(mpmath.cos(mpmath.mpf(float(t))) ** 2) for t in col)
             assert abs(value - exact) <= 1e-15 * abs(exact), col
-
-
-@pytest.mark.parametrize("spectrum, e_target", [
-    (spectral.ContinuousBand(0.0, 1.0, "gaussian"), -1.0),
-    (DiscreteSpectrum(np.array([0.0, 0.5, 1.3, 2.0]), np.array([0.4, 0.3, 0.2, 0.1])), 0.0),
-], ids=["band", "discrete"])
-def test_residual_batches_pass_the_step_to_the_kernel(spectrum, e_target):
-    dt = 0.05
-    alphas = 1.0 + np.geomspace(1e-3, 1.0, 12)
-    tm = trotter_floor(geometric_times(alphas, 30, 2.0 * math.pi), dt)
-    got = rsn_quadrature_batch(spectrum, e_target, tm, step=dt)
-    for s in range(tm.shape[1]):
-        assert got[s] == rsn_quadrature_batch(spectrum, e_target, tm[:, s:s + 1], step=dt)[0]
-    np.testing.assert_allclose(got, rsn_quadrature_batch(spectrum, e_target, tm), rtol=1e-13)
-    with pytest.raises(ValueError, match="multiples of step"):
-        rsn_quadrature_batch(spectrum, e_target, tm + 1e-3, step=dt)
 
 
 _PLANNED_SPECTRA = {
@@ -732,6 +718,21 @@ _PLANNED_SPECTRA = {
     "discrete": (DiscreteSpectrum(np.array([0.0, 0.5, 1.3, 2.0]),
                                   np.array([0.4, 0.3, 0.2, 0.1])), 0.0),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(_PLANNED_SPECTRA))
+def test_a_trotter_objective_scores_the_floors_of_its_times(kind):
+    spectrum, e_target = _PLANNED_SPECTRA[kind]
+    dt = 0.05
+    alphas = 1.0 + np.geomspace(1e-3, 1.0, 12)
+    tm = geometric_times(alphas, 30, 2.0 * math.pi)
+    floored = trotter_floor(tm, dt)
+    got = TrotterObjective(spectrum, e_target, dt)(tm)
+    for s in range(tm.shape[1]):
+        assert got[s] == TrotterObjective(spectrum, e_target, dt)(tm[:, s:s + 1])[0]
+    with _series_off():
+        assert got.tobytes() == rsn_quadrature_batch(spectrum, e_target, floored).tobytes()
+    np.testing.assert_allclose(got, rsn_quadrature_batch(spectrum, e_target, floored), rtol=1e-13)
 
 
 @st.composite
@@ -763,27 +764,22 @@ def _planned_batches(draw):
 @example((np.array([[0, 3, 0, 3], [0, 1, 0, 2]]), 0.05), "band")        # zeros, ties
 @example((np.array([[0, 3, 0, 3], [0, 1, 0, 2]]), 0.05), "discrete")
 def test_a_planned_batch_is_each_columns_one_column_call_bit_for_bit(batch, kind):
-    # One plan per call (the columns checked and ordered longest first
-    # once); every kernel call takes an ordered slice of it, and a call
-    # that sorts its steps writes its ranks over a private copy, so the
-    # refinements of one column, sharing the plan, read it intact.
+    # One plan per call (the columns ordered longest first once); every
+    # kernel call takes an ordered slice of it, and a call that sorts its
+    # steps writes its ranks over a private copy, so the refinements of
+    # one column, sharing the plan, read it intact.
     steps, dt = batch
     spectrum, e_target = _PLANNED_SPECTRA[kind]
     tm = steps * dt
-    given_steps = steps.copy()
-    got = rsn_quadrature_batch(spectrum, e_target, tm, step=dt)
+    assert np.array_equal(trotter_steps(tm, dt), steps)  # the times are their own floors
+    got = TrotterObjective(spectrum, e_target, dt)(tm)
     assert got.shape == (steps.shape[1],)
-    assert rsn_quadrature_batch(spectrum, e_target, tm, step=dt,
-                                steps=given_steps).tobytes() == got.tobytes()
-    assert given_steps.tobytes() == steps.tobytes()
     # the direct path, which plans nothing, has the lattice path's bits
     with _series_off():
         assert rsn_quadrature_batch(spectrum, e_target, tm).tobytes() == got.tobytes()
     for s in range(steps.shape[1]):
-        one = rsn_quadrature_batch(spectrum, e_target, tm[:, s:s + 1], step=dt)
+        one = TrotterObjective(spectrum, e_target, dt)(tm[:, s:s + 1])
         assert one.tobytes() == got[s:s + 1].tobytes()
-        assert rsn_quadrature_batch(spectrum, e_target, tm[:, s:s + 1], step=dt,
-                                    steps=steps[:, s:s + 1]).tobytes() == one.tobytes()
 
 
 def test_the_rank_branch_reads_a_fortran_ordered_column_subset():
@@ -805,24 +801,11 @@ def test_the_rank_branch_reads_a_fortran_ordered_column_subset():
         assert (-got).tobytes() == log_survival(2.0 * half, subset * 0.01).tobytes()
 
 
-@pytest.mark.parametrize("steps", [
-    np.array([[1.0, 2.0]]),              # not integers
-    np.array([[1, -2]]),                 # negative
-    np.array([[1, 2 ** 53]]),            # beyond 2**53
-    np.array([[1], [2]]),                # another shape than the times
-])
-def test_a_batchs_given_steps_are_range_checked(steps):
-    band, e_target = _PLANNED_SPECTRA["band"]
-    with pytest.raises(ValueError, match="steps must be integers"):
-        rsn_quadrature_batch(band, e_target, np.array([[0.1, 0.2]]), step=0.1, steps=steps)
-    with pytest.raises(ValueError, match="step of their lattice"):
-        rsn_quadrature_batch(band, e_target, np.array([[0.1, 0.2]]), steps=np.array([[1, 2]]))
-
-
 @pytest.mark.parametrize("kind", sorted(_PLANNED_SPECTRA))
-def test_a_float_time_batch_checks_its_times_once(kind, monkeypatch):
-    calls = {"check": 0, "kernel": 0}
-    check, kernel = spectral._lattice_steps, spectral._add_lattice
+def test_a_trotter_objective_plans_each_batch_once_and_integrates_each_floor_once(
+        kind, monkeypatch):
+    calls = {"plan": 0, "kernel": 0}
+    plan, kernel = spectral._lattice_plan, spectral._add_lattice
 
     def counted(name, real):
         def call(*args):
@@ -830,32 +813,38 @@ def test_a_float_time_batch_checks_its_times_once(kind, monkeypatch):
             return real(*args)
         return call
 
-    monkeypatch.setattr(spectral, "_lattice_steps", counted("check", check))
+    monkeypatch.setattr(spectral, "_lattice_plan", counted("plan", plan))
     monkeypatch.setattr(spectral, "_add_lattice", counted("kernel", kernel))
     spectrum, e_target = _PLANNED_SPECTRA[kind]
-    dt = 0.05
     totals = np.geomspace(2.0, 40.0, 12) * math.pi   # several starting-panel groups
-    tm = trotter_floor(geometric_times(1.0 + np.geomspace(1e-3, 1.0, 12), 30, totals), dt)
-    work = {}
-    rsn_quadrature_batch(spectrum, e_target, tm, step=dt, work=work)
-    assert calls["check"] == 1
+    tm = geometric_times(1.0 + np.geomspace(1e-3, 1.0, 12), 30, totals)
+    objective = TrotterObjective(spectrum, e_target, 0.05)
+    first = objective(tm)
+    work = dict(objective.work)
+    assert calls["plan"] == 1
     # a band's first-round groups and refinements each call the kernel
     assert calls["kernel"] == work["kernel_calls"] >= (2 if kind == "band" else 1)
     assert work["gathered"] >= work["lattice"] > 0
+    assert work["schedules_scored"] == work["schedules_integrated"] == 12
+    # the same floors again, in another order: scored, not integrated
+    assert objective(tm[:, ::-1]).tobytes() == first[::-1].tobytes()
+    assert objective.work == dict(work, schedules_scored=24)
+    assert calls == {"plan": 1, "kernel": work["kernel_calls"]}
 
 
-def test_a_planned_batch_reports_a_quadrature_failure_in_its_own_column_order(monkeypatch):
+def test_a_trotter_objective_reports_a_quadrature_failure_in_its_own_column_order(monkeypatch):
     # The plan hands the integrator its columns longest first (here the
     # second column first); a failure's estimates and bounds come back in
     # the caller's order, each the one-column call's.
     monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
+    monkeypatch.setattr(spectral, "ABS_TOL", 1e-300)
     band, e_target = _PLANNED_SPECTRA["band"]
     dt = 0.5
     tm = np.array([[3, 5, 1], [0, 4, 0]]) * dt
     with pytest.raises(QuadratureError) as batch:
-        rsn_quadrature_batch(band, e_target, tm, abs_tol=1e-300, step=dt)
+        TrotterObjective(band, e_target, dt)(tm)
     for s in range(3):
         with pytest.raises(QuadratureError) as one:
-            rsn_quadrature_batch(band, e_target, tm[:, s:s + 1], abs_tol=1e-300, step=dt)
+            TrotterObjective(band, e_target, dt)(tm[:, s:s + 1])
         assert batch.value.estimate[s] == one.value.estimate
         assert batch.value.error_bound[s] == one.value.error_bound
