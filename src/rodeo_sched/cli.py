@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .closed_form import MAX_ENUM_N, BandModel, rsn_closed_form
 from .hamiltonians import (HamiltonianSpec, RodeoObjective, build_sector_hamiltonian,
-                           eigendecompose, make_initial_state, minimum_gap,
-                           sector_basis, sector_symmetries, state_spectrum)
+                           make_initial_state, sector_basis, sector_energies,
+                           sector_symmetries, state_spectrum)
 from .optimize import _optimize_alphas, adaptive_alpha_curve, optimize_alpha, optimize_times
 from .quadrature import ABS_TOL, QuadratureError
 from .schedules import (BASELINE_STREAM, TimeSchedule, file_format, geometric_times,
@@ -395,15 +395,15 @@ def cmd_schedule_fit(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = _chain_spec(args)
-    eig = eigendecompose(build_sector_hamiltonian(spec), sector_symmetries(spec))
-    gap = minimum_gap(eig)
-    result = {"eigenvalues": eig.eigenvalues.tolist(),
-              "ground_energy": float(eig.eigenvalues[0]),
+    energies = sector_energies(build_sector_hamiltonian(spec), sector_symmetries(spec))
+    gap = level_gap(energies, float(energies[0]))
+    result = {"eigenvalues": energies.tolist(),
+              "ground_energy": float(energies[0]),
               "gap": gap, "characteristic_time": math.pi / gap,
-              "sector_dim": eig.sector_dim}
-    rows = [[i, e] for i, e in enumerate(eig.eigenvalues)]
+              "sector_dim": len(energies)}
+    rows = [[i, e] for i, e in enumerate(energies)]
     _emit(args, result, header=["index", "energy"], rows=rows,
-          extra={"gap": gap, "sector_dim": eig.sector_dim})
+          extra={"gap": gap, "sector_dim": len(energies)})
     return 0
 
 
@@ -513,6 +513,16 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
                        help="start from this ordered sector basis vector")
 
 
+def _add_budget_flags(p: argparse.ArgumentParser, n_samples: int) -> None:
+    p.add_argument("--n-samples", type=_positive_int, default=n_samples,
+                   help="time samples per schedule")
+    p.add_argument("--total-time", type=_positive_float,
+                   help="total time of each schedule")
+    p.add_argument("--t0-multiple", type=_positive_float, default=1.0,
+                   help="time budget in characteristic times T0 (when --total-time "
+                        "absent)")
+
+
 def _add_alpha_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha-min", type=_schedule_ratio, default=1.0)
     p.add_argument("--alpha-cap", type=_ratio, default=2.0,
@@ -548,10 +558,7 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("optimize-times", help="full schedule optimization on a band")
     _add_band_flags(p)
-    p.add_argument("--n-samples", type=_positive_int, default=10)
-    p.add_argument("--total-time", type=_positive_float)
-    p.add_argument("--t0-multiple", type=_positive_float, default=1.0,
-                   help="time budget in units of pi/DMIN (when --total-time absent)")
+    _add_budget_flags(p, n_samples=10)
     p.add_argument("--budget", type=_positive_int, default=60000)
     p.add_argument("--restarts", type=_positive_int, default=5)
     p.add_argument("--tolerance", type=_fraction, default=0.01)
@@ -564,9 +571,7 @@ def build_parser() -> tuple:
     _add_chain_flags(p, model_group=target)
     _add_state_flags(p)
     _add_alpha_bounds(p)
-    p.add_argument("--n-samples", type=_positive_int, default=10)
-    p.add_argument("--total-time", type=_positive_float)
-    p.add_argument("--t0-multiple", type=_positive_float, default=1.0)
+    _add_budget_flags(p, n_samples=10)
     _add_output_flags(p)
     p.set_defaults(func=cmd_optimize_alpha)
 
@@ -627,9 +632,7 @@ def build_parser() -> tuple:
     spectrum.add_argument("--band-file")
     spectrum.add_argument("--spectrum-file")
     p.add_argument("--e-target", type=_finite_float, default=-1.0)
-    p.add_argument("--n-samples", type=_positive_int, default=100)
-    p.add_argument("--total-time", type=_positive_float)
-    p.add_argument("--t0-multiple", type=_positive_float, default=1.0)
+    _add_budget_flags(p, n_samples=100)
     p.add_argument("--trotter-dt", type=_positive_float, default=0.0)
     p.add_argument("--sweep", action="store_true",
                    help="emit a grid over total time and Trotter step")

@@ -4,10 +4,12 @@ Two models: the spin-1/2 XX chain with open boundaries, solved in the
 zero-magnetization sector, and the transverse-field Ising model (TFIM)
 with periodic boundaries, solved in the even-parity sector. Both are
 projected onto their symmetry sector, diagonalized block by block over
-the sector's commuting involutions (sector_symmetries; state_spectrum
-gives eigenvectors only to the blocks an initial state touches), and
-used to evaluate filtering fidelities exactly in the eigenbasis (no
-Trotterized time evolution is simulated here).
+the sector's commuting involutions (sector_symmetries; sector_energies
+gives every block's eigenvalues, state_spectrum eigenvectors only to the
+blocks an initial state touches), and used to evaluate filtering
+fidelities exactly in the eigenbasis (no Trotterized time evolution is
+simulated here). eigendecompose is the dense reference they are tested
+against.
 
 Basis convention: a computational state is an integer whose bit i
 (least significant = site 0, the leftmost site) is 1 when site i is
@@ -207,12 +209,27 @@ def _involution_group(maps, m: np.ndarray, nonzero: tuple) -> np.ndarray:
 
 
 def _character_blocks(matrix, symmetries) -> tuple:
-    """(images, stabilizer, blocks) of the block solve that eigendecompose
-    describes: images (|G|, R) holds g r for every group element g and
-    orbit representative r, stabilizer holds |S_r|, and blocks yields
+    """(images, stabilizer, blocks): the matrix split into one block per
+    character of its symmetries.
+
+    ``symmetries`` are index maps p of involutions of the basis (basis
+    vector i goes to p[i]) that commute with the matrix exactly,
+    ``m[p][:, p] == m``, and with each other; sector_symmetries gives a
+    chain's. They generate an abelian group G of order 2**k. Each of its
+    characters chi (a sign per independent generator) has a block over
+    the orbit representatives r (the least index of each orbit) that chi
+    allows, those on whose stabilizer S_r chi is 1. Its basis vectors are
+    |r> = sum_g chi(g) |g r> / sqrt(|G| |S_r|), orthonormal, so
+    block[j, k] = sum_g chi(g) m[r_j, g r_k] / sqrt(|S_j| |S_k|), read
+    off the representatives' rows. With no symmetries G is {identity}:
+    one block, the matrix itself.
+
+    images (|G|, R) holds g r for every group element g and
+    representative r, stabilizer holds |S_r|, and blocks yields
     (chi, allowed, block) for each character that allows a
     representative, in character order. Checks the matrix and the maps
-    first, raising ValueError as eigendecompose states."""
+    first: raises ValueError on a non-square or asymmetric matrix, and on
+    maps that are not commuting involutions of it."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -252,62 +269,39 @@ def _character_blocks(matrix, symmetries) -> tuple:
     return images, stabilizer, blocks()
 
 
-def eigendecompose(matrix: np.ndarray, symmetries=()) -> EigenSystem:
-    """Symmetric eigensolve, one block per character of the symmetries.
-
-    ``symmetries`` are index maps p of involutions of the basis (basis
-    vector i goes to p[i]) that commute with the matrix exactly,
-    ``m[p][:, p] == m``, and with each other; sector_symmetries gives a
-    chain's. They generate an abelian group G of order 2**k. Each of its
-    characters chi (a sign per independent generator) has a block over
-    the orbit representatives r (the least index of each orbit) that chi
-    allows, those on whose stabilizer S_r chi is 1. Its basis vectors are
-    |r> = sum_g chi(g) |g r> / sqrt(|G| |S_r|), orthonormal, so
-    block[j, k] = sum_g chi(g) m[r_j, g r_k] / sqrt(|S_j| |S_k|), read
-    off the representatives' rows. Each block goes to eigh; its vectors
-    are scattered back into the basis, where entry g r of vector c is
-    chi(g) c[r] / sqrt(|orbit of r|).
-
-    The result is the whole spectrum, ascending, with orthonormal
-    eigenvector columns in the original basis. With no symmetries G is
-    {identity}: one block, the matrix itself, and the result is one
-    dense eigh's, bit for bit. Raises ValueError on a non-square or
-    asymmetric matrix, and on maps that are not commuting involutions
-    of it. state_spectrum solves the same blocks for one state's
-    weights without the (n, n) eigenvector array.
+def eigendecompose(matrix: np.ndarray) -> EigenSystem:
+    """Dense symmetric eigensolve, the test oracle of the block solves:
+    the whole spectrum, ascending, with orthonormal eigenvector columns,
+    from one eigh. Raises ValueError on a non-square or asymmetric matrix.
     """
-    images, stabilizer, blocks = _character_blocks(matrix, symmetries)
-    order, n = len(images), np.shape(matrix)[0]
-    solved = [(chi, allowed, *np.linalg.eigh(block)) for chi, allowed, block in blocks]
-    energies = np.concatenate([vals for _, _, vals, _ in solved])
-    ascending = np.argsort(energies, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[ascending] = np.arange(n)
-    eigenvectors = np.zeros((n, n))
-    start = 0
-    for chi, allowed, vals, vecs in solved:
-        cols = rank[start:start + len(vals)]
-        start += len(vals)
-        amplitude = np.sqrt(stabilizer[allowed] / order)
-        for g in range(order):
-            eigenvectors[np.ix_(images[g, allowed], cols)] = (
-                (chi[g] * amplitude)[:, None] * vecs)
-    return EigenSystem(eigenvalues=energies[ascending], eigenvectors=eigenvectors,
-                       sector_dim=n)
+    m = np.asarray(matrix, dtype=float)
+    _character_blocks(m, ())  # only its checks: with no symmetries its one block is m
+    energies, vectors = np.linalg.eigh(m)
+    return EigenSystem(eigenvalues=energies, eigenvectors=vectors, sector_dim=len(m))
+
+
+def sector_energies(matrix: np.ndarray, symmetries) -> np.ndarray:
+    """The whole spectrum of ``matrix``, ascending: eigh's eigenvalues of
+    each of _character_blocks' blocks, which state_spectrum gives bit for
+    bit on the blocks it solves with eigh. Raises ValueError as
+    _character_blocks does."""
+    _, _, blocks = _character_blocks(matrix, symmetries)
+    return np.sort(np.concatenate([np.linalg.eigh(block)[0] for *_, block in blocks]),
+                   kind="stable")
 
 
 def state_spectrum(matrix: np.ndarray, symmetries, psi: InitialState) -> tuple:
     """(energies, weights): the whole spectrum of ``matrix``, ascending,
     and the weight |<v|psi>|**2 of ``psi`` on each eigenvector v, from
-    eigendecompose's blocks but with no eigenvector of the whole basis.
+    _character_blocks' blocks, with no eigenvector of the whole basis.
 
     ``psi``'s coordinates in the block basis of character chi are
     c_r = sum_g chi(g) psi[g r] / sqrt(|G| |S_r|). A block with a nonzero
     c goes to eigh, and its levels weigh (vecs.T @ c)**2; any other
     block goes to eigvalsh, and its levels weigh exactly 0. An eigh
-    block's energies are eigendecompose's bit for bit; eigvalsh's can
+    block's energies are sector_energies' bit for bit; eigvalsh's can
     differ from eigh's in the last bits. Raises ValueError as
-    eigendecompose does, and on a state of another dimension.
+    _character_blocks does, and on a state of another dimension.
     """
     images, stabilizer, blocks = _character_blocks(matrix, symmetries)
     if len(psi.vector) != np.shape(matrix)[0]:
@@ -438,8 +432,9 @@ class RodeoObjective:
     case of batch.
 
     from_levels builds it from energies and the state's weight on each,
-    as state_spectrum gives them; RodeoObjective(eig, psi, e_target)
-    takes the weights from an EigenSystem's vectors instead.
+    as state_spectrum gives them (the chain commands' path);
+    RodeoObjective(eig, psi, e_target) takes the weights from the vectors
+    of an EigenSystem, such as the dense reference eigendecompose's.
 
     Levels whose weight float64 cannot resolve are dropped: an overlap
     v.psi of unit vectors of dimension n carries about n * eps of

@@ -1,8 +1,8 @@
-"""Exact levels of the open XX chain, from its free-fermion modes.
+"""Exact levels of the benchmark chains, from their free-fermion modes.
 
-The Jordan-Wigner transformation maps J (s+_j s-_{j+1} + s-_j s+_{j+1})
-on an open chain onto free fermions hopping with amplitude J. The open
-chain's single-particle modes are
+The open XX chain: the Jordan-Wigner transformation maps
+J (s+_j s-_{j+1} + s-_j s+_{j+1}) on an open chain onto free fermions
+hopping with amplitude J. The open chain's single-particle modes are
 
     phi_k(j) = sqrt(2 / (L + 1)) sin(pi k j / (L + 1)),  j, k = 1 .. L,
 
@@ -12,6 +12,14 @@ amplitude on the basis state with up spins at sites s_1 < ... < s_n is
 det[phi_k(s_i)] (a nearest-neighbour hop on an open chain passes no
 other fermion, so the transformation adds no sign). The weight of that
 basis state on the eigenstate is the determinant squared.
+
+The periodic transverse-field Ising ring, -J sum z_j z_{j+1} - h sum x_j,
+in the even-parity sector of the global spin flip: the Jordan-Wigner
+transformation gives fermions with antiperiodic boundaries there, at
+momenta k = pi (2m + 1) / L, m = 0 .. L - 1. A Bogoliubov rotation at
+each k leaves modes of energy eps_k = 2 sqrt(J**2 + h**2 - 2 J h cos k),
+and a level is sum_k eps_k (n_k - 1/2) over the occupations n_k whose
+count is even (the vacuum is even, and parity is the occupation count's).
 
 Nothing here calls the package's solvers, level merge or resolution
 floor. Only the merge tolerance's constant is shared, so that a level
@@ -41,6 +49,17 @@ def xx_eigenstates(length: int, coupling: float, up_sites) -> tuple:
         energies.append(math.fsum(single[rows]))
         weights.append(np.linalg.det(phi[rows]) ** 2)
     return np.array(energies), np.array(weights)
+
+
+def tfim_even_energies(length: int, coupling: float, field: float) -> np.ndarray:
+    """Every level of the even-parity sector of the periodic TFIM ring,
+    ascending, one per even set of occupied modes: 2**(L - 1) in all."""
+    k = np.pi * (2 * np.arange(length) + 1) / length
+    modes = 2.0 * np.sqrt(coupling**2 + field**2 - 2.0 * coupling * field * np.cos(k))
+    energies = [math.fsum(np.where(occupied, 0.5, -0.5) * modes)
+                for occupied in itertools.product((False, True), repeat=length)
+                if sum(occupied) % 2 == 0]
+    return np.sort(energies)
 
 
 def merged_levels(energies, weights, e_target: float) -> tuple:

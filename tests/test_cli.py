@@ -1044,3 +1044,19 @@ def test_grid_bounds_must_be_positive(argv, config, flag, tmp_path, capsys):
         cfg.write_text(json.dumps(config))
         argv = argv + ["--config", str(cfg)]
     assert _refusal(argv[0], flag, value) in _usage_error(argv, capsys)
+
+
+def test_the_readme_chain_example_builds_the_curve_commands_objective(capsys, tmp_path):
+    [block] = [b for b in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+               if "state_spectrum" in b]
+    example: dict = {}
+    exec(block, example)
+    obj = example["obj"]
+    assert (obj.levels, obj.levels_below_resolution) == (121, 0)
+    out = tmp_path / "c.json"
+    assert main(["curve", "--model", "xx", "--length", "10", "--n-samples", "10",
+                 "--t-points", "2", "--skip-rra", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    diagnostics = doc["manifest"]["diagnostics"]
+    assert (diagnostics["levels"], diagnostics["levels_below_resolution"]) == (121, 0)
+    assert doc["result"]["t0"] == example["t0"]
