@@ -18,8 +18,8 @@ from .closed_form import (BandModel, asymptotic_rsn, rsn_closed_form,
                           rsn_closed_form_batch, superiteration_limit_rsn)
 from .hamiltonians import (EigenSystem, HamiltonianSpec, InitialState,
                            RodeoObjective, build_sector_hamiltonian, eigendecompose,
-                           make_initial_state, minimum_gap, sector_basis,
-                           sector_energies, sector_symmetries, state_spectrum)
+                           make_initial_state, sector_basis, sector_energies,
+                           sector_symmetries, state_spectrum)
 from .optimize import (AlphaOptimum, OptimizationResult, adaptive_alpha_curve,
                        optimize_alpha, optimize_times)
 from .quadrature import QuadratureError, integrate_oscillatory
@@ -57,7 +57,6 @@ __all__ = [
     "integrate_oscillatory",
     "load_spectrum_csv",
     "make_initial_state",
-    "minimum_gap",
     "optimize_alpha",
     "optimize_times",
     "product_function",

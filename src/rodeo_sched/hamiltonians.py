@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import DiscreteSpectrum, level_gap, log_surviving
+from .spectral import DiscreteSpectrum, log_surviving
 
 MAX_LENGTH = 16
 # Dense-diagonalization guard; C(16,8) fits, full 2**16 does not.
@@ -321,12 +321,6 @@ def state_spectrum(matrix: np.ndarray, symmetries, psi: InitialState) -> tuple:
     energies = np.concatenate(energies)
     ascending = np.argsort(energies, kind="stable")
     return energies[ascending], np.concatenate(weights)[ascending]
-
-
-def minimum_gap(eig: EigenSystem, e_target: float | None = None) -> float:
-    """Distance from the target manifold to the nearest other level."""
-    e_t = float(eig.eigenvalues[0]) if e_target is None else float(e_target)
-    return level_gap(eig.eigenvalues, e_t)
 
 
 @dataclass(frozen=True)

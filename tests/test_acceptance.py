@@ -17,12 +17,13 @@ from rodeo_sched import (BandModel, ContinuousBand, HamiltonianSpec,
                          adaptive_alpha_curve, asymptotic_rsn,
                          build_sector_hamiltonian, eigendecompose,
                          fit_decay_exponent, fourier_expansion,
-                         make_initial_state, minimum_gap, optimize_alpha,
+                         make_initial_state, optimize_alpha,
                          optimize_times, product_function, rra_average_success,
                          rsn_closed_form, rsn_quadrature, rsn_quadrature_batch,
                          superiteration_limit_rsn, superiteration_schedule,
                          trotter_floor)
 from rodeo_sched.asymptotics import GOLDEN_RATIO
+from rodeo_sched.spectral import level_gap
 
 BAND = BandModel(0.1, 1.0)
 T0_BAND = math.pi / 0.1
@@ -53,7 +54,7 @@ def _xx_backend():
     eig = eigendecompose(build_sector_hamiltonian(spec))
     e0 = float(eig.eigenvalues[0])
     psi = make_initial_state(spec, "basis_index", basis_index=1)
-    return RodeoObjective(eig, psi, e0), math.pi / minimum_gap(eig, e0), eig
+    return RodeoObjective(eig, psi, e0), math.pi / level_gap(eig.eigenvalues, e0), eig
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +71,7 @@ def _tfim_alpha_crossing(field: float) -> float:
     obj = RodeoObjective(eig, make_initial_state(spec, "plus_projected"), e0)
     full = eigendecompose(build_sector_hamiltonian(
         HamiltonianSpec(model="tfim", length=10, field=field, sector="full")))
-    t0 = math.pi / minimum_gap(full)
+    t0 = math.pi / level_gap(full.eigenvalues, full.eigenvalues[0])
     mults = np.geomspace(0.15, 2.5, 12)
     curve = adaptive_alpha_curve(obj.batch, 100, mults * t0)
     alphas = [point.alpha for point in curve]

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rodeo_sched import (DiscreteSpectrum, HamiltonianSpec, InitialState, RodeoObjective,
-                         TimeSchedule, build_sector_hamiltonian, eigendecompose,
-                         make_initial_state, minimum_gap, sector_basis, sector_energies,
-                         sector_symmetries, state_spectrum)
+from rodeo_sched import (DiscreteSpectrum, EigenSystem, HamiltonianSpec, InitialState,
+                         RodeoObjective, TimeSchedule, build_sector_hamiltonian, eigendecompose,
+                         make_initial_state, sector_basis, sector_energies, sector_symmetries,
+                         state_spectrum)
 from rodeo_sched.cli import main
+from rodeo_sched.hamiltonians import _character_blocks
+from rodeo_sched.spectral import level_gap
 
 EPS = np.finfo(float).eps
 
@@ -108,8 +110,9 @@ def test_xx_l10_frozen_values():
     eig = eigendecompose(build_sector_hamiltonian(spec))
     assert eig.sector_dim == 252
     np.testing.assert_allclose(eig.eigenvalues[0], -6.026674183332271, rtol=1e-13)
-    np.testing.assert_allclose(minimum_gap(eig), 0.5692593530931411, rtol=1e-12)
-    np.testing.assert_allclose(math.pi / minimum_gap(eig),
+    gap = level_gap(eig.eigenvalues, eig.eigenvalues[0])
+    np.testing.assert_allclose(gap, 0.5692593530931411, rtol=1e-12)
+    np.testing.assert_allclose(math.pi / gap,
                                math.pi / 0.5692593530931411, rtol=1e-12)
 
 
@@ -118,7 +121,8 @@ def test_tfim_l10_frozen_gaps():
         spec = HamiltonianSpec(model="tfim", length=10, field=field)
         eig = eigendecompose(build_sector_hamiltonian(spec))
         assert eig.sector_dim == 512
-        np.testing.assert_allclose(minimum_gap(eig), gap, rtol=1e-12)
+        np.testing.assert_allclose(level_gap(eig.eigenvalues, eig.eigenvalues[0]), gap,
+                                   rtol=1e-12)
 
 
 def test_basis_index_initial_state():
@@ -231,7 +235,7 @@ def test_a_chain_with_every_level_on_the_target_has_no_residual():
     assert obj.weights(np.zeros((0, 1)))[1][0] == 1.0  # the target weight before any cycle
     np.testing.assert_array_equal(obj.batch(np.ones((4, 3))), [0.0] * 3)
     with pytest.raises(ValueError, match="no gap exists"):
-        minimum_gap(eig)
+        level_gap(eig.eigenvalues, 0.0)
 
 
 # Every (model, sector, length) up to 1,024 states: L = 2..12 in the XX
@@ -275,29 +279,46 @@ def _objective_counts(obj):
     return len(obj._target[0]) + obj.levels, obj.levels_below_resolution
 
 
-def _assert_weights_match_dense(dense, energies, weights, psi, e0, scale):
-    """(dense objective, objective from_levels) after checking the state's
-    weights from state_spectrum against the dense solve's: the same merged
-    levels, offsets within 3e-14 of the scale, each weight within the
-    dense solve's mixing bound, and the same levels kept and dropped
-    unless a weight's bound reaches the floor, kept weights agreeing in
-    log. A level's weight is the squared projection of the state on its
-    eigenspace; the dense solve mixes levels of different symmetry closer
-    than its rounding allows, which moves a weight w by up to
-    d (2 sqrt(w) + d), d = n eps scale / gap, with gap the distance to the
-    nearest other level (at most the scale)."""
+def _block_eigensystem(matrix, symmetries) -> EigenSystem:
+    """The block solve in the whole basis, the reference of state_spectrum's
+    block coordinates: each of _character_blocks' blocks goes to eigh, and
+    entry g r of block vector c is chi(g) c[r] / sqrt(|orbit of r|)."""
+    images, stabilizer, blocks = _character_blocks(matrix, symmetries)
+    order, n = len(images), len(matrix)
+    solved = [(chi, allowed, *np.linalg.eigh(block)) for chi, allowed, block in blocks]
+    energies = np.concatenate([vals for _, _, vals, _ in solved])
+    ascending = np.argsort(energies, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[ascending] = np.arange(n)
+    vectors = np.zeros((n, n))
+    start = 0
+    for chi, allowed, vals, vecs in solved:
+        cols = rank[start:start + len(vals)]
+        start += len(vals)
+        amplitude = np.sqrt(stabilizer[allowed] / order)
+        for g in range(order):
+            vectors[np.ix_(images[g, allowed], cols)] = (chi[g] * amplitude)[:, None] * vecs
+    return EigenSystem(eigenvalues=energies[ascending], eigenvectors=vectors, sector_dim=n)
+
+
+def _assert_weights_agree(ref, energies, weights, psi, e0, scale, d, offsets):
+    """(objective of ref's vectors, objective from_levels) after checking
+    the weights of ``psi`` on (energies, weights)'s merged levels against
+    those on ref's: the same levels, offsets within ``offsets`` of the
+    scale where both weights are nonzero, each weight w within
+    d (2 sqrt(w) + d), and the same levels kept and dropped unless a
+    weight's bound reaches the floor, kept weights agreeing in log."""
     n = len(psi.vector)
     floor = (n * EPS) ** 2
-    d = n * EPS * scale / np.minimum(_gaps(dense.eigenvalues, e0), scale)
     (da, wa), (db, wb) = (_every_level(e, w, e0) for e, w in (
-        (dense.eigenvalues, (dense.eigenvectors.T @ psi.vector) ** 2), (energies, weights)))
-    assert len(da) == len(db) == len(d)
+        (ref.eigenvalues, (ref.eigenvectors.T @ psi.vector) ** 2), (energies, weights)))
+    assert len(da) == len(db)
     both = (wa > 0) & (wb > 0)
-    assert np.all(np.abs(da - db)[both] <= 3e-14 * scale)
+    assert np.all(np.abs(da - db)[both] <= offsets * scale)
     weighty = np.maximum(wa, wb)
     bound = d * (2 * np.sqrt(weighty) + d)
     assert np.all(np.abs(wa - wb) <= bound)
-    full, touched = (RodeoObjective(dense, psi, e0),
+    full, touched = (RodeoObjective(ref, psi, e0),
                      RodeoObjective.from_levels(energies, weights, n, e0))
     kept_a, kept_b = wa > floor * wa.sum(), wb > floor * wb.sum()
     assert _objective_counts(full) == (kept_a.sum(), (~kept_a).sum())
@@ -310,12 +331,24 @@ def _assert_weights_match_dense(dense, energies, weights, psi, e0, scale):
     return full, touched
 
 
+def _assert_weights_match_dense(dense, energies, weights, psi, e0, scale):
+    """_assert_weights_agree against the dense solve. A level's weight is
+    the squared projection of the state on its eigenspace; the dense
+    solve mixes levels of different symmetry closer than its rounding
+    allows, which moves a weight w by up to d (2 sqrt(w) + d),
+    d = n eps scale / gap, with gap the distance to the nearest other
+    level (at most the scale)."""
+    gaps = _gaps(dense.eigenvalues, e0)
+    d = len(psi.vector) * EPS * scale / np.minimum(gaps, scale)
+    return _assert_weights_agree(dense, energies, weights, psi, e0, scale, d, 3e-14)
+
+
 # Tolerances measured first, over every chain above at coupling 1, 0.37,
 # -1.7 and 2.5, fields 0, 0.5, 1 and 3, and basis states 0, 1, n/3, n-1,
-# plus, fusion and 3 random states: sector_energies within 4.5e-15 of the
-# spectral scale of the dense eigenvalues, merged offsets within 1.1e-14
-# of it where both weights are nonzero, and state_spectrum's weights
-# within 0.56 of the dense solve's mixing bound (_assert_weights_match_dense).
+# plus and fusion: eigenvalues within 6.4e-15 of the spectral scale,
+# columns orthonormal to 4.9e-15, residuals |Hv - Ev| within 1.2e-15 of
+# the scale, level offsets within 1.1e-14 of it, and weights within 0.71
+# of the dense solve's mixing bound (_assert_weights_match_dense).
 @settings(max_examples=40, deadline=None)
 @given(chain=st.sampled_from(CHAINS), coupling=st.sampled_from((1.0, -1.7, 0.37, 2.5)),
        field=st.sampled_from((0.0, 0.5, 1.0, 3.0)), pick=st.floats(0.0, 1.0))
@@ -327,11 +360,16 @@ def test_the_block_solve_matches_the_dense_oracle(chain, coupling, field, pick):
     model, sector, length = chain
     spec = HamiltonianSpec(model, length, coupling, field, sector)
     m, maps = build_sector_hamiltonian(spec), sector_symmetries(spec)
-    dense, energies = eigendecompose(m), sector_energies(m, maps)
+    dense, blocks = eigendecompose(m), _block_eigensystem(m, maps)
     n = len(m)
     scale = max(1.0, float(np.abs(dense.eigenvalues).max()))
-    assert len(energies) == n and np.all(np.diff(energies) >= 0)
-    assert np.abs(energies - dense.eigenvalues).max() <= 3e-14 * scale
+    np.testing.assert_array_equal(sector_energies(m, maps), blocks.eigenvalues)
+    assert blocks.sector_dim == n and blocks.eigenvectors.shape == (n, n)
+    assert np.all(np.diff(blocks.eigenvalues) >= 0)
+    assert np.abs(blocks.eigenvalues - dense.eigenvalues).max() <= 3e-14 * scale
+    v = blocks.eigenvectors
+    assert np.abs(v.T @ v - np.eye(n)).max() <= 2e-14
+    assert np.abs(m @ v - v * blocks.eigenvalues).max() <= 1e-14 * scale
 
     states = [make_initial_state(spec, "basis_index", basis_index=round(pick * (n - 1)))]
     if model == "tfim":
@@ -340,16 +378,21 @@ def test_the_block_solve_matches_the_dense_oracle(chain, coupling, field, pick):
         states.append(make_initial_state(spec, "fusion"))
     e0 = float(dense.eigenvalues[0])
     for psi in states:
-        _assert_weights_match_dense(dense, *state_spectrum(m, maps, psi), psi, e0, scale)
+        _assert_weights_match_dense(dense, blocks.eigenvalues,
+                                    (blocks.eigenvectors.T @ psi.vector) ** 2, psi, e0, scale)
 
 
-# Tolerances measured first against sector_energies with the same maps,
+# Tolerances measured first against the block solve with the same maps,
 # over every chain above at coupling 1, 0.37, -1.7 and 2.5, fields 0,
 # 0.5, 1 and 3, basis states 0, 1, n/3 and n-1, plus, fusion and 3 random
 # states (and 20 more random states per chain at two couplings): energies
 # within 8.4e-15 of the spectral scale (a touched block's are
-# sector_energies' bits, eigvalsh's differ from eigh's), and level counts
-# equal in every case; against the dense solve as in the test above.
+# sector_energies' bits, eigvalsh's differ from eigh's), merged offsets
+# within 1.6e-15 of it where both weights are nonzero, and level counts
+# equal in every case. A touched block's weights come from the same block
+# vectors, summed over its representatives instead of the whole basis:
+# they moved a weight w by at most d (2 sqrt(w) + d) with d = 5.5 eps.
+# Against the dense solve the bounds of the test above hold.
 @settings(max_examples=40, deadline=None)
 @given(chain=st.sampled_from(CHAINS), coupling=st.sampled_from((1.0, -1.7, 0.37, 2.5)),
        field=st.sampled_from((0.0, 0.5, 1.0, 3.0)), pick=st.floats(0.0, 1.0),
@@ -365,10 +408,10 @@ def test_the_touched_block_solve_matches_eigendecompose(chain, coupling, field, 
     model, sector, length = chain
     spec = HamiltonianSpec(model, length, coupling, field, sector)
     m, maps = build_sector_hamiltonian(spec), sector_symmetries(spec)
-    dense, blocks = eigendecompose(m), sector_energies(m, maps)
+    dense, blocks = eigendecompose(m), _block_eigensystem(m, maps)
     n = len(m)
-    scale = max(1.0, float(np.abs(blocks).max()))
-    e0 = float(dense.eigenvalues[0])
+    scale = max(1.0, float(np.abs(blocks.eigenvalues).max()))
+    e0 = float(blocks.eigenvalues[0])
     states = [make_initial_state(spec, "basis_index", basis_index=round(pick * (n - 1))),
               _random_state(n, seed, density)]
     if model == "tfim":
@@ -378,8 +421,9 @@ def test_the_touched_block_solve_matches_eigendecompose(chain, coupling, field, 
     for psi in states:
         energies, weights = state_spectrum(m, maps, psi)
         assert np.all(np.diff(energies) >= 0)
-        assert np.abs(energies - blocks).max() <= 3e-14 * scale
+        assert np.abs(energies - blocks.eigenvalues).max() <= 3e-14 * scale
         assert abs(weights.sum() - 1.0) <= 1e-13
+        _assert_weights_agree(blocks, energies, weights, psi, e0, scale, 10 * EPS, 1e-14)
         _assert_weights_match_dense(dense, energies, weights, psi, e0, scale)
 
 
@@ -390,18 +434,22 @@ def test_the_touched_block_solve_matches_eigendecompose(chain, coupling, field, 
     HamiltonianSpec("xx", 9, sector="full")], ids=("tfim-even", "xx-zero", "tfim-full", "xx-full"))
 def test_a_state_in_every_character_reproduces_the_block_solve(spec, monkeypatch):
     m, maps = build_sector_hamiltonian(spec), sector_symmetries(spec)
-    blocks = sector_energies(m, maps)
+    blocks = _block_eigensystem(m, maps)
     psi = _random_state(len(m), 7, 1.0)
     values_only = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: values_only.append(len(a)) or eigvalsh(a))
     energies, weights = state_spectrum(m, maps, psi)
     assert values_only == []
-    np.testing.assert_array_equal(energies, blocks)  # the same eigh calls
-    dense = eigendecompose(m)
+    np.testing.assert_array_equal(energies, blocks.eigenvalues)  # the same eigh calls
     e0, scale = float(energies[0]), max(1.0, float(np.abs(energies).max()))
-    full, touched = _assert_weights_match_dense(dense, energies, weights, psi, e0, scale)
+    full, touched = (RodeoObjective(blocks, psi, e0),
+                     RodeoObjective.from_levels(energies, weights, len(m), e0))
     assert _objective_counts(touched) == _objective_counts(full)
+    for (da, la), (db, lb) in ((full._rest, touched._rest), (full._target, touched._target)):
+        np.testing.assert_allclose(db, da, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(lb, la, rtol=0, atol=1e-12)
+    _assert_weights_match_dense(eigendecompose(m), energies, weights, psi, e0, scale)
 
 
 def test_a_state_outside_the_targets_character_has_no_target_weight():
@@ -492,15 +540,17 @@ def test_the_benchmark_chains_keep_their_levels_under_the_block_solve(spec, kind
     m = build_sector_hamiltonian(spec)
     psi = make_initial_state(spec, kind, basis_index=1 if kind == "basis_index" else None)
     e0 = float(np.linalg.eigvalsh(m)[0])
-    dense = RodeoObjective(eigendecompose(m), psi, e0)
+    dense, blocks = (RodeoObjective(eig, psi, e0) for eig in (
+        eigendecompose(m), _block_eigensystem(m, sector_symmetries(spec))))
     # the touched-block solve gives the unsolved blocks' energies weight 0
     energies, weights = state_spectrum(m, sector_symmetries(spec), psi)
     touched = RodeoObjective.from_levels(energies, weights, len(m), e0)
-    for obj in (dense, touched):
+    for obj in (dense, blocks, touched):
         assert (obj.levels, obj.levels_below_resolution) == (kept, dropped)
-    for (da, la), (db, lb) in ((dense._rest, touched._rest), (dense._target, touched._target)):
-        np.testing.assert_allclose(db, da, rtol=0, atol=5e-14)
-        np.testing.assert_allclose(lb, la, rtol=0, atol=5e-12)
+    for other in (blocks, touched):
+        for (da, la), (db, lb) in ((dense._rest, other._rest), (dense._target, other._target)):
+            np.testing.assert_allclose(db, da, rtol=0, atol=5e-14)
+            np.testing.assert_allclose(lb, la, rtol=0, atol=5e-12)
 
 
 @pytest.mark.parametrize("spec, blocks", [

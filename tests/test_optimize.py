@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, HamiltonianSpec,
                          RodeoObjective, TimeSchedule,
                          adaptive_alpha_curve, build_sector_hamiltonian, eigendecompose,
-                         geometric_times, make_initial_state, minimum_gap, optimize_alpha,
+                         geometric_times, make_initial_state, optimize_alpha,
                          optimize_times, rsn_closed_form, rsn_quadrature,
                          rsn_quadrature_batch, trotter_floor, trotter_round)
 from rodeo_sched import optimize
 from rodeo_sched.cli import main
 from rodeo_sched.optimize import ALPHA_GRID_POINTS, _optimize_alphas
+from rodeo_sched.spectral import level_gap
 
 BAND = BandModel(0.1, 1.0)
 FAST = dict(budget=4000, restarts=2, seed=0)
@@ -196,7 +197,7 @@ def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_chain():
     psi = make_initial_state(spec, "basis_index", basis_index=1)
     e0 = float(eig.eigenvalues[0])
     obj = RodeoObjective(eig, psi, e0)
-    t0 = math.pi / minimum_gap(eig, e0)
+    t0 = math.pi / level_gap(eig.eigenvalues, e0)
     # (alpha, objective) of the search scoring one schedule per call
     per_schedule = {0.5: (1.829125124815312, 0.9968203332152508),
                     4.0: (1.2939423087883644, 0.019262512474581307)}
@@ -234,7 +235,7 @@ def test_lockstep_searches_equal_searches_run_alone():
     eig = eigendecompose(build_sector_hamiltonian(spec))
     e0 = float(eig.eigenvalues[0])
     chain = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1), e0)
-    t0 = math.pi / minimum_gap(eig, e0)
+    t0 = math.pi / level_gap(eig.eigenvalues, e0)
     band = ContinuousBand(0.0, 1.0, density="gaussian")
     levels = DiscreteSpectrum(energies=np.array([0.0, 0.3, 0.45, 1.0]),
                               weights=np.array([0.4, 0.3, 0.2, 0.1]))

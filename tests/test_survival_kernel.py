@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 
 from rodeo_sched import (DiscreteSpectrum, EigenSystem, HamiltonianSpec, InitialState,
                          RodeoObjective, TimeSchedule, build_sector_hamiltonian, eigendecompose,
-                         geometric_times, make_initial_state, minimum_gap,
+                         geometric_times, make_initial_state,
                          product_function, rsn_quadrature, rsn_quadrature_batch,
                          superiteration_schedule, spectral, trotter_floor)
 from rodeo_sched import quadrature
 from rodeo_sched.quadrature import QuadratureError
 from rodeo_sched.schedules import TIME_FLOOR, trotter_steps
 from rodeo_sched.spectral import (LOG_COS_SERIES, PARALLEL_MIN_PHASES, SHORT_PHASE,
-                                  TrotterObjective, log_survival, log_surviving, target_mask)
+                                  TrotterObjective, level_gap, log_survival, log_surviving,
+                                  target_mask)
 
 deltas_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)
 times_st = st.lists(st.floats(0.0, 40.0), min_size=0, max_size=12)
@@ -69,7 +70,7 @@ def test_merged_levels_equal_unmerged_sum():
         obj = RodeoObjective(eig, psi, e0)
         w = (eig.eigenvectors.T @ psi.vector) ** 2
         d = eig.eigenvalues - e0
-        t0 = math.pi / minimum_gap(eig)
+        t0 = math.pi / level_gap(eig.eigenvalues, e0)
         columns = [superiteration_schedule(a, 20, m * t0).times
                    for a, m in ((2.0, 0.5), (1.5, 2.0), (1.1, 6.0))]
         tm = np.array(columns).T
@@ -118,7 +119,7 @@ def test_levels_below_float64_resolution_are_dropped(build, kept, dropped):
 def test_chain_objective_bits_are_pinned(build, expected):
     _, eig, psi = build(8)
     e0 = float(eig.eigenvalues[0])
-    t0 = math.pi / minimum_gap(eig, e0)
+    t0 = math.pi / level_gap(eig.eigenvalues, e0)
     tm = geometric_times(np.array([2.0, 1.5, 1.1]), 100, np.array([1.0, 8.0, 40.0]) * t0)
     assert repr(RodeoObjective(eig, psi, e0).batch(tm).tolist()) == expected
 
@@ -227,7 +228,7 @@ def test_long_schedule_infidelity_stays_finite_below_the_double_range():
     _, eig, psi = _xx_chain(10)
     e0 = float(eig.eigenvalues[0])
     times = superiteration_schedule(
-        1.001, 1000, 1000 * math.pi / minimum_gap(eig, e0)).times
+        1.001, 1000, 1000 * math.pi / level_gap(eig.eigenvalues, e0)).times
     w = (eig.eigenvectors.T @ psi.vector) ** 2
     d = eig.eigenvalues - e0
     keep = w > 0
