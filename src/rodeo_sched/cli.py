@@ -164,10 +164,9 @@ def _hamiltonian_backend(args):
 
 
 def _level_counts(objective: RodeoObjective) -> dict:
-    """Diagnostics of a chain objective: non-target levels scored, and
-    levels dropped as below float64 resolution."""
+    """A chain objective's levels scored and dropped (below float64 resolution) and work."""
     return {"levels": objective.levels,
-            "levels_below_resolution": objective.levels_below_resolution}
+            "levels_below_resolution": objective.levels_below_resolution, **objective.work}
 
 
 def cmd_rsn(args) -> int:
@@ -222,11 +221,10 @@ def cmd_optimize_times(args) -> int:
 
 
 def cmd_optimize_alpha(args) -> int:
-    extras, diagnostics = {}, None
+    extras, backend = {}, None
     if args.model:
         backend, t0, extras = _hamiltonian_backend(args)
         objective = backend.batch
-        diagnostics = _level_counts(backend)
     else:
         band = BandModel(*args.band)
         t0 = math.pi / band.delta_min
@@ -238,7 +236,7 @@ def cmd_optimize_alpha(args) -> int:
               "total_time": total, "n_samples": args.n_samples,
               "schedule": superiteration_schedule(opt.alpha, args.n_samples, total).times.tolist()}
     _emit(args, result, extra=dict(extras, resolved_total_time=total),
-          diagnostics=diagnostics)
+          diagnostics=None if backend is None else _level_counts(backend))
     return 0
 
 
@@ -703,13 +701,21 @@ _RANGES = (("--t-min-mult", "--t-max-mult", "t_points"),
 
 def _flag_pair_error(args) -> str | None:
     """The usage error of values that each parse but do not fit together:
-    --band edges or a pair of _RANGES out of order, or a --basis-index
-    outside the chain's sector (its dimension read from the sector basis,
-    without a solve). A chain the library refuses is left to the command,
-    which exits 1."""
+    --band edges or a pair of _RANGES out of order, a flag the command
+    ignores (xx --field; a fit's times under --sweep), or a --basis-index
+    outside the chain's sector (its dimension from the sector basis, with
+    no solve). A chain the library refuses exits 1 from the command."""
     band = getattr(args, "band", None)
     if band and not band[0] < band[1]:
         return f"argument --band: DMAX must exceed DMIN, got {band[0]:g} {band[1]:g}"
+    if getattr(args, "model", None) == "xx" and args.field != 1.0:
+        return f"argument --field: the xx chain has no field, got {args.field:g}"
+    if getattr(args, "sweep", False):
+        for flag, given in (("--total-time", args.total_time is not None),
+                            ("--t0-multiple", args.t0_multiple != 1.0),
+                            ("--trotter-dt", args.trotter_dt)):
+            if given:
+                return f"argument {flag}: --sweep sets every total and step from its grid flags"
     for low, high, points in _RANGES:
         lo, hi = (getattr(args, flag[2:].replace("-", "_"), None) for flag in (low, high))
         one_point = points is not None and getattr(args, points, None) == 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import DiscreteSpectrum, log_surviving
+from .spectral import DiscreteSpectrum, LevelSet
 
 MAX_LENGTH = 16
 # Dense-diagonalization guard; C(16,8) fits, full 2**16 does not.
@@ -417,8 +417,8 @@ def make_initial_state(spec: HamiltonianSpec, kind: str, *,
 class RodeoObjective:
     """Reusable filtering evaluator for one (spectrum, state weights, target).
 
-    Takes the level sets of a DiscreteSpectrum (DiscreteSpectrum.levels)
-    once; every evaluation sums each set in log space with log_surviving.
+    Prepares the level sets of a DiscreteSpectrum (DiscreteSpectrum.levels)
+    once, as LevelSets; every evaluation sums each in log space.
     batch and weights take schedules as the columns of an
     (n_samples, n_schedules) matrix: batch returns the post-selected
     infidelity zeta / (target + zeta) of each column, and weights the raw
@@ -443,7 +443,7 @@ class RodeoObjective:
     the other 90 weigh 1.1e-30 or less (one exactly 0), against a floor of
     1.3e-26. ``levels`` counts the non-target levels scored and
     ``levels_below_resolution`` the levels dropped, in and outside the
-    target manifold.
+    target manifold; ``work``, the calls, columns and one-column calls.
     """
 
     def __init__(self, eig: EigenSystem, psi: InitialState, e_target: float):
@@ -461,14 +461,19 @@ class RodeoObjective:
 
     def _take_levels(self, energies, weights, dimension: int, e_target: float) -> None:
         floor = (dimension * np.finfo(float).eps) ** 2 * float(np.sum(weights))
-        self._target, self._rest, self.levels_below_resolution = DiscreteSpectrum(
+        *sets, self.levels_below_resolution = DiscreteSpectrum(
             energies, weights).levels(e_target, floor)
-        self.levels = len(self._rest[0])
+        self._target, self._rest = (LevelSet(*pair) for pair in sets)
+        self.levels = self._rest.deltas.size
+        self.work = dict.fromkeys(("objective_calls", "schedules_scored", "one_column_calls"), 0)
 
     def _log_weights(self, times_matrix) -> tuple:
         """(log zeta, log target weight), each (S,), for (N, S) schedules."""
         tm = np.asarray(times_matrix, dtype=float)
-        return log_surviving(*self._rest, tm), log_surviving(*self._target, tm)
+        self.work["objective_calls"] += 1
+        self.work["schedules_scored"] += tm.shape[1]
+        self.work["one_column_calls"] += tm.shape[1] == 1
+        return self._rest.log_surviving(tm), self._target.log_surviving(tm)
 
     def weights(self, times_matrix) -> tuple:
         """(zeta, target weight), each (S,): the surviving weights outside

@@ -76,21 +76,20 @@ PARALLEL_MIN_PHASES = 1 << 18
 # level: h |t| <= SHORT_PHASE with h = max |delta| / 2.
 SHORT_PHASE = 0.5
 # One column's share of the short-phase series' fixed cost, in direct
-# phases (see _split_cycles). A call's fixed numpy calls take 60-90 us,
-# 10,000-17,000 direct phases of 5.3 ns, which a ratio grid of 240
-# columns shares and a one-column call pays alone; the rule cannot tell
-# the two apart. Timed on the benchmark workloads (2-core machine, numpy
-# 2.4, in-process passes) when a direct phase cost a cos call of 24 ns: 0
-# put band-optimize's one-column line searches on the series (about 10%
-# slower there than 2**9), 2**10 and up took it from trotter-sweep's
-# 15-level grids (2**12 about 20% slower), and chain-curve read the same
-# from 2**8 to 2**10. At 5.3 ns, 2**11 with 18 per level or cycle (the
-# same costs in the new unit) again took trotter-sweep's grids off the
-# series: slower there in 3 of 4 benchmark pairs, faster on chain-curve
-# in 3 of 4. trotter-sweep's grids take the lattice path, which has no
-# series, and band-optimize's 10-cycle calls fall below the rule:
-# chain-curve's ratio grids and long-horizon's grid and decay windows are
-# the benchmark calls that take the series.
+# phases (see _split_cycles). A call's fixed numpy calls take about 35 us
+# on a prepared LevelSet, 45-50 us one-shot (one column of 64-512 levels
+# and 100-400 short cycles, 2-core machine): 6,500-9,500 direct phases of
+# 5.3 ns, which a ratio grid of 240 columns shares and a one-column call
+# pays alone; the rule cannot tell the two apart. Timed on the benchmark
+# workloads (in-process passes) when a direct phase cost a cos call of 24
+# ns, 0 put band-optimize's one-column line searches on the series and
+# 2**10 and up took it from trotter-sweep's grids, each 10-20% slower
+# there, and chain-curve read the same from 2**8 to 2**10; at 5.3 ns,
+# 2**11 with 18 per level or cycle was slower on trotter-sweep in 3 of 4
+# benchmark pairs and faster on chain-curve in 3 of 4. trotter-sweep's
+# grids now take the lattice path, which has no series, and
+# band-optimize's 10-cycle calls fall below the rule: chain-curve's ratio
+# grids and long-horizon's grid and decay windows take the series.
 SERIES_MIN_PHASES = 1 << 9
 # log_survival_grid's angle addition: levels per block (the offsets whose
 # cos and sin one cycle needs), rows of blocks per tile, and long factors
@@ -255,14 +254,54 @@ class ContinuousBand:
 SpectralFunction = Union[DiscreteSpectrum, ContinuousBand]
 
 
+class LevelSet:
+    """Level offsets ``deltas`` (L,), E - E_t, and their log weights, with
+    what every kernel call on them shares made once: the half offsets, h =
+    max |half|, the series' q-powers (made by _split_cycles when a column
+    first takes the series) and, when every offset is 0, the log weight
+    each column keeps. log_survival and log_surviving are its one-shot case."""
+
+    def __init__(self, deltas, log_weights=()):
+        self.deltas = np.asarray(deltas, dtype=float)
+        self.log_weights = np.asarray(log_weights, dtype=float)
+        self.half = 0.5 * self.deltas
+        self.h = float(np.abs(self.half).max(initial=0.0))
+        self._powers = self._flat = None
+        if self.h == 0.0 and self.log_weights.size == self.half.size:
+            self._flat = _log_weighted_sum(np.zeros((self.half.size, 1)), self.log_weights)
+
+    def log_survival(self, times, work: dict | None = None) -> np.ndarray:
+        """log_survival(deltas, times, work) of this set's offsets."""
+        # Blocks are slices of rows, which a column-major matrix would
+        # make strided, the kernel about twice as slow.
+        tm = np.ascontiguousarray(times, dtype=float)
+        out = np.zeros((self.half.size, tm.shape[1]))
+        if out.size == 0 or tm.shape[0] == 0 or self.h == 0.0:
+            return out
+        order, groups, phases = _split_cycles(self, tm, out)
+        parts = [(left, out[:, cols]) for cols, left in groups]
+        if work is not None:
+            _count(work, "series", phases)
+            _count(work, "cos", sum(plane.size * left.shape[0] for left, plane in parts))
+        _accumulate_tiles(self.half, parts)
+        np.negative(out, out=out)
+        return out if order is None else np.take(out, np.argsort(order), axis=1)
+
+    def log_surviving(self, times) -> np.ndarray:
+        """log_surviving(deltas, log_weights, times) of this set."""
+        if self._flat is not None:
+            return np.repeat(self._flat, np.shape(times)[1])
+        return _log_weighted_sum(self.log_survival(times), self.log_weights)
+
+
 def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     """Per-level log filter products for a batch of schedules.
 
     ``deltas`` (L,) are level offsets E - E_t and ``times`` (N, S) holds
     one schedule per column; returns the (L, S) matrix of
     sum_n log cos**2(delta t_n / 2), zeros when L, N or S is 0 or when
-    every offset is 0 (a chain objective's target manifold). A zero time
-    adds exactly 0.
+    every offset is 0. A zero time adds exactly 0. The one-shot case of
+    LevelSet(deltas).log_survival.
 
     A column's entries depend on its own times and on ``deltas`` alone,
     bit for bit, whatever other columns share the call. One step,
@@ -284,21 +323,7 @@ def log_survival(deltas, times, work: dict | None = None) -> np.ndarray:
     summed by the series ("series") and by the direct path ("cos", a name
     kept from its first form; it counts the zeros kept in shared rows).
     """
-    half = 0.5 * np.asarray(deltas, dtype=float)
-    # Blocks are slices of rows; a column-major matrix would make each
-    # block's temporaries strided and the kernel about twice as slow.
-    tm = np.ascontiguousarray(times, dtype=float)
-    out = np.zeros((half.size, tm.shape[1]))
-    if out.size == 0 or tm.shape[0] == 0 or not np.count_nonzero(half):
-        return out
-    order, groups, phases = _split_cycles(half, tm, out)
-    parts = [(left, out[:, cols]) for cols, left in groups]
-    if work is not None:
-        _count(work, "series", phases)
-        _count(work, "cos", sum(plane.size * left.shape[0] for left, plane in parts))
-    _accumulate_tiles(half, parts)
-    np.negative(out, out=out)
-    return out if order is None else np.take(out, np.argsort(order), axis=1)
+    return LevelSet(deltas).log_survival(times, work)
 
 
 def _count(work: dict, key: str, phases: int) -> None:
@@ -324,16 +349,15 @@ def log_survival_grid(start: float, stop: float, count: int, times,
     ``work`` gains log_survival's counts and the long phases
     ("angle_addition").
     """
-    levels = np.linspace(start, stop, count)
+    levels = LevelSet(np.linspace(start, stop, count))
     tm = np.asarray(times, dtype=float).ravel()
-    h = 0.5 * float(np.abs(levels).max(initial=0.0))
     # A NaN time is long, so cos meets it and it propagates.
-    short = np.abs(tm) <= (SHORT_PHASE / h if h else math.inf)
-    out = log_survival(levels, tm[short][:, None], work)[:, 0]
+    short = np.abs(tm) <= (SHORT_PHASE / levels.h if levels.h else math.inf)
+    out = levels.log_survival(tm[short][:, None], work)[:, 0]
     cycles = tm[~short]
     if cycles.size and count:
         step = (stop - start) / (count - 1) if count > 1 else 0.0
-        _add_by_angle_addition(levels, step, 0.5 * cycles, out)
+        _add_by_angle_addition(levels.deltas, step, 0.5 * cycles, out)
         if work is not None:
             _count(work, "angle_addition", count * cycles.size)
     return out
@@ -370,39 +394,39 @@ def _add_by_angle_addition(levels, step, half_t, out) -> None:
     out += 2.0 * acc.ravel()[:levels.size]
 
 
-def _split_cycles(half, tm, out) -> tuple:
+def _split_cycles(levels: LevelSet, tm, out) -> tuple:
     """Write into ``out`` the short cycles' -2 sum_n log|cos(half t_n)| =
-    -sum_n log cos**2 of each column that takes the series (the sign and
-    scale of _accumulate's sums), and return (order, groups, phases): the
-    order of ``tm``'s columns that ``out`` holds, None for their own; the
-    cycles left for the direct path as (columns, cycles) groups, each a
-    slice of ``out``'s columns, none without a cycle; and the phases the
-    series summed.
+    -sum_n log cos**2 of each column of ``tm`` that takes the series (the
+    sign and scale of _accumulate's sums) at the offsets of the LevelSet
+    ``levels``, and return (order, groups, phases): the order of ``tm``'s
+    columns that ``out`` holds, None for their own; the cycles left for
+    the direct path as (columns, cycles) groups, each a slice of ``out``'s
+    columns, none without a cycle; and the phases the series summed.
 
     The cost rule, in direct phases (one level of one cycle, about 5.3
     ns): the series saves a column one per level for each short cycle (h
     |t| <= SHORT_PHASE, h = max |half|) and costs about four per (level or
     cycle), plus SERIES_MIN_PHASES, the column's share of the call's fixed
     numpy calls (measured in a call of 240 series columns: about 7 per
-    cycle, under 1 per level, and 60-90 us a call). It reads nothing of
-    the other columns, so a column takes the same path alone as in any
-    batch. With x = h t and q = (half / h)**2, a column's short sum of
-    log|cos| is sum_j LOG_COS_SERIES[j] q**(j+1) P_j over its power sums
-    P_j = sum_n x_n**(2j+2). Its other cycles' |t| sort to the bottom,
-    zeros above. Series columns with about as many short cycles group
-    together (bands of an eighth of the cycles) and drop the rows of
-    zeros they share; a zero adds exactly 0, so no column's sum depends
-    on its group, and a band left with no rows is no group. The other
-    columns form one group, their times as given. Each column's group key
-    is -1 when it goes direct, else its band; when the keys are not in
-    order, the columns are reordered once, stably by key, so that every
-    group, the direct one first, is one slice of the plane.
+    cycle, under 1 per level; about 35 us a one-column call on a prepared
+    set). It reads nothing of the other columns, so a column takes the
+    same path alone as in any batch. With x = h t and q = (half / h)**2, a
+    column's short sum of log|cos| is sum_j LOG_COS_SERIES[j] q**(j+1) P_j
+    over its power sums P_j = sum_n x_n**(2j+2). Its other cycles' |t|
+    sort to the bottom, zeros above. Series columns with about as many
+    short cycles group together (bands of an eighth of the cycles) and
+    drop the rows of zeros they share; a zero adds exactly 0, so no
+    column's sum depends on its group, and a band left with no rows is no
+    group. The other columns form one group, their times as given. Each
+    column's group key is -1 when it goes direct, else its band; when the
+    keys are not in order, the columns are reordered once, stably by key,
+    so that every group, the direct one first, is one slice of the plane;
+    a one-column call needs no key.
     """
-    levels, (cycles, cols) = half.size, tm.shape
-    least = max(1, math.ceil((SERIES_MIN_PHASES + 4 * (levels + cycles)) / levels))
-    h = float(np.abs(half).max()) if least <= cycles else 0.0
+    half, h, (cycles, cols) = levels.half, levels.h, tm.shape
+    least = max(1, math.ceil((SERIES_MIN_PHASES + 4 * (half.size + cycles)) / half.size))
     take = np.zeros(cols, dtype=bool)
-    if 0.0 < h < math.inf:
+    if least <= cycles and h < math.inf:
         # Two comparisons rather than abs: no float temporary of the matrix.
         short = tm <= SHORT_PHASE / h
         short &= tm >= -SHORT_PHASE / h
@@ -411,36 +435,41 @@ def _split_cycles(half, tm, out) -> tuple:
     first = cols - int(np.count_nonzero(take))
     order, groups, phases = None, [], 0
     if first < cols:
-        key = np.where(take, (counts - counts[take].min()) // max(1, cycles // 8), -1)
-        if (key[1:] < key[:-1]).any():
-            order = np.argsort(key, kind="stable")
-            key, counts = key[order], counts[order]
-            tm, short = np.take(tm, order, axis=1), np.take(short, order, axis=1)
+        cuts = [0, cols - first]
+        if cols > 1:
+            key = np.where(take, (counts - counts[take].min()) // max(1, cycles // 8), -1)
+            if (key[1:] < key[:-1]).any():
+                order = np.argsort(key, kind="stable")
+                key, counts = key[order], counts[order]
+                tm, short = np.take(tm, order, axis=1), np.take(short, order, axis=1)
+            key = key[first:]
+            cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
         series = out[:, first:]
-        tm_s, short, counts, key = tm[:, first:], short[:, first:], counts[first:], key[first:]
-        phases = levels * int(counts.sum())
-        terms = LOG_COS_SERIES.size
+        tm_s, short, counts = tm[:, first:], short[:, first:], counts[first:]
+        phases = half.size * int(counts.sum())
         coeff = _power_sums(tm_s, short, h) * (-2.0 * LOG_COS_SERIES)
-        # Powers of q for fixed blocks of levels, then one matrix-vector
-        # product per column: every column meets the same BLAS call on the
-        # same block, so its entries do not depend on the column count (one
-        # matrix product over all columns would order its sums by the shape).
-        rows = KERNEL_BLOCK_DOUBLES // terms
-        buf = np.empty((terms, min(rows, levels)))
-        for start in range(0, levels, rows):
-            q = buf[:, :min(rows, levels - start)]
-            np.divide(half[start:start + rows], h, out=q[0])
-            np.square(q[0], out=q[0])
-            _fill_powers(q)
+        # Powers of q for fixed blocks of levels (a set of one block keeps
+        # them once they are filled, and no call writes kept powers), then one
+        # matrix-vector product per column: every column meets the same BLAS
+        # call on the same block, so its entries do not depend on the column
+        # count (a matrix product would, by its shape).
+        rows, powers = KERNEL_BLOCK_DOUBLES // LOG_COS_SERIES.size, levels._powers
+        buf = np.empty((LOG_COS_SERIES.size, min(rows, half.size))) if powers is None else powers
+        for start in range(0, half.size, rows):
+            q = buf[:, :min(rows, half.size - start)]
+            if powers is None:
+                np.divide(half[start:start + rows], h, out=q[0])
+                np.square(q[0], out=q[0])
+                _fill_powers(q)
             chunk = max(1, KERNEL_BLOCK_DOUBLES // q.shape[1])
             for c in range(0, series.shape[1], chunk):
                 products = np.matmul(q.T, coeff[c:c + chunk, :, None])
                 series[start:start + rows, c:c + chunk] = products[:, :, 0].T
+        levels._powers = buf if half.size <= rows else None
         # A NaN time sorts last, so it stays and propagates as it would.
         left = np.abs(tm_s)
         np.copyto(left, 0.0, where=short)
         left.sort(axis=0)
-        cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
         groups = [(slice(first + a, first + b), left[int(counts[a:b].min()):, a:b])
                   for a, b in zip(cuts, cuts[1:]) if counts[a:b].min() < cycles]
     if first:
@@ -694,9 +723,9 @@ def _kernel_pool():
 
 def log_surviving(deltas, log_weights, times) -> np.ndarray:
     """log of the surviving weight sum_k w_k prod_n cos**2(delta_k t_n / 2)
-    for each column of ``times`` (N, S); returns (S,). Zero weights
-    (log -inf) and an empty level set are allowed."""
-    return _log_weighted_sum(log_survival(deltas, times), log_weights)
+    of each column of ``times`` (N, S), (S,), zero weights (log -inf) and
+    an empty set allowed: LevelSet(deltas, log_weights).log_surviving."""
+    return LevelSet(deltas, log_weights).log_surviving(times)
 
 
 def _log_weighted_sum(logs, log_weights) -> np.ndarray:

@@ -136,6 +136,25 @@ def test_benchmark_job_output_is_pinned(key, outputs):
         f"{key}: result moved ({versions}): {moved}")
 
 
+# RodeoObjective's work on the benchmark's chain jobs, exact: (calls,
+# columns scored, one-column calls). chain-curve/1 is a --monotone curve,
+# whose searches run one after another, so each golden step is a call of
+# its own; long-horizon/0 is one search, one grid call and 11 steps.
+WORK_PINS = {"chain-curve/0": (32, 1576, 0), "chain-curve/1": (145, 1893, 135),
+             "long-horizon/0": (12, 251, 11)}
+
+
+@pytest.mark.parametrize("key", sorted(WORK_PINS))
+def test_the_chain_jobs_report_their_objective_work(key, tmp_path):
+    from rodeo_sched.cli import main
+
+    out = tmp_path / "job.json"
+    assert main(_workload_jobs()[key].split() + ["--seed", str(SEED), "--out", str(out)]) == 0
+    work = json.loads(out.read_text())["manifest"]["diagnostics"]
+    assert (work["objective_calls"], work["schedules_scored"],
+            work["one_column_calls"]) == WORK_PINS[key]
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--run"]:
         _run_jobs(Path(sys.argv[2]))

@@ -218,12 +218,19 @@ def test_chain_commands_report_the_levels_they_score(capsys):
     code, doc = _run_json(["curve", "--model", "tfim", "--length", "10", "--n-samples", "10",
                            "--t-points", "2", "--skip-rra"], capsys)
     assert code == 0
-    assert doc["manifest"]["diagnostics"] == {"levels": 30, "levels_below_resolution": 90}
+    # and the objective's work: 3 fixed-ratio calls, 2 grid calls of 240
+    # columns and 23 golden calls, each one step of both searches
+    assert doc["manifest"]["diagnostics"] == {
+        "levels": 30, "levels_below_resolution": 90,
+        "objective_calls": 28, "schedules_scored": 532, "one_column_calls": 0}
     code, doc = _run_json(["optimize-alpha", "--model", "xx", "--length", "10",
                            "--initial-state", "e1", "--n-samples", "10",
                            "--t0-multiple", "1"], capsys)
     assert code == 0
-    assert doc["manifest"]["diagnostics"] == {"levels": 121, "levels_below_resolution": 0}
+    # one grid call, then one column a golden step
+    assert doc["manifest"]["diagnostics"] == {
+        "levels": 121, "levels_below_resolution": 0,
+        "objective_calls": 24, "schedules_scored": 263, "one_column_calls": 23}
     code, doc = _run_json(["optimize-alpha", "--band", "0.1", "1.0", "--n-samples", "10",
                            "--t0-multiple", "0.5"], capsys)
     assert "diagnostics" not in doc["manifest"]
@@ -565,6 +572,45 @@ def test_a_range_out_of_order_names_both_flags(line, config, low, high, tmp_path
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
     assert f"argument {high}: must exceed {low}, got " in _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("line, config, flag", [
+    ("schedule-fit --preset xi2 --sweep --total-time 5", None, "--total-time"),
+    ("schedule-fit --preset xi2 --sweep --t0-multiple 3", None, "--t0-multiple"),
+    ("schedule-fit --preset xi2 --sweep --trotter-dt 0.3", None, "--trotter-dt"),
+    ("schedule-fit --preset xi2 --sweep", {"total_time": 5}, "--total-time"),
+])
+def test_a_sweep_refuses_the_flags_of_a_single_fit(line, config, flag, tmp_path, capsys):
+    # The grid flags set every total and step; these would only move the
+    # manifest hash.
+    argv = shlex.split(line)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert f"argument {flag}: --sweep sets every total and step" in _usage_error(argv, capsys)
+
+
+def test_a_sweep_keeps_the_single_fit_flags_at_their_defaults(capsys):
+    argv = ["schedule-fit", "--preset", "xi2", "--sweep", "--n-samples", "6", "--t-points", "2",
+            "--dt-mults", "0.01"]
+    code, plain = _run_json(argv, capsys)
+    code_default, explicit = _run_json(argv + ["--t0-multiple", "1"], capsys)
+    assert code == code_default == 0
+    assert explicit["manifest"]["hash"] == plain["manifest"]["hash"]
+    assert explicit["result"] == plain["result"]
+
+
+@pytest.mark.parametrize("line", ["curve --model xx --field 3", "optimize-alpha --model xx --field 0",
+                                  "spectrum --model xx --length 4 --field=-1"])
+def test_the_xx_chain_refuses_a_field(line, capsys):
+    assert "argument --field: the xx chain has no field, got " in _usage_error(
+        shlex.split(line), capsys)
+
+
+def test_the_xx_chain_keeps_the_default_field(capsys):
+    code, doc = _run_json(["spectrum", "--model", "xx", "--length", "4", "--field", "1"], capsys)
+    assert code == 0 and len(doc["result"]["eigenvalues"]) == 6
 
 
 @pytest.mark.parametrize("line", [

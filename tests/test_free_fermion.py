@@ -53,10 +53,10 @@ def test_the_xx_objective_scores_the_free_fermion_levels(length, pick):
     zero = rest_w <= 1e-30
     assert np.all(rest_w[~zero] >= 1e-9) and np.all(target_w >= 1e-9)
     assert (obj.levels, obj.levels_below_resolution) == ((~zero).sum(), zero.sum())
-    for (d, log_w), (exact_d, exact_w) in ((obj._rest, (rest_d[~zero], rest_w[~zero])),
-                                           (obj._target, (target_d, target_w))):
-        assert np.abs(d - exact_d).max() <= 3e-15 * scale
-        assert np.abs(log_w - np.log(exact_w)).max() <= 5e-13
+    for level_set, (exact_d, exact_w) in ((obj._rest, (rest_d[~zero], rest_w[~zero])),
+                                          (obj._target, (target_d, target_w))):
+        assert np.abs(level_set.deltas - exact_d).max() <= 3e-15 * scale
+        assert np.abs(level_set.log_weights - np.log(exact_w)).max() <= 5e-13
 
 
 # Measured first over 360,000 columns (600 seeds of this draw, 50 columns

@@ -231,7 +231,7 @@ def test_a_chain_with_every_level_on_the_target_has_no_residual():
     spec = HamiltonianSpec(model="xx", length=2, coupling=0.0)
     eig = eigendecompose(build_sector_hamiltonian(spec))
     obj = RodeoObjective(eig, make_initial_state(spec, "basis_index", basis_index=1), 0.0)
-    assert (obj.levels, obj.levels_below_resolution, len(obj._target[0])) == (0, 0, 1)
+    assert (obj.levels, obj.levels_below_resolution, len(obj._target.deltas)) == (0, 0, 1)
     assert obj.weights(np.zeros((0, 1)))[1][0] == 1.0  # the target weight before any cycle
     np.testing.assert_array_equal(obj.batch(np.ones((4, 3))), [0.0] * 3)
     with pytest.raises(ValueError, match="no gap exists"):
@@ -276,7 +276,7 @@ def _random_state(n, seed, density):
 
 def _objective_counts(obj):
     """(levels kept in and outside the target, levels dropped)."""
-    return len(obj._target[0]) + obj.levels, obj.levels_below_resolution
+    return len(obj._target.deltas) + obj.levels, obj.levels_below_resolution
 
 
 def _block_eigensystem(matrix, symmetries) -> EigenSystem:
@@ -446,9 +446,9 @@ def test_a_state_in_every_character_reproduces_the_block_solve(spec, monkeypatch
     full, touched = (RodeoObjective(blocks, psi, e0),
                      RodeoObjective.from_levels(energies, weights, len(m), e0))
     assert _objective_counts(touched) == _objective_counts(full)
-    for (da, la), (db, lb) in ((full._rest, touched._rest), (full._target, touched._target)):
-        np.testing.assert_allclose(db, da, rtol=0, atol=1e-14 * scale)
-        np.testing.assert_allclose(lb, la, rtol=0, atol=1e-12)
+    for a, b in ((full._rest, touched._rest), (full._target, touched._target)):
+        np.testing.assert_allclose(b.deltas, a.deltas, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(b.log_weights, a.log_weights, rtol=0, atol=1e-12)
     _assert_weights_match_dense(eigendecompose(m), energies, weights, psi, e0, scale)
 
 
@@ -463,7 +463,7 @@ def test_a_state_outside_the_targets_character_has_no_target_weight():
     ground = eigendecompose(m).eigenvalues[0]
     assert abs(energies[0] - ground) <= 1e-14 * abs(ground) and weights[0] == 0.0
     obj = RodeoObjective.from_levels(energies, weights, len(m), float(energies[0]))
-    assert len(obj._target[0]) == 0 and obj.levels_below_resolution >= 1
+    assert len(obj._target.deltas) == 0 and obj.levels_below_resolution >= 1
     zeta, target = obj.weights(np.ones((3, 2)))
     np.testing.assert_array_equal(target, [0.0, 0.0])
     assert np.all(zeta > 0)
@@ -548,9 +548,9 @@ def test_the_benchmark_chains_keep_their_levels_under_the_block_solve(spec, kind
     for obj in (dense, blocks, touched):
         assert (obj.levels, obj.levels_below_resolution) == (kept, dropped)
     for other in (blocks, touched):
-        for (da, la), (db, lb) in ((dense._rest, other._rest), (dense._target, other._target)):
-            np.testing.assert_allclose(db, da, rtol=0, atol=5e-14)
-            np.testing.assert_allclose(lb, la, rtol=0, atol=5e-12)
+        for a, b in ((dense._rest, other._rest), (dense._target, other._target)):
+            np.testing.assert_allclose(b.deltas, a.deltas, rtol=0, atol=5e-14)
+            np.testing.assert_allclose(b.log_weights, a.log_weights, rtol=0, atol=5e-12)
 
 
 @pytest.mark.parametrize("spec, blocks", [

@@ -95,13 +95,13 @@ def test_levels_below_float64_resolution_are_dropped(build, kept, dropped):
     obj = RodeoObjective(eig, psi, e0)
     w = (eig.eigenvectors.T @ psi.vector) ** 2
     floor = (len(psi.vector) * np.finfo(float).eps) ** 2 * w.sum()
-    assert (obj.levels, len(obj._rest[0]), len(obj._target[0])) == (kept, kept, 1)
+    assert (obj.levels, len(obj._rest.deltas), len(obj._target.deltas)) == (kept, kept, 1)
     _, (every_d, every_log_w), _ = DiscreteSpectrum(eig.eigenvalues, w).levels(e0)
-    gone = ~np.isin(every_d, obj._rest[0])
+    gone = ~np.isin(every_d, obj._rest.deltas)
     assert gone.sum() == obj.levels_below_resolution == dropped
     assert np.all(np.exp(every_log_w[gone]) <= floor)
-    for _, log_w in (obj._rest, obj._target):
-        assert np.all(np.exp(log_w) >= 1e6 * floor)
+    for level_set in (obj._rest, obj._target):
+        assert np.all(np.exp(level_set.log_weights) >= 1e6 * floor)
 
 
 # RodeoObjective.batch at L = 8 on geometric columns (ratios 2, 1.5, 1.1 at
@@ -309,7 +309,7 @@ def test_kernel_memory_of_a_reordered_call_holds_two_planes(seed):
     # groups accumulate into slices of one plane and a gather puts the
     # columns back, beside a copy of the times, with no per-group copy.
     deltas, tm = _kernel_call((600, 240, 100), seed, "trotter")
-    order, _, _ = spectral._split_cycles(0.5 * deltas, tm, np.zeros((600, 240)))
+    order, _, _ = spectral._split_cycles(spectral.LevelSet(deltas), tm, np.zeros((600, 240)))
     assert order is not None
     tracemalloc.start()
     try:
@@ -502,6 +502,76 @@ def test_every_kernel_column_is_the_bits_of_its_one_column_call(call):
         assert got[:, j].tobytes() == log_survival(deltas, tm[:, j:j + 1])[:, 0].tobytes()
 
 
+@st.composite
+def _level_set_calls(draw):
+    """(spectrum, times): a DiscreteSpectrum around the target 0 and
+    schedule columns to score against its two level sets. The rest set
+    holds 32-128 offsets evenly spaced on [-2, 2] (h = 1), some repeated
+    (degenerate) and some with a second energy 1e-13 away (merged by
+    DiscreteSpectrum.levels), or nothing. The target holds 0 once or
+    more, an all-zero set, or with 1e-12 beside it, not all zero. 1-300
+    columns of 40-80 cycles, each with its own count of short cycles
+    (_column), so that the series, the direct path and the reorder run;
+    some times 0, and a NaN in one column or none."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(-2.0, 2.0, 2 * draw(st.integers(16, 64)))
+    picks = rng.integers(0, grid.size, draw(st.integers(0, 8)))
+    rest = np.concatenate([grid, grid[picks], grid[picks[::2]] + 1e-13])
+    rest = rest[:draw(st.sampled_from([0, rest.size, rest.size, rest.size]))]
+    target = [0.0] * draw(st.integers(1, 3)) + draw(st.sampled_from([[], [1e-12]]))
+    energies = np.concatenate([rest, target])
+    weights = rng.uniform(0.01, 1.0, energies.size)
+    cycles = draw(st.integers(40, 80))
+    shorts = rng.integers(0, cycles + 1, draw(st.integers(1, 300)))
+    tm = np.stack([_column(k, cycles) for k in shorts], axis=1)
+    tm[rng.random(tm.shape) < 0.05] = 0.0
+    if draw(st.booleans()):
+        tm[rng.integers(cycles), rng.integers(tm.shape[1])] = np.nan
+    return DiscreteSpectrum(energies, 0.999 * weights / weights.sum()), tm
+
+
+def _series_among_direct(levels=64):
+    """A spectrum whose rest set takes the series, and four columns: at 64
+    levels, one that pays for the series between three that go direct.
+    Past KERNEL_BLOCK_DOUBLES // len(LOG_COS_SERIES) levels the series'
+    q-powers come in blocks, which a set does not keep."""
+    energies = np.concatenate([np.linspace(-2.0, 2.0, levels), [0.0]])
+    return (DiscreteSpectrum(energies, np.full(levels + 1, 1.0 / (levels + 1))),
+            np.stack([_column(k, 64) for k in (0, 10, 64, 5)], axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_level_set_calls())
+@example(_series_among_direct())
+@example(_series_among_direct(levels=5000))
+def test_a_prepared_level_set_keeps_the_bits_of_one_shot_and_one_column_calls(call):
+    spectrum, tm = call
+    target, rest, _ = spectrum.levels(0.0)
+    for deltas, log_weights in (target, rest):
+        prepared = spectral.LevelSet(deltas, log_weights)
+        # the kernel and the reduction composed, as the target manifold's
+        # kept log weight must read
+        reduced = spectral._log_weighted_sum(log_survival(deltas, tm), log_weights)
+        for _ in range(2):  # the second call reuses what the first prepared
+            logs, got = prepared.log_survival(tm), prepared.log_surviving(tm)
+            assert logs.tobytes() == log_survival(deltas, tm).tobytes()
+            assert (got.tobytes() == log_surviving(deltas, log_weights, tm).tobytes()
+                    == reduced.tobytes())
+        for j in range(tm.shape[1]):
+            col = tm[:, j:j + 1]
+            assert logs[:, j].tobytes() == prepared.log_survival(col)[:, 0].tobytes()
+            assert (got[j:j + 1].tobytes() == prepared.log_surviving(col).tobytes()
+                    == log_surviving(deltas, log_weights, col).tobytes())
+
+
+def test_the_series_column_among_direct_ones_is_reordered():
+    spectrum, tm = _series_among_direct()
+    _, (deltas, _), _ = spectrum.levels(0.0)
+    order, _, phases = spectral._split_cycles(spectral.LevelSet(deltas), tm, np.zeros((64, 4)))
+    assert order.tolist() == [0, 1, 3, 2] and phases == 64 * 64
+
+
 def _kernel_call(shape, seed, kind):
     """(deltas, times) of a (levels, schedules, cycles) call. "uniform":
     offsets in [-5, 5], times in [0, 3]. "trotter": band offsets in [1, 2]
@@ -594,7 +664,7 @@ def test_a_band_without_long_cycles_hands_the_direct_path_no_group():
     short = np.geomspace(1e-4, SHORT_PHASE, 100)
     mixed = np.concatenate([short[:60], np.linspace(1.0, 9.0, 40)])
     tm = np.stack([short, short[::-1], mixed], axis=1)
-    _, groups, _ = spectral._split_cycles(0.5 * deltas, tm, np.zeros((600, 3)))
+    _, groups, _ = spectral._split_cycles(spectral.LevelSet(deltas), tm, np.zeros((600, 3)))
     assert [(cols, left.shape) for cols, left in groups] == [(slice(0, 1), (40, 1))]
 
 
