@@ -163,10 +163,25 @@ def _hamiltonian_backend(args):
     return objective, math.pi / gap, extras
 
 
-def _level_counts(objective: RodeoObjective) -> dict:
-    """A chain objective's levels scored and dropped (below float64 resolution) and work."""
+def _level_counts(objective: RodeoObjective, search: dict) -> dict:
+    """A chain objective's levels scored and dropped (below float64
+    resolution) and work, with its ratio searches' counts."""
     return {"levels": objective.levels,
-            "levels_below_resolution": objective.levels_below_resolution, **objective.work}
+            "levels_below_resolution": objective.levels_below_resolution, **objective.work,
+            "ratio_search": search}
+
+
+def _log10(log_value: float) -> float:
+    return log_value / math.log(10.0)
+
+
+def _log_of(objective):
+    """The ratio-search objective of a band: the logs of ``objective``'s
+    linear (S,) values, an exact zero as -inf."""
+    def logs(times_matrix):
+        with np.errstate(divide="ignore"):
+            return np.log(objective(times_matrix))
+    return logs
 
 
 def cmd_rsn(args) -> int:
@@ -221,22 +236,24 @@ def cmd_optimize_times(args) -> int:
 
 
 def cmd_optimize_alpha(args) -> int:
-    extras, backend = {}, None
+    extras, backend, search = {}, None, {}
     if args.model:
         backend, t0, extras = _hamiltonian_backend(args)
-        objective = backend.batch
+        objective = backend.log_infidelity
     else:
         band = BandModel(*args.band)
         t0 = math.pi / band.delta_min
-        objective = band.objective()
+        objective = _log_of(band.objective())
     total = _total_time(args, t0)
     opt = optimize_alpha(objective, args.n_samples, total,
-                         alpha_bounds=(args.alpha_min, args.alpha_cap))
-    result = {"alpha_opt": opt.alpha, "objective": opt.objective, "flat": opt.flat,
+                         alpha_bounds=(args.alpha_min, args.alpha_cap), work=search)
+    result = {"alpha_opt": opt.alpha, "objective": opt.objective,
+              "log10_objective": _log10(opt.log_objective), "flat": opt.flat,
               "total_time": total, "n_samples": args.n_samples,
               "schedule": superiteration_schedule(opt.alpha, args.n_samples, total).times.tolist()}
     _emit(args, result, extra=dict(extras, resolved_total_time=total),
-          diagnostics=None if backend is None else _level_counts(backend))
+          diagnostics=({"ratio_search": search} if backend is None
+                       else _level_counts(backend, search)))
     return 0
 
 
@@ -266,14 +283,17 @@ def cmd_curve(args) -> int:
     fixed_alphas = _parse_floats(args.alphas)
     t_grid = np.geomspace(args.t_min_mult, args.t_max_mult, args.t_points) * t0
     columns: dict = {}
+    # Every fidelity is target / (zeta + target) from the log weights.
     for a in fixed_alphas:
-        columns[_alpha_column(a)] = 1.0 - objective.batch(
-            geometric_times(a, args.n_samples, t_grid))
-    curve = adaptive_alpha_curve(objective.batch, args.n_samples, t_grid,
+        columns[_alpha_column(a)] = objective.fidelity(geometric_times(a, args.n_samples, t_grid))
+    search = {}
+    curve = adaptive_alpha_curve(objective.log_infidelity, args.n_samples, t_grid,
                                  monotone=args.monotone,
-                                 alpha_bounds=(args.alpha_min, args.alpha_cap))
+                                 alpha_bounds=(args.alpha_min, args.alpha_cap), work=search)
     columns["alpha_opt"] = [p.alpha for p in curve]
-    columns["fidelity_adaptive"] = [1.0 - p.objective for p in curve]
+    columns["fidelity_adaptive"] = objective.fidelity(
+        geometric_times([p.alpha for p in curve], args.n_samples, t_grid))
+    columns["log10_infidelity_adaptive"] = [_log10(p.log_objective) for p in curve]
     if not args.skip_rra:
         # Budget-matched random baseline: the half-normal width is fixed
         # by the mean total time, sigma = (T/N) sqrt(pi/2), and the same
@@ -283,7 +303,7 @@ def cmd_curve(args) -> int:
         sigmas = (t_grid / args.n_samples) * math.sqrt(math.pi / 2.0)
         # One call scores every grid time's draws; row i of shots is t_grid[i].
         schedules = (base[:, None, :] * sigmas[:, None]).reshape(len(base), -1)
-        shots = (1.0 - objective.batch(schedules)).reshape(len(t_grid), -1)
+        shots = objective.fidelity(schedules).reshape(len(t_grid), -1)
         columns["fidelity_rra_mean"] = shots.mean(axis=1)
         columns["fidelity_rra_p10"] = np.percentile(shots, 10, axis=1)
         columns["fidelity_rra_p90"] = np.percentile(shots, 90, axis=1)
@@ -294,7 +314,7 @@ def cmd_curve(args) -> int:
     result = {"t_grid": t_grid.tolist(), "t0": t0,
               **{c: list(map(float, columns[c])) for c in columns}}
     _emit(args, result, header=header, rows=rows, extra=extras,
-          diagnostics=_level_counts(objective))
+          diagnostics=_level_counts(objective, search))
     return 0
 
 
@@ -342,7 +362,7 @@ def _spectral_input(args):
 def cmd_schedule_fit(args) -> int:
     spectrum, label = _spectral_input(args)
     t0 = math.pi / target_gap(spectrum, args.e_target)
-    counts = {}  # TrotterObjective's work, summed over the fits
+    counts, search = {}, {}  # TrotterObjective's work and the searches', over the fits
 
     def fit(totals: list, dt: float) -> list:
         for total in totals:
@@ -356,23 +376,26 @@ def cmd_schedule_fit(args) -> int:
         return [(opt, trotter_round(
                     superiteration_schedule(opt.alpha, args.n_samples, opt.total_time), dt))
                 for opt in _optimize_alphas(objective, args.n_samples, totals,
-                                            (args.alpha_min, args.alpha_cap))]
+                                            (args.alpha_min, args.alpha_cap), search)]
 
     def diagnostics(zetas) -> dict:
         # A band's zeta below the integrator's tolerance is not resolved; a
         # discrete spectrum is summed, not integrated.
         if not isinstance(spectrum, ContinuousBand):
-            return counts
-        return dict(counts, zeta_below_tolerance=sum(z < ABS_TOL for z in zetas))
+            return dict(counts, ratio_search=search)
+        return dict(counts, zeta_below_tolerance=sum(z < ABS_TOL for z in zetas),
+                    ratio_search=search)
 
     manifest_extra = {"spectral_input": label, "characteristic_time": t0}
     if args.sweep:
         t_grid = np.geomspace(args.t_min_mult, args.t_max_mult, args.t_points) * t0
         entries = [{"total_time": opt.total_time, "dt_mult": float(dm), "alpha_opt": opt.alpha,
-                    "zeta": opt.objective, "surviving_times": len(rounded)}
+                    "zeta": opt.objective, "log10_zeta": _log10(opt.log_objective),
+                    "surviving_times": len(rounded)}
                    for dm in _parse_floats(args.dt_mults)
                    for opt, rounded in fit(t_grid.tolist(), float(dm * t0))]
-        header = ["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta", "surviving_times"]
+        header = ["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta", "log10_zeta",
+                  "surviving_times"]
         rows = [[e["total_time"], e["total_time"] / t0] + [e[c] for c in header[2:]]
                 for e in entries]
         _emit(args, {"points": entries}, header=header, rows=rows, extra=manifest_extra,
@@ -381,7 +404,8 @@ def cmd_schedule_fit(args) -> int:
     if not args.trotter_dt:  # its type admits only positive values
         raise ValueError("schedule-fit needs --trotter-dt (or --sweep)")
     [(opt, rounded)] = fit([_total_time(args, t0)], args.trotter_dt)
-    result = {"alpha_opt": opt.alpha, "zeta": opt.objective, "flat": opt.flat,
+    result = {"alpha_opt": opt.alpha, "zeta": opt.objective,
+              "log10_zeta": _log10(opt.log_objective), "flat": opt.flat,
               "total_time": opt.total_time, "trotter_dt": args.trotter_dt,
               "schedule": rounded.times.tolist(),
               "surviving_times": len(rounded)}
@@ -637,8 +661,9 @@ def build_parser() -> tuple:
     p.add_argument("--t-min-mult", type=_positive_float, default=0.1)
     p.add_argument("--t-max-mult", type=_positive_float, default=10.0)
     p.add_argument("--t-points", type=_positive_int, default=20)
-    p.add_argument("--dt-mults", type=_positive_list, default="0.01,0.1,1.0",
-                   help="Trotter steps in characteristic-time units (sweep mode)")
+    p.add_argument("--dt-mults", type=_positive_list, default="0.001,0.01,0.05",
+                   help="Trotter steps in characteristic-time units (sweep mode), "
+                        "each below --t-min-mult")
     _add_alpha_bounds(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_schedule_fit)
@@ -702,9 +727,11 @@ _RANGES = (("--t-min-mult", "--t-max-mult", "t_points"),
 def _flag_pair_error(args) -> str | None:
     """The usage error of values that each parse but do not fit together:
     --band edges or a pair of _RANGES out of order, a flag the command
-    ignores (xx --field; a fit's times under --sweep), or a --basis-index
-    outside the chain's sector (its dimension from the sector basis, with
-    no solve). A chain the library refuses exits 1 from the command."""
+    ignores (xx --field; a fit's times under --sweep), a sweep step not
+    below the first grid total (--dt-mults against --t-min-mult), or a
+    --basis-index outside the chain's sector (its dimension from the
+    sector basis, with no solve). A chain the library refuses exits 1
+    from the command."""
     band = getattr(args, "band", None)
     if band and not band[0] < band[1]:
         return f"argument --band: DMAX must exceed DMIN, got {band[0]:g} {band[1]:g}"
@@ -716,6 +743,10 @@ def _flag_pair_error(args) -> str | None:
                             ("--trotter-dt", args.trotter_dt)):
             if given:
                 return f"argument {flag}: --sweep sets every total and step from its grid flags"
+        # the first grid total is --t-min-mult T0, and a step must lie below every total
+        if _parse_floats(args.dt_mults).max() >= args.t_min_mult:
+            return (f"argument --dt-mults: each step must lie below --t-min-mult "
+                    f"{args.t_min_mult:g}, got {args.dt_mults}")
     for low, high, points in _RANGES:
         lo, hi = (getattr(args, flag[2:].replace("-", "_"), None) for flag in (low, high))
         one_point = points is not None and getattr(args, points, None) == 1

@@ -421,9 +421,9 @@ class RodeoObjective:
     once, as LevelSets; every evaluation sums each in log space.
     batch and weights take schedules as the columns of an
     (n_samples, n_schedules) matrix: batch returns the post-selected
-    infidelity zeta / (target + zeta) of each column, and weights the raw
-    surviving (zeta, target weight). value(times) is the one-schedule
-    case of batch.
+    infidelity zeta / (target + zeta) of each column, log_infidelity its
+    log, fidelity target / (target + zeta), and weights the raw surviving
+    (zeta, target weight). value(times) is the one-schedule case of batch.
 
     from_levels builds it from energies and the state's weight on each,
     as state_spectrum gives them (the chain commands' path);
@@ -484,6 +484,17 @@ class RodeoObjective:
     def value(self, times: np.ndarray) -> float:
         return float(self.batch(np.asarray(times, dtype=float)[:, None])[0])
 
-    def batch(self, times_matrix: np.ndarray) -> np.ndarray:
+    def log_infidelity(self, times_matrix) -> np.ndarray:
+        """log of batch, (S,): log zeta - log(zeta + target), the ratio
+        searches' objective, resolved far below the smallest double."""
         log_zeta, log_target = self._log_weights(times_matrix)
-        return np.exp(log_zeta - np.logaddexp(log_zeta, log_target))
+        return log_zeta - np.logaddexp(log_zeta, log_target)
+
+    def fidelity(self, times_matrix) -> np.ndarray:
+        """target / (zeta + target), (S,), from the log weights: every
+        digit kept where the fidelity is small, which 1 - batch loses."""
+        log_zeta, log_target = self._log_weights(times_matrix)
+        return np.exp(log_target - np.logaddexp(log_zeta, log_target))
+
+    def batch(self, times_matrix: np.ndarray) -> np.ndarray:
+        return np.exp(self.log_infidelity(times_matrix))

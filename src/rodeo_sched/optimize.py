@@ -3,9 +3,10 @@
 Three searches: the full N-dimensional time optimization under a total
 time budget (population-based differential evolution with restarts,
 each polished by L-BFGS-B on the objective's gradient),
-the one-dimensional geometric-ratio optimization (grid scan plus
-golden-section refinement), and adaptive ratio curves across total-time
-grids with an optional monotone constraint.
+the one-dimensional geometric-ratio optimization (grid scan, then
+Brent's parabolic steps with golden-section fallback, on log values),
+and adaptive ratio curves across total-time grids with an optional
+monotone constraint.
 
 Constraint handling for the N-dimensional search: genes are square
 roots of the times, so nonnegativity is built in, and any candidate
@@ -27,7 +28,9 @@ MAX_OPTIMIZE_N = 15
 ALPHA_GRID_POINTS = 240
 # Grid scans start this far above the open lower ratio bound.
 ALPHA_FLOOR = 1e-4
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Ratio refinement stops once its bracket [a, b] is within STOP_RTOL * a.
+STOP_RTOL = 1e-6
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden section's smaller part
 
 
 @dataclass(frozen=True)
@@ -179,54 +182,117 @@ def optimize_times(objective, n_samples: int, t_limit: float, *, budget: int = 6
 
 @dataclass(frozen=True)
 class AlphaOptimum:
-    """Ratio search outcome at one total time; flat marks an alpha-independent landscape."""
+    """Ratio search outcome at one total time: the ratio and the log of the
+    objective there; flat marks an alpha-independent landscape."""
 
     total_time: float
     alpha: float
-    objective: float
+    log_objective: float
     flat: bool = False
 
+    @property
+    def objective(self) -> float:
+        """exp(log_objective), formed as RodeoObjective.batch forms it."""
+        return float(np.exp(self.log_objective))
 
-def _ratio_search(total_time: float, grid, bounds: tuple):
-    """One ratio search as a generator: it is sent its grid's values, then
-    yields each golden-section ratio, is sent that ratio's value, and
-    returns its optimum."""
+
+# The counts _optimize_alphas adds to its ``work``: objective calls (the
+# grids, then the lockstep refinement calls), the ratios the searches ask
+# for by kind, and the searches that stop on a grid alone.
+SEARCH_COUNTS = ("grid_calls", "refinement_calls", "parabolic_steps", "golden_steps",
+                 "bound_tests", "flat_searches")
+
+
+def _ratio_search(total_time: float, grid, bounds: tuple, work: dict):
+    """One ratio search as a generator: it is sent its grid's log values,
+    then yields each ratio it refines on, is sent that ratio's log value,
+    and returns its optimum, counting its steps in ``work``.
+
+    The bracket is the grid's best ratio and its two neighbours. A best
+    ratio on the upper bound is tested first: the ratio a stop-rule step
+    inside it is scored, and if that is strictly worse, the bound is the
+    optimum. Otherwise Brent's method refines the bracket (Brent 1973,
+    ch. 5), from the best ratio and its neighbours: each step is the
+    minimum of the parabola through the three best ratios seen (the
+    first through the grid's), or a golden-section step where that is
+    not safe (a parabola outside the bracket, or one whose step is not
+    under half the step before last). It stops once the bracket [a, b]
+    is within STOP_RTOL a and its best ratio at most half of that from
+    either end. Ties go to the smaller ratio, on the grid and after it."""
     vals = np.asarray((yield), dtype=float)
-    spread = float(vals.max() - vals.min())
-    if spread <= 1e-12 * float(np.abs(vals).max()):
+    if not -math.expm1(float(vals.min()) - float(vals.max())) > 1e-12:  # all -inf too
+        work["flat_searches"] += 1
         return AlphaOptimum(total_time, 0.5 * (bounds[0] + bounds[1]), float(vals[0]), flat=True)
     k = int(np.argmin(vals))  # argmin takes the first, hence smallest, tied ratio
-    a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
-
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = (yield x1), (yield x2)
-    while (b - a) > 1e-6 * a:
-        if f1 <= f2:  # ties move toward the smaller ratio
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = yield x1
+    last = len(grid) - 1
+    a, b = float(grid[max(0, k - 1)]), float(grid[min(last, k + 1)])
+    x, fx = float(grid[k]), float(vals[k])
+    # w and v: the second and third best ratios seen, here the neighbours
+    seen = sorted(((float(grid[j]), float(vals[j])) for j in (k - 1, k + 1) if 0 <= j <= last),
+                  key=lambda pair: pair[1])
+    (w, fw), (v, fv) = seen[0], seen[-1]
+    if k == last and b - a > STOP_RTOL * a:
+        work["bound_tests"] += 1
+        u = x / (1.0 + STOP_RTOL)
+        fu = yield u
+        if fu > fx:
+            return AlphaOptimum(total_time, x, fx)
+        (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
+    # the last two steps: none yet, but the grid's three ratios make a
+    # parabola, so the first step may take it
+    d = e = b - a
+    while True:
+        tol = 0.25 * STOP_RTOL * a
+        if max(x - a, b - x) <= 2.0 * tol:
+            return AlphaOptimum(total_time, x, fx)
+        middle = 0.5 * (a + b)
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = (-p if q > 0 else p), abs(q)
+        # the parabola's step, if it falls inside the bracket and is under
+        # half the step before last; nan (an infinite value) fails too
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            work["parabolic_steps"] += 1
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = math.copysign(tol, middle - x)
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = yield x2
-    return AlphaOptimum(total_time, float(x1 if f1 <= f2 else x2), float(min(f1, f2)))
+            work["golden_steps"] += 1
+            e = (a if x >= middle else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = yield u
+        if fu < fx or (fu == fx and u < x):
+            a, b = (x, b) if u >= x else (a, x)
+            (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                (v, fv), (w, fw) = (w, fw), (u, fu)
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
-def _optimize_alphas(objective, n_samples: int, totals, alpha_bounds: tuple) -> list:
+def _optimize_alphas(objective, n_samples: int, totals, alpha_bounds: tuple,
+                     work: dict | None = None) -> list:
     """optimize_alpha at each of ``totals``, in lockstep: one grid call per
-    search, in the order of the totals, then each golden-section step is
-    one call holding the next ratio of every search still refining. The
-    objective must score each column on its own; each search then returns
-    what it returns alone. The grids share one geometric table, which no
-    grid outlives."""
+    search, in the order of the totals, then each refinement call holds
+    the next ratio of every search still refining. The objective returns
+    log values and must score each column on its own; each search then
+    returns what it returns alone. The grids share one geometric table,
+    which no grid outlives. ``work``, a dict, gains SEARCH_COUNTS."""
     lo, hi = alpha_bounds
     if not hi > lo >= 1.0:
         raise ValueError(f"alpha bounds must satisfy 1 <= low < high, got {(lo, hi)}")
+    work = {} if work is None else work
+    for key in SEARCH_COUNTS:
+        work.setdefault(key, 0)
     lo_excess = max(lo - 1.0, ALPHA_FLOOR * (hi - 1.0))
     grid = 1.0 + np.geomspace(lo_excess, hi - 1.0, ALPHA_GRID_POINTS)
     totals = [float(t) for t in totals]
-    searches = [_ratio_search(t, grid, (lo, hi)) for t in totals]
+    searches = [_ratio_search(t, grid, (lo, hi), work) for t in totals]
     results = [None] * len(totals)
 
     def send(i, values, asked):
@@ -241,6 +307,7 @@ def _optimize_alphas(objective, n_samples: int, totals, alpha_bounds: tuple) -> 
     table = geometric_table(grid, n_samples)
     for i, t in enumerate(totals):
         next(searches[i])
+        work["grid_calls"] += 1
         if i < len(totals) - 1:
             send(i, objective(scale_table(table, t)), asked)
         else:  # rebinding frees the table before the last grid is scored
@@ -249,6 +316,7 @@ def _optimize_alphas(objective, n_samples: int, totals, alpha_bounds: tuple) -> 
     del table
     while asked:
         refining, asked = asked, {}
+        work["refinement_calls"] += 1
         values = objective(geometric_times(list(refining.values()), n_samples,
                                            [totals[i] for i in refining]))
         for i, value in zip(refining, map(float, values)):
@@ -257,30 +325,36 @@ def _optimize_alphas(objective, n_samples: int, totals, alpha_bounds: tuple) -> 
 
 
 def optimize_alpha(objective, n_samples: int, total_time: float, *,
-                   alpha_bounds: tuple = (1.0, 2.0)) -> AlphaOptimum:
+                   alpha_bounds: tuple = (1.0, 2.0), work: dict | None = None) -> AlphaOptimum:
     """Minimize the objective of the geometric schedule over the common ratio.
 
-    ``objective`` maps (n_samples, S) geometric_times columns to (S,)
-    values. Scores a grid of ALPHA_GRID_POINTS ratios log-spaced in
-    (alpha - 1) across ``alpha_bounds`` in one call, then refines
-    around the best point by golden-section, one column per step, to a
-    relative precision of 1e-6. Ties resolve to the smaller ratio. A
-    grid whose spread is at most 1e-12 of its largest magnitude is flat,
-    however small its values: it returns the bounds midpoint with
-    flat=True.
+    ``objective`` maps (n_samples, S) geometric_times columns to the (S,)
+    logs of their values (RodeoObjective.log_infidelity for a chain, the
+    log of a band's residual): log values rank ratios whose values span
+    many decades or underflow. Scores a grid of ALPHA_GRID_POINTS ratios
+    log-spaced in (alpha - 1) across ``alpha_bounds`` in one call, then
+    refines around the best point, one column per step, by Brent's
+    parabolic steps with golden-section fallback, to a relative precision
+    of STOP_RTOL; a best point on the upper bound that a step inside it
+    does not beat is the optimum. Ties resolve to the smaller ratio. A
+    grid whose smallest value is within 1e-12 of its largest, relative
+    (-expm1(min - max) <= 1e-12 on the logs, or every value -inf), is
+    flat, however small its values: it returns the bounds midpoint with
+    flat=True. ``work``, a dict, gains the search's SEARCH_COUNTS.
     """
-    return _optimize_alphas(objective, n_samples, [total_time], alpha_bounds)[0]
+    return _optimize_alphas(objective, n_samples, [total_time], alpha_bounds, work)[0]
 
 
 def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = False, *,
-                         alpha_bounds: tuple = (1.0, 2.0)) -> list:
+                         alpha_bounds: tuple = (1.0, 2.0), work: dict | None = None) -> list:
     """Optimal ratio at each total time of an ascending grid.
 
-    ``objective`` is optimize_alpha's (n_samples, S) -> (S,) callable,
-    scoring each column on its own. The searches run in lockstep, unless
-    monotone=True makes each search's upper ratio bound the previous
-    optimum, encoding that the best ratio only falls as time grows. A
-    flat search locates no optimum, so it leaves the bound as it was.
+    ``objective`` is optimize_alpha's (n_samples, S) -> (S,) callable of
+    log values, scoring each column on its own. The searches run in
+    lockstep, unless monotone=True makes each search's upper ratio bound
+    the previous optimum, encoding that the best ratio only falls as
+    time grows. A flat search locates no optimum, so it leaves the bound
+    as it was. ``work``, a dict, gains every search's SEARCH_COUNTS.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0:
@@ -288,11 +362,11 @@ def adaptive_alpha_curve(objective, n_samples: int, t_grid, monotone: bool = Fal
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly ascending")
     if not monotone:
-        return _optimize_alphas(objective, n_samples, t_grid, alpha_bounds)
+        return _optimize_alphas(objective, n_samples, t_grid, alpha_bounds, work)
     lo, hi = alpha_bounds
     points = []
     for t in t_grid:
-        opt = optimize_alpha(objective, n_samples, float(t), alpha_bounds=(lo, hi))
+        opt = optimize_alpha(objective, n_samples, float(t), alpha_bounds=(lo, hi), work=work)
         points.append(opt)
         if not opt.flat:
             hi = max(opt.alpha, lo + ALPHA_FLOOR * (alpha_bounds[1] - 1.0))

@@ -807,18 +807,22 @@ def rsn_quadrature_batch(spectrum: SpectralFunction, e_target: float, times,
                       lambda deltas, cols: log_survival(deltas, tm[:, cols]), abs_tol)
 
 
-def _residuals(spectrum, e_target, tm, survival, abs_tol, order=slice(None)) -> np.ndarray:
+def _residuals(spectrum, e_target, tm, survival, abs_tol, order=slice(None),
+               log=False) -> np.ndarray:
     """rsn_quadrature_batch of the schedules ``tm`` (N, S), each kernel
     call made by ``survival(deltas, cols)``: the (L, len(cols))
     log_survival of the integrator's columns ``cols``, an increasing index
     array. The integrator's column j is column order[j] of ``tm``; the
     values, and a failure's estimates and bounds, come back in ``tm``'s
-    order."""
+    order. With ``log``, the values are their logs: a discrete spectrum's
+    log-space sum before its exp, which does not underflow, and the log
+    of a band's integral."""
     every = np.arange(tm.shape[1])
     values = np.empty(tm.shape[1])
     if isinstance(spectrum, DiscreteSpectrum):
         _, (deltas, log_weights), _ = spectrum.levels(e_target)
-        values[order] = np.exp(_log_weighted_sum(survival(deltas, every), log_weights))
+        logs = _log_weighted_sum(survival(deltas, every), log_weights)
+        values[order] = logs if log else np.exp(logs)
         return values
     target_gap(spectrum, e_target)  # rejects a target inside the band
     lo, hi = spectrum.delta_min, spectrum.delta_max
@@ -834,13 +838,17 @@ def _residuals(spectrum, e_target, tm, survival, abs_tol, order=slice(None)) -> 
         # through integrate_oscillatory.
         value, _ = integrate_oscillatory(lambda e: integrand(e, every)[:, 0], lo, hi,
                                          phase_rate=float(rates[0]), abs_tol=abs_tol)
-        return np.array([value])
-    try:
-        values[order] = _integrate_columns(integrand, lo, hi, rates, abs_tol)[0]
-    except QuadratureError as exc:
-        estimate, bound = np.empty_like(values), np.empty_like(values)
-        estimate[order], bound[order] = exc.estimate, exc.error_bound
-        raise QuadratureError(str(exc), estimate, bound) from None
+        values = np.array([value])
+    else:
+        try:
+            values[order] = _integrate_columns(integrand, lo, hi, rates, abs_tol)[0]
+        except QuadratureError as exc:
+            estimate, bound = np.empty_like(values), np.empty_like(values)
+            estimate[order], bound[order] = exc.estimate, exc.error_bound
+            raise QuadratureError(str(exc), estimate, bound) from None
+    if log:
+        with np.errstate(divide="ignore"):
+            return np.log(values)
     return values
 
 
@@ -848,11 +856,13 @@ def _residuals(spectrum, e_target, tm, survival, abs_tol, order=slice(None)) -> 
 class TrotterObjective:
     """schedule-fit's search objective on a Trotter step ``dt``: called on
     unrounded (N, S) schedule columns, each below 2**53 steps, it gives
-    the (S,) residuals of their floors trotter_floor(times, dt), as
-    rsn_quadrature_batch gives them to ABS_TOL.
+    the (S,) logs of the residuals of their floors trotter_floor(times,
+    dt), as rsn_quadrature_batch gives them to ABS_TOL: for a discrete
+    spectrum the log-space sum itself, which does not underflow, and for
+    a band the log of its integral.
 
     Flooring makes the objective piecewise constant in the ratio, so a
-    search's golden steps and grid columns repeat schedules. A column's
+    search's refinement steps and grid columns repeat schedules. A column's
     residual is the bits of its one-column call, so each distinct floored
     schedule is integrated once in the objective's life, keyed by the
     bytes of its integer steps: one void view of the schedules as rows
@@ -891,7 +901,7 @@ class TrotterObjective:
                 return _lattice_survival(half, plan, cols, self.dt, self.work)
 
             self._known.update(zip(new, _residuals(self.spectrum, self.e_target, distinct * self.dt,
-                                                   survival, ABS_TOL, plan.order)))
+                                                   survival, ABS_TOL, plan.order, log=True)))
         return np.fromiter(map(self._known.__getitem__, keys), float, len(keys))
 
 

@@ -138,21 +138,46 @@ def test_benchmark_job_output_is_pinned(key, outputs):
 
 # RodeoObjective's work on the benchmark's chain jobs, exact: (calls,
 # columns scored, one-column calls). chain-curve/1 is a --monotone curve,
-# whose searches run one after another, so each golden step is a call of
-# its own; long-horizon/0 is one search, one grid call and 11 steps.
-WORK_PINS = {"chain-curve/0": (32, 1576, 0), "chain-curve/1": (145, 1893, 135),
+# whose searches run one after another, so each refinement step is a call
+# of its own; long-horizon/0 is one search, one grid call and 11 steps.
+# Both curves add one call for the adaptive fidelities.
+WORK_PINS = {"chain-curve/0": (23, 1495, 4), "chain-curve/1": (54, 1807, 43),
              "long-horizon/0": (12, 251, 11)}
 
+# The ratio searches' counts on the benchmark's search jobs, exact:
+# (grid calls, refinement calls, parabolic steps, golden steps, bound
+# tests, flat searches). chain-curve/0's three short-time searches and
+# each trotter-sweep fit's 0.1 T0 search end on the upper bound after its
+# test; a Trotter objective is piecewise constant in the ratio, so its
+# searches take golden steps mostly.
+SEARCH_PINS = {"chain-curve/0": (5, 13, 17, 5, 3, 0), "chain-curve/1": (6, 43, 32, 10, 1, 0),
+               "long-horizon/0": (1, 11, 6, 5, 0, 0),
+               "trotter-sweep/0": (20, 47, 34, 367, 5, 0),
+               "trotter-sweep/1": (20, 47, 34, 370, 5, 0)}
 
-@pytest.mark.parametrize("key", sorted(WORK_PINS))
-def test_the_chain_jobs_report_their_objective_work(key, tmp_path):
+
+def _diagnostics(key: str, tmp_path: Path) -> dict:
+    """The manifest diagnostics of benchmark job ``key`` run at SEED."""
     from rodeo_sched.cli import main
 
     out = tmp_path / "job.json"
     assert main(_workload_jobs()[key].split() + ["--seed", str(SEED), "--out", str(out)]) == 0
-    work = json.loads(out.read_text())["manifest"]["diagnostics"]
+    return json.loads(out.read_text())["manifest"]["diagnostics"]
+
+
+@pytest.mark.parametrize("key", sorted(WORK_PINS))
+def test_the_chain_jobs_report_their_objective_work(key, tmp_path):
+    work = _diagnostics(key, tmp_path)
     assert (work["objective_calls"], work["schedules_scored"],
             work["one_column_calls"]) == WORK_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_PINS))
+def test_the_search_jobs_report_their_search_counts(key, tmp_path):
+    from rodeo_sched.optimize import SEARCH_COUNTS
+
+    counts = _diagnostics(key, tmp_path)["ratio_search"]
+    assert tuple(counts[name] for name in SEARCH_COUNTS) == SEARCH_PINS[key]
 
 
 if __name__ == "__main__":

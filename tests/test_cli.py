@@ -219,21 +219,29 @@ def test_chain_commands_report_the_levels_they_score(capsys):
                            "--t-points", "2", "--skip-rra"], capsys)
     assert code == 0
     # and the objective's work: 3 fixed-ratio calls, 2 grid calls of 240
-    # columns and 23 golden calls, each one step of both searches
+    # columns, 10 refinement calls (9 of them after the first search ended
+    # on the upper bound) and the adaptive fidelities' call
     assert doc["manifest"]["diagnostics"] == {
         "levels": 30, "levels_below_resolution": 90,
-        "objective_calls": 28, "schedules_scored": 532, "one_column_calls": 0}
+        "objective_calls": 16, "schedules_scored": 499, "one_column_calls": 9,
+        "ratio_search": {"grid_calls": 2, "refinement_calls": 10, "parabolic_steps": 8,
+                         "golden_steps": 1, "bound_tests": 2, "flat_searches": 0}}
     code, doc = _run_json(["optimize-alpha", "--model", "xx", "--length", "10",
                            "--initial-state", "e1", "--n-samples", "10",
                            "--t0-multiple", "1"], capsys)
     assert code == 0
-    # one grid call, then one column a golden step
+    # one grid call, then one column a refinement step
     assert doc["manifest"]["diagnostics"] == {
         "levels": 121, "levels_below_resolution": 0,
-        "objective_calls": 24, "schedules_scored": 263, "one_column_calls": 23}
+        "objective_calls": 7, "schedules_scored": 246, "one_column_calls": 6,
+        "ratio_search": {"grid_calls": 1, "refinement_calls": 6, "parabolic_steps": 6,
+                         "golden_steps": 0, "bound_tests": 0, "flat_searches": 0}}
     code, doc = _run_json(["optimize-alpha", "--band", "0.1", "1.0", "--n-samples", "10",
                            "--t0-multiple", "0.5"], capsys)
-    assert "diagnostics" not in doc["manifest"]
+    # a band has no levels: the search's counts alone, a bound test that held
+    assert doc["manifest"]["diagnostics"] == {
+        "ratio_search": {"grid_calls": 1, "refinement_calls": 1, "parabolic_steps": 0,
+                         "golden_steps": 0, "bound_tests": 1, "flat_searches": 0}}
 
 
 def test_product_function_sweep_csv(tmp_path):
@@ -290,7 +298,7 @@ def test_readme_sweep_flags_run(tmp_path):
     assert code == 0
     _, header, rows = _read_csv(out)
     assert header == ["total_time", "t_over_t0", "dt_mult", "alpha_opt", "zeta",
-                      "surviving_times"]
+                      "log10_zeta", "surviving_times"]
     assert len(rows) == 9
     for row in rows:
         rec = dict(zip(header, (float(c) for c in row)))
@@ -300,26 +308,20 @@ def test_readme_sweep_flags_run(tmp_path):
 
 
 # (alpha_opt, zeta) of every sweep point, dt 0.01 T0 then 0.05 T0, as the
-# ratio search gives them integrating every schedule alone. Since each
-# column's kernel sums run in order whatever the column count, five zetas
-# moved in their last bits (0.9879755799374728, 2.2148106857685716e-11,
-# 0.7359031617695629, 0.005388188021892764 and 8.602309452521381e-11
-# before); no ratio moved. The kernel's log1p(tan**2) in place of log|cos|
-# moved four more (0.6706716002528976, 2.2148106857685807e-11,
-# 0.005388188021892767 and 8.602309452521426e-11 before), at most 1.4e-15
-# relative; again no ratio moved. Scoring the floored schedules on the
-# lattice path (every cycle direct, no short-cycle series) moved four more
-# (0.004211951766176197, 2.2148106857685804e-11, 0.0053881880218927675 and
-# 8.602309452521415e-11 before), at most 4.5e-15 relative; no ratio moved.
+# ratio search gives them integrating every schedule alone. Brent's steps
+# on log values moved every ratio; the two 0.1 T0 points now stop on the
+# upper bound after its test, at lower zetas (0.9879755799374729 and
+# 0.9999999999999969 before), and 10 T0 at dt 0.01 T0 ends on another
+# plateau of the floored staircase, 5.8% higher (2.2148106857685703e-11).
 SWEEP_PINS = [
-    ("1.9621967033631071", "0.9879755799374729"),
-    ("1.9822392058198646", "0.6706716002528975"),
-    ("1.6253967452802456", "0.004211951766176196"),
-    ("1.1108737929292223", "2.2148106857685703e-11"),
-    ("1.9621967033631071", "0.9999999999999969"),
-    ("1.7571204344346893", "0.735903161769563"),
-    ("1.5906523729598905", "0.005388188021892766"),
-    ("1.111107995198585", "8.602309452521379e-11"),
+    ("2.0", "0.9828571209991575"),
+    ("1.9822390999696566", "0.6706716002528975"),
+    ("1.6253970661513644", "0.004211951766176194"),
+    ("1.1113610829393288", "2.342881700157601e-11"),
+    ("2.0", "0.9856852754616824"),
+    ("1.7571202229179474", "0.735903161769563"),
+    ("1.5906525489487509", "0.005388188021892767"),
+    ("1.1111080600994052", "8.602309452521372e-11"),
 ]
 
 
@@ -331,10 +333,10 @@ def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
         calls[-1].append(np.array(steps))
         return real_plan(steps)
 
-    def searches(objective, n_samples, totals, alpha_bounds):
+    def searches(objective, n_samples, totals, alpha_bounds, work):
         calls.append([])  # the integer steps integrated, one list per Trotter step
         fits.append(len(totals))
-        return real_searches(objective, n_samples, totals, alpha_bounds)
+        return real_searches(objective, n_samples, totals, alpha_bounds, work)
 
     monkeypatch.setattr(spectral, "_lattice_plan", plan)
     monkeypatch.setattr(cli, "_optimize_alphas", searches)
@@ -348,7 +350,7 @@ def test_sweep_integrates_each_floored_schedule_once(monkeypatch, tmp_path):
     assert fits == [4, 4] and sum(fits) == len(SWEEP_PINS)
     for step in calls:
         # no floored schedule of a Trotter step is integrated twice, in a
-        # grid call or a golden-section call, by one fit or by two
+        # grid call or a refinement call, by one fit or by two
         columns = [col.tobytes() for m in step for col in m.T]
         assert len(set(columns)) == len(columns)
     counts = doc["manifest"]["diagnostics"]
@@ -387,9 +389,11 @@ def test_a_large_step_count_stays_on_the_distinct_step_table(tmp_path, capsys, m
     assert peak < 24 * 2 ** 20
     assert any(top + 1 > size for top, size, _, _ in calls)
     assert all(entries <= levels * min(top, size) for top, size, entries, levels in calls)
-    # The ratio reported before the lattice path: ROADMAP item 2's false
-    # optimum, whose log-space ranking is another change.
-    assert doc["result"]["alpha_opt"] == 1.00027994568971
+    # Ranked by log value, the search leaves the false optimum that the
+    # underflowed linear values gave (1.00027994568971, zeta 0.0); the
+    # log-space reference is test_optimize's.
+    assert doc["result"]["alpha_opt"] == 1.0006673200888847
+    assert doc["result"]["zeta"] == 0.0 and doc["result"]["log10_zeta"] < -400
 
 
 @pytest.mark.parametrize("flags", [["--trotter-dt", "1e-300"], ["--trotter-dt", "5e-324"],
@@ -415,7 +419,7 @@ _SWEEP_JOBS = {p: ["schedule-fit", "--preset", p, "--sweep", "--n-samples", "100
                    "--dt-mults", "0.01,0.05"] for p in ("xi2", "xi1")}
 
 
-@pytest.mark.parametrize("preset, kernel_calls", [("xi2", 55), ("xi1", 70)])
+@pytest.mark.parametrize("preset, kernel_calls", [("xi2", 46), ("xi1", 64)])
 def test_a_trotter_sweep_counts_its_lattice_kernel_calls(preset, kernel_calls, capsys,
                                                           monkeypatch):
     # The manifest counts every lattice kernel call of a benchmark sweep job.
@@ -506,14 +510,16 @@ def test_a_spectrum_file_without_rows_is_an_error(argv, tmp_path, capsys):
 def test_a_spectrum_file_fit_keeps_its_ratio_and_its_value_to_the_last_bits(tmp_path, capsys):
     # Values before discrete spectra were summed in log space as merged
     # levels; the sum moved zeta by 9e-12 relative and left the ratio alone.
+    # Brent's steps on log values then found a lower minimum in the same
+    # bracket (alpha 1.0376944736881266, zeta 3.47873244006575e-36 before).
     spectrum = tmp_path / "levels.csv"
     spectrum.write_text("energy,weight\n" + "".join(f"{k / 10!r},0.1\n" for k in range(1, 11)))
     code, doc = _run_json(["schedule-fit", "--spectrum-file", str(spectrum), "--e-target", "0",
                            "--trotter-dt", "1e-3", "--n-samples", "100", "--t0-multiple", "30"],
                           capsys)
     assert code == 0
-    assert doc["result"]["alpha_opt"] == 1.0376944736881266
-    np.testing.assert_allclose(doc["result"]["zeta"], 3.47873244006575e-36, rtol=1e-10)
+    assert doc["result"]["alpha_opt"] == 1.037695628339346
+    np.testing.assert_allclose(doc["result"]["zeta"], 2.1367579074679344e-37, rtol=1e-10)
 
 
 def test_curve_small_grid(tmp_path):
@@ -589,6 +595,25 @@ def test_a_sweep_refuses_the_flags_of_a_single_fit(line, config, flag, tmp_path,
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
     assert f"argument {flag}: --sweep sets every total and step" in _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("line", [
+    "schedule-fit --preset xi2 --sweep --dt-mults 0.01,0.1,1.0",  # the old default
+    "schedule-fit --preset xi2 --sweep --dt-mults 0.01,0.1",      # a step equal to the first total
+    "schedule-fit --preset xi2 --sweep --t-min-mult 0.04",        # below the default 0.05
+])
+def test_a_sweep_refuses_a_step_not_below_its_first_total(line, capsys):
+    # The first total is --t-min-mult T0 and a step is --dt-mults T0; a fit
+    # with its step at or above its total once exited 1 partway through.
+    err = _usage_error(shlex.split(line), capsys)
+    assert "argument --dt-mults: each step must lie below --t-min-mult" in err
+
+
+def test_the_bare_sweep_runs(capsys):
+    code, doc = _run_json(["schedule-fit", "--preset", "xi2", "--sweep"], capsys)
+    assert code == 0
+    assert doc["manifest"]["params"]["dt_mults"] == "0.001,0.01,0.05"
+    assert len(doc["result"]["points"]) == 3 * 20
 
 
 def test_a_sweep_keeps_the_single_fit_flags_at_their_defaults(capsys):
@@ -888,12 +913,13 @@ def test_a_ratio_fit_round_trips_through_rsn(tmp_path, capsys):
     assert read_schedule(out).times.tolist() == result["schedule"] == times.tolist()
     code, back = _run_json(["rsn", "--schedule-file", str(out)], capsys)
     assert code == 0
-    assert back["result"]["zeta_quadrature"] == result["objective"]
+    # the search ranks the log of the value and reports its exp
+    assert float(np.exp(np.log(back["result"]["zeta_quadrature"]))) == result["objective"]
     assert main(argv + ["--out", str(tmp_path / "fit.csv")]) == 0
     _, header, rows = _read_csv(tmp_path / "fit.csv")
     assert header == ["quantity", "value"]
-    assert [row[0] for row in rows] == ["alpha_opt", "objective", "flat", "total_time",
-                                        "n_samples"]
+    assert [row[0] for row in rows] == ["alpha_opt", "objective", "log10_objective", "flat",
+                                        "total_time", "n_samples"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -918,7 +944,8 @@ def test_a_trotter_fit_round_trips_through_rsn(tmp_path, capsys, fmt):
     code, back = _run_json(["rsn", "--band-file", str(band), "--e-target", "-1",
                             "--schedule-file", str(out)], capsys)
     assert code == 0
-    assert back["result"]["zeta_quadrature"] == result["zeta"]
+    # the search ranks the log of the value and reports its exp
+    assert float(np.exp(np.log(back["result"]["zeta_quadrature"]))) == result["zeta"]
 
 
 @pytest.mark.parametrize("out, fmt", [("o.json", "csv"), ("o.csv", "json"), ("o", "json")])

@@ -15,7 +15,8 @@ from rodeo_sched import (BandModel, ContinuousBand, DiscreteSpectrum, Hamiltonia
                          rsn_quadrature_batch, trotter_floor, trotter_round)
 from rodeo_sched import optimize
 from rodeo_sched.cli import main
-from rodeo_sched.optimize import ALPHA_GRID_POINTS, _optimize_alphas
+from rodeo_sched.optimize import (ALPHA_FLOOR, ALPHA_GRID_POINTS, SEARCH_COUNTS, STOP_RTOL,
+                                  _optimize_alphas)
 from rodeo_sched.spectral import level_gap
 
 BAND = BandModel(0.1, 1.0)
@@ -28,6 +29,11 @@ def _per_column(score):
 
 
 _closed_form = _per_column(lambda sched: rsn_closed_form(BAND, sched))
+
+
+def _log_closed_form(tm):
+    """The ratio searches' objective on BAND: the log of the residual."""
+    return np.log(_closed_form(tm))
 
 
 def _spy(objective, shapes):
@@ -164,31 +170,49 @@ def test_too_many_samples_raises():
 
 
 def test_optimize_alpha_short_time_prefers_two():
-    opt = optimize_alpha(_closed_form, 10, 0.5 * math.pi / 0.1)
+    opt = optimize_alpha(_log_closed_form, 10, 0.5 * math.pi / 0.1)
     assert opt.alpha > 1.98
     assert not opt.flat
 
 
 def test_optimize_alpha_long_time_prefers_smaller():
-    short = optimize_alpha(_closed_form, 10, 0.5 * math.pi / 0.1)
-    long = optimize_alpha(_closed_form, 10, 10.0 * math.pi / 0.1)
+    short = optimize_alpha(_log_closed_form, 10, 0.5 * math.pi / 0.1)
+    long = optimize_alpha(_log_closed_form, 10, 10.0 * math.pi / 0.1)
     assert long.alpha < short.alpha
     np.testing.assert_allclose(long.alpha, 1.4130524887378129, rtol=1e-3)
 
 
 def test_optimize_alpha_flat_landscape():
-    opt = optimize_alpha(lambda tm: np.full(tm.shape[1], 42.0), 5, 10.0)
+    opt = optimize_alpha(lambda tm: np.full(tm.shape[1], math.log(42.0)), 5, 10.0)
     assert opt.flat
     np.testing.assert_allclose(opt.alpha, 1.5, rtol=1e-12)
-    assert opt.objective == 42.0
+    assert opt.log_objective == math.log(42.0)
+    assert opt.objective == float(np.exp(math.log(42.0)))
+
+
+@pytest.mark.parametrize("spread, flat", [(0.0, True), (1e-13, True), (1e-11, False)])
+def test_the_flat_rule_reads_a_relative_spread_on_the_logs(spread, flat):
+    # -expm1(min - max) <= 1e-12: values within 1e-12 of the largest,
+    # relative, at any magnitude (here about 1e-400, below the double range)
+    def objective(tm):
+        logs = np.full(tm.shape[1], -921.0)
+        logs[tm.shape[1] // 2] += math.log1p(-spread)
+        return logs
+
+    assert optimize_alpha(objective, 5, 10.0).flat is flat
+
+
+def test_an_all_zero_grid_is_flat():
+    opt = optimize_alpha(lambda tm: np.full(tm.shape[1], -np.inf), 5, 10.0)
+    assert opt.flat and opt.objective == 0.0
 
 
 def test_optimize_alpha_is_near_stationary():
     total = 2.0 * math.pi / 0.1
-    opt = optimize_alpha(_closed_form, 10, total)
+    opt = optimize_alpha(_log_closed_form, 10, total)
     for eps in (-1e-3, 1e-3):
-        nearby = _closed_form(geometric_times(opt.alpha + eps, 10, total))[0]
-        assert nearby >= opt.objective - 1e-12
+        nearby = _log_closed_form(geometric_times(opt.alpha + eps, 10, total))[0]
+        assert nearby >= opt.log_objective - 1e-12
 
 
 def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_chain():
@@ -199,12 +223,13 @@ def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_chain():
     obj = RodeoObjective(eig, psi, e0)
     t0 = math.pi / level_gap(eig.eigenvalues, e0)
     # (alpha, objective) of the search scoring one schedule per call
-    per_schedule = {0.5: (1.829125124815312, 0.9968203332152508),
-                    4.0: (1.2939423087883644, 0.019262512474581307)}
+    per_schedule = {0.5: (1.829125306479695, 0.9968203332152503),
+                    4.0: (1.2939423748534766, 0.019262512474440982)}
     for mult, expected in per_schedule.items():
         shapes = []
-        batched = optimize_alpha(_spy(obj.batch, shapes), 60, mult * t0)
-        scalar = optimize_alpha(_per_column(lambda s: obj.value(s.times)), 60, mult * t0)
+        batched = optimize_alpha(_spy(obj.log_infidelity, shapes), 60, mult * t0)
+        scalar = optimize_alpha(_per_column(lambda s: obj.log_infidelity(s.times[:, None])[0]),
+                                60, mult * t0)
         assert batched == scalar
         np.testing.assert_allclose((batched.alpha, batched.objective), expected, rtol=1e-12)
         assert shapes[0] == (60, ALPHA_GRID_POINTS)
@@ -214,11 +239,16 @@ def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_chain():
 def test_optimize_alpha_batch_grid_matches_scalar_grid_on_a_band():
     band = ContinuousBand(0.0, 1.0, density="gaussian")
     dt = 0.01 * math.pi
-    objective = _per_column(lambda s: rsn_quadrature(band, -1.0, trotter_round(s, dt)))
-    batch = lambda tm: rsn_quadrature_batch(band, -1.0, trotter_floor(tm, dt))
-    # (alpha, objective) of the search scoring one schedule per call
-    per_schedule = {0.3: (1.9621967033631071, 0.8755013561374959),
-                    5.0: (1.234814026960805, 3.208423639784529e-06)}
+    objective = _per_column(lambda s: math.log(rsn_quadrature(band, -1.0, trotter_round(s, dt))))
+    batch = lambda tm: np.log(rsn_quadrature_batch(band, -1.0, trotter_floor(tm, dt)))
+    # (alpha, objective) of the search scoring one schedule per call. The
+    # floors make the objective a staircase in the ratio, with many local
+    # minima in a bracket: Brent's steps end on another one at 5 pi, 2.2%
+    # higher (alpha 1.234814026960805, 3.208423639784529e-06 by golden
+    # section), and at 0.3 pi on the upper bound, 1.5% lower
+    # (1.9621967033631071, 0.8755013561374959 before).
+    per_schedule = {0.3: (2.0, 0.8621643861035491),
+                    5.0: (1.2397808716096403, 3.2794000982521944e-06)}
     for mult, expected in per_schedule.items():
         shapes = []
         scalar = optimize_alpha(objective, 100, mult * math.pi)
@@ -240,11 +270,11 @@ def test_lockstep_searches_equal_searches_run_alone():
     levels = DiscreteSpectrum(energies=np.array([0.0, 0.3, 0.45, 1.0]),
                               weights=np.array([0.4, 0.3, 0.2, 0.1]))
     cases = [
-        (chain.batch, 60, [0.5 * t0, 2.0 * t0, 4.0 * t0]),
+        (chain.log_infidelity, 60, [0.5 * t0, 2.0 * t0, 4.0 * t0]),
         # at 0.1 pi every ratio floors to the empty schedule: a flat search
-        (lambda tm: rsn_quadrature_batch(band, -1.0, trotter_floor(tm, 0.25)), 60,
+        (lambda tm: np.log(rsn_quadrature_batch(band, -1.0, trotter_floor(tm, 0.25))), 60,
          [0.1 * math.pi, math.pi, 5.0 * math.pi]),
-        (lambda tm: rsn_quadrature_batch(levels, 0.0, tm), 20, [3.0, 10.0, 40.0]),
+        (lambda tm: np.log(rsn_quadrature_batch(levels, 0.0, tm)), 20, [3.0, 10.0, 40.0]),
     ]
     flat, step_counts = 0, set()
     for objective, n, totals in cases:
@@ -257,12 +287,12 @@ def test_lockstep_searches_equal_searches_run_alone():
         assert [opt.total_time for opt in alone] == totals
         assert all(m.shape[1] > 0 for m in together)
         # one grid call per search, in the order of the totals
-        grids, golden = together[:len(totals)], together[len(totals):]
+        grids, steps = together[:len(totals)], together[len(totals):]
         for grid, own in zip(grids, solo):
             np.testing.assert_array_equal(grid, own[0])
-        # golden step s holds the s-th step of each search still refining
-        assert len(golden) == max(len(own) - 1 for own in solo)
-        for s, m in enumerate(golden):
+        # refinement call s holds the s-th step of each search still refining
+        assert len(steps) == max(len(own) - 1 for own in solo)
+        for s, m in enumerate(steps):
             np.testing.assert_array_equal(
                 m, np.hstack([own[1 + s] for own in solo if len(own) > 1 + s]))
         flat += sum(opt.flat for opt in alone)
@@ -302,6 +332,77 @@ def test_a_lockstep_run_builds_one_table_and_scores_its_grids_bit_for_bit(n, tot
     assert matrices >= len(totals)
 
 
+def _landscape(kind: str, u0: float, scale: float, steps: int):
+    """A search objective of log values on two-sample geometric columns,
+    a function of u = log(alpha - 1) (alpha = t1 / t2) whose minimum sits
+    at u0 + log T (T the column's total): "quadratic" and "logcosh" are
+    smooth and unimodal; "stairs" is the quadratic floored to 1 / steps,
+    piecewise constant and unimodal with plateaus."""
+    def logs(tm):
+        u = np.log(tm[0] / tm[1] - 1.0) - u0 - np.log(tm.sum(axis=0))
+        if kind == "logcosh":
+            return scale * np.log(np.cosh(u))
+        smooth = scale * u * u
+        return np.floor(smooth * steps) / steps if kind == "stairs" else smooth
+    return logs
+
+
+def _score(objective, alphas, total: float) -> np.ndarray:
+    return objective(geometric_times(np.asarray(alphas, dtype=float), 2,
+                                     np.full(len(alphas), total)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["quadratic", "logcosh", "stairs"]), st.floats(-13.0, 3.0),
+       st.floats(1.0, 50.0), st.integers(1, 40), st.floats(1.05, 4.0),
+       st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4))
+def test_a_ratio_search_finds_its_minimum_to_the_stop_rule(kind, u0, scale, steps, hi, totals):
+    # u0 + log T spans the grid's range of u, log(1e-4 (hi - 1)) to
+    # log(hi - 1), and beyond it on both sides: minima inside the bounds
+    # and on either of them.
+    objective = _landscape(kind, u0, scale, steps)
+    grid = 1.0 + np.geomspace(ALPHA_FLOOR * (hi - 1.0), hi - 1.0, ALPHA_GRID_POINTS)
+    work = {}
+    together = _optimize_alphas(objective, 2, totals, (1.0, hi), work)
+    for total, opt in zip(totals, together):
+        # lockstep runs return what solo runs return
+        alone = {}
+        assert optimize_alpha(objective, 2, total, alpha_bounds=(1.0, hi), work=alone) == opt
+        assert not opt.flat and grid[0] <= opt.alpha <= hi
+        # no grid value lies below the reported value
+        assert _score(objective, grid, total).min() >= opt.log_objective
+        assert _score(objective, [opt.alpha], total)[0] == opt.log_objective
+        if kind == "stairs":
+            # ties go to the smaller ratio: a stop-rule step below the
+            # reported ratio scores worse, unless it is the grid's first
+            below = opt.alpha * (1.0 - STOP_RTOL)
+            assert (opt.alpha == grid[0]
+                    or _score(objective, [below], total)[0] > opt.log_objective)
+        else:
+            u_best = np.clip(u0 + math.log(total), math.log(grid[0] - 1.0), math.log(hi - 1.0))
+            best = 1.0 + math.exp(u_best)
+            assert abs(opt.alpha - best) <= STOP_RTOL * best
+    assert work["grid_calls"] == len(totals)
+    steps_taken = work["parabolic_steps"] + work["golden_steps"] + work["bound_tests"]
+    assert work["refinement_calls"] <= steps_taken
+
+
+def test_a_search_counts_its_steps_by_kind():
+    # A quadratic in u with its minimum inside the bounds takes parabolic
+    # steps; one beyond the upper bound ends after the bound test; a
+    # constant grid is flat and scores nothing more.
+    counts = []
+    for objective in (_landscape("quadratic", -2.0, 5.0, 1), _landscape("quadratic", 3.0, 5.0, 1),
+                      lambda tm: np.zeros(tm.shape[1])):
+        work = {}
+        optimize_alpha(objective, 2, 1.0, work=work)
+        counts.append(tuple(work[name] for name in SEARCH_COUNTS))
+    inside, bound, flat = counts
+    assert inside[:2] == (1, inside[2] + inside[3]) and inside[2] > inside[3] and inside[4:] == (0, 0)
+    assert bound == (1, 1, 0, 0, 1, 0)
+    assert flat == (1, 0, 0, 0, 0, 1)
+
+
 def test_a_sweep_builds_one_table_per_trotter_step(monkeypatch, tmp_path):
     tables, grids = [], []
     monkeypatch.setattr(optimize, "geometric_table", _counting(tables, optimize.geometric_table))
@@ -314,7 +415,7 @@ def test_a_sweep_builds_one_table_per_trotter_step(monkeypatch, tmp_path):
 
 def test_adaptive_curve_monotone_mode():
     grid = np.geomspace(0.3, 10.0, 6) * math.pi / 0.1
-    curve = adaptive_alpha_curve(_closed_form, 10, grid, monotone=True)
+    curve = adaptive_alpha_curve(_log_closed_form, 10, grid, monotone=True)
     alphas = [p.alpha for p in curve]
     assert all(a2 <= a1 + 1e-9 for a1, a2 in zip(alphas, alphas[1:]))
     for p, t in zip(curve, grid):
